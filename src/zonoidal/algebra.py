@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, product
 
 import numpy as np
 
 from . import exterior
-from .exterior import Multivector, exterior_dim
+from .exterior import exterior_dim
 from .zonotope import (
     Zonotope,
     VirtualZonotope,
@@ -91,58 +91,47 @@ def virtual_tensor(W1: VirtualZonotope, W2: VirtualZonotope) -> VirtualZonotope:
     return VirtualZonotope(plus, minus)
 
 
-def wedge_product(K: Zonotope, L: Zonotope) -> Zonotope:
-    """Wedge of graded zonotopes: all pairwise exterior products."""
+def _wedge_raw(K: Zonotope, L: Zonotope) -> Zonotope:
+    """Wedge of graded zonotopes before canonicalization: one generator
+    per pair, K's generators in the outer order."""
     m, k = _require_grading(K)
     m2, l = _require_grading(L)
     if m != m2:
         raise ValueError("base dimension mismatch in wedge product")
-    out_dim = exterior_dim(m, k + l)
-    if K.n_generators == 0 or L.n_generators == 0 or k + l > m:
-        return zonotope([], ambient_dim=out_dim, grading=(m, k + l),
-                        simple=K.simple and L.simple)
-    rows = []
-    for a in K.generators:
-        mv_a = Multivector(m, k, a)
-        for b in L.generators:
-            rows.append(exterior.wedge(mv_a, Multivector(m, l, b)).coeffs)
-    gens = np.asarray(rows) if rows and not K.exact and not L.exact else _stack_object(rows, out_dim)
-    return canonicalize(
-        Zonotope(out_dim, gens, grading=(m, k + l), simple=K.simple and L.simple)
-    )
+    gens = exterior.wedge_rows(
+        np.repeat(K.generators, L.n_generators, axis=0),
+        np.tile(L.generators, (K.n_generators, 1)), m, k, l)
+    return Zonotope(exterior_dim(m, k + l), gens, grading=(m, k + l),
+                    simple=K.simple and L.simple)
 
 
-def _stack_object(rows, width):
-    out = np.empty((len(rows), width), dtype=object)
-    for i, r in enumerate(rows):
-        out[i, :] = list(r)
-    return out
+def wedge_product(K: Zonotope, L: Zonotope) -> Zonotope:
+    """Wedge of graded zonotopes: all pairwise exterior products."""
+    return canonicalize(_wedge_raw(K, L))
 
 
-def wedge_power(K: Zonotope, d: int) -> Zonotope:
-    """d-fold wedge of K with itself.
-
-    Antisymmetry kills tuples with repeats and merges the d!
-    permutations of a subset, so it suffices to walk d-subsets of the
-    generators and scale each simple wedge by d!.
-    """
+def _wedge_power_raw(K: Zonotope, d: int) -> Zonotope:
+    """d-fold wedge before canonicalization (see ``wedge_power``)."""
     if d < 0:
         raise ValueError("power must be nonnegative")
     K = _as_degree_one(K)
     m, _ = K.grading
     if d == 0:
         return zonotope([[1.0]], ambient_dim=1, grading=(m, 0), simple=True)
-    out_dim = exterior_dim(m, d)
-    Kc = canonicalize(K)
-    fact = math.factorial(d)
-    rows = []
-    for subset in combinations(range(Kc.n_generators), d):
-        blade = exterior.blade_from_vectors(*(Kc.generators[i] for i in subset))
-        rows.append(blade.coeffs * fact)
-    if not rows or d > m:
-        return zonotope([], ambient_dim=out_dim, grading=(m, d), simple=True)
-    gens = _stack_object(rows, out_dim) if Kc.exact else np.asarray(rows)
-    return canonicalize(Zonotope(out_dim, gens, grading=(m, d), simple=True))
+    G = canonicalize(K).generators
+    subsets = np.fromiter(chain.from_iterable(combinations(range(len(G)), d)), dtype=np.intp)
+    gens = exterior.blade_rows(G[subsets.reshape(-1, d)]) * math.factorial(d)
+    return Zonotope(exterior_dim(m, d), gens, grading=(m, d), simple=True)
+
+
+def wedge_power(K: Zonotope, d: int) -> Zonotope:
+    """d-fold wedge of K with itself.
+
+    Antisymmetry kills tuples with repeats and merges the d!
+    permutations of a subset, so it suffices to take the blades of the
+    d-subsets of the generators and scale each by d!.
+    """
+    return canonicalize(_wedge_power_raw(K, d))
 
 
 def induced_map(f, zonotopes, out_dim: int | None = None, probe_seed: int = 7) -> Zonotope:
@@ -156,19 +145,10 @@ def induced_map(f, zonotopes, out_dim: int | None = None, probe_seed: int = 7) -
     if not Ks:
         raise ValueError("need at least one zonotope")
     _probe_linearity(f, Ks, probe_seed)
-    rows = []
-    idx = [0] * len(Ks)
-
-    def rec(slot, picked):
-        if slot == len(Ks):
-            rows.append(np.asarray(f(*picked), dtype=np.float64))
-            return
-        for g in Ks[slot].generators:
-            rec(slot + 1, picked + [np.asarray(g, dtype=np.float64)])
-
-    del idx
-    if all(K.n_generators > 0 for K in Ks):
-        rec(0, [])
+    rows = [
+        np.asarray(f(*picked), dtype=np.float64)
+        for picked in product(*(K.generators.astype(np.float64) for K in Ks))
+    ]
     if not rows:
         if out_dim is None:
             probe = f(*[np.zeros(K.ambient_dim) for K in Ks])
@@ -198,11 +178,24 @@ def _probe_linearity(f, Ks, seed, rtol=1e-8):
         warnings.warn("callback failed the multilinearity spot check", stacklevel=3)
 
 
-def _wedge_chain(zonotopes) -> Zonotope:
+def _chain_length(zonotopes):
+    """length(K_1 ^ ... ^ K_p).  The intermediate products are
+    canonicalized, so repeated factors do not grow as N^p; the last one
+    is not, since merging sign-aligned collinear generators keeps length.
+    """
     out = zonotopes[0]
-    for K in zonotopes[1:]:
+    for K in zonotopes[1:-1]:
         out = wedge_product(out, K)
-    return out
+    if len(zonotopes) > 1:
+        out = _wedge_raw(out, zonotopes[-1])
+    return length(out)
+
+
+def _per_factorial(ell, d: int):
+    """ell / d!, exact for a Fraction length and float otherwise."""
+    if isinstance(ell, Fraction):
+        return ell / math.factorial(d)
+    return float(ell) / math.factorial(d)
 
 
 def mixed_volume(zonotopes):
@@ -217,20 +210,14 @@ def mixed_volume(zonotopes):
         raise ValueError(f"mixed volume in R^{m} needs exactly {m} bodies")
     if any(K.grading != (m, 1) for K in Ks):
         raise ValueError("all bodies must be degree 1 in the same space")
-    ell = length(_wedge_chain(Ks))
-    if isinstance(ell, Fraction):
-        return ell / math.factorial(m)
-    return float(ell) / math.factorial(m)
+    return _per_factorial(_chain_length(Ks), m)
 
 
 def volume(K: Zonotope):
     """vol_m(K) = length(K^(^m)) / m! = sum over m-subsets of |det|."""
     K = _as_degree_one(K)
     m = K.grading[0]
-    ell = length(wedge_power(K, m))
-    if isinstance(ell, Fraction):
-        return ell / math.factorial(m)
-    return float(ell) / math.factorial(m)
+    return _per_factorial(length(_wedge_power_raw(K, m)), m)
 
 
 def intrinsic_volume(K: Zonotope, d: int):
@@ -241,21 +228,15 @@ def intrinsic_volume(K: Zonotope, d: int):
         raise ValueError("intrinsic volume degree out of range")
     if d == 0:
         return 1.0
-    ell = length(wedge_power(K, d))
-    if isinstance(ell, Fraction):
-        return ell / math.factorial(d)
-    return float(ell) / math.factorial(d)
+    return _per_factorial(length(_wedge_power_raw(K, d)), d)
 
 
 def hodge_star_zonoid(K: Zonotope) -> Zonotope:
     """Star every generator; an isometry of zonoids (length preserved)."""
     m, k = _require_grading(K)
-    out_dim = exterior_dim(m, m - k)
-    if K.n_generators == 0:
-        return zonotope([], ambient_dim=out_dim, grading=(m, m - k), simple=K.simple)
-    rows = [exterior.hodge_star(Multivector(m, k, g)).coeffs for g in K.generators]
-    gens = _stack_object(rows, out_dim) if K.exact else np.asarray(rows)
-    return canonicalize(Zonotope(out_dim, gens, grading=(m, m - k), simple=K.simple))
+    gens = exterior.hodge_rows(K.generators, m, k)
+    return canonicalize(Zonotope(exterior_dim(m, m - k), gens, grading=(m, m - k),
+                                 simple=K.simple))
 
 
 def projection_body(K: Zonotope) -> Zonotope:
@@ -282,15 +263,10 @@ def af_gap(K1: Zonotope, K2: Zonotope, companions=(), middle: Zonotope | None = 
     K1, K2 = _as_degree_one(K1), _as_degree_one(K2)
     if middle is not None and companions:
         raise ValueError("pass either companions or a prewedged middle factor")
-    C = middle
-    if companions:
-        C = _wedge_chain([_as_degree_one(K) for K in companions])
+    C = [middle] if middle is not None else [_as_degree_one(K) for K in companions]
 
     def term(A, B):
-        w = wedge_product(A, B)
-        if C is not None:
-            w = wedge_product(w, C)
-        return float(length(w))
+        return float(_chain_length([A, B] + C))
 
     return term(K1, K2) ** 2 - term(K1, K1) * term(K2, K2)
 
@@ -311,7 +287,7 @@ def reverse_af_gap(zonotopes, degrees):
     if sum(degrees) != m:
         raise ValueError("multiplicities must sum to the ambient dimension")
     powers = [wedge_power(K, d) for K, d in zip(Ks, degrees)]
-    chain = float(length(_wedge_chain(powers)))
+    chain = float(_chain_length(powers))
     bound = 1.0
     for P in powers:
         bound *= float(length(P))

@@ -538,8 +538,6 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
     common.add_argument("--samples", type=int, default=100000,
                         help="Monte Carlo sample count / net size")
-    common.add_argument("--tol", type=float, default=1e-12,
-                        help="comparison tolerance (reserved)")
     common.add_argument("--net", type=float, default=1e-3,
                         help="angular resolution for direction nets")
     common.add_argument("--exact-rational", action="store_true",

@@ -9,6 +9,11 @@ everywhere for exact arithmetic on rational inputs.
 The complex variant stores C(n, k) complex128 coefficients for the
 k-th complex exterior power of C^n.  ``realify`` maps it isometrically
 onto R^{2 C(n,k)} by interleaving (real, imaginary) parts.
+
+Every product runs through one row-batched kernel, ``wedge_rows``,
+acting on (N, C(m, k)) arrays of any of these dtypes; ``blade_rows``
+folds it over the vectors of a batch of matrices, and the single-element
+functions (``wedge``, ``complex_wedge``, the blades) are one-row calls.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ import numpy as np
 __all__ = [
     "Multivector",
     "ComplexMultivector",
+    "wedge_rows",
+    "blade_rows",
+    "hodge_rows",
     "wedge",
     "blade_from_vectors",
     "hodge_star",
@@ -31,10 +39,16 @@ __all__ = [
     "complex_wedge",
     "complex_blade_from_vectors",
     "realify",
+    "realify_rows",
     "unrealify",
     "exterior_dim",
     "basis_subsets",
 ]
+
+
+# rows per gather in wedge_rows: bounds its (rows, C(m, k+l), C(k+l, k))
+# temporaries to a few megabytes however many rows a product has
+_ROW_BLOCK = 4096
 
 
 def exterior_dim(m: int, k: int) -> int:
@@ -53,69 +67,45 @@ def _subset_rank(m: int, k: int) -> dict[tuple[int, ...], int]:
     return {s: i for i, s in enumerate(basis_subsets(m, k))}
 
 
-def _merge_sign(I: tuple[int, ...], J: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Merge two disjoint sorted index tuples, counting inversions.
-
-    Returns (sorted union, sign); sign is 0 if the tuples intersect.
-    """
-    out = []
-    inv = 0
-    i = j = 0
-    while i < len(I) and j < len(J):
-        if I[i] == J[j]:
-            return (), 0
-        if I[i] < J[j]:
-            out.append(I[i])
-            i += 1
-        else:
-            # J[j] jumps over the remaining entries of I
-            inv += len(I) - i
-            out.append(J[j])
-            j += 1
-    out.extend(I[i:])
-    out.extend(J[j:])
-    return tuple(out), (-1) ** inv
+def _shuffle_sign(pos) -> int:
+    """Sign of the shuffle that moves the sorted positions ``pos`` of a
+    sorted tuple to its front, keeping the order within both parts."""
+    return (-1) ** sum(p - t for t, p in enumerate(pos))
 
 
 @lru_cache(maxsize=None)
 def _wedge_table(m: int, k: int, l: int):
-    """Sparse multiplication table for wedge: Λ^k x Λ^l -> Λ^{k+l}.
+    """Gather table for wedge: Λ^k x Λ^l -> Λ^{k+l}.
 
-    Arrays (ii, jj, oo, ss): coefficient pairs (ii, jj) accumulate into
-    output slot oo with sign ss.
+    Arrays (ii, jj, ss) of shape (C(m, k+l), C(k+l, k)): output slot S
+    sums ss * a[ii] * b[jj] over the splits of S into a k-subset I (slot
+    ii) and the rest J (slot jj), ss being the sign of the shuffle (I, J).
     """
-    ii, jj, oo, ss = [], [], [], []
-    if k + l <= m:
-        rank_out = _subset_rank(m, k + l)
-        for i, I in enumerate(basis_subsets(m, k)):
-            for j, J in enumerate(basis_subsets(m, l)):
-                merged, sign = _merge_sign(I, J)
-                if sign:
-                    ii.append(i)
-                    jj.append(j)
-                    oo.append(rank_out[merged])
-                    ss.append(sign)
-    return (
-        np.asarray(ii, dtype=np.intp),
-        np.asarray(jj, dtype=np.intp),
-        np.asarray(oo, dtype=np.intp),
-        np.asarray(ss, dtype=np.int64),
-    )
+    rank_k, rank_l = _subset_rank(m, k), _subset_rank(m, l)
+    rows = [
+        [
+            (rank_k[tuple(S[p] for p in pos)],
+             rank_l[tuple(s for p, s in enumerate(S) if p not in pos)],
+             _shuffle_sign(pos))
+            for pos in combinations(range(k + l), k)
+        ]
+        for S in basis_subsets(m, k + l)
+    ]
+    t = np.asarray(rows, dtype=np.intp).reshape(len(rows), math.comb(k + l, k), 3)
+    return t[..., 0], t[..., 1], t[..., 2]
 
 
 @lru_cache(maxsize=None)
 def _hodge_table(m: int, k: int):
-    """Permutation and signs sending e_I to sign * e_{I complement}."""
-    rank_out = _subset_rank(m, m - k)
-    perm = np.empty(exterior_dim(m, k), dtype=np.intp)
-    sign = np.empty(exterior_dim(m, k), dtype=np.int64)
-    full = set(range(m))
-    for i, I in enumerate(basis_subsets(m, k)):
-        comp = tuple(sorted(full - set(I)))
-        perm[i] = rank_out[comp]
-        # parity of the permutation (I, complement) of (0..m-1)
-        sign[i] = (-1) ** sum(a - t for t, a in enumerate(I))
-    return perm, sign
+    """Gather form of e_I -> sign * e_{I complement}: output slot C reads
+    the slot of its complement I, times the parity of (I, C)."""
+    rank_in = _subset_rank(m, k)
+    src, sign = [], []
+    for C in basis_subsets(m, m - k):
+        I = tuple(i for i in range(m) if i not in C)
+        src.append(rank_in[I])
+        sign.append(_shuffle_sign(I))
+    return np.asarray(src, dtype=np.intp), np.asarray(sign, dtype=np.intp)
 
 
 def _coerce_coeffs(coeffs, n: int, complex_ok: bool = False) -> np.ndarray:
@@ -220,63 +210,76 @@ class ComplexMultivector:
         return f"ComplexMultivector(n={self.ambient_complex_dim}, k={self.degree}, {self.coeffs!r})"
 
 
-def _wedge_coeffs(m, k, l, a, b):
-    ii, jj, oo, ss = _wedge_table(m, k, l)
-    if a.dtype == object or b.dtype == object:
-        out = np.zeros(exterior_dim(m, k + l), dtype=object)
-    elif np.iscomplexobj(a) or np.iscomplexobj(b):
-        out = np.zeros(exterior_dim(m, k + l), dtype=np.complex128)
-    else:
-        out = np.zeros(exterior_dim(m, k + l))
-    if len(ii):
-        np.add.at(out, oo, a[ii] * b[jj] * ss)
+def wedge_rows(a, b, m: int, k: int, l: int) -> np.ndarray:
+    """Row-wise exterior products a[r] ^ b[r] in the exterior powers of R^m.
+
+    a has shape (N, C(m, k)) and b shape (N, C(m, l)); the result has
+    shape (N, C(m, k+l)), which is (N, 0) when k + l > m.  Float, complex
+    and object (Fraction) rows all run through the same gather.
+    """
+    ii, jj, ss = _wedge_table(m, k, l)
+    a, b = np.asarray(a), np.asarray(b)
+    return np.concatenate([
+        (a[r:r + _ROW_BLOCK, ii] * b[r:r + _ROW_BLOCK, jj] * ss).sum(axis=2)
+        for r in range(0, max(len(a), 1), _ROW_BLOCK)
+    ])
+
+
+def blade_rows(V) -> np.ndarray:
+    """Simple blades V[r, 0] ^ ... ^ V[r, k-1] for a batch V of shape (N, k, m).
+
+    Row r of the result holds the k x k minors of V[r], shape (N, C(m, k)).
+    """
+    V = np.asarray(V)
+    m = V.shape[2]
+    out = V[:, 0, :]
+    for t in range(1, V.shape[1]):
+        out = wedge_rows(out, V[:, t, :], m, t, 1)
     return out
+
+
+def hodge_rows(a, m: int, k: int) -> np.ndarray:
+    """Row-wise Hodge star Λ^k -> Λ^{m-k}: one signed column permutation."""
+    src, sign = _hodge_table(m, k)
+    return np.asarray(a)[:, src] * sign
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Exterior product of two real multivectors."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch in wedge")
-    m = a.ambient_dim
-    k, l = a.degree, b.degree
-    return Multivector(m, k + l, _wedge_coeffs(m, k, l, a.coeffs, b.coeffs))
+    m, k, l = a.ambient_dim, a.degree, b.degree
+    return Multivector(m, k + l, wedge_rows(a.coeffs[None], b.coeffs[None], m, k, l)[0])
 
 
 def complex_wedge(a: ComplexMultivector, b: ComplexMultivector) -> ComplexMultivector:
     """Complex-bilinear exterior product."""
     if a.ambient_complex_dim != b.ambient_complex_dim:
         raise ValueError("complex ambient dimension mismatch in wedge")
-    n = a.ambient_complex_dim
-    k, l = a.degree, b.degree
-    return ComplexMultivector(n, k + l, _wedge_coeffs(n, k, l, a.coeffs, b.coeffs))
+    n, k, l = a.ambient_complex_dim, a.degree, b.degree
+    return ComplexMultivector(n, k + l, wedge_rows(a.coeffs[None], b.coeffs[None], n, k, l)[0])
+
+
+def _vector_batch(vectors, dtype=None) -> np.ndarray:
+    """Stack k vectors of one dimension as a batch of shape (1, k, m)."""
+    if not vectors:
+        raise ValueError("need at least one vector")
+    vs = [np.asarray(v, dtype=dtype) for v in vectors]
+    if any(len(v) != len(vs[0]) for v in vs):
+        raise ValueError("vectors must share a dimension")
+    return np.stack(vs)[None]
 
 
 def blade_from_vectors(*vectors) -> Multivector:
     """Simple blade v1 ^ ... ^ vk; coefficients are the k x k minors."""
-    if not vectors:
-        raise ValueError("need at least one vector")
-    vs = [np.asarray(v) for v in vectors]
-    m = len(vs[0])
-    if any(len(v) != m for v in vs):
-        raise ValueError("vectors must share a dimension")
-    out = Multivector.from_vector(vs[0])
-    for v in vs[1:]:
-        out = wedge(out, Multivector.from_vector(v))
-    return out
+    V = _vector_batch(vectors)
+    return Multivector(V.shape[2], V.shape[1], blade_rows(V)[0])
 
 
 def complex_blade_from_vectors(*vectors) -> ComplexMultivector:
     """Complex simple blade z1 ^ ... ^ zk."""
-    if not vectors:
-        raise ValueError("need at least one vector")
-    vs = [np.asarray(v, dtype=np.complex128) for v in vectors]
-    n = len(vs[0])
-    if any(len(v) != n for v in vs):
-        raise ValueError("vectors must share a dimension")
-    out = ComplexMultivector.from_vector(vs[0])
-    for v in vs[1:]:
-        out = complex_wedge(out, ComplexMultivector.from_vector(v))
-    return out
+    V = _vector_batch(vectors, np.complex128)
+    return ComplexMultivector(V.shape[2], V.shape[1], blade_rows(V)[0])
 
 
 def hodge_star(a: Multivector) -> Multivector:
@@ -284,13 +287,7 @@ def hodge_star(a: Multivector) -> Multivector:
     m, k = a.ambient_dim, a.degree
     if not 0 <= k <= m:
         raise ValueError("degree out of range for hodge star")
-    perm, sign = _hodge_table(m, k)
-    if a.coeffs.dtype == object:
-        out = np.zeros(exterior_dim(m, m - k), dtype=object)
-    else:
-        out = np.zeros(exterior_dim(m, m - k))
-    out[perm] = a.coeffs * sign
-    return Multivector(m, m - k, out)
+    return Multivector(m, m - k, hodge_rows(a.coeffs[None], m, k)[0])
 
 
 def norm(a) -> float:
@@ -310,12 +307,19 @@ def inner(a: Multivector, b: Multivector):
     return float(np.dot(a.coeffs, b.coeffs))
 
 
+def realify_rows(z) -> np.ndarray:
+    """Norm-preserving real coordinates of complex rows: (re, im)
+    interleaved along the last axis."""
+    z = np.asarray(z)
+    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
+    out[..., 0::2] = z.real
+    out[..., 1::2] = z.imag
+    return out
+
+
 def realify(a: ComplexMultivector) -> np.ndarray:
     """Norm-preserving real coordinates: (re, im) interleaved per slot."""
-    out = np.empty(2 * len(a.coeffs))
-    out[0::2] = a.coeffs.real
-    out[1::2] = a.coeffs.imag
-    return out
+    return realify_rows(a.coeffs)
 
 
 def unrealify(v, n: int, k: int) -> ComplexMultivector:

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 
 import numpy as np
 
 from . import exterior
-from .exterior import ComplexMultivector, exterior_dim, realify, unrealify
+from .exterior import exterior_dim, realify_rows
 from .sampling import SeedStream, chunk_sizes, derive_seed
 from .zonotope import Zonotope, canonicalize, length, zonotope
 
@@ -199,13 +199,8 @@ def embed_real_zonotope(K: Zonotope) -> Zonotope:
     """Embed a real zonotope in R^n into C^n (zero imaginary parts)."""
     if K.exact:
         K = canonicalize(K)
-        gens = np.asarray(
-            [[float(x) for x in row] for row in K.generators], dtype=np.float64
-        ).reshape(K.n_generators, K.ambient_dim)
-    else:
-        gens = K.generators
-    out = np.zeros((gens.shape[0], 2 * K.ambient_dim))
-    out[:, 0::2] = gens
+    out = np.zeros((K.n_generators, 2 * K.ambient_dim))
+    out[:, 0::2] = K.generators.astype(np.float64)
     return canonicalize(zonotope(out, ambient_dim=2 * K.ambient_dim,
                                  cgrading=(K.ambient_dim, 1)))
 
@@ -217,42 +212,41 @@ def complex_zonotope(vectors, n: int | None = None) -> Zonotope:
         Z = Z[None, :]
     if n is None:
         n = Z.shape[1]
-    gens = np.empty((Z.shape[0], 2 * n))
-    gens[:, 0::2] = Z.real
-    gens[:, 1::2] = Z.imag
-    return canonicalize(zonotope(gens, ambient_dim=2 * n, cgrading=(n, 1)))
+    return canonicalize(zonotope(realify_rows(Z), ambient_dim=2 * n, cgrading=(n, 1)))
 
 
-def complex_wedge_zonoids(*zonotopes: Zonotope) -> Zonotope:
-    """Pairwise complex wedges of generators, realified and canonical."""
+def _complex_wedge_raw(*zonotopes: Zonotope) -> Zonotope:
+    """Complex wedge of all generator tuples before canonicalization."""
     if not zonotopes:
         raise ValueError("need at least one zonotope")
     gradings = [_require_cgrading(K) for K in zonotopes]
     n = gradings[0][0]
     if any(g[0] != n for g in gradings):
         raise ValueError("complex-dimension mismatch")
-
-    def mvs(K: Zonotope, k: int):
-        return [unrealify(g, n, k) for g in K.generators]
-
-    acc = mvs(zonotopes[0], gradings[0][1])
-    deg = gradings[0][1]
-    for K, (_, k) in zip(zonotopes[1:], gradings[1:]):
-        nxt = []
-        for a in acc:
-            for b in mvs(K, k):
-                nxt.append(exterior.complex_wedge(a, b))
-        acc = nxt
+    acc, deg = None, 0
+    for K, (_, k) in zip(zonotopes, gradings):
+        G = K.generators.astype(np.float64)
+        Z = G[:, 0::2] + 1j * G[:, 1::2]
+        if acc is None:
+            acc = Z
+        else:
+            acc = exterior.wedge_rows(np.repeat(acc, len(Z), axis=0),
+                                      np.tile(Z, (len(acc), 1)), n, deg, k)
         deg += k
-    out_dim = 2 * exterior_dim(n, deg)
-    if not acc:
-        return zonotope([], ambient_dim=out_dim, cgrading=(n, deg))
-    gens = np.asarray([realify(a) for a in acc])
-    return canonicalize(Zonotope(out_dim, gens, cgrading=(n, deg)))
+    return Zonotope(2 * exterior_dim(n, deg), realify_rows(acc), cgrading=(n, deg))
+
+
+def complex_wedge_zonoids(*zonotopes: Zonotope) -> Zonotope:
+    """Pairwise complex wedges of generators, realified and canonical."""
+    return canonicalize(_complex_wedge_raw(*zonotopes))
 
 
 def mixed_J_volume(*zonotopes: Zonotope) -> float:
-    """MV^J(K_1, ..., K_n) = length(K_1 ^_C ... ^_C K_n) / n!."""
+    """MV^J(K_1, ..., K_n) = length(K_1 ^_C ... ^_C K_n) / n!.
+
+    The length is read from the uncanonicalized product: merging
+    sign-aligned collinear generators does not change it.
+    """
     if not zonotopes:
         raise ValueError("need at least one zonotope")
     n, k = _require_cgrading(zonotopes[0])
@@ -260,7 +254,7 @@ def mixed_J_volume(*zonotopes: Zonotope) -> float:
         raise ValueError("mixed J-volume expects degree-1 bodies in C^n")
     if len(zonotopes) != n:
         raise ValueError(f"mixed J-volume in C^{n} needs exactly {n} bodies")
-    return float(length(complex_wedge_zonoids(*zonotopes))) / math.factorial(n)
+    return float(length(_complex_wedge_raw(*zonotopes))) / math.factorial(n)
 
 
 def _independent_spans(P: Zonotope, n: int):
@@ -283,13 +277,8 @@ def _chart_generators(P: Zonotope, E: Subspace) -> np.ndarray:
     return np.asarray(rows).reshape(len(rows), E.dim)
 
 
-def _float_zonotope(P: Zonotope) -> Zonotope:
-    if not P.exact:
-        return P
-    gens = np.asarray(
-        [[float(x) for x in row] for row in P.generators], dtype=np.float64
-    ).reshape(P.n_generators, P.ambient_dim)
-    return Zonotope(P.ambient_dim, gens, P.grading, P.cgrading, P.simple)
+def _float_canonical(P: Zonotope) -> Zonotope:
+    return canonicalize(replace(P, generators=P.generators.astype(np.float64)))
 
 
 def _j_volume_sum(P: Zonotope, J, weight) -> float:
@@ -299,7 +288,7 @@ def _j_volume_sum(P: Zonotope, J, weight) -> float:
         raise ValueError("J-volume needs even ambient dimension")
     struct = _structure(P.ambient_dim, J)
     n = struct.complex_dim
-    P = canonicalize(_float_zonotope(P))
+    P = _float_canonical(P)
     total = 0.0
     for E in _independent_spans(P, n):
         chart = _chart_generators(P, E)
@@ -337,10 +326,7 @@ def disc_zonotope(z, q: int) -> Zonotope:
         return zonotope([], ambient_dim=2 * n, cgrading=(n, 1))
     thetas = np.pi * np.arange(q) / q
     rows = (np.pi / q) * np.exp(1j * thetas)[:, None] * z[None, :]
-    gens = np.empty((q, 2 * n))
-    gens[:, 0::2] = rows.real
-    gens[:, 1::2] = rows.imag
-    return canonicalize(zonotope(gens, ambient_dim=2 * n, cgrading=(n, 1)))
+    return canonicalize(zonotope(realify_rows(rows), ambient_dim=2 * n, cgrading=(n, 1)))
 
 
 def _face_membership_counter(P, face):
@@ -349,7 +335,7 @@ def _face_membership_counter(P, face):
         E, signs = face
         if not isinstance(E, Subspace):
             E = subspace_from_vectors(E, P.ambient_dim)
-        P = canonicalize(_float_zonotope(P))
+        P = _float_canonical(P)
         outside = np.asarray(
             [g for g in P.generators if not E.contains(g)]
         ).reshape(-1, P.ambient_dim)
@@ -501,7 +487,7 @@ def zonotope_faces_for_span(P: Zonotope, E: Subspace):
     2-dimensional complement (angular sweep); random-probe enumeration
     with a dedup otherwise.
     """
-    P = canonicalize(_float_zonotope(P))
+    P = _float_canonical(P)
     comp = E.complement()
     outside = np.asarray(
         [g for g in P.generators if not E.contains(g)]
@@ -555,7 +541,7 @@ def zonotope_face_data(P: Zonotope, J=None) -> PolytopeFaceData:
     """
     struct = _structure(P.ambient_dim, J)
     n = struct.complex_dim
-    P = canonicalize(_float_zonotope(P))
+    P = _float_canonical(P)
     vert_index: dict[bytes, int] = {}
     verts: list[np.ndarray] = []
     faces = []

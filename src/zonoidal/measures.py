@@ -135,11 +135,7 @@ def zonotope_to_measure(K: Zonotope) -> DiscreteEvenMeasure:
                 atoms[i, :] = [x / n for x in row]
                 weights[i] = n / 2
             return DiscreteEvenMeasure(K.ambient_dim, atoms, weights)
-        gens = np.asarray(
-            [[float(x) for x in row] for row in K.generators], dtype=np.float64
-        )
-    else:
-        gens = K.generators
+    gens = K.generators.astype(np.float64)
     norms = np.linalg.norm(gens, axis=1)
     return DiscreteEvenMeasure(K.ambient_dim, gens / norms[:, None], norms / 2.0)
 

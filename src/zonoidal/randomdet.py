@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exterior
-from .algebra import wedge_product
-from .exterior import exterior_dim
-from .jvolume import complex_wedge_zonoids
-from .sampling import CHUNK, SeedStream, chunk_sizes
+from .algebra import _chain_length
+from .exterior import exterior_dim, realify_rows
+from .jvolume import _complex_wedge_raw
+from .sampling import SeedStream, chunk_sizes
 from .zonotope import Zonotope, canonicalize, length, zonotope
 
 __all__ = [
@@ -309,24 +309,17 @@ def j_ball_volume(n: int) -> float:
 
 def _real_block_zonoid(block: MatrixBlock, size: int) -> Zonotope:
     """K(Z_j) for a discrete block: pushforward of atoms through the blade."""
-    atoms = block.atom_matrices(size)
-    dim = exterior_dim(size, block.width)
-    rows = np.empty((atoms.shape[0], dim))
-    for i, A in enumerate(atoms):
-        rows[i] = exterior.blade_from_vectors(*A.T).coeffs
+    rows = exterior.blade_rows(np.swapaxes(block.atom_matrices(size), 1, 2))
     gens = block.dist.probs[:, None] * rows
-    return canonicalize(Zonotope(dim, gens, grading=(size, block.width)))
+    return canonicalize(Zonotope(exterior_dim(size, block.width), gens,
+                                 grading=(size, block.width)))
 
 
 def _complex_block_zonoid(block: MatrixBlock, n: int) -> Zonotope:
-    atoms = block.atom_matrices(n)
-    dim = exterior_dim(n, block.width)
-    rows = np.empty((atoms.shape[0], 2 * dim))
-    for i, A in enumerate(atoms):
-        blade = exterior.complex_blade_from_vectors(*A.T)
-        rows[i] = exterior.realify(blade)
-    gens = block.dist.probs[:, None] * rows
-    return canonicalize(Zonotope(2 * dim, gens, cgrading=(n, block.width)))
+    rows = exterior.blade_rows(np.swapaxes(block.atom_matrices(n), 1, 2))
+    gens = block.dist.probs[:, None] * realify_rows(rows)
+    return canonicalize(Zonotope(2 * exterior_dim(n, block.width), gens,
+                                 cgrading=(n, block.width)))
 
 
 def expected_abs_det_exact(model: MatrixBlockModel) -> float:
@@ -335,11 +328,7 @@ def expected_abs_det_exact(model: MatrixBlockModel) -> float:
         raise ValueError("exact path needs discrete blocks")
     if model.complex_field:
         return expected_abs_det_complex_exact(model)
-    acc = None
-    for b in model.blocks:
-        K = _real_block_zonoid(b, model.size)
-        acc = K if acc is None else wedge_product(acc, K)
-    return float(length(acc))
+    return float(_chain_length([_real_block_zonoid(b, model.size) for b in model.blocks]))
 
 
 def expected_abs_det_complex_exact(model: MatrixBlockModel) -> float:
@@ -347,34 +336,42 @@ def expected_abs_det_complex_exact(model: MatrixBlockModel) -> float:
     if not model.all_discrete():
         raise ValueError("exact path needs discrete blocks")
     zonoids = [_complex_block_zonoid(b, model.size) for b in model.blocks]
-    return float(length(complex_wedge_zonoids(*zonoids)))
+    return float(length(_complex_wedge_raw(*zonoids)))
 
 
 def _mc_mean_se(model: MatrixBlockModel, n: int, seed: int, statistic):
+    """Mean and standard error over a fixed chunk schedule.
+
+    Each chunk contributes (count, mean, M2), the sum of squared
+    deviations from its own mean; chunks combine by the pairwise update
+    of Chan, Golub and LeVeque (1983).  Unlike sum(x^2) - n mean^2 this
+    does not cancel when the mean dwarfs the spread.
+    """
     if n < 2:
         raise ValueError("need at least two samples")
     stream = SeedStream(seed).derive("edet")
-    total = 0.0
-    total_sq = 0.0
+    count, mean, m2 = 0, 0.0, 0.0
     for ci, size in enumerate(chunk_sizes(n)):
         M = model.sample(size, stream.derive(ci))
         vals = statistic(M)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-    mean = total / n
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    return mean, math.sqrt(var / n)
+        c_mean = float(np.mean(vals))
+        dev = vals - c_mean
+        delta = c_mean - mean
+        total = count + size
+        mean += delta * size / total
+        m2 += float(dev @ dev) + delta * delta * count * size / total
+        count = total
+    return mean, math.sqrt(m2 / (n - 1) / n)
 
 
 def expected_abs_det_mc(model: MatrixBlockModel, n: int, seed: int = 0
                         ) -> tuple[float, float]:
-    """Monte Carlo E|det M| with Bessel-corrected standard error."""
+    """Monte Carlo E|det M| with Bessel-corrected standard error; real or
+    complex entries alike."""
     return _mc_mean_se(model, n, seed, lambda M: np.abs(np.linalg.det(M)))
 
 
-def expected_abs_det_complex_mc(model: MatrixBlockModel, n: int, seed: int = 0
-                                ) -> tuple[float, float]:
-    return _mc_mean_se(model, n, seed, lambda M: np.abs(np.linalg.det(M)))
+expected_abs_det_complex_mc = expected_abs_det_mc
 
 
 def expected_sq_abs_det_complex(model: MatrixBlockModel) -> float:
@@ -387,22 +384,13 @@ def expected_sq_abs_det_complex(model: MatrixBlockModel) -> float:
         raise ValueError("squared-determinant path expects width-1 blocks")
     n = model.size
     dim2 = exterior_dim(2 * n, 2)
-    acc = None
+    zonoids = []
     for b in model.blocks:
-        atoms = b.atom_matrices(n)[:, :, 0]
-        rows = np.empty((atoms.shape[0], dim2))
-        for i, z in enumerate(atoms):
-            x = np.empty(2 * n)
-            x[0::2], x[1::2] = z.real, z.imag
-            y = np.empty(2 * n)
-            jz = 1j * z
-            y[0::2], y[1::2] = jz.real, jz.imag
-            rows[i] = exterior.blade_from_vectors(x, y).coeffs
-        K = canonicalize(
-            Zonotope(dim2, b.dist.probs[:, None] * rows, grading=(2 * n, 2))
-        )
-        acc = K if acc is None else wedge_product(acc, K)
-    return float(length(acc))
+        z = b.atom_matrices(n)[:, :, 0]
+        rows = exterior.blade_rows(np.stack([realify_rows(z), realify_rows(1j * z)], axis=1))
+        gens = b.dist.probs[:, None] * rows
+        zonoids.append(canonicalize(Zonotope(dim2, gens, grading=(2 * n, 2))))
+    return float(_chain_length(zonoids))
 
 
 def bm_concavity_probe(d1: DiscreteDistribution, d2: DiscreteDistribution,

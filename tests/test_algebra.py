@@ -359,3 +359,50 @@ def test_simple_flag_propagation():
     assert W.simple
     P = wedge_power(K, 2)
     assert P.simple
+
+
+def degenerate_body(m, exact, seed=0):
+    """Repeated, negated, collinear and zero generators in R^m.  Since
+    u ^ v = u ^ (u + v) = (u + v) ^ v, the wedge powers of this body
+    have collinear generators that canonicalize merges."""
+    g = rng(40 + m + 10 * seed)
+    v = np.arange(1, m + 1)
+    w, u = g.integers(-4, 5, size=(2, m))
+    rows = [v, v, -v, 3 * v, 0 * v, w, -2 * w, u, u + v]
+    if not exact:
+        return zonotope(np.asarray(rows, dtype=np.float64) / 3.0, grading=(m, 1))
+    arr = np.empty((len(rows), m), dtype=object)
+    for i, r in enumerate(rows):
+        arr[i, :] = [Fraction(int(t), 3) for t in r]
+    return zonotope(arr, grading=(m, 1))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("m", [3, 4])
+def test_volumes_equal_length_of_canonical_wedge_power(m, exact):
+    K = degenerate_body(m, exact)
+    n_canon = canonicalize(K).n_generators
+    assert wedge_power(K, 2).n_generators < math.comb(n_canon, 2)  # products merge
+    for d in range(1, m + 1):
+        want = length(wedge_power(K, d)) / math.factorial(d)
+        got = intrinsic_volume(K, d)
+        if exact and d == m:
+            assert isinstance(got, Fraction) and got == want
+            assert volume(K) == want
+        else:
+            assert math.isclose(got, want, rel_tol=1e-12)
+    if not exact:
+        assert math.isclose(volume(K), length(wedge_power(K, m)) / math.factorial(m),
+                            rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_mixed_volume_equals_length_of_canonical_wedge_chain(exact):
+    K, L = degenerate_body(3, exact), degenerate_body(3, exact, seed=1)
+    chain = wedge_product(wedge_product(K, L), K)
+    want = length(chain) / math.factorial(3)
+    got = mixed_volume([K, L, K])
+    if exact:
+        assert isinstance(got, Fraction) and got == want
+    else:
+        assert math.isclose(got, want, rel_tol=1e-12)

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from zonoidal import (
     ComplexMultivector,
     Multivector,
     blade_from_vectors,
+    blade_rows,
     complex_blade_from_vectors,
     complex_wedge,
     exterior_dim,
@@ -19,6 +20,7 @@ from zonoidal import (
     realify,
     unrealify,
     wedge,
+    wedge_rows,
 )
 from zonoidal.testkit import wedge_norm_brute
 
@@ -210,3 +212,95 @@ def test_basis_blade_subsets_are_lex_sorted():
         arr = np.zeros(exterior_dim(m, k))
         arr[idx] = 1.0
         assert np.allclose(mv.coeffs, arr)
+
+
+def leibniz_det(rows):
+    """Determinant by the permutation sum; exact on Fraction entries."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, p in enumerate(perm):
+            term = term * rows[i][p]
+        total = total + term
+    return total
+
+
+def minors(vectors):
+    """All k x k minors of the k x m matrix of vectors, lexicographic columns."""
+    k, m = len(vectors), len(vectors[0])
+    return [leibniz_det([[v[c] for c in cols] for v in vectors])
+            for cols in combinations(range(m), k)]
+
+
+def random_batch(g, kind, shape):
+    if kind == "float":
+        return g.standard_normal(shape)
+    if kind == "complex":
+        return g.standard_normal(shape) + 1j * g.standard_normal(shape)
+    num = g.integers(-6, 7, size=shape)
+    den = g.integers(1, 5, size=shape)
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        out[idx] = Fraction(int(num[idx]), int(den[idx]))
+    return out
+
+
+def assert_rows_equal(got, want, kind):
+    assert got.shape == (len(want), len(want[0]) if len(want) else 0)
+    for row, ref in zip(got, want):
+        if kind == "fraction":
+            assert all(isinstance(x, Fraction) for x in row)
+            assert list(row) == list(ref)
+        else:
+            assert np.allclose(row, np.asarray(ref), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "fraction"])
+def test_blade_rows_are_minors(kind):
+    g = rng(31)
+    for m, k in ((3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (4, 4)):
+        V = random_batch(g, kind, (6, k, m))
+        B = blade_rows(V)
+        assert_rows_equal(B, [minors(list(V[r])) for r in range(len(V))], kind)
+        if kind != "complex":
+            for r in range(len(V)):
+                norm = math.sqrt(float(sum(x * x for x in B[r])))
+                assert math.isclose(norm, wedge_norm_brute(V[r].astype(np.float64)),
+                                    rel_tol=1e-10, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "fraction"])
+def test_wedge_rows_match_minors_of_stacked_blades(kind):
+    # a[r] and b[r] are blades of U[r] and W[r], computed without the
+    # kernel; their wedge must be the blade of U[r] stacked on W[r].
+    g = rng(32)
+    for m, k, l in ((3, 1, 1), (3, 1, 2), (4, 2, 2), (5, 2, 1), (5, 3, 2)):
+        U = random_batch(g, kind, (5, k, m))
+        W = random_batch(g, kind, (5, l, m))
+        a = np.array([minors(list(U[r])) for r in range(5)])
+        b = np.array([minors(list(W[r])) for r in range(5)])
+        got = wedge_rows(a, b, m, k, l)
+        want = [minors(list(U[r]) + list(W[r])) for r in range(5)]
+        assert_rows_equal(got, want, kind)
+        if kind == "float":
+            for r in range(5):
+                assert math.isclose(float(np.linalg.norm(got[r])),
+                                    wedge_norm_brute(np.vstack([U[r], W[r]])),
+                                    rel_tol=1e-10, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "fraction"])
+def test_wedge_rows_shapes_at_the_edges(kind):
+    g = rng(33)
+    # degree overflow: k + l > m gives no coefficients
+    a = random_batch(g, kind, (4, exterior_dim(3, 2)))
+    b = random_batch(g, kind, (4, exterior_dim(3, 2)))
+    assert wedge_rows(a, b, 3, 2, 2).shape == (4, 0)
+    assert blade_rows(random_batch(g, kind, (4, 4, 3))).shape == (4, 0)
+    # empty batch keeps the output width
+    a0 = random_batch(g, kind, (0, exterior_dim(5, 2)))
+    b0 = random_batch(g, kind, (0, exterior_dim(5, 1)))
+    assert wedge_rows(a0, b0, 5, 2, 1).shape == (0, exterior_dim(5, 3))
+    assert blade_rows(random_batch(g, kind, (0, 3, 5))).shape == (0, exterior_dim(5, 3))

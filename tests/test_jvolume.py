@@ -26,6 +26,7 @@ from zonoidal import (
     mixed_J_volume,
     mixed_volume,
     normal_angle_mc,
+    realify_rows,
     sigma_J,
     standard_structure,
     subspace_from_vectors,
@@ -146,6 +147,20 @@ def test_mixed_j_volume_argument_checks():
         mixed_J_volume(P)  # C^2 needs two bodies
     with pytest.raises(ValueError):
         mixed_J_volume(zonotope(np.eye(2)), zonotope(np.eye(2)))  # no cgrading
+
+
+def test_mixed_j_volume_equals_length_of_canonical_complex_wedge():
+    # Repeated, negated, complex-collinear and zero generators, not
+    # canonicalized; z ^ w = (z + w) ^ w makes the product merge too.
+    g = rng(8)
+    for n in (2, 3):
+        z, w, u = g.standard_normal((3, n)) + 1j * g.standard_normal((3, n))
+        rows = np.array([z, z, -z, 1j * z, 0 * z, w, -2 * w, z + w, u])
+        Ps = [zonotope(realify_rows(rows[i:]), cgrading=(n, 1)) for i in range(n)]
+        product = complex_wedge_zonoids(*Ps)
+        assert product.n_generators < math.prod(P.n_generators for P in Ps)
+        want = length(product) / math.factorial(n)
+        assert math.isclose(mixed_J_volume(*Ps), want, rel_tol=1e-12)
 
 
 def test_j_volume_matches_volume_for_real_zonotopes():

@@ -178,6 +178,21 @@ def test_mc_matches_exact_and_is_reproducible():
     assert val == val2 and se == se2
 
 
+def test_mc_stderr_at_a_large_mean():
+    # Fixed columns 1e4 e1, 1e4 e2 and a third column (0, 0, 1 +- 1e-8)
+    # with probability 1/2 each: |det| = 1e8 +- 1, so the true standard
+    # error is 1/sqrt(n).  Summing x^2 - n mean^2 cancels at this scale.
+    fixed = DiscreteDistribution(np.array([[[1e4, 0.0], [0.0, 1e4], [0.0, 0.0]]]),
+                                 np.array([1.0]))
+    col = DiscreteDistribution(np.array([[0.0, 0.0, 1.0 + 1e-8], [0.0, 0.0, 1.0 - 1e-8]]),
+                               np.array([0.5, 0.5]))
+    model = MatrixBlockModel(3, (MatrixBlock(2, dist=fixed), MatrixBlock(1, dist=col)))
+    n = 200_000
+    val, se = expected_abs_det_mc(model, n, seed=0)
+    assert math.isclose(se, 1.0 / math.sqrt(n), rel_tol=0.1)
+    assert abs(val - brute_force_expected_abs_det(model)) <= 5 * se
+
+
 def test_mc_gaussian():
     model = MatrixBlockModel(
         2, tuple(MatrixBlock(1, sampler=SeededSampler("gaussian", 2)) for _ in range(2)))
