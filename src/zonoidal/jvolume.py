@@ -53,7 +53,6 @@ __all__ = [
 J_SQUARE_TOL = 1e-12
 ORTHONORMAL_TOL = 1e-10
 SPAN_MEMBER_TOL = 1e-9
-SPAN_KEY_DECIMALS = 8
 
 
 @dataclass(frozen=True)
@@ -117,19 +116,17 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis.T @ self.basis
 
-    def key(self) -> bytes:
-        """Basis-independent grouping key: rounded projector entries."""
-        P = np.round(self.projector(), SPAN_KEY_DECIMALS) + 0.0
-        return P.tobytes()
-
     def complement(self) -> "Subspace":
         _, _, Vt = np.linalg.svd(self.basis, full_matrices=True)
         return Subspace(self.ambient_dim, Vt[self.dim:])
 
     def contains(self, v, tol: float = SPAN_MEMBER_TOL) -> bool:
-        v = np.asarray(v, dtype=np.float64)
-        resid = v - self.basis.T @ (self.basis @ v)
-        return float(np.linalg.norm(resid)) <= tol * float(np.linalg.norm(v))
+        return bool(self.members(np.asarray(v, dtype=np.float64)[None, :], tol)[0])
+
+    def members(self, G: np.ndarray, tol: float = SPAN_MEMBER_TOL) -> np.ndarray:
+        """Mask of the rows of G lying in the subspace (relative residual <= tol)."""
+        resid = G - (G @ self.basis.T) @ self.basis
+        return np.linalg.norm(resid, axis=1) <= tol * np.linalg.norm(G, axis=1)
 
 
 def _orthonormal_rows(V: np.ndarray, expected_rank: int | None = None) -> np.ndarray:
@@ -258,23 +255,17 @@ def mixed_J_volume(*zonotopes: Zonotope) -> float:
 
 
 def _independent_spans(P: Zonotope, n: int):
-    """Distinct n-dimensional generator spans, keyed by rounded projector."""
+    """Distinct n-dimensional generator spans, one for each set of
+    generators they contain (``Subspace.members``)."""
     spans: dict[bytes, Subspace] = {}
     G = P.generators
     for subset in combinations(range(P.n_generators), n):
-        V = G[list(subset)]
-        B = _orthonormal_rows(V)
+        B = _orthonormal_rows(G[list(subset)])
         if B.shape[0] != n:
             continue
         E = Subspace(P.ambient_dim, B)
-        spans.setdefault(E.key(), E)
+        spans.setdefault(E.members(G).tobytes(), E)
     return list(spans.values())
-
-
-def _chart_generators(P: Zonotope, E: Subspace) -> np.ndarray:
-    """Coordinates (in E's basis) of the generators lying in E."""
-    rows = [E.basis @ g for g in P.generators if E.contains(g)]
-    return np.asarray(rows).reshape(len(rows), E.dim)
 
 
 def _float_canonical(P: Zonotope) -> Zonotope:
@@ -291,7 +282,7 @@ def _j_volume_sum(P: Zonotope, J, weight) -> float:
     P = _float_canonical(P)
     total = 0.0
     for E in _independent_spans(P, n):
-        chart = _chart_generators(P, E)
+        chart = P.generators[E.members(P.generators)] @ E.basis.T
         face_vol = float(volume(zonotope(chart, ambient_dim=n)))
         total += face_vol * weight(sigma_J(E, struct))
     return total
@@ -336,9 +327,7 @@ def _face_membership_counter(P, face):
         if not isinstance(E, Subspace):
             E = subspace_from_vectors(E, P.ambient_dim)
         P = _float_canonical(P)
-        outside = np.asarray(
-            [g for g in P.generators if not E.contains(g)]
-        ).reshape(-1, P.ambient_dim)
+        outside = P.generators[~E.members(P.generators)]
         signs = np.asarray(signs, dtype=np.float64)
         if signs.shape != (outside.shape[0],):
             raise ValueError(
@@ -489,9 +478,7 @@ def zonotope_faces_for_span(P: Zonotope, E: Subspace):
     """
     P = _float_canonical(P)
     comp = E.complement()
-    outside = np.asarray(
-        [g for g in P.generators if not E.contains(g)]
-    ).reshape(-1, P.ambient_dim)
+    outside = P.generators[~E.members(P.generators)]
     if outside.shape[0] == 0:
         return []
     proj = outside @ comp.basis.T
@@ -554,8 +541,8 @@ def zonotope_face_data(P: Zonotope, J=None) -> PolytopeFaceData:
         return vert_index[key]
 
     for E in _independent_spans(P, n):
-        inside = [g for g in P.generators if E.contains(g)]
-        outside = [g for g in P.generators if not E.contains(g)]
+        mask = E.members(P.generators)
+        inside, outside = P.generators[mask], P.generators[~mask]
         for eps in zonotope_faces_for_span(P, E):
             shift = 0.5 * sum(
                 (e * g for e, g in zip(eps, outside)), np.zeros(P.ambient_dim)

@@ -50,8 +50,6 @@ COLLINEAR_SINE_TOL = 1e-10
 # exact radius enumerates 2^(n-1) sign vectors; refuse beyond this
 RADIUS_EXACT_MAX_GENERATORS = 22
 
-_MERGE_DENSE_LIMIT = 8192
-
 
 @dataclass(frozen=True, eq=False)
 class Zonotope:
@@ -208,88 +206,57 @@ def _sign_normalize_float(g: np.ndarray) -> np.ndarray:
     return g * np.where(lead < 0, -1.0, 1.0)[:, None]
 
 
-def _merge_groups_dense(unit: np.ndarray) -> list[list[int]]:
-    """Group indices whose directions agree up to COLLINEAR_SINE_TOL."""
-    n = len(unit)
-    parent = list(range(n))
+def _collinear_labels(unit: np.ndarray) -> np.ndarray:
+    """Label each unit row with the smallest index in its class.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n - 1):
-        cos = unit[i + 1 :] @ unit[i]
-        resid = unit[i + 1 :] - cos[:, None] * unit[i][None, :]
-        sine = np.linalg.norm(resid, axis=1)
-        for j in np.nonzero(sine <= COLLINEAR_SINE_TOL)[0]:
-            ra, rb = find(i), find(i + 1 + j)
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def _merge_groups_sorted(unit: np.ndarray) -> list[list[int]]:
-    """Cheap near-duplicate grouping for very large generator lists.
-
-    Compares each direction with a sorted-order window; a missed merge
-    only leaves a redundant generator and never changes the support.
+    A class is a connected component of the graph joining two rows
+    whose sine is at most COLLINEAR_SINE_TOL.  Two joined rows differ in
+    |<u, p>| by at most about their sine, for any unit p; so the rows
+    are sorted by that key for one fixed generic p, the order is cut at
+    every gap above twice the tolerance, and each component grows inside
+    its run against the rows not yet assigned.  The sine of a pair is the
+    residual of its higher-index row against its lower-index row, so the
+    graph does not depend on the visit order.
     """
-    order = np.lexsort(unit.T[::-1])
-    window = 48
-    n = len(unit)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for pos in range(n - 1):
-        i = order[pos]
-        nxt = order[pos + 1 : pos + 1 + window]
-        cos = unit[nxt] @ unit[i]
-        resid = unit[nxt] - cos[:, None] * unit[i][None, :]
-        sine = np.linalg.norm(resid, axis=1)
-        for j in np.nonzero(sine <= COLLINEAR_SINE_TOL)[0]:
-            ra, rb = find(i), find(int(nxt[j]))
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    n, dim = unit.shape
+    labels = np.arange(n)
+    p = np.cos(np.arange(1.0, dim + 1.0))
+    key = np.abs(unit @ (p / np.linalg.norm(p)))
+    order = np.argsort(key, kind="stable")
+    cuts = np.flatnonzero(np.diff(key[order]) > 2.0 * COLLINEAR_SINE_TOL) + 1
+    starts, ends = np.r_[0, cuts], np.r_[cuts, n]
+    runs = ends - starts > 1
+    for a, b in zip(starts[runs], ends[runs]):
+        rest = np.sort(order[a:b])
+        while len(rest) > 1:
+            seed, rest = rest[0], rest[1:]
+            queue = [seed]
+            while queue and len(rest):
+                i = queue.pop()
+                q, cand = unit[i], unit[rest]
+                cos = (cand @ q)[:, None]
+                resid = np.where((rest < i)[:, None], q - cos * cand, cand - cos * q)
+                sine = np.linalg.norm(resid, axis=1)
+                hit = sine <= COLLINEAR_SINE_TOL
+                labels[rest[hit]] = seed
+                queue.extend(rest[hit])
+                rest = rest[~hit]
+    return labels
 
 
 def _canonicalize_float(K: Zonotope) -> Zonotope:
-    g = K.generators.astype(np.float64, copy=True)
-    norms = np.linalg.norm(g, axis=1)
-    g = g[norms > 0.0]
+    norms = np.linalg.norm(K.generators, axis=1)
+    g, norms = K.generators[norms > 0.0], norms[norms > 0.0]
     if len(g) == 0:
-        return replace(K, generators=g.reshape(0, K.ambient_dim))
+        return replace(K, generators=g)
     g = _sign_normalize_float(g)
-    norms = np.linalg.norm(g, axis=1)
     unit = g / norms[:, None]
-    if len(g) > 1:
-        if len(g) <= _MERGE_DENSE_LIMIT:
-            groups = _merge_groups_dense(unit)
-        else:
-            groups = _merge_groups_sorted(unit)
-        if len(groups) < len(g):
-            merged = []
-            for idx in groups:
-                if len(idx) == 1:
-                    merged.append(g[idx[0]])
-                else:
-                    rep = unit[idx[0]]
-                    flips = np.where(unit[idx] @ rep < 0, -1.0, 1.0)
-                    merged.append((g[idx] * flips[:, None]).sum(axis=0))
-            g = _sign_normalize_float(np.asarray(merged))
+    labels = _collinear_labels(unit)
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    if len(starts) < len(g):
+        flips = np.where(np.sum(unit * unit[labels], axis=1) < 0, -1.0, 1.0)
+        g = _sign_normalize_float(np.add.reduceat((g * flips[:, None])[order], starts))
     order = np.lexsort(g.T[::-1])
     return replace(K, generators=g[order])
 

@@ -31,6 +31,7 @@ from zonoidal import (
     wedge_product,
     zonotope,
 )
+from zonoidal.exterior import _ROW_BLOCK
 from zonoidal.sampling import direction_net
 from zonoidal.testkit import (
     intrinsic_brute,
@@ -249,6 +250,13 @@ def test_volume_examples():
     g = rng(15)
     L = graded(g, 3)
     assert math.isclose(volume(scale(L, 2.0)), 8.0 * volume(L), rel_tol=1e-12)
+
+
+def test_volume_over_more_subsets_than_one_row_block():
+    # C(20, 4) = 4845 subsets: the blades are built in more than one block.
+    assert math.comb(20, 4) > _ROW_BLOCK
+    K = zonotope(rng(17).standard_normal((20, 4)), grading=(4, 1))
+    assert math.isclose(volume(K), volume_brute(K.generators), rel_tol=1e-10)
 
 
 def test_intrinsic_volumes_cube_and_brute():

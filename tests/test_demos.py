@@ -1,5 +1,5 @@
-"""The demos that exercise products, volumes and expected determinants
-run to completion."""
+"""The demos that exercise canonical form, sums, products, volumes,
+measures and expected determinants run to completion."""
 
 import os
 import subprocess
@@ -11,9 +11,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = [
     "00_exterior_powers.py",
+    "01_zonotope_calculus.py",
     "02_products_and_volumes.py",
     "03_j_volumes.py",
     "04_expected_determinants.py",
+    "05_measures_and_transforms.py",
 ]
 
 

@@ -189,6 +189,34 @@ def test_j_volume_equals_complex_wedge_length():
         assert math.isclose(j_volume_zonotope(P), dual, rel_tol=1e-10)
 
 
+def test_j_volume_counts_a_span_on_a_rounding_half_step_once():
+    # Four generators in one plane whose projector has an entry on a
+    # rounding half-step at 8 decimals (cos^2 t = 0.123456785), plus two more.
+    c2 = 0.123456785
+    w = np.array([0.0, math.sqrt(c2), math.sqrt(1.0 - c2), 0.0])
+    e1, e4 = np.eye(4)[0], np.eye(4)[3]
+    P = zonotope(np.array([e1, w, e1 + 0.7 * w, 0.3 * e1 - w, e4,
+                           [0.2, 0.1, 0.3, 1.0]]), cgrading=(2, 1))
+    dual = length(complex_wedge_zonoids(P, P)) / 2.0
+    assert math.isclose(dual, 11.23, rel_tol=1e-3)
+    assert math.isclose(j_volume_zonotope(P), dual, rel_tol=1e-10)
+    assert len(_independent_spans(P, 2)) == 1 + 4 + 4 + 1
+
+
+def test_j_volume_of_near_dependent_generators_matches_dual_path():
+    # Per body: a generator 1e-8 off the plane of two others, and a pair
+    # 1e-8 from collinear; both stay above the span and merge tolerances.
+    g = rng(13)
+    for _ in range(10):
+        A = g.standard_normal((3, 4))
+        u = g.standard_normal(4)
+        rows = [A[0], A[1], 0.4 * A[0] - 1.3 * A[1] + 1e-8 * u,
+                A[2], A[2] + 1e-8 * u, g.standard_normal(4)]
+        P = zonotope(np.array(rows), cgrading=(2, 1))
+        dual = length(complex_wedge_zonoids(P, P)) / 2.0
+        assert math.isclose(j_volume_zonotope(P), dual, rel_tol=1e-9)
+
+
 def test_j_volume_unitary_invariant():
     g = rng(7)
     P = random_complex_zonotope(g)

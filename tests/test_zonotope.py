@@ -31,6 +31,7 @@ from zonoidal import (
 )
 from zonoidal.sampling import direction_net
 from zonoidal.testkit import length_brute, radius_brute, support_brute
+from zonoidal.zonotope import COLLINEAR_SINE_TOL, _collinear_labels
 
 
 def rng(seed=0):
@@ -175,6 +176,82 @@ def test_canonicalize_idempotent_and_support_preserving():
         assert canonical_eq(C, canonicalize(C))
         U = direction_net(3, 100)
         assert np.allclose(support_many(K, U), support_many(C, U), rtol=1e-12, atol=1e-12)
+
+
+def _rotated(v, t):
+    """v turned by angle t in the plane of its first two coordinates."""
+    c, s = math.cos(t), math.sin(t)
+    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1], *v[2:]])
+
+
+def test_canonicalize_merges_collinear_pair_far_apart_in_lex_order():
+    # a and b are collinear (sine 5e-11) but 100 unit rows lie between them
+    # in lexicographic order; 9000 fillers make the list longer than 8192.
+    a = np.array([0.6, 0.8, 0.0])
+    b = _rotated(a, 5e-11)
+    g = rng(20)
+    x = np.linspace(b[0], a[0], 102)[1:-1]
+    phi = np.linspace(0.3, 2.8, 100)
+    r = np.sqrt(1.0 - x * x)
+    between = np.column_stack([x, r * np.cos(phi), r * np.sin(phi)])
+    fillers = np.column_stack([2.0 + g.random(9000), g.uniform(-1, 1, (9000, 2))])
+    C = canonicalize(zonotope(np.vstack([a, between, b, fillers])))
+    assert C.n_generators == 9101
+    assert canonical_eq(C, zonotope(np.vstack([a + b, between, fillers])))
+
+
+def test_canonicalize_merges_a_chain_of_near_collinear_generators():
+    # sine(a, b) = sine(b, c) = 7e-11 <= tol < sine(a, c) = 1.4e-10
+    a = np.array([1.0, 0.0, 0.0])
+    b, c = _rotated(a, 7e-11), _rotated(a, 1.4e-10)
+    C = canonicalize(zonotope([a, -2.0 * c, b, [0.0, 0.0, 1.0]]))
+    assert C.n_generators == 2
+    assert canonical_eq(C, zonotope([a + b + 2.0 * c, [0.0, 0.0, 1.0]]))
+
+
+def test_canonicalize_merges_many_copies_of_one_direction():
+    v = np.array([0.3, -1.2, 0.5, 2.0])
+    scales = rng(21).uniform(-3.0, 3.0, 20000)
+    C = canonicalize(zonotope(scales[:, None] * v))
+    assert C.n_generators == 1
+    assert np.allclose(C.generators[0], np.sum(np.abs(scales)) * v,
+                       rtol=1e-12, atol=0.0)
+
+
+def _components_brute(unit):
+    """Smallest index in each row's component, from the dense matrix of
+    pairwise sines ||u_j - <u_j, u_i> u_i||."""
+    cos = unit @ unit.T
+    sine = np.linalg.norm(unit[None, :, :] - cos[:, :, None] * unit[:, None, :], axis=2)
+    near = sine <= COLLINEAR_SINE_TOL
+    labels = np.arange(len(unit))
+    for i in range(len(unit)):
+        comp = np.zeros(len(unit), dtype=bool)
+        comp[i] = True
+        while not np.array_equal(grown := near[comp].any(axis=0) | comp, comp):
+            comp = grown
+        labels[i] = np.flatnonzero(comp)[0]
+    return labels
+
+
+def test_collinear_labels_match_dense_components():
+    # Each new row rescales, negates or turns an earlier row by 0.2-0.9 or
+    # 1.1-2.5 times the tolerance, so chains form; no pair's sine lies
+    # within rounding of the tolerance itself.
+    g = rng(22)
+    for _ in range(60):
+        dim = int(g.integers(2, 6))
+        rows = list(g.standard_normal((int(g.integers(1, 12)), dim)))
+        for _ in range(int(g.integers(0, 25))):
+            v = rows[int(g.integers(len(rows)))]
+            t = COLLINEAR_SINE_TOL * g.choice([0.0, g.uniform(0.2, 0.9), g.uniform(1.1, 2.5)])
+            w = g.standard_normal(dim)
+            w -= (w @ v) / (v @ v) * v
+            w *= np.linalg.norm(v) / np.linalg.norm(w)
+            rows.append(g.uniform(-3.0, 3.0) * (math.cos(t) * v + math.sin(t) * w))
+        unit = np.array(rows)
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        assert np.array_equal(_collinear_labels(unit), _components_brute(unit))
 
 
 def test_canonicalize_exact():
