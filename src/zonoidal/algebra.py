@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -119,11 +119,8 @@ def _wedge_power_raw(K: Zonotope, d: int) -> Zonotope:
     if d == 0:
         return zonotope([[1.0]], ambient_dim=1, grading=(m, 0), simple=True)
     G = canonicalize(K).generators
-    subsets = np.fromiter(chain.from_iterable(combinations(range(len(G)), d)),
-                          dtype=np.intp).reshape(-1, d)
-    step = exterior._ROW_BLOCK
-    gens = np.concatenate([exterior.blade_rows(G[subsets[r:r + step]])
-                           for r in range(0, max(len(subsets), 1), step)]) * math.factorial(d)
+    gens = np.concatenate([exterior.blade_rows(G[idx])
+                           for idx in exterior._subset_blocks(len(G), d)]) * math.factorial(d)
     return Zonotope(exterior_dim(m, d), gens, grading=(m, d), simple=True)
 
 

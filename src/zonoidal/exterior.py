@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -236,6 +236,16 @@ def blade_rows(V) -> np.ndarray:
     for t in range(1, V.shape[1]):
         out = wedge_rows(out, V[:, t, :], m, t, 1)
     return out
+
+
+def _subset_blocks(count: int, d: int):
+    """The d-subsets of range(count) in lexicographic order, as index
+    arrays of shape (rows, d) with at most _ROW_BLOCK rows; one empty
+    block when there are no subsets."""
+    subsets = np.fromiter(chain.from_iterable(combinations(range(count), d)),
+                          dtype=np.intp).reshape(-1, d)
+    for r in range(0, max(len(subsets), 1), _ROW_BLOCK):
+        yield subsets[r:r + _ROW_BLOCK]
 
 
 def hodge_rows(a, m: int, k: int) -> np.ndarray:

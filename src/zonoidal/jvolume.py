@@ -11,8 +11,10 @@ exterior power carries the tag ``cgrading=(n, k)``.
 The J-volume of a zonotope P in C^n sums, over the distinct spans E of
 n independent generators, vol_n of the sub-zonotope of generators lying
 in E times sigma^J(E)^(1/2); the Kazarnovskii pseudovolume uses
-sigma^J(E) un-rooted.  For general polytopes the same sum runs over the
-supplied n-faces with a Monte Carlo normal-angle weight.
+sigma^J(E) un-rooted.  Both are computed as one sum over the n-subsets
+S of the generators of ||wedge S|| times the weight of sigma^J(span S),
+which needs no span identification.  For general polytopes the same sum
+runs over the supplied n-faces with a Monte Carlo normal-angle weight.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ __all__ = [
     "PolytopeFaceData",
     "standard_structure",
     "sigma_J",
+    "subspace_from_vectors",
     "embed_real_zonotope",
+    "complex_zonotope",
     "complex_wedge_zonoids",
     "mixed_J_volume",
     "j_volume_zonotope",
@@ -168,19 +172,26 @@ class PolytopeFaceData:
         object.__setattr__(self, "n_faces", faces)
 
 
+def _wedge_norms_and_sigmas(V: np.ndarray, J: np.ndarray):
+    """For a batch V of shape (B, n, 2n): ||V[b, 0] ^ ... ^ V[b, n-1]||
+    and sigma^J of the span of V[b]'s rows, from one QR V[b]^T = Q R:
+    the norm is |prod diag R| and sigma^J = min(|det [Q, JQ]|, 1).
+    A dependent V[b] has norm 0 up to rounding and an arbitrary sigma."""
+    Q, R = np.linalg.qr(np.swapaxes(V, 1, 2))
+    norms = np.abs(np.prod(np.diagonal(R, axis1=1, axis2=2), axis=1))
+    sigmas = np.abs(np.linalg.det(np.concatenate([Q, J @ Q], axis=2)))
+    return norms, np.minimum(sigmas, 1.0)
+
+
 def sigma_J(E: Subspace, J=None) -> float:
     """sigma^J(E) = |det [b_1 .. b_n, Jb_1 .. Jb_n]| for an orthonormal
     basis of the half-dimensional subspace E; 1 exactly on Lagrangian
     planes, 0 exactly when E contains a complex line.
     """
     struct = _structure(E.ambient_dim, J)
-    n = struct.complex_dim
-    if E.dim != n:
+    if E.dim != struct.complex_dim:
         raise ValueError("sigma^J needs a half-dimensional subspace")
-    B = E.basis
-    M = np.hstack([B.T, (struct.J @ B.T)])
-    val = abs(float(np.linalg.det(M)))
-    return min(val, 1.0)
+    return float(_wedge_norms_and_sigmas(E.basis[None], struct.J)[1][0])
 
 
 def _require_cgrading(K: Zonotope) -> tuple[int, int]:
@@ -273,18 +284,16 @@ def _float_canonical(P: Zonotope) -> Zonotope:
 
 
 def _j_volume_sum(P: Zonotope, J, weight) -> float:
-    from .algebra import volume
-
+    """sum of ||wedge S|| weight(sigma^J(span S)) over the n-subsets S
+    of the canonical generators (see the module docstring)."""
     if P.ambient_dim % 2:
         raise ValueError("J-volume needs even ambient dimension")
     struct = _structure(P.ambient_dim, J)
-    n = struct.complex_dim
-    P = _float_canonical(P)
+    G = _float_canonical(P).generators
     total = 0.0
-    for E in _independent_spans(P, n):
-        chart = P.generators[E.members(P.generators)] @ E.basis.T
-        face_vol = float(volume(zonotope(chart, ambient_dim=n)))
-        total += face_vol * weight(sigma_J(E, struct))
+    for idx in exterior._subset_blocks(len(G), struct.complex_dim):
+        norms, sigmas = _wedge_norms_and_sigmas(G[idx], struct.J)
+        total += float(norms @ weight(sigmas))
     return total
 
 
@@ -293,7 +302,7 @@ def j_volume_zonotope(P: Zonotope, J=None) -> float:
 
     Agrees with length(P^(^_C n)) / n! for the standard structure.
     """
-    return _j_volume_sum(P, J, math.sqrt)
+    return _j_volume_sum(P, J, np.sqrt)
 
 
 def kazarnovskii_zonotope(P: Zonotope, J=None) -> float:
@@ -348,13 +357,12 @@ def _face_membership_counter(P, face):
         fverts = verts[idx]
         centroid = fverts.mean(axis=0)
         E = Subspace(P.ambient_dim, _orthonormal_rows(fverts - centroid))
+        # U has unit rows, so no |<u, v>| exceeds the largest vertex norm.
+        tie = 1e-12 * float(np.max(np.linalg.norm(verts, axis=1)))
 
         def hits(U: np.ndarray) -> np.ndarray:
             all_dots = U @ verts.T
-            peak = all_dots.max(axis=1)
-            scale = np.maximum(1.0, np.abs(peak))
-            face_min = all_dots[:, idx].min(axis=1)
-            return face_min >= peak - 1e-12 * scale
+            return all_dots[:, idx].min(axis=1) >= all_dots.max(axis=1) - tie
 
         return E.complement(), hits
 
@@ -389,35 +397,10 @@ def normal_angle_mc(P, face, samples: int, seed: int = 0) -> tuple[float, float]
     return p, se
 
 
-def _ordered_hull_area(chart: np.ndarray) -> float:
-    """Area of a convex polygon given as an unordered 2D point cloud:
-    fan triangulation from the centroid over hull vertices in order.
-    """
-    from scipy.spatial import ConvexHull, QhullError
-
-    pts = np.unique(np.round(chart, 12), axis=0)
-    if pts.shape[0] < 3:
-        return 0.0
-    try:
-        hull = ConvexHull(pts)
-    except QhullError:
-        return 0.0
-    ring = pts[hull.vertices]
-    c = ring.mean(axis=0)
-    area = 0.0
-    for i in range(len(ring)):
-        a = ring[i] - c
-        b = ring[(i + 1) % len(ring)] - c
-        area += 0.5 * abs(a[0] * b[1] - a[1] * b[0])
-    return area
-
-
 def _face_volume(chart: np.ndarray, n: int) -> float:
     if n == 1:
         lo, hi = float(np.min(chart)), float(np.max(chart))
         return hi - lo
-    if n == 2:
-        return _ordered_hull_area(chart)
     from scipy.spatial import ConvexHull, QhullError
 
     try:
@@ -509,51 +492,43 @@ def zonotope_faces_for_span(P: Zonotope, E: Subspace):
                 out.append(key)
         return out
     stream = SeedStream(17).derive("face_probe")
-    seen = set()
-    for ci, size in enumerate(chunk_sizes(4096 * c)):
-        for u in stream.derive(ci).sphere(size, c):
-            dots = proj @ u
-            if np.any(dots == 0.0):
-                continue
-            seen.add(tuple(np.where(dots > 0, 1.0, -1.0)))
-    return sorted(seen)
+    U = np.concatenate([stream.derive(ci).sphere(size, c)
+                        for ci, size in enumerate(chunk_sizes(4096 * c))])
+    dots = U @ proj.T
+    dots = dots[np.all(dots != 0.0, axis=1)]
+    return [tuple(s) for s in np.unique(np.where(dots > 0, 1.0, -1.0), axis=0)]
 
 
 def zonotope_face_data(P: Zonotope, J=None) -> PolytopeFaceData:
     """All n-faces of a zonotope in R^(2n) as explicit vertex data.
 
     Points of the face F = (1/2) sum eps_k v_k + sub-zonotope(E) are
-    emitted for every sign choice on the in-E generators; points
-    interior to a face are harmless for volumes and normal angles.
+    emitted for every sign choice on the in-E generators.  Each point is
+    keyed by its full sign vector over the canonical generators, which
+    is unique for a vertex of P at any scale; points interior to a face
+    are harmless for volumes and normal angles.
     """
     struct = _structure(P.ambient_dim, J)
-    n = struct.complex_dim
     P = _float_canonical(P)
+    G = P.generators
     vert_index: dict[bytes, int] = {}
     verts: list[np.ndarray] = []
     faces = []
-
-    def add_vertex(p: np.ndarray) -> int:
-        key = (np.round(p, 9) + 0.0).tobytes()
-        if key not in vert_index:
-            vert_index[key] = len(verts)
-            verts.append(p)
-        return vert_index[key]
-
-    for E in _independent_spans(P, n):
-        mask = E.members(P.generators)
-        inside, outside = P.generators[mask], P.generators[~mask]
+    for E in _independent_spans(P, struct.complex_dim):
+        mask = E.members(G)
+        inside = np.array(list(product((-1.0, 1.0), repeat=int(mask.sum()))))
         for eps in zonotope_faces_for_span(P, E):
-            shift = 0.5 * sum(
-                (e * g for e, g in zip(eps, outside)), np.zeros(P.ambient_dim)
-            )
-            face = []
-            for signs in product((-1.0, 1.0), repeat=len(inside)):
-                p = shift + 0.5 * sum(
-                    (s * g for s, g in zip(signs, inside)), np.zeros(P.ambient_dim)
-                )
-                face.append(add_vertex(p))
-            faces.append(sorted(set(face)))
+            signs = np.empty((len(inside), len(G)))
+            signs[:, mask] = inside
+            signs[:, ~mask] = eps
+            face = set()
+            for s, p in zip(signs, 0.5 * signs @ G):
+                key = s.tobytes()
+                if key not in vert_index:
+                    vert_index[key] = len(verts)
+                    verts.append(p)
+                face.add(vert_index[key])
+            faces.append(sorted(face))
     return PolytopeFaceData(P.ambient_dim, np.asarray(verts), tuple(faces))
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "direction_net",
     "covering_net",
     "chunk_sizes",
+    "derive_seed",
 ]
 
 CHUNK = 1 << 16  # samples per derived chunk key

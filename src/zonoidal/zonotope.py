@@ -25,6 +25,7 @@ __all__ = [
     "VirtualZonotope",
     "zonotope",
     "support",
+    "support_many",
     "minkowski_sum",
     "scale",
     "length",

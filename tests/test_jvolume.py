@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -36,8 +37,9 @@ from zonoidal import (
     zonotope_face_data,
     zonotope_faces_for_span,
 )
-from zonoidal.exterior import blade_from_vectors, complex_blade_from_vectors
-from zonoidal.jvolume import _independent_spans
+from zonoidal.exterior import _ROW_BLOCK, blade_from_vectors, complex_blade_from_vectors
+from zonoidal.jvolume import _face_volume, _independent_spans
+from zonoidal.testkit import hull_area_brute, wedge_norm_brute
 
 
 def rng(seed=0):
@@ -217,6 +219,46 @@ def test_j_volume_of_near_dependent_generators_matches_dual_path():
         assert math.isclose(j_volume_zonotope(P), dual, rel_tol=1e-9)
 
 
+def test_j_volume_over_more_subsets_than_one_row_block():
+    # C(100, 2) = 4950 subsets: the sum runs over more than one block.
+    assert math.comb(100, 2) > _ROW_BLOCK
+    P = random_complex_zonotope(rng(14), n_gens=100)
+    dual = length(complex_wedge_zonoids(P, P)) / 2.0
+    assert math.isclose(j_volume_zonotope(P), dual, rel_tol=1e-10)
+
+
+def test_j_volume_of_a_disc_in_a_complex_line_is_zero():
+    D = disc_zonotope([0.3 + 1.0j, -0.5 + 0.2j], 64)
+    bound = 1e-12 * length(D) ** 2
+    assert 0.0 <= j_volume_zonotope(D) <= bound
+    assert 0.0 <= kazarnovskii_zonotope(D) <= bound
+
+
+def test_j_volume_and_kazarnovskii_for_nonstandard_structures():
+    # Reference: sum over independent n-subsets S of the canonical
+    # generators of ||wedge S|| weight(sigma^J(span S)).
+    g = rng(15)
+    J0 = standard_structure(2).J
+    R, _ = np.linalg.qr(g.standard_normal((4, 4)))
+    A = g.standard_normal((4, 4)) + 2.0 * np.eye(4)
+    for J in (R @ J0 @ R.T, A @ J0 @ np.linalg.inv(A)):
+        assert not np.allclose(J, J0)
+        for n_gens in (2, 3, 5):
+            P = random_complex_zonotope(g, n_gens=n_gens)
+            root, plain = [], []
+            for S in combinations(range(P.n_generators), 2):
+                V = P.generators[list(S)]
+                vol = wedge_norm_brute(V)
+                if vol <= 1e-12 * float(np.max(np.linalg.norm(V, axis=1))) ** 2:
+                    continue
+                sigma = sigma_J(subspace_from_vectors(V), J)
+                root.append(vol * math.sqrt(sigma))
+                plain.append(vol * sigma)
+            assert math.isclose(j_volume_zonotope(P, J), math.fsum(root), rel_tol=1e-10)
+            assert math.isclose(kazarnovskii_zonotope(P, J), math.fsum(plain),
+                                rel_tol=1e-10)
+
+
 def test_j_volume_unitary_invariant():
     g = rng(7)
     P = random_complex_zonotope(g)
@@ -322,6 +364,48 @@ def test_zonotope_face_data_square():
     assert fd.vertices.shape == (4, 2)
     assert len(fd.n_faces) == 4
     assert all(len(f) == 2 for f in fd.n_faces)
+
+
+def test_zonotope_face_data_is_scale_invariant():
+    # Vertices are keyed by sign vector, so no scale merges or splits them.
+    Z = rng(21).standard_normal((4, 2)) + 1j * rng(22).standard_normal((4, 2))
+    unit = zonotope_face_data(complex_zonotope(Z))
+    radius_ = float(np.max(np.linalg.norm(unit.vertices, axis=1)))
+    for s in (1e-10, 1.0, 1e9):
+        fd = zonotope_face_data(complex_zonotope(s * Z))
+        assert len(fd.n_faces) == 24
+        assert fd.vertices.shape == (16, 4)
+        # Each scaled vertex is s times a distinct unit-scale vertex.
+        dist = np.linalg.norm(fd.vertices[:, None, :] / s - unit.vertices[None], axis=2)
+        assert np.all(dist.min(axis=1) <= 1e-12 * radius_)
+        assert len(set(dist.argmin(axis=1))) == 16
+
+
+def test_zonotope_face_data_counts_in_c3():
+    # Each span has a 3-dimensional complement: the random-probe branch.
+    Z = rng(23).standard_normal((5, 3)) + 1j * rng(24).standard_normal((5, 3))
+    fd = zonotope_face_data(complex_zonotope(Z))
+    assert len(fd.n_faces) == 40
+    assert fd.vertices.shape == (32, 6)
+
+
+def test_polytope_mc_is_scale_invariant():
+    fd = zonotope_face_data(random_complex_zonotope(rng(25), n_gens=4))
+    val, se = j_volume_polytope_mc(fd, 20000, seed=5)
+    for s in (1e-10, 1e-12):
+        scaled = PolytopeFaceData(4, s * fd.vertices, fd.n_faces)
+        sval, sse = j_volume_polytope_mc(scaled, 20000, seed=5)
+        assert math.isclose(sval / s**2, val, rel_tol=1e-10)
+        assert math.isclose(sse / s**2, se, rel_tol=1e-10)
+
+
+def test_face_volume_of_a_polygon():
+    pts = rng(26).standard_normal((12, 2))
+    area = _face_volume(pts, 2)
+    assert math.isclose(area, hull_area_brute(pts), rel_tol=1e-10)
+    assert math.isclose(_face_volume(1e-9 * pts, 2), 1e-18 * area, rel_tol=1e-12)
+    assert _face_volume(np.outer(np.arange(5.0), [1.0, 2.0]), 2) == 0.0
+    assert _face_volume(pts[:2], 2) == 0.0
 
 
 def test_face_data_dict_roundtrip():
