@@ -243,7 +243,7 @@ def _subset_blocks(count: int, d: int):
     arrays of shape (rows, d) with at most _ROW_BLOCK rows; one empty
     block when there are no subsets."""
     subsets = np.fromiter(chain.from_iterable(combinations(range(count), d)),
-                          dtype=np.intp).reshape(-1, d)
+                          dtype=np.intp).reshape(math.comb(count, d), d)
     for r in range(0, max(len(subsets), 1), _ROW_BLOCK):
         yield subsets[r:r + _ROW_BLOCK]
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -265,18 +265,54 @@ def mixed_J_volume(*zonotopes: Zonotope) -> float:
     return float(length(_complex_wedge_raw(*zonotopes))) / math.factorial(n)
 
 
-def _independent_spans(P: Zonotope, n: int):
-    """Distinct n-dimensional generator spans, one for each set of
-    generators they contain (``Subspace.members``)."""
-    spans: dict[bytes, Subspace] = {}
-    G = P.generators
-    for subset in combinations(range(P.n_generators), n):
-        B = _orthonormal_rows(G[list(subset)])
-        if B.shape[0] != n:
-            continue
-        E = Subspace(P.ambient_dim, B)
-        spans.setdefault(E.members(G).tobytes(), E)
+def _spans(A: np.ndarray, d: int) -> list:
+    """Distinct spans of d independent rows of A, from one batched SVD per
+    block of d-subsets, as (mask of the rows each contains, orthonormal
+    rows of R^m whose first d span it), keyed by the mask.  The rank and
+    membership tests are those of ``_orthonormal_rows`` and ``members``."""
+    A = np.asarray(A, dtype=np.float64)
+    rank_tol = max(d, A.shape[1]) * np.finfo(np.float64).eps
+    norms = np.linalg.norm(A, axis=1)
+    spans: dict[bytes, tuple] = {}
+    for idx in exterior._subset_blocks(len(A), d):
+        _, s, Vt = np.linalg.svd(A[idx], full_matrices=True)
+        Vt = Vt[np.all(s > rank_tol * s[:, :1], axis=1)]
+        B = Vt[:, :d]
+        resid = A - (A @ np.swapaxes(B, 1, 2)) @ B
+        members = np.linalg.norm(resid, axis=2) <= SPAN_MEMBER_TOL * norms
+        for mask, V in zip(members, Vt):
+            spans.setdefault(mask.tobytes(), (mask, V))
     return list(spans.values())
+
+
+def _independent_spans(P: Zonotope, n: int) -> list[Subspace]:
+    """Distinct n-dimensional generator spans as Subspaces (``_spans``)."""
+    return [Subspace(P.ambient_dim, V[:n]) for _, V in _spans(P.generators, n)]
+
+
+def _vertex_signs(A: np.ndarray) -> np.ndarray:
+    """Sorted sign vectors (rows of +-1.0) of the open cells of the central
+    arrangement normal to A's rows: the vertices of the zonotope they
+    generate.  On A's row space, of dimension c, c rows cut all 2^c
+    orthants.  Otherwise every cell has an extreme ray r normal to a
+    (c-1)-span of rows (``_spans``): the rows off r take their sign at r
+    or at -r, and the rows in the span recurse in it."""
+    def cells(A: np.ndarray) -> np.ndarray:
+        N, c = A.shape
+        if N == c:
+            return np.array(list(product((-1.0, 1.0), repeat=c)))
+        out = []
+        for mask, V in _spans(A, c - 1):
+            inner = cells(A[mask] @ V[:c - 1].T)
+            off = np.where(A[~mask] @ V[c - 1] > 0.0, 1.0, -1.0)
+            block = np.empty((2, len(inner), N))
+            block[:, :, mask] = inner
+            block[:, :, ~mask] = np.array([off, -off])[:, None]
+            out.append(block.reshape(-1, N))
+        return np.unique(np.concatenate(out), axis=0)
+
+    A = np.asarray(A, dtype=np.float64)
+    return cells(A @ _orthonormal_rows(A).T)
 
 
 def _float_canonical(P: Zonotope) -> Zonotope:
@@ -450,86 +486,44 @@ def kazarnovskii_polytope_mc(P: PolytopeFaceData, samples: int, seed: int = 0,
     return _polytope_mc_sum(P, samples, seed, J, lambda s: s)
 
 
-def zonotope_faces_for_span(P: Zonotope, E: Subspace):
-    """Sign vectors of the faces of P whose direction span is E.
+def zonotope_faces_for_span(P: Zonotope, E: Subspace) -> list[tuple]:
+    """Sign vectors of the faces of P whose direction span is E, sorted.
 
     Each face with direction span E is a translate of the sub-zonotope
     of in-E generators by (1/2) sum of eps_k v_k over the generators
-    outside E; this enumerates the realizable eps.  Exact for a
-    2-dimensional complement (angular sweep); random-probe enumeration
-    with a dedup otherwise.
+    outside E, in canonical order.  The realizable eps are the open cells
+    of the central arrangement of the outside generators projected to
+    E's complement (``_vertex_signs``).
     """
-    P = _float_canonical(P)
-    comp = E.complement()
-    outside = P.generators[~E.members(P.generators)]
-    if outside.shape[0] == 0:
-        return []
-    proj = outside @ comp.basis.T
-    c = comp.dim
-    if c == 1:
-        s = np.where(proj[:, 0] > 0, 1.0, -1.0)
-        return [tuple(s), tuple(-s)]
-    if c == 2:
-        angles = np.arctan2(proj[:, 1], proj[:, 0])
-        # Wall normals of the cells cut by the lines <p_i, u> = 0.
-        walls = np.sort(np.unique(np.concatenate([
-            np.mod(angles + np.pi / 2, np.pi),
-            np.mod(angles - np.pi / 2, np.pi),
-        ])))
-        walls = np.concatenate([walls, walls + np.pi])
-        mids = (walls + np.roll(walls, -1)) / 2.0
-        mids[-1] = (walls[-1] + walls[0] + 2 * np.pi) / 2.0
-        out = []
-        seen = set()
-        for t in mids:
-            u = np.array([np.cos(t), np.sin(t)])
-            dots = proj @ u
-            if np.any(dots == 0.0):
-                continue
-            key = tuple(np.where(dots > 0, 1.0, -1.0))
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
-        return out
-    stream = SeedStream(17).derive("face_probe")
-    U = np.concatenate([stream.derive(ci).sphere(size, c)
-                        for ci, size in enumerate(chunk_sizes(4096 * c))])
-    dots = U @ proj.T
-    dots = dots[np.all(dots != 0.0, axis=1)]
-    return [tuple(s) for s in np.unique(np.where(dots > 0, 1.0, -1.0), axis=0)]
+    G = _float_canonical(P).generators
+    outside = G[~E.members(G)]
+    return [tuple(eps) for eps in _vertex_signs(outside @ E.complement().basis.T)]
 
 
 def zonotope_face_data(P: Zonotope, J=None) -> PolytopeFaceData:
     """All n-faces of a zonotope in R^(2n) as explicit vertex data.
 
-    Points of the face F = (1/2) sum eps_k v_k + sub-zonotope(E) are
-    emitted for every sign choice on the in-E generators.  Each point is
-    keyed by its full sign vector over the canonical generators, which
-    is unique for a vertex of P at any scale; points interior to a face
-    are harmless for volumes and normal angles.
+    The faces with direction span E, for each span of n independent
+    generators, are the cells cut by the outside generators in E's
+    complement; their vertices are the cells cut by the in-E generators
+    in E (``_vertex_signs``).  Vertices are keyed by sign vector over the
+    canonical generators, so no scale merges or splits them; they, and
+    the faces of each span, are sorted by sign vector.
     """
-    struct = _structure(P.ambient_dim, J)
-    P = _float_canonical(P)
-    G = P.generators
-    vert_index: dict[bytes, int] = {}
-    verts: list[np.ndarray] = []
-    faces = []
-    for E in _independent_spans(P, struct.complex_dim):
-        mask = E.members(G)
-        inside = np.array(list(product((-1.0, 1.0), repeat=int(mask.sum()))))
-        for eps in zonotope_faces_for_span(P, E):
-            signs = np.empty((len(inside), len(G)))
-            signs[:, mask] = inside
-            signs[:, ~mask] = eps
-            face = set()
-            for s, p in zip(signs, 0.5 * signs @ G):
-                key = s.tobytes()
-                if key not in vert_index:
-                    vert_index[key] = len(verts)
-                    verts.append(p)
-                face.add(vert_index[key])
-            faces.append(sorted(face))
-    return PolytopeFaceData(P.ambient_dim, np.asarray(verts), tuple(faces))
+    n = _structure(P.ambient_dim, J).complex_dim
+    G = _float_canonical(P).generators
+    signs, sizes = [], []
+    for mask, V in _spans(G, n):
+        faces = _vertex_signs(G[~mask] @ V[n:].T)
+        inside = _vertex_signs(G[mask] @ V[:n].T)
+        block = np.empty((len(faces), len(inside), len(G)))
+        block[:, :, ~mask] = faces[:, None, :]
+        block[:, :, mask] = inside
+        signs.append(block.reshape(-1, len(G)))
+        sizes += [len(inside)] * len(faces)
+    verts, index = np.unique(np.concatenate(signs), axis=0, return_inverse=True)
+    faces = np.split(index.reshape(-1), np.cumsum(sizes)[:-1])
+    return PolytopeFaceData(P.ambient_dim, 0.5 * verts @ G, faces)
 
 
 def face_data_to_dict(P: PolytopeFaceData) -> dict:

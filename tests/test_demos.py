@@ -1,5 +1,5 @@
 """The demos that exercise canonical form, sums, products, volumes,
-measures and expected determinants run to completion."""
+measures, expected determinants and the command line run to completion."""
 
 import os
 import subprocess
@@ -16,12 +16,14 @@ DEMOS = [
     "03_j_volumes.py",
     "04_expected_determinants.py",
     "05_measures_and_transforms.py",
+    "06_cli_tour.py",
 ]
 
 
 @pytest.mark.parametrize("name", DEMOS)
-def test_demo_runs(name):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def test_demo_runs(name, tmp_path):
+    # The CLI tour writes its JSON files under a fresh temporary directory.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
                           capture_output=True, text=True, env=env, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr

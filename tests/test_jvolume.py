@@ -12,6 +12,7 @@ from zonoidal import (
     PolytopeFaceData,
     Subspace,
     canonical_eq,
+    canonicalize,
     complex_wedge_zonoids,
     complex_zonotope,
     disc_zonotope,
@@ -24,6 +25,7 @@ from zonoidal import (
     kazarnovskii_zonotope,
     length,
     linear_image,
+    minkowski_sum,
     mixed_J_volume,
     mixed_volume,
     normal_angle_mc,
@@ -382,11 +384,101 @@ def test_zonotope_face_data_is_scale_invariant():
 
 
 def test_zonotope_face_data_counts_in_c3():
-    # Each span has a 3-dimensional complement: the random-probe branch.
+    # Each span has a 3-dimensional complement: cells of planes in R^3.
     Z = rng(23).standard_normal((5, 3)) + 1j * rng(24).standard_normal((5, 3))
     fd = zonotope_face_data(complex_zonotope(Z))
     assert len(fd.n_faces) == 40
     assert fd.vertices.shape == (32, 6)
+
+
+def _fourteen_cell_body(theta):
+    """E = span(e1, e2, e3) in R^6 plus four outside generators whose
+    planes in E's complement are in general position, two of them
+    meeting at theta rad: 14 cells, 2 (1 + 3 + 3)."""
+    p1 = np.array([1.0, 0.3, -0.2]) / math.sqrt(1.13)
+    w = np.cross(np.cross(p1, [0.0, 0.0, 1.0]), p1)
+    p2 = math.cos(theta) * p1 + math.sin(theta) * w / np.linalg.norm(w)
+    G = np.zeros((7, 6))
+    G[:3, :3] = np.eye(3)
+    G[3:, :3] = [[0.3, 0.0, 0.2], [0.3, -0.1, 0.2], [0.3, -0.2, 0.2], [0.3, -0.3, 0.2]]
+    G[3:, 3:] = [p1, p2, [0.2, 1.0, 0.4], [-0.5, 0.3, 1.0]]
+    return zonotope(G, cgrading=(3, 1)), Subspace(6, np.eye(6)[:3])
+
+
+def test_faces_for_span_keeps_cells_at_narrow_angles():
+    for theta in (0.1, 1e-3, 1e-5):
+        P, E = _fourteen_cell_body(theta)
+        assert len(zonotope_faces_for_span(P, E)) == 14, theta
+
+
+def _lp_cells(A):
+    """Sign vectors s for which s_i <a_i, x> >= 1 is feasible, by
+    linprog over all 2^N sign vectors.  A prefix that is infeasible on
+    its rows prunes every extension of it, and -s is feasible with s, so
+    only s_1 = +1 is searched."""
+    from scipy.optimize import linprog
+
+    def feasible(s):
+        k = len(s)
+        res = linprog(np.zeros(A.shape[1]), A_ub=-np.array(s)[:, None] * A[:k],
+                      b_ub=-np.ones(k), bounds=(None, None), method="highs")
+        return res.status == 0
+
+    cells = [()]
+    for _ in range(len(A)):
+        cells = [s + (e,) for s in cells for e in (-1.0, 1.0)
+                 if (s or e > 0) and feasible(s + (e,))]
+    return set(cells) | {tuple(-e for e in s) for s in cells}
+
+
+def test_faces_for_span_match_lp_oracle():
+    g = rng(27)
+    near = g.standard_normal((4, 2)) + 1j * g.standard_normal((4, 2))
+    near[1] = near[0] * np.exp(1e-4j) + 1e-4 * near[2]
+    w = np.array([0.0, math.sqrt(0.123456785), math.sqrt(1.0 - 0.123456785), 0.0])
+    e1, e4 = np.eye(4)[0], np.eye(4)[3]
+    flats = zonotope(np.array([e1, w, e1 + 0.7 * w, 0.3 * e1 - w, e4,
+                               [0.2, 0.1, 0.3, 1.0]]), cgrading=(2, 1))
+    discs = [minkowski_sum(disc_zonotope([1.0, 0.3j], q),
+                           disc_zonotope([0.2 - 0.5j, 1.0], q)) for q in (4, 6)]
+    bodies = [(discs[0], 80), (discs[1], 168), (complex_zonotope(near), None),
+              (flats, None), (_fourteen_cell_body(1e-3)[0], None)]
+    for P, want_total in bodies:
+        # Sign vectors run over the outside generators in canonical order.
+        P = canonicalize(P)
+        n = P.ambient_dim // 2
+        G = P.generators
+        total = 0
+        for E in _independent_spans(P, n):
+            eps = zonotope_faces_for_span(P, E)
+            outside = G[~E.members(G)] @ E.complement().basis.T
+            assert set(eps) == _lp_cells(outside)
+            total += len(eps)
+        assert want_total is None or total == want_total
+    fd = zonotope_face_data(minkowski_sum(disc_zonotope([1.0, 0.3j], 16),
+                                          disc_zonotope([0.2 - 0.5j, 1.0], 16)))
+    # The product of two 32-gons.
+    assert len(fd.n_faces) == 1088
+    assert fd.vertices.shape == (1024, 4)
+
+
+def test_polytope_mc_of_scaled_body_is_scale_invariant():
+    # Faces of a span are sorted by sign vector, so their per-face seeds
+    # do not follow the orientation of the span's complement.
+    Z = rng(21).standard_normal((4, 2)) + 1j * rng(22).standard_normal((4, 2))
+    unit = j_volume_polytope_mc(zonotope_face_data(complex_zonotope(Z)), 2000, 3)[0]
+    for s in (1e-10, 1e-9, 1e9):
+        val = j_volume_polytope_mc(zonotope_face_data(complex_zonotope(s * Z)), 2000, 3)[0]
+        assert math.isclose(val / s**2, unit, rel_tol=1e-12), s
+
+
+def test_face_data_of_a_flat_body():
+    # A hexagon in a Lagrangian plane of C^2 is its own only 2-face.
+    P = embed_real_zonotope(zonotope([[1.0, 0.0], [0.3, 1.0], [-0.5, 0.7]]))
+    fd = zonotope_face_data(P)
+    assert len(fd.n_faces) == 1 and fd.vertices.shape == (6, 4)
+    val, se = j_volume_polytope_mc(fd, 100, seed=0)
+    assert se == 0.0 and math.isclose(val, j_volume_zonotope(P), rel_tol=1e-12)
 
 
 def test_polytope_mc_is_scale_invariant():
