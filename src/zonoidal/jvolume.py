@@ -29,7 +29,7 @@ import numpy as np
 from . import exterior
 from .exterior import exterior_dim, realify_rows
 from .sampling import SeedStream, chunk_sizes, derive_seed
-from .zonotope import Zonotope, canonicalize, length, zonotope
+from .zonotope import Zonotope, _lex_order, canonicalize, length, zonotope
 
 __all__ = [
     "ComplexStructure",
@@ -162,6 +162,8 @@ class PolytopeFaceData:
 
     def __post_init__(self):
         V = np.asarray(self.vertices, dtype=np.float64)
+        if V.size == 0:
+            V = V.reshape(0, self.ambient_dim)
         if V.ndim != 2 or V.shape[1] != self.ambient_dim:
             raise ValueError("vertices must be rows of length ambient_dim")
         faces = tuple(tuple(int(i) for i in f) for f in self.n_faces)
@@ -290,6 +292,19 @@ def _independent_spans(P: Zonotope, n: int) -> list[Subspace]:
     return [Subspace(P.ambient_dim, V[:n]) for _, V in _spans(P.generators, n)]
 
 
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a in lexicographic order, and the index of
+    each row of a among them: ``np.unique(a, axis=0, return_inverse=True)``
+    for rows without NaN, from one ``_lex_order`` and a neighbour test."""
+    order = _lex_order(a)
+    s = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = np.any(s[1:] != s[:-1], axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return s[new], inverse
+
+
 def _vertex_signs(A: np.ndarray) -> np.ndarray:
     """Sorted sign vectors (rows of +-1.0) of the open cells of the central
     arrangement normal to A's rows: the vertices of the zonotope they
@@ -309,14 +324,14 @@ def _vertex_signs(A: np.ndarray) -> np.ndarray:
             block[:, :, mask] = inner
             block[:, :, ~mask] = np.array([off, -off])[:, None]
             out.append(block.reshape(-1, N))
-        return np.unique(np.concatenate(out), axis=0)
+        return _unique_rows(np.concatenate(out))[0]
 
     A = np.asarray(A, dtype=np.float64)
     return cells(A @ _orthonormal_rows(A).T)
 
 
 def _float_canonical(P: Zonotope) -> Zonotope:
-    return canonicalize(replace(P, generators=P.generators.astype(np.float64)))
+    return canonicalize(replace(P, generators=P.generators.astype(np.float64, copy=False)))
 
 
 def _j_volume_sum(P: Zonotope, J, weight) -> float:
@@ -521,8 +536,10 @@ def zonotope_face_data(P: Zonotope, J=None) -> PolytopeFaceData:
         block[:, :, mask] = inside
         signs.append(block.reshape(-1, len(G)))
         sizes += [len(inside)] * len(faces)
-    verts, index = np.unique(np.concatenate(signs), axis=0, return_inverse=True)
-    faces = np.split(index.reshape(-1), np.cumsum(sizes)[:-1])
+    if not signs:
+        return PolytopeFaceData(P.ambient_dim, np.zeros((0, P.ambient_dim)), ())
+    verts, index = _unique_rows(np.concatenate(signs))
+    faces = np.split(index, np.cumsum(sizes)[:-1])
     return PolytopeFaceData(P.ambient_dim, 0.5 * verts @ G, faces)
 
 

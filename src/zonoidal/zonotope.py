@@ -63,6 +63,9 @@ class Zonotope:
               (ambient_dim == 2 C(n, k)).
     simple:   every generator is a simple blade (set only by
               constructions that guarantee it).
+
+    Float64 generator arrays are kept as given, without a copy; no
+    function writes into a generator array.
     """
 
     ambient_dim: int
@@ -78,7 +81,7 @@ class Zonotope:
         if g.ndim != 2 or g.shape[1] != self.ambient_dim:
             raise ValueError(f"generators must be rows of length {self.ambient_dim}")
         if g.dtype != object:
-            g = g.astype(np.float64)
+            g = g.astype(np.float64, copy=False)
         object.__setattr__(self, "generators", g)
 
     @property
@@ -207,6 +210,28 @@ def _sign_normalize_float(g: np.ndarray) -> np.ndarray:
     return g * np.where(lead < 0, -1.0, 1.0)[:, None]
 
 
+def _lex_order(g: np.ndarray) -> np.ndarray:
+    """The stable lexicographic row order of g, first column first: the
+    permutation ``np.lexsort(g.T[::-1])`` returns, for rows without NaN.
+
+    One stable argsort on column 0 orders every row whose first entry is
+    unique; only the rows tied there are lexsorted again, in the slots
+    they already hold.  Both sorts are stable, so equal rows keep their
+    input order.
+    """
+    order = np.argsort(g[:, 0], kind="stable")
+    col = g[order, 0]
+    same = col[1:] == col[:-1]
+    if not same.any():
+        return order
+    tied = np.zeros(len(g), dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    sub = order[tied]
+    order[tied] = sub[np.lexsort(g[sub].T[::-1])]
+    return order
+
+
 def _collinear_labels(unit: np.ndarray) -> np.ndarray:
     """Label each unit row with the smallest index in its class.
 
@@ -258,8 +283,7 @@ def _canonicalize_float(K: Zonotope) -> Zonotope:
     if len(starts) < len(g):
         flips = np.where(np.sum(unit * unit[labels], axis=1) < 0, -1.0, 1.0)
         g = _sign_normalize_float(np.add.reduceat((g * flips[:, None])[order], starts))
-    order = np.lexsort(g.T[::-1])
-    return replace(K, generators=g[order])
+    return replace(K, generators=g[_lex_order(g)])
 
 
 def _canonicalize_exact(K: Zonotope) -> Zonotope:
@@ -291,7 +315,8 @@ def _canonicalize_exact(K: Zonotope) -> Zonotope:
 
 def canonicalize(K: Zonotope) -> Zonotope:
     """Canonical form: no zero or collinear generators, sign-normalized
-    (first nonzero coordinate positive), sorted lexicographically.
+    (first nonzero coordinate positive), sorted lexicographically
+    (float rows by ``_lex_order``).
 
     The support function is unchanged at every direction.
     """

@@ -40,7 +40,7 @@ from zonoidal import (
     zonotope_faces_for_span,
 )
 from zonoidal.exterior import _ROW_BLOCK, blade_from_vectors, complex_blade_from_vectors
-from zonoidal.jvolume import _face_volume, _independent_spans
+from zonoidal.jvolume import _face_volume, _independent_spans, _unique_rows
 from zonoidal.testkit import hull_area_brute, wedge_norm_brute
 
 
@@ -489,6 +489,30 @@ def test_polytope_mc_is_scale_invariant():
         sval, sse = j_volume_polytope_mc(scaled, 20000, seed=5)
         assert math.isclose(sval / s**2, val, rel_tol=1e-10)
         assert math.isclose(sse / s**2, se, rel_tol=1e-10)
+
+
+def test_face_data_of_a_body_with_fewer_than_n_independent_generators():
+    # One generator in C^2 spans no 2-plane: no 2-faces, J-volume 0.
+    for P in (complex_zonotope([[1.0, 1j]]), zonotope([], ambient_dim=4, cgrading=(2, 1))):
+        fd = zonotope_face_data(P)
+        assert fd.vertices.shape == (0, 4) and fd.n_faces == ()
+        assert j_volume_zonotope(P) == 0.0
+        assert j_volume_polytope_mc(fd, 100, seed=0) == (0.0, 0.0)
+        assert kazarnovskii_polytope_mc(fd, 100, seed=0) == (0.0, 0.0)
+        back = face_data_from_dict(face_data_to_dict(fd))
+        assert back.vertices.shape == (0, 4) and back.n_faces == ()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 5), (400, 8), (4000, 32)])
+def test_unique_rows_matches_np_unique_on_sign_rows(shape):
+    rows = np.where(rng(27).random(shape) < 0.5, -1.0, 1.0)
+    if shape[0] > 1:
+        rows = np.vstack([rows, rows[::3]])
+    got, inverse = _unique_rows(rows)
+    want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert np.array_equal(got, want)
+    assert np.array_equal(inverse, want_inverse.reshape(-1))
+    assert np.array_equal(got[inverse], rows)
 
 
 def test_face_volume_of_a_polygon():

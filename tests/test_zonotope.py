@@ -8,6 +8,7 @@ import pytest
 
 from zonoidal import (
     VirtualZonotope,
+    Zonotope,
     canonical_eq,
     canonicalize,
     hausdorff_estimate,
@@ -20,6 +21,7 @@ from zonoidal import (
     support,
     support_many,
     tau,
+    tensor_product,
     virtual_add,
     virtual_eq,
     virtual_length,
@@ -31,7 +33,7 @@ from zonoidal import (
 )
 from zonoidal.sampling import direction_net
 from zonoidal.testkit import length_brute, radius_brute, support_brute
-from zonoidal.zonotope import COLLINEAR_SINE_TOL, _collinear_labels
+from zonoidal.zonotope import COLLINEAR_SINE_TOL, _collinear_labels, _lex_order
 
 
 def rng(seed=0):
@@ -252,6 +254,70 @@ def test_collinear_labels_match_dense_components():
         unit = np.array(rows)
         unit /= np.linalg.norm(unit, axis=1)[:, None]
         assert np.array_equal(_collinear_labels(unit), _components_brute(unit))
+
+
+def _lex_order_cases():
+    g = rng(23)
+    ints = g.integers(-2, 3, (500, 4)).astype(np.float64)
+    tied0 = np.column_stack([np.full(300, 1.5), g.integers(-1, 2, (300, 3))])
+    last_only = np.column_stack([np.tile([0.25, -1.0, 3.0], (200, 1)),
+                                 g.permutation(200) % 37 - 18.0])
+    zeros = np.where(g.random((400, 6)) < 0.9, 0.0, g.standard_normal((400, 6)))
+    signed_zeros = g.choice([-0.0, 0.0, 1.0], size=(300, 3))
+    duplicates = g.permutation(np.tile(g.standard_normal((5, 3)), (40, 1)))
+    return {
+        "gaussian": g.standard_normal((1000, 5)),
+        "all tied in column 0": tied0,
+        "tied in every column but the last": last_only,
+        "zero-heavy": zeros,
+        "integer-valued": ints,
+        "-0.0 beside 0.0": signed_zeros,
+        "duplicate rows": duplicates,
+        "one row": g.standard_normal((1, 4)),
+        "one column": g.integers(0, 5, (60, 1)).astype(np.float64),
+        "zero rows": np.zeros((0, 3)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_lex_order_cases()))
+def test_lex_order_is_the_lexsort_permutation(case):
+    rows = _lex_order_cases()[case]
+    assert np.array_equal(_lex_order(rows), np.lexsort(rows.T[::-1]))
+
+
+def _primitive_rows(g, count):
+    """count distinct sign-normalized primitive integer rows of R^3: no
+    two are collinear, and many share their first entry."""
+    box = np.array([r for r in np.ndindex(7, 7, 7)], dtype=np.float64) - 3.0
+    lead = box[np.arange(len(box)), np.argmax(box != 0.0, axis=1)]
+    primitive = np.gcd.reduce(box.astype(int), axis=1) == 1
+    return g.permutation(box[primitive & (lead > 0.0)])[:count]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "integer"])
+def test_canonicalize_of_a_tensor_product_is_lexsorted(kind):
+    # 10000 pairwise products, no two collinear; the integer rows tie in
+    # their first entries again and again.
+    g = rng(24)
+    if kind == "gaussian":
+        a, b = g.standard_normal((100, 3)), g.standard_normal((100, 3))
+    else:
+        a, b = _primitive_rows(g, 100), _primitive_rows(g, 100)
+    rows = np.einsum("ia,jb->ijab", a, b).reshape(10000, 9)
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0.0, axis=1)]
+    rows = rows * np.where(lead < 0.0, -1.0, 1.0)[:, None]
+    want = rows[np.lexsort(rows.T[::-1])]
+    assert np.array_equal(tensor_product(zonotope(a), zonotope(b)).generators, want)
+    assert np.array_equal(canonicalize(zonotope(g.permutation(rows))).generators, want)
+
+
+def test_zonotope_holds_float64_generators_without_a_copy():
+    g = rng(25).standard_normal((6, 2))
+    assert np.shares_memory(Zonotope(2, g).generators, g)
+    ints = np.array([[1, 2], [3, 4]])
+    K = Zonotope(2, ints)
+    assert K.generators.dtype == np.float64
+    assert np.array_equal(K.generators, ints)
 
 
 def test_canonicalize_exact():
