@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
 from . import exterior
-from .exterior import exterior_dim
+from .exterior import exterior_dim, realify_rows
 from .zonotope import (
     Zonotope,
     VirtualZonotope,
@@ -47,24 +48,25 @@ __all__ = [
 ]
 
 
-def _require_grading(K: Zonotope) -> tuple[int, int]:
-    if K.grading is None:
+def _require_grading(K: Zonotope) -> tuple[int, int, bool]:
+    """(m, k, complex) from either tag: ``grading=(m, k)`` for the k-th
+    exterior power of R^m, ``cgrading=(m, k)`` for the realified k-th
+    complex exterior power of C^m."""
+    is_complex = K.cgrading is not None
+    if K.grading is None and not is_complex:
         raise ValueError("operation requires a graded zonotope (base_dim, degree)")
-    m, k = K.grading
-    if K.ambient_dim != exterior_dim(m, k):
+    m, k = K.cgrading if is_complex else K.grading
+    if K.ambient_dim != (2 if is_complex else 1) * exterior_dim(m, k):
         raise ValueError("ambient_dim does not match the grading")
-    return m, k
+    return m, k, is_complex
 
 
 def _as_degree_one(K: Zonotope) -> Zonotope:
-    """Interpret an ungraded zonotope in R^m as degree 1 in R^m."""
-    if K.grading is not None:
-        if K.grading[1] != 1:
-            raise ValueError("expected a degree-1 zonotope")
-        return K
-    from dataclasses import replace
-
-    return replace(K, grading=(K.ambient_dim, 1))
+    """Interpret a zonotope in R^m as degree 1 in R^m.  A complex tag is
+    dropped: the wedge chain would read it as complex."""
+    if K.grading is not None and K.grading[1] != 1:
+        raise ValueError("expected a degree-1 zonotope")
+    return replace(K, grading=K.grading or (K.ambient_dim, 1), cgrading=None)
 
 
 def tensor_product(K: Zonotope, L: Zonotope) -> Zonotope:
@@ -91,22 +93,32 @@ def virtual_tensor(W1: VirtualZonotope, W2: VirtualZonotope) -> VirtualZonotope:
     return VirtualZonotope(plus, minus)
 
 
+def _complex_rows(K: Zonotope) -> np.ndarray:
+    """The complex rows whose realifications are K's generators."""
+    G = K.generators.astype(np.float64)
+    return G[:, 0::2] + 1j * G[:, 1::2]
+
+
 def _wedge_raw(K: Zonotope, L: Zonotope) -> Zonotope:
     """Wedge of graded zonotopes before canonicalization: one generator
-    per pair, K's generators in the outer order."""
-    m, k = _require_grading(K)
-    m2, l = _require_grading(L)
+    per pair, K's generators in the outer order.  Complex-graded bodies
+    are wedged as complex rows over C^m and realified again."""
+    m, k, is_complex = _require_grading(K)
+    m2, l, l_complex = _require_grading(L)
     if m != m2:
         raise ValueError("base dimension mismatch in wedge product")
-    gens = exterior.wedge_rows(
-        np.repeat(K.generators, L.n_generators, axis=0),
-        np.tile(L.generators, (K.n_generators, 1)), m, k, l)
-    return Zonotope(exterior_dim(m, k + l), gens, grading=(m, k + l),
-                    simple=K.simple and L.simple)
+    if is_complex != l_complex:
+        raise ValueError("cannot wedge a real-graded with a complex-graded zonotope")
+    a, b = (_complex_rows(K), _complex_rows(L)) if is_complex else (K.generators, L.generators)
+    gens = exterior.wedge_rows(np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1)), m, k, l)
+    if is_complex:
+        return Zonotope(2 * exterior_dim(m, k + l), realify_rows(gens), cgrading=(m, k + l))
+    return Zonotope(exterior_dim(m, k + l), gens, grading=(m, k + l))
 
 
 def wedge_product(K: Zonotope, L: Zonotope) -> Zonotope:
-    """Wedge of graded zonotopes: all pairwise exterior products."""
+    """Wedge of graded zonotopes: all pairwise exterior products, real or
+    complex by the tags of K and L."""
     return canonicalize(_wedge_raw(K, L))
 
 
@@ -117,11 +129,11 @@ def _wedge_power_raw(K: Zonotope, d: int) -> Zonotope:
     K = _as_degree_one(K)
     m, _ = K.grading
     if d == 0:
-        return zonotope([[1.0]], ambient_dim=1, grading=(m, 0), simple=True)
+        return zonotope([[1.0]], ambient_dim=1, grading=(m, 0))
     G = canonicalize(K).generators
     gens = np.concatenate([exterior.blade_rows(G[idx])
                            for idx in exterior._subset_blocks(len(G), d)]) * math.factorial(d)
-    return Zonotope(exterior_dim(m, d), gens, grading=(m, d), simple=True)
+    return Zonotope(exterior_dim(m, d), gens, grading=(m, d))
 
 
 def wedge_power(K: Zonotope, d: int) -> Zonotope:
@@ -178,17 +190,20 @@ def _probe_linearity(f, Ks, seed, rtol=1e-8):
         warnings.warn("callback failed the multilinearity spot check", stacklevel=3)
 
 
-def _chain_length(zonotopes):
-    """length(K_1 ^ ... ^ K_p).  The intermediate products are
-    canonicalized, so repeated factors do not grow as N^p; the last one
-    is not, since merging sign-aligned collinear generators keeps length.
+def _chain(zonotopes) -> Zonotope:
+    """K_1 ^ ... ^ K_p, real or complex by the factors' tags.  The
+    intermediate products are canonicalized, so repeated factors do not
+    grow as N^p; the last one is not, so that callers reading only its
+    length skip the merge, which keeps length.
     """
+    if not zonotopes:
+        raise ValueError("need at least one zonotope")
     out = zonotopes[0]
     for K in zonotopes[1:-1]:
         out = wedge_product(out, K)
     if len(zonotopes) > 1:
         out = _wedge_raw(out, zonotopes[-1])
-    return length(out)
+    return out
 
 
 def _per_factorial(ell, d: int):
@@ -210,7 +225,7 @@ def mixed_volume(zonotopes):
         raise ValueError(f"mixed volume in R^{m} needs exactly {m} bodies")
     if any(K.grading != (m, 1) for K in Ks):
         raise ValueError("all bodies must be degree 1 in the same space")
-    return _per_factorial(_chain_length(Ks), m)
+    return _per_factorial(length(_chain(Ks)), m)
 
 
 def volume(K: Zonotope):
@@ -233,10 +248,11 @@ def intrinsic_volume(K: Zonotope, d: int):
 
 def hodge_star_zonoid(K: Zonotope) -> Zonotope:
     """Star every generator; an isometry of zonoids (length preserved)."""
-    m, k = _require_grading(K)
+    m, k, is_complex = _require_grading(K)
+    if is_complex:
+        raise ValueError("Hodge star needs a real-graded zonotope")
     gens = exterior.hodge_rows(K.generators, m, k)
-    return canonicalize(Zonotope(exterior_dim(m, m - k), gens, grading=(m, m - k),
-                                 simple=K.simple))
+    return canonicalize(Zonotope(exterior_dim(m, m - k), gens, grading=(m, m - k)))
 
 
 def projection_body(K: Zonotope) -> Zonotope:
@@ -266,7 +282,7 @@ def af_gap(K1: Zonotope, K2: Zonotope, companions=(), middle: Zonotope | None = 
     C = [middle] if middle is not None else [_as_degree_one(K) for K in companions]
 
     def term(A, B):
-        return float(_chain_length([A, B] + C))
+        return float(length(_chain([A, B] + C)))
 
     return term(K1, K2) ** 2 - term(K1, K1) * term(K2, K2)
 
@@ -287,7 +303,7 @@ def reverse_af_gap(zonotopes, degrees):
     if sum(degrees) != m:
         raise ValueError("multiplicities must sum to the ambient dimension")
     powers = [wedge_power(K, d) for K, d in zip(Ks, degrees)]
-    chain = float(_chain_length(powers))
+    chain = float(length(_chain(powers)))
     bound = 1.0
     for P in powers:
         bound *= float(length(P))

@@ -6,7 +6,9 @@ Complex vectors live in realified coordinates: z in C^n becomes the
 interleaved real vector (Re z_1, Im z_1, ..., Re z_n, Im z_n), and the
 standard complex structure J acts blockwise by (x, y) -> (-y, x).  A
 zonotope whose generators are realified elements of the k-th complex
-exterior power carries the tag ``cgrading=(n, k)``.
+exterior power carries the tag ``cgrading=(n, k)``.  Complex wedges and
+the mixed J-volume are ``algebra``'s wedge chain, which reads that tag
+and wedges such bodies as complex rows over C^n.
 
 The J-volume of a zonotope P in C^n sums, over the distinct spans E of
 n independent generators, vol_n of the sub-zonotope of generators lying
@@ -27,7 +29,8 @@ from itertools import product
 import numpy as np
 
 from . import exterior
-from .exterior import exterior_dim, realify_rows
+from .algebra import _chain, _require_grading
+from .exterior import realify_rows
 from .sampling import SeedStream, chunk_sizes, derive_seed
 from .zonotope import Zonotope, _lex_order, canonicalize, length, zonotope
 
@@ -117,9 +120,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def projector(self) -> np.ndarray:
-        return self.basis.T @ self.basis
-
     def complement(self) -> "Subspace":
         _, _, Vt = np.linalg.svd(self.basis, full_matrices=True)
         return Subspace(self.ambient_dim, Vt[self.dim:])
@@ -196,15 +196,6 @@ def sigma_J(E: Subspace, J=None) -> float:
     return float(_wedge_norms_and_sigmas(E.basis[None], struct.J)[1][0])
 
 
-def _require_cgrading(K: Zonotope) -> tuple[int, int]:
-    if K.cgrading is None:
-        raise ValueError("operation requires a complex-graded zonotope")
-    n, k = K.cgrading
-    if K.ambient_dim != 2 * exterior_dim(n, k):
-        raise ValueError("ambient_dim does not match the complex grading")
-    return n, k
-
-
 def embed_real_zonotope(K: Zonotope) -> Zonotope:
     """Embed a real zonotope in R^n into C^n (zero imaginary parts)."""
     if K.exact:
@@ -225,46 +216,28 @@ def complex_zonotope(vectors, n: int | None = None) -> Zonotope:
     return canonicalize(zonotope(realify_rows(Z), ambient_dim=2 * n, cgrading=(n, 1)))
 
 
-def _complex_wedge_raw(*zonotopes: Zonotope) -> Zonotope:
-    """Complex wedge of all generator tuples before canonicalization."""
-    if not zonotopes:
-        raise ValueError("need at least one zonotope")
-    gradings = [_require_cgrading(K) for K in zonotopes]
-    n = gradings[0][0]
-    if any(g[0] != n for g in gradings):
-        raise ValueError("complex-dimension mismatch")
-    acc, deg = None, 0
-    for K, (_, k) in zip(zonotopes, gradings):
-        G = K.generators.astype(np.float64)
-        Z = G[:, 0::2] + 1j * G[:, 1::2]
-        if acc is None:
-            acc = Z
-        else:
-            acc = exterior.wedge_rows(np.repeat(acc, len(Z), axis=0),
-                                      np.tile(Z, (len(acc), 1)), n, deg, k)
-        deg += k
-    return Zonotope(2 * exterior_dim(n, deg), realify_rows(acc), cgrading=(n, deg))
-
-
 def complex_wedge_zonoids(*zonotopes: Zonotope) -> Zonotope:
-    """Pairwise complex wedges of generators, realified and canonical."""
-    return canonicalize(_complex_wedge_raw(*zonotopes))
+    """Pairwise complex wedges of generators, realified and canonical:
+    ``algebra``'s wedge chain of complex-graded bodies."""
+    if not all(_require_grading(K)[2] for K in zonotopes):
+        raise ValueError("complex wedge needs complex-graded zonotopes")
+    return canonicalize(_chain(zonotopes))
 
 
 def mixed_J_volume(*zonotopes: Zonotope) -> float:
     """MV^J(K_1, ..., K_n) = length(K_1 ^_C ... ^_C K_n) / n!.
 
-    The length is read from the uncanonicalized product: merging
+    The length is read from the uncanonicalized last product: merging
     sign-aligned collinear generators does not change it.
     """
     if not zonotopes:
         raise ValueError("need at least one zonotope")
-    n, k = _require_cgrading(zonotopes[0])
-    if k != 1 or any(K.cgrading != (n, 1) for K in zonotopes):
+    n = _require_grading(zonotopes[0])[0]
+    if any(_require_grading(K) != (n, 1, True) for K in zonotopes):
         raise ValueError("mixed J-volume expects degree-1 bodies in C^n")
     if len(zonotopes) != n:
         raise ValueError(f"mixed J-volume in C^{n} needs exactly {n} bodies")
-    return float(length(_complex_wedge_raw(*zonotopes))) / math.factorial(n)
+    return float(length(_chain(zonotopes))) / math.factorial(n)
 
 
 def _spans(A: np.ndarray, d: int) -> list:

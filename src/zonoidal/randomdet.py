@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exterior
-from .algebra import _chain_length
-from .exterior import exterior_dim, realify_rows
-from .jvolume import _complex_wedge_raw
+from .algebra import _chain
+from .exterior import realify_rows
 from .sampling import SeedStream, chunk_sizes
 from .zonotope import Zonotope, canonicalize, length, zonotope
 
@@ -114,14 +113,13 @@ class SeededSampler:
 
     kinds: "gaussian" (standard normal entries), "uniform_sphere",
     "complex_gaussian" (standard complex normal: Re, Im ~ N(0, 1/2)),
-    "discrete" (requires dist), "external" (requires fn(n, stream)).
+    "discrete" (requires dist).
     """
 
     kind: str
     dimension: int
     seed: int = 0
     dist: DiscreteDistribution | None = None
-    fn: object = None
 
     def sample(self, n: int, stream: SeedStream | None = None) -> np.ndarray:
         if stream is None:
@@ -141,10 +139,6 @@ class SeededSampler:
                 raise ValueError("discrete sampler needs a distribution")
             idx = stream.choice(n, self.dist.probs)
             return self.dist.atoms[idx]
-        if self.kind == "external":
-            if not callable(self.fn):
-                raise ValueError("external sampler needs a callable")
-            return np.asarray(self.fn(n, stream))
         raise ValueError(f"unknown sampler kind: {self.kind}")
 
 
@@ -307,36 +301,25 @@ def j_ball_volume(n: int) -> float:
     return (4.0 * math.pi) ** (n / 2.0) / math.factorial(n) * complex_gaussian_abs_det(n)
 
 
-def _real_block_zonoid(block: MatrixBlock, size: int) -> Zonotope:
-    """K(Z_j) for a discrete block: pushforward of atoms through the blade."""
+def _block_zonoid(block: MatrixBlock, size: int, complex_field: bool) -> Zonotope:
+    """K(Z_j) for a discrete block: pushforward of its atoms through the
+    blade, realified in the complex exterior power when complex_field."""
     rows = exterior.blade_rows(np.swapaxes(block.atom_matrices(size), 1, 2))
-    gens = block.dist.probs[:, None] * rows
-    return canonicalize(Zonotope(exterior_dim(size, block.width), gens,
-                                 grading=(size, block.width)))
-
-
-def _complex_block_zonoid(block: MatrixBlock, n: int) -> Zonotope:
-    rows = exterior.blade_rows(np.swapaxes(block.atom_matrices(n), 1, 2))
-    gens = block.dist.probs[:, None] * realify_rows(rows)
-    return canonicalize(Zonotope(2 * exterior_dim(n, block.width), gens,
-                                 cgrading=(n, block.width)))
+    gens = block.dist.probs[:, None] * (realify_rows(rows) if complex_field else rows)
+    tag = {"cgrading" if complex_field else "grading": (size, block.width)}
+    return canonicalize(Zonotope(gens.shape[1], gens, **tag))
 
 
 def expected_abs_det_exact(model: MatrixBlockModel) -> float:
-    """E|det M| = length(K(Z_1) ^ ... ^ K(Z_p)) for all-discrete blocks."""
+    """E|det M| = length(K(Z_1) ^ ... ^ K(Z_p)) for all-discrete blocks,
+    through the complex wedge when the model's field is complex."""
     if not model.all_discrete():
         raise ValueError("exact path needs discrete blocks")
-    if model.complex_field:
-        return expected_abs_det_complex_exact(model)
-    return float(_chain_length([_real_block_zonoid(b, model.size) for b in model.blocks]))
+    zonoids = [_block_zonoid(b, model.size, model.complex_field) for b in model.blocks]
+    return float(length(_chain(zonoids)))
 
 
-def expected_abs_det_complex_exact(model: MatrixBlockModel) -> float:
-    """Complex analogue through the complex wedge of block zonoids."""
-    if not model.all_discrete():
-        raise ValueError("exact path needs discrete blocks")
-    zonoids = [_complex_block_zonoid(b, model.size) for b in model.blocks]
-    return float(length(_complex_wedge_raw(*zonoids)))
+expected_abs_det_complex_exact = expected_abs_det_exact
 
 
 def _mc_mean_se(model: MatrixBlockModel, n: int, seed: int, statistic):
@@ -383,14 +366,13 @@ def expected_sq_abs_det_complex(model: MatrixBlockModel) -> float:
     if any(b.width != 1 for b in model.blocks):
         raise ValueError("squared-determinant path expects width-1 blocks")
     n = model.size
-    dim2 = exterior_dim(2 * n, 2)
     zonoids = []
     for b in model.blocks:
         z = b.atom_matrices(n)[:, :, 0]
-        rows = exterior.blade_rows(np.stack([realify_rows(z), realify_rows(1j * z)], axis=1))
-        gens = b.dist.probs[:, None] * rows
-        zonoids.append(canonicalize(Zonotope(dim2, gens, grading=(2 * n, 2))))
-    return float(_chain_length(zonoids))
+        atoms = np.stack([realify_rows(z), realify_rows(1j * z)], axis=2)
+        block = MatrixBlock(2, dist=DiscreteDistribution(atoms, b.dist.probs))
+        zonoids.append(_block_zonoid(block, 2 * n, False))
+    return float(length(_chain(zonoids)))
 
 
 def bm_concavity_probe(d1: DiscreteDistribution, d2: DiscreteDistribution,

@@ -61,8 +61,6 @@ class Zonotope:
     cgrading: (complex_dim n, degree k) when the hosting space is the
               realified k-th complex exterior power of C^n
               (ambient_dim == 2 C(n, k)).
-    simple:   every generator is a simple blade (set only by
-              constructions that guarantee it).
 
     Float64 generator arrays are kept as given, without a copy; no
     function writes into a generator array.
@@ -72,7 +70,6 @@ class Zonotope:
     generators: np.ndarray
     grading: tuple[int, int] | None = None
     cgrading: tuple[int, int] | None = None
-    simple: bool = False
 
     def __post_init__(self):
         g = np.asarray(self.generators)
@@ -80,6 +77,8 @@ class Zonotope:
             g = g.reshape(0, self.ambient_dim)
         if g.ndim != 2 or g.shape[1] != self.ambient_dim:
             raise ValueError(f"generators must be rows of length {self.ambient_dim}")
+        if np.iscomplexobj(g):
+            raise ValueError("generators must be real; store complex rows realified")
         if g.dtype != object:
             g = g.astype(np.float64, copy=False)
         object.__setattr__(self, "generators", g)
@@ -113,7 +112,7 @@ class Zonotope:
         return f"Zonotope(dim={self.ambient_dim}, n={self.n_generators}{tag})"
 
 
-def zonotope(generators, ambient_dim=None, grading=None, cgrading=None, simple=False) -> Zonotope:
+def zonotope(generators, ambient_dim=None, grading=None, cgrading=None) -> Zonotope:
     """Build a zonotope from generator rows (not canonicalized)."""
     g = np.asarray(generators)
     if g.size == 0:
@@ -124,7 +123,7 @@ def zonotope(generators, ambient_dim=None, grading=None, cgrading=None, simple=F
         g = g[None, :]
     if ambient_dim is None:
         ambient_dim = g.shape[1]
-    return Zonotope(int(ambient_dim), g, grading, cgrading, simple)
+    return Zonotope(int(ambient_dim), g, grading, cgrading)
 
 
 def _row_norms(g: np.ndarray) -> np.ndarray:
@@ -181,8 +180,7 @@ def minkowski_sum(K: Zonotope, L: Zonotope) -> Zonotope:
         else:
             raise ValueError("cannot mix exact and float zonotopes")
     gens = np.concatenate([K.generators, L.generators], axis=0)
-    simple = K.simple and L.simple and grading is not None
-    return canonicalize(Zonotope(K.ambient_dim, gens, grading, cgrading, simple))
+    return canonicalize(Zonotope(K.ambient_dim, gens, grading, cgrading))
 
 
 def scale(K: Zonotope, lam) -> Zonotope:

@@ -361,14 +361,6 @@ def test_reverse_af_gap():
         reverse_af_gap([K3, K4], [2, 1])
 
 
-def test_simple_flag_propagation():
-    K = zonotope(np.eye(3), grading=(3, 1), simple=True)
-    W = wedge_product(K, K)
-    assert W.simple
-    P = wedge_power(K, 2)
-    assert P.simple
-
-
 def degenerate_body(m, exact, seed=0):
     """Repeated, negated, collinear and zero generators in R^m.  Since
     u ^ v = u ^ (u + v) = (u + v) ^ v, the wedge powers of this body

@@ -11,6 +11,7 @@ from zonoidal import (
     ComplexStructure,
     PolytopeFaceData,
     Subspace,
+    af_gap,
     canonical_eq,
     canonicalize,
     complex_wedge_zonoids,
@@ -19,6 +20,7 @@ from zonoidal import (
     embed_real_zonotope,
     face_data_from_dict,
     face_data_to_dict,
+    hodge_star_zonoid,
     j_volume_polytope_mc,
     j_volume_zonotope,
     kazarnovskii_polytope_mc,
@@ -35,6 +37,7 @@ from zonoidal import (
     subspace_from_vectors,
     support,
     volume,
+    wedge_product,
     zonotope,
     zonotope_face_data,
     zonotope_faces_for_span,
@@ -165,6 +168,39 @@ def test_mixed_j_volume_equals_length_of_canonical_complex_wedge():
         assert product.n_generators < math.prod(P.n_generators for P in Ps)
         want = length(product) / math.factorial(n)
         assert math.isclose(mixed_J_volume(*Ps), want, rel_tol=1e-12)
+
+
+def test_wedge_product_of_complex_graded_bodies_is_the_complex_wedge():
+    g = rng(9)
+    for n, (k, l) in ((2, (1, 1)), (3, (1, 1)), (3, (2, 1))):
+        P = random_complex_zonotope(g, n=n, n_gens=4)
+        Q = random_complex_zonotope(g, n=n, n_gens=3)
+        if k == 2:
+            P = complex_wedge_zonoids(P, random_complex_zonotope(g, n=n, n_gens=2))
+        W = wedge_product(P, Q)
+        assert W.cgrading == (n, k + l) and W.grading is None
+        assert canonical_eq(W, complex_wedge_zonoids(P, Q))
+
+
+def test_real_and_complex_graded_bodies_do_not_wedge():
+    P = random_complex_zonotope(rng(10), n=2)
+    K = zonotope(np.eye(2), grading=(2, 1))
+    for A, B in ((K, P), (P, K)):
+        with pytest.raises(ValueError):
+            wedge_product(A, B)
+    with pytest.raises(ValueError):
+        complex_wedge_zonoids(K, K)
+    with pytest.raises(ValueError):
+        hodge_star_zonoid(P)
+
+
+def test_real_functionals_read_a_complex_graded_body_as_real():
+    # mixed volumes and AF gaps in R^(2n) ignore the complex tag
+    g = rng(11)
+    Ps = [random_complex_zonotope(g, n=2, n_gens=3) for _ in range(4)]
+    Ks = [zonotope(P.generators) for P in Ps]
+    assert mixed_volume(Ps) == mixed_volume(Ks) > 0.0
+    assert af_gap(Ps[0], Ps[1], companions=Ps[2:]) == af_gap(Ks[0], Ks[1], companions=Ks[2:])
 
 
 def test_j_volume_matches_volume_for_real_zonotopes():

@@ -221,6 +221,26 @@ def test_complex_exact_and_mc():
                         expected_abs_det_exact(rmodel), rel_tol=1e-12)
 
 
+def test_complex_exact_of_three_blocks_matches_brute_force():
+    # the middle product of the complex wedge chain is canonicalized
+    g = rng(14)
+    model = iid_column_model(random_discrete(g, 4, 3, complex_field=True), 3)
+    assert model.complex_field
+    want = brute_force_expected_abs_det(model)
+    assert math.isclose(expected_abs_det_exact(model), want, rel_tol=1e-12)
+    assert expected_abs_det_complex_exact(model) == expected_abs_det_exact(model)
+
+
+def test_complex_atoms_in_a_real_model_are_rejected():
+    d = random_discrete(rng(15), 3, 2, complex_field=True)
+    real = MatrixBlockModel(2, (MatrixBlock(1, dist=d),) * 2)
+    with pytest.raises(ValueError):
+        expected_abs_det_exact(real)
+    cplx = MatrixBlockModel(2, (MatrixBlock(1, dist=d),) * 2, complex_field=True)
+    assert math.isclose(expected_abs_det_exact(cplx),
+                        brute_force_expected_abs_det(cplx), rel_tol=1e-12)
+
+
 def test_expected_sq_abs_det_complex():
     g = rng(8)
     one = DiscreteDistribution(np.array([[1.5 - 2.0j]]), [1.0])

@@ -320,6 +320,14 @@ def test_zonotope_holds_float64_generators_without_a_copy():
     assert np.array_equal(K.generators, ints)
 
 
+def test_zonotope_rejects_complex_generators():
+    # casting to float64 would drop the imaginary parts
+    with pytest.raises(ValueError):
+        zonotope([[1j, 1.0]])
+    with pytest.raises(ValueError):
+        Zonotope(2, np.array([[1.0 + 0.0j, 2.0]]))
+
+
 def test_canonicalize_exact():
     K = frac_zonotope([[1, 2], [2, 4], [-3, -6], [0, 1]])
     C = canonicalize(K)
@@ -434,11 +442,10 @@ def test_tensor_square_of_difference_grows():
 
 def test_serialization_roundtrip_float():
     g = rng(16)
-    K = zonotope(g.standard_normal((4, 3)), grading=(3, 1), simple=True)
+    K = zonotope(g.standard_normal((4, 3)), grading=(3, 1))
     d = zonotope_to_dict(K)
     back = zonotope_from_dict(d)
     assert back.grading == (3, 1)
-    assert not back.simple  # decomposition bookkeeping is not persisted
     assert np.array_equal(back.generators, K.generators)
 
 
