@@ -3,8 +3,11 @@
 Run with: python3 demos/00_exterior_powers.py
 
 Multivectors are coefficient arrays over lexicographic basis blades of
-Lambda^k R^m.  The wedge, Hodge star, and complex variants used by the
-zonotope machinery are available directly.
+Lambda^k R^m or Lambda^k C^m; one Multivector type holds real, complex
+or Fraction coefficients, so the complex wedge is the same ``wedge``
+(``complex_wedge`` and ``complex_blade_from_vectors`` are aliases).  The
+wedge and Hodge star used by the zonotope machinery are available
+directly.
 """
 
 import numpy as np

@@ -21,10 +21,11 @@ from itertools import product
 import numpy as np
 
 from . import exterior
-from .exterior import exterior_dim, realify_rows
+from .exterior import exterior_dim, realify_rows, unrealify_rows
 from .zonotope import (
     Zonotope,
     VirtualZonotope,
+    _one_field,
     canonicalize,
     length,
     minkowski_sum,
@@ -74,6 +75,7 @@ def tensor_product(K: Zonotope, L: Zonotope) -> Zonotope:
 
     Generators are all pairwise outer products, flattened row-major.
     """
+    K, L = _one_field(K, L)
     if K.n_generators == 0 or L.n_generators == 0:
         return zonotope([], ambient_dim=K.ambient_dim * L.ambient_dim)
     gens = np.einsum("ia,jb->ijab", K.generators, L.generators).reshape(
@@ -93,12 +95,6 @@ def virtual_tensor(W1: VirtualZonotope, W2: VirtualZonotope) -> VirtualZonotope:
     return VirtualZonotope(plus, minus)
 
 
-def _complex_rows(K: Zonotope) -> np.ndarray:
-    """The complex rows whose realifications are K's generators."""
-    G = K.generators.astype(np.float64)
-    return G[:, 0::2] + 1j * G[:, 1::2]
-
-
 def _wedge_raw(K: Zonotope, L: Zonotope) -> Zonotope:
     """Wedge of graded zonotopes before canonicalization: one generator
     per pair, K's generators in the outer order.  Complex-graded bodies
@@ -109,7 +105,10 @@ def _wedge_raw(K: Zonotope, L: Zonotope) -> Zonotope:
         raise ValueError("base dimension mismatch in wedge product")
     if is_complex != l_complex:
         raise ValueError("cannot wedge a real-graded with a complex-graded zonotope")
-    a, b = (_complex_rows(K), _complex_rows(L)) if is_complex else (K.generators, L.generators)
+    K, L = _one_field(K, L)
+    a, b = K.generators, L.generators
+    if is_complex:
+        a, b = unrealify_rows(a), unrealify_rows(b)
     gens = exterior.wedge_rows(np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1)), m, k, l)
     if is_complex:
         return Zonotope(2 * exterior_dim(m, k + l), realify_rows(gens), cgrading=(m, k + l))
@@ -265,7 +264,7 @@ def projection_body(K: Zonotope) -> Zonotope:
     if m < 2:
         raise ValueError("projection body needs ambient dimension >= 2")
     starred = hodge_star_zonoid(wedge_power(K, m - 1))
-    return scale(starred, 2.0 / math.factorial(m - 1))
+    return scale(starred, Fraction(2, math.factorial(m - 1)))
 
 
 def af_gap(K1: Zonotope, K2: Zonotope, companions=(), middle: Zonotope | None = None):

@@ -407,9 +407,9 @@ def _cmd_jvol(args):
         else:
             val, se = jvolume.j_volume_polytope_mc(P, args.samples, args.seed)
         return {"value": val, "stderr": se}
-    if not args.files:
+    if args.files is None:
         raise SchemaError("jvol needs a zonotope file or --faces")
-    K = _load_zonotope(args.files[0], args.exact_rational)
+    K = _load_zonotope(args.files, args.exact_rational)
     if args.make_faces:
         return jvolume.face_data_to_dict(jvolume.zonotope_face_data(K))
     return {"value": jvolume.j_volume_zonotope(K)}
@@ -420,9 +420,9 @@ def _cmd_kaza(args):
         P = jvolume.face_data_from_dict(_load_json(args.faces))
         val, se = jvolume.kazarnovskii_polytope_mc(P, args.samples, args.seed)
         return {"value": val, "stderr": se}
-    if not args.files:
+    if args.files is None:
         raise SchemaError("kaza needs a zonotope file or --faces")
-    K = _load_zonotope(args.files[0], args.exact_rational)
+    K = _load_zonotope(args.files, args.exact_rational)
     return {"value": jvolume.kazarnovskii_zonotope(K)}
 
 
@@ -552,41 +552,40 @@ def build_parser() -> _Parser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, nfiles, help_, extra=None):
+    def add(name, handler, nargs, help_, extra=None):
         sp = sub.add_parser(name, parents=[common], help=help_,
                             epilog=SCHEMA_HELP,
                             formatter_class=argparse.RawDescriptionHelpFormatter)
-        nargs = {"*": "*", "+": "+"}.get(nfiles, nfiles)
         sp.add_argument("files", nargs=nargs, help="input JSON file(s)")
         if extra:
             extra(sp)
         sp.set_defaults(handler=handler)
         return sp
 
-    add("support", _cmd_support, "+", "support function h_K(u)",
+    add("support", _cmd_support, 1, "support function h_K(u)",
         lambda sp: sp.add_argument("--dir", action="append", required=True,
                                    help="direction, comma-separated or JSON"))
     add("sum", _cmd_sum, "+", "Minkowski sum (one file: canonical form)")
-    add("scale", _cmd_scale, "+", "scale by a factor or apply a matrix",
+    add("scale", _cmd_scale, 1, "scale by a factor or apply a matrix",
         lambda sp: (sp.add_argument("--factor", type=float),
                     sp.add_argument("--matrix", help="rows ';'-separated")))
-    add("length", _cmd_length, "+", "length (first intrinsic volume)")
-    add("radius", _cmd_radius, "+", "radius: exact or certified bounds",
+    add("length", _cmd_length, 1, "length (first intrinsic volume)")
+    add("radius", _cmd_radius, 1, "radius: exact or certified bounds",
         lambda sp: sp.add_argument("--mode", choices=["exact", "bounds"],
                                    default="exact"))
-    add("hausdorff", _cmd_hausdorff, "+", "Hausdorff distance interval")
-    add("tensor", _cmd_tensor, "+", "tensor product of two zonotopes")
-    add("wedge", _cmd_wedge, "+", "wedge product of graded zonotopes")
-    add("power", _cmd_power, "+", "d-fold wedge power",
+    add("hausdorff", _cmd_hausdorff, 2, "Hausdorff distance interval")
+    add("tensor", _cmd_tensor, 2, "tensor product of two zonotopes")
+    add("wedge", _cmd_wedge, 2, "wedge product of graded zonotopes")
+    add("power", _cmd_power, 1, "d-fold wedge power",
         lambda sp: sp.add_argument("--degree", type=int, required=True))
-    add("hodge", _cmd_hodge, "+", "Hodge star, generator-wise")
-    add("projbody", _cmd_projbody, "+", "projection body")
+    add("hodge", _cmd_hodge, 1, "Hodge star, generator-wise")
+    add("projbody", _cmd_projbody, 1, "projection body")
     add("mv", _cmd_mv, "+", "mixed volume; AF inequality probes",
         lambda sp: (sp.add_argument("--af-gap", action="store_true"),
                     sp.add_argument("--reverse-af", action="store_true"),
                     sp.add_argument("--degrees", help="comma-separated d_i")))
-    add("vol", _cmd_vol, "+", "volume")
-    add("intrinsic", _cmd_intrinsic, "+", "intrinsic volume V_d",
+    add("vol", _cmd_vol, 1, "volume")
+    add("intrinsic", _cmd_intrinsic, 1, "intrinsic volume V_d",
         lambda sp: sp.add_argument("--degree", type=int, required=True))
     add("mvj", _cmd_mvj, "+", "mixed J-volume of complex zonoids",
         lambda sp: (sp.add_argument("--discs", action="store_true",
@@ -595,16 +594,16 @@ def build_parser() -> _Parser:
                     sp.add_argument("--q", type=int, default=64),
                     sp.add_argument("--wedge", action="store_true",
                                     help="emit the complex wedge zonotope")))
-    add("jvol", _cmd_jvol, "*", "J-volume: exact zonotope path or face MC",
+    add("jvol", _cmd_jvol, "?", "J-volume: exact zonotope path or face MC",
         lambda sp: (sp.add_argument("--faces", help="face-data JSON file"),
                     sp.add_argument("--theta", type=int,
                                     help="normal angle of one face index"),
                     sp.add_argument("--make-faces", action="store_true",
                                     help="emit face data for a zonotope")))
-    add("kaza", _cmd_kaza, "*", "Kazarnovskii pseudovolume",
+    add("kaza", _cmd_kaza, "?", "Kazarnovskii pseudovolume",
         lambda sp: sp.add_argument("--faces", help="face-data JSON file"))
-    add("sigma-j", _cmd_sigma_j, "+", "sigma^J of a subspace")
-    add("edet", _cmd_edet, "+", "expected |det| of a block model",
+    add("sigma-j", _cmd_sigma_j, 1, "sigma^J of a subspace")
+    add("edet", _cmd_edet, 1, "expected |det| of a block model",
         lambda sp: (sp.add_argument("--mode", choices=["exact", "mc"],
                                     default="exact"),
                     sp.add_argument("--vitale", action="store_true",
@@ -612,18 +611,18 @@ def build_parser() -> _Parser:
                     sp.add_argument("--empirical", action="store_true",
                                     help="file is a sampler; emit the "
                                          "empirical zonoid of --samples draws")))
-    add("edet-complex", _cmd_edet_complex, "+", "complex expected |det|",
+    add("edet-complex", _cmd_edet_complex, 1, "complex expected |det|",
         lambda sp: sp.add_argument("--mode", choices=["exact", "mc"],
                                    default="exact"))
-    add("edet-sq-complex", _cmd_edet_sq_complex, "+",
+    add("edet-sq-complex", _cmd_edet_sq_complex, 1,
         "exact E|det|^2 for complex columns")
-    add("bm-probe", _cmd_bm_probe, "+", "concavity probe of t -> E^(1/d)",
+    add("bm-probe", _cmd_bm_probe, 2, "concavity probe of t -> E^(1/d)",
         lambda sp: (sp.add_argument("--d", type=int, required=True),
                     sp.add_argument("--companions", help="fixed-columns JSON"),
                     sp.add_argument("--t-grid", help="comma-separated t values"),
                     sp.add_argument("--mc", action="store_true",
                                     help="Monte Carlo instead of exact")))
-    add("measure", _cmd_measure, "+", "zonotope <-> even measure dictionary",
+    add("measure", _cmd_measure, 1, "zonotope <-> even measure dictionary",
         lambda sp: (sp.add_argument("--to", action="store_true",
                                     help="zonotope file -> measure"),
                     sp.add_argument("--eval-dir",

@@ -1,19 +1,24 @@
 """Multilinear algebra in real and complex exterior powers.
 
-An element of the k-th exterior power of R^m is stored densely as a
-vector of C(m, k) coefficients, indexed by the k-element subsets of
-{0, ..., m-1} in lexicographic order.  Coefficients are float64 by
-default; arrays of Fraction (numpy object dtype) are accepted
-everywhere for exact arithmetic on rational inputs.
+An element of the k-th exterior power of R^m or C^m is stored densely
+as a vector of C(m, k) coefficients, indexed by the k-element subsets
+of {0, ..., m-1} in lexicographic order.  One ``Multivector`` type
+holds float64, complex128 or Fraction (numpy object dtype)
+coefficients; the coefficients carry the field, so the complex
+operations are the real ones applied to complex coefficients.
+``ComplexMultivector``, ``complex_wedge`` and
+``complex_blade_from_vectors`` are aliases of ``Multivector``, ``wedge``
+and ``blade_from_vectors``.
 
-The complex variant stores C(n, k) complex128 coefficients for the
-k-th complex exterior power of C^n.  ``realify`` maps it isometrically
-onto R^{2 C(n,k)} by interleaving (real, imaginary) parts.
+``realify_rows`` maps complex rows isometrically onto real rows of
+twice the length by interleaving (real, imaginary) parts, and
+``unrealify_rows`` inverts it; every other module reads and writes that
+layout through these two functions.
 
 Every product runs through one row-batched kernel, ``wedge_rows``,
 acting on (N, C(m, k)) arrays of any of these dtypes; ``blade_rows``
 folds it over the vectors of a batch of matrices, and the single-element
-functions (``wedge``, ``complex_wedge``, the blades) are one-row calls.
+functions (``wedge`` and the blades) are one-row calls.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
     "realify",
     "realify_rows",
     "unrealify",
+    "unrealify_rows",
     "exterior_dim",
     "basis_subsets",
 ]
@@ -108,22 +114,19 @@ def _hodge_table(m: int, k: int):
     return np.asarray(src, dtype=np.intp), np.asarray(sign, dtype=np.intp)
 
 
-def _coerce_coeffs(coeffs, n: int, complex_ok: bool = False) -> np.ndarray:
+def _coerce_coeffs(coeffs, n: int) -> np.ndarray:
     c = np.asarray(coeffs)
     if c.shape != (n,):
         raise ValueError(f"expected {n} coefficients, got shape {c.shape}")
     if c.dtype == object:
         return c
-    if complex_ok:
-        return c.astype(np.complex128)
-    if np.iscomplexobj(c):
-        raise ValueError("complex coefficients in a real multivector")
-    return c.astype(np.float64)
+    return c.astype(np.complex128 if np.iscomplexobj(c) else np.float64)
 
 
 @dataclass(frozen=True, eq=False)
 class Multivector:
-    """Dense element of the k-th exterior power of R^m."""
+    """Dense element of the k-th exterior power of R^m (float or Fraction
+    coefficients) or of C^m (complex coefficients)."""
 
     ambient_dim: int
     degree: int
@@ -171,45 +174,6 @@ class Multivector:
         return f"Multivector(m={self.ambient_dim}, k={self.degree}, {self.coeffs!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexMultivector:
-    """Dense element of the k-th complex exterior power of C^n."""
-
-    ambient_complex_dim: int
-    degree: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        n = exterior_dim(self.ambient_complex_dim, self.degree)
-        c = _coerce_coeffs(self.coeffs, n, complex_ok=True)
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def zero(cls, n: int, k: int) -> "ComplexMultivector":
-        return cls(n, k, np.zeros(exterior_dim(n, k), dtype=np.complex128))
-
-    @classmethod
-    def from_vector(cls, z) -> "ComplexMultivector":
-        z = np.asarray(z, dtype=np.complex128)
-        return cls(len(z), 1, z)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def __mul__(self, scalar) -> "ComplexMultivector":
-        return ComplexMultivector(self.ambient_complex_dim, self.degree, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "ComplexMultivector") -> "ComplexMultivector":
-        if (self.ambient_complex_dim, self.degree) != (other.ambient_complex_dim, other.degree):
-            raise ValueError("shape mismatch in multivector addition")
-        return ComplexMultivector(self.ambient_complex_dim, self.degree, self.coeffs + other.coeffs)
-
-    def __repr__(self):
-        return f"ComplexMultivector(n={self.ambient_complex_dim}, k={self.degree}, {self.coeffs!r})"
-
-
 def wedge_rows(a, b, m: int, k: int, l: int) -> np.ndarray:
     """Row-wise exterior products a[r] ^ b[r] in the exterior powers of R^m.
 
@@ -255,26 +219,18 @@ def hodge_rows(a, m: int, k: int) -> np.ndarray:
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
-    """Exterior product of two real multivectors."""
+    """Exterior product; complex if either factor is complex."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch in wedge")
     m, k, l = a.ambient_dim, a.degree, b.degree
     return Multivector(m, k + l, wedge_rows(a.coeffs[None], b.coeffs[None], m, k, l)[0])
 
 
-def complex_wedge(a: ComplexMultivector, b: ComplexMultivector) -> ComplexMultivector:
-    """Complex-bilinear exterior product."""
-    if a.ambient_complex_dim != b.ambient_complex_dim:
-        raise ValueError("complex ambient dimension mismatch in wedge")
-    n, k, l = a.ambient_complex_dim, a.degree, b.degree
-    return ComplexMultivector(n, k + l, wedge_rows(a.coeffs[None], b.coeffs[None], n, k, l)[0])
-
-
-def _vector_batch(vectors, dtype=None) -> np.ndarray:
+def _vector_batch(vectors) -> np.ndarray:
     """Stack k vectors of one dimension as a batch of shape (1, k, m)."""
     if not vectors:
         raise ValueError("need at least one vector")
-    vs = [np.asarray(v, dtype=dtype) for v in vectors]
+    vs = [np.asarray(v) for v in vectors]
     if any(len(v) != len(vs[0]) for v in vs):
         raise ValueError("vectors must share a dimension")
     return np.stack(vs)[None]
@@ -284,12 +240,6 @@ def blade_from_vectors(*vectors) -> Multivector:
     """Simple blade v1 ^ ... ^ vk; coefficients are the k x k minors."""
     V = _vector_batch(vectors)
     return Multivector(V.shape[2], V.shape[1], blade_rows(V)[0])
-
-
-def complex_blade_from_vectors(*vectors) -> ComplexMultivector:
-    """Complex simple blade z1 ^ ... ^ zk."""
-    V = _vector_batch(vectors, np.complex128)
-    return ComplexMultivector(V.shape[2], V.shape[1], blade_rows(V)[0])
 
 
 def hodge_star(a: Multivector) -> Multivector:
@@ -309,9 +259,11 @@ def norm(a) -> float:
 
 
 def inner(a: Multivector, b: Multivector):
-    """Euclidean scalar product of same-degree multivectors."""
+    """Euclidean scalar product of same-degree real multivectors."""
     if (a.ambient_dim, a.degree) != (b.ambient_dim, b.degree):
         raise ValueError("shape mismatch in inner product")
+    if np.iscomplexobj(a.coeffs) or np.iscomplexobj(b.coeffs):
+        raise ValueError("inner product needs real coefficients; realify complex ones")
     if a.coeffs.dtype == object or b.coeffs.dtype == object:
         return sum(x * y for x, y in zip(a.coeffs, b.coeffs))
     return float(np.dot(a.coeffs, b.coeffs))
@@ -327,14 +279,27 @@ def realify_rows(z) -> np.ndarray:
     return out
 
 
-def realify(a: ComplexMultivector) -> np.ndarray:
+def unrealify_rows(v) -> np.ndarray:
+    """Inverse of :func:`realify_rows`: complex rows from (re, im)
+    interleaved real coordinates along the last axis."""
+    v = np.asarray(v, dtype=np.float64)
+    return v[..., 0::2] + 1j * v[..., 1::2]
+
+
+def realify(a: Multivector) -> np.ndarray:
     """Norm-preserving real coordinates: (re, im) interleaved per slot."""
     return realify_rows(a.coeffs)
 
 
-def unrealify(v, n: int, k: int) -> ComplexMultivector:
+def unrealify(v, n: int, k: int) -> Multivector:
     """Inverse of :func:`realify` for given complex shape (n, k)."""
     v = np.asarray(v, dtype=np.float64)
     if len(v) != 2 * exterior_dim(n, k):
         raise ValueError("realified length does not match (n, k)")
-    return ComplexMultivector(n, k, v[0::2] + 1j * v[1::2])
+    return Multivector(n, k, unrealify_rows(v))
+
+
+# The complex names: the coefficients carry the field.
+ComplexMultivector = Multivector
+complex_wedge = wedge
+complex_blade_from_vectors = blade_from_vectors

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import exterior
 from .algebra import _chain, _require_grading
-from .exterior import realify_rows
+from .exterior import realify_rows, unrealify_rows
 from .sampling import SeedStream, chunk_sizes, derive_seed
 from .zonotope import Zonotope, _lex_order, canonicalize, length, zonotope
 
@@ -80,12 +80,8 @@ class ComplexStructure:
 
 
 def standard_structure(n: int) -> ComplexStructure:
-    """Multiplication by i in interleaved coordinates: (x, y) -> (-y, x)."""
-    J = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        J[2 * j, 2 * j + 1] = -1.0
-        J[2 * j + 1, 2 * j] = 1.0
-    return ComplexStructure(n, J)
+    """Multiplication by i in realified coordinates: (x, y) -> (-y, x)."""
+    return ComplexStructure(n, realify_rows(1j * unrealify_rows(np.eye(2 * n))).T)
 
 
 def _structure(ambient_dim: int, J) -> ComplexStructure:
@@ -200,8 +196,7 @@ def embed_real_zonotope(K: Zonotope) -> Zonotope:
     """Embed a real zonotope in R^n into C^n (zero imaginary parts)."""
     if K.exact:
         K = canonicalize(K)
-    out = np.zeros((K.n_generators, 2 * K.ambient_dim))
-    out[:, 0::2] = K.generators.astype(np.float64)
+    out = realify_rows(K.generators.astype(np.float64))
     return canonicalize(zonotope(out, ambient_dim=2 * K.ambient_dim,
                                  cgrading=(K.ambient_dim, 1)))
 

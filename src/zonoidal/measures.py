@@ -193,6 +193,9 @@ def measure_to_dict(mu: DiscreteEvenMeasure) -> dict:
 def measure_from_dict(d: dict, exact: bool = False) -> DiscreteEvenMeasure:
     atoms_raw = d["atoms"]
     weights_raw = d["weights"]
+    # String entries mean exact rationals regardless of the flag.
+    if not exact:
+        exact = any(isinstance(x, str) for row in [weights_raw, *atoms_raw] for x in row)
     if exact:
         n = len(atoms_raw)
         m = len(atoms_raw[0]) if n else int(d.get("ambient_dim", 0))

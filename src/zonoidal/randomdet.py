@@ -21,7 +21,7 @@ import numpy as np
 
 from . import exterior
 from .algebra import _chain
-from .exterior import realify_rows
+from .exterior import realify_rows, unrealify_rows
 from .sampling import SeedStream, chunk_sizes
 from .zonotope import Zonotope, canonicalize, length, zonotope
 
@@ -131,9 +131,7 @@ class SeededSampler:
             return stream.sphere(n, self.dimension)
         if self.kind == "complex_gaussian":
             g = stream.gaussians(2 * n * self.dimension)
-            re = g[0::2].reshape(n, self.dimension)
-            im = g[1::2].reshape(n, self.dimension)
-            return (re + 1j * im) / math.sqrt(2.0)
+            return unrealify_rows(g.reshape(n, 2 * self.dimension)) / math.sqrt(2.0)
         if self.kind == "discrete":
             if self.dist is None:
                 raise ValueError("discrete sampler needs a distribution")

@@ -166,25 +166,34 @@ def length(K: Zonotope):
     return float(np.sum(_row_norms(K.generators)))
 
 
+def _one_field(K: Zonotope, L: Zonotope) -> tuple[Zonotope, Zonotope]:
+    """K and L with generators in one field: an empty body takes the
+    other's dtype; a Fraction and a float body with generators are an error."""
+    if K.exact != L.exact:
+        if K.n_generators == 0:
+            K = replace(K, generators=K.generators.astype(L.generators.dtype))
+        elif L.n_generators == 0:
+            L = replace(L, generators=L.generators.astype(K.generators.dtype))
+        else:
+            raise ValueError("cannot mix exact and float zonotopes")
+    return K, L
+
+
 def minkowski_sum(K: Zonotope, L: Zonotope) -> Zonotope:
     """Minkowski sum; h_{K+L} = h_K + h_L."""
     if K.ambient_dim != L.ambient_dim:
         raise ValueError("ambient dimension mismatch in Minkowski sum")
     grading = K.grading if K.grading == L.grading else None
     cgrading = K.cgrading if K.cgrading == L.cgrading else None
-    if K.exact != L.exact:
-        if K.n_generators == 0:
-            K = replace(K, generators=L.generators[:0])
-        elif L.n_generators == 0:
-            L = replace(L, generators=K.generators[:0])
-        else:
-            raise ValueError("cannot mix exact and float zonotopes")
+    K, L = _one_field(K, L)
     gens = np.concatenate([K.generators, L.generators], axis=0)
     return canonicalize(Zonotope(K.ambient_dim, gens, grading, cgrading))
 
 
 def scale(K: Zonotope, lam) -> Zonotope:
-    """Dilation by lam >= 0 (negation of a centered zonotope is itself)."""
+    """Dilation by lam >= 0 (negation of a centered zonotope is itself).
+    lam is taken in K's field: a Fraction for an exact body, else a float."""
+    lam = Fraction(lam) if K.exact else float(lam)
     if lam < 0:
         raise ValueError("scale factor must be nonnegative")
     if lam == 0:

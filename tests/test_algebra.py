@@ -301,6 +301,31 @@ def test_projection_body_cube():
     assert canonical_eq(st, scale(P, math.factorial(2) / 2.0))
 
 
+def test_projection_body_of_an_exact_body_is_exact():
+    K = zonotope(np.array([[Fraction(3, 5), Fraction(4, 5)], [Fraction(1), Fraction(0)]],
+                          dtype=object))
+    P = projection_body(K)
+    want = canonicalize(zonotope(np.array([[Fraction(0), Fraction(2)],
+                                           [Fraction(8, 5), Fraction(-6, 5)]], dtype=object)))
+    assert P.exact
+    assert P.generators.tolist() == want.generators.tolist()
+
+
+def test_products_refuse_to_mix_exact_and_float_bodies():
+    E = zonotope(np.array([[Fraction(3, 5), Fraction(4, 5)], [Fraction(1), Fraction(0)]],
+                          dtype=object), grading=(2, 1))
+    F = zonotope([[1.0, 0.0]], grading=(2, 1))
+    for op in (tensor_product, wedge_product, minkowski_sum):
+        with pytest.raises(ValueError):
+            op(E, F)
+        with pytest.raises(ValueError):
+            op(F, E)
+    # an empty body takes the other body's field
+    O = zonotope([], ambient_dim=2, grading=(2, 1))
+    assert wedge_product(O, E).n_generators == 0
+    assert tensor_product(E, O).n_generators == 0
+
+
 def test_projection_body_support_is_shadow_area():
     g = rng(18)
     K = graded(g, 3, max_gens=5)

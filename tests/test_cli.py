@@ -138,6 +138,25 @@ def test_exit_code_2_on_schema_problems(tmp_path):
     assert code == 2
     code, _, err = run(["vol"])
     assert code == 2
+    # each command takes its own number of files
+    f = cube_file(tmp_path)
+    for argv in (["wedge", f], ["tensor", f], ["hausdorff", f], ["bm-probe", f, "--d", "1"],
+                 ["wedge", f, f, f], ["vol", f, f], ["measure", f, f], ["jvol", f, f],
+                 ["kaza", f, f], ["sum"], ["mv"]):
+        code, _, err = run(argv)
+        assert code == 2, argv
+        assert json.loads(err)["error"]["code"] == 2
+
+
+def test_exact_measure_round_trips_without_the_flag(tmp_path):
+    f = write(tmp_path, "k.json", {"ambient_dim": 2, "generators": [["3/5", "4/5"], ["1", "0"]]})
+    code, out, _ = run(["measure", f, "--to"])
+    assert code == 0
+    assert json.loads(out)["weights"] == ["1/2", "1/2"]
+    mu = write(tmp_path, "mu.json", json.loads(out))
+    code, back, err = run(["measure", mu])
+    assert code == 0, err
+    assert back == run(["sum", f])[1]
 
 
 def test_exit_code_3_on_domain_errors(tmp_path):

@@ -18,7 +18,9 @@ from zonoidal import (
     hodge_star,
     inner,
     realify,
+    realify_rows,
     unrealify,
+    unrealify_rows,
     wedge,
     wedge_rows,
 )
@@ -202,6 +204,34 @@ def test_realify_interleaves_coordinates():
     a = ComplexMultivector.from_vector(np.array([1.0 + 2.0j, 3.0 - 4.0j]))
     # slots: (re z1, im z1, re z2, im z2)
     assert np.allclose(realify(a), [1.0, 2.0, 3.0, -4.0])
+
+
+def test_wedge_of_real_and_complex_is_the_complex_wedge():
+    g = rng(13)
+    u = g.standard_normal(4)
+    v = g.standard_normal(4) + 1j * g.standard_normal(4)
+    a, b = Multivector.from_vector(u), Multivector.from_vector(v)
+    want = wedge(Multivector.from_vector(u.astype(np.complex128)), b)
+    for got in (wedge(a, b), complex_wedge(a, b)):
+        assert got.coeffs.dtype == np.complex128
+        assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def test_unrealify_rows_inverts_realify_rows():
+    g = rng(14)
+    Z = g.standard_normal((7, 3)) + 1j * g.standard_normal((7, 3))
+    R = realify_rows(Z)
+    assert R.shape == (7, 6)
+    assert np.array_equal(unrealify_rows(R), Z)
+
+
+def test_inner_rejects_complex_coefficients():
+    a = Multivector.from_vector(np.array([1.0 + 1.0j, 2.0]))
+    b = Multivector.from_vector(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        inner(a, b)
+    with pytest.raises(ValueError):
+        inner(b, a)
 
 
 def test_basis_blade_subsets_are_lex_sorted():

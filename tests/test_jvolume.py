@@ -67,6 +67,19 @@ def realified_unitary(U):
     return R
 
 
+def test_standard_structure_is_multiplication_by_i():
+    g = rng(40)
+    for n in (1, 2, 3):
+        J = standard_structure(n).J
+        ref = np.zeros((2 * n, 2 * n))  # the blockwise (x, y) -> (-y, x)
+        for j in range(n):
+            ref[2 * j, 2 * j + 1], ref[2 * j + 1, 2 * j] = -1.0, 1.0
+        assert np.array_equal(J, ref)
+        for _ in range(3):
+            z = g.standard_normal(n) + 1j * g.standard_normal(n)
+            assert np.array_equal(J @ realify_rows(z), realify_rows(1j * z))
+
+
 def test_complex_structure_validation():
     standard_structure(2)
     with pytest.raises(ValueError):

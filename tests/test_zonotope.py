@@ -146,6 +146,20 @@ def test_scale():
         scale(K, -1.0)
 
 
+def test_scale_takes_the_factor_in_the_body_field():
+    rows = [[Fraction(3, 5), Fraction(4, 5)], [Fraction(1), Fraction(0)]]
+    K = zonotope(np.array(rows, dtype=object))
+    half = scale(K, 0.5)
+    want = canonicalize(zonotope(np.array([[Fraction(3, 10), Fraction(2, 5)],
+                                           [Fraction(1, 2), Fraction(0)]], dtype=object)))
+    assert half.exact
+    assert half.generators.tolist() == want.generators.tolist()
+    L = zonotope([[0.6, 0.8], [1.0, 0.0]])
+    by_fraction = scale(L, Fraction(1, 2))
+    assert by_fraction.generators.dtype == np.float64
+    assert np.array_equal(by_fraction.generators, scale(L, 0.5).generators)
+
+
 def test_linear_image():
     K = zonotope([[1.0, 0.0], [0.0, 1.0]])
     M = np.array([[1.0, 0.0]])
