@@ -109,7 +109,7 @@ def _wedge_raw(K: Zonotope, L: Zonotope) -> Zonotope:
     a, b = K.generators, L.generators
     if is_complex:
         a, b = unrealify_rows(a), unrealify_rows(b)
-    gens = exterior.wedge_rows(np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1)), m, k, l)
+    gens = exterior.wedge_pairs(a, b, m, k, l)
     if is_complex:
         return Zonotope(2 * exterior_dim(m, k + l), realify_rows(gens), cgrading=(m, k + l))
     return Zonotope(exterior_dim(m, k + l), gens, grading=(m, k + l))
@@ -130,8 +130,7 @@ def _wedge_power_raw(K: Zonotope, d: int) -> Zonotope:
     if d == 0:
         return zonotope([[1.0]], ambient_dim=1, grading=(m, 0))
     G = canonicalize(K).generators
-    gens = np.concatenate([exterior.blade_rows(G[idx])
-                           for idx in exterior._subset_blocks(len(G), d)]) * math.factorial(d)
+    gens = exterior.subset_blades(G, d, math.factorial(d))
     return Zonotope(exterior_dim(m, d), gens, grading=(m, d))
 
 

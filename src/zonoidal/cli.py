@@ -407,9 +407,9 @@ def _cmd_jvol(args):
         else:
             val, se = jvolume.j_volume_polytope_mc(P, args.samples, args.seed)
         return {"value": val, "stderr": se}
-    if args.files is None:
+    if not args.files:
         raise SchemaError("jvol needs a zonotope file or --faces")
-    K = _load_zonotope(args.files, args.exact_rational)
+    K = _load_zonotope(args.files[0], args.exact_rational)
     if args.make_faces:
         return jvolume.face_data_to_dict(jvolume.zonotope_face_data(K))
     return {"value": jvolume.j_volume_zonotope(K)}
@@ -420,9 +420,9 @@ def _cmd_kaza(args):
         P = jvolume.face_data_from_dict(_load_json(args.faces))
         val, se = jvolume.kazarnovskii_polytope_mc(P, args.samples, args.seed)
         return {"value": val, "stderr": se}
-    if args.files is None:
+    if not args.files:
         raise SchemaError("kaza needs a zonotope file or --faces")
-    K = _load_zonotope(args.files, args.exact_rational)
+    K = _load_zonotope(args.files[0], args.exact_rational)
     return {"value": jvolume.kazarnovskii_zonotope(K)}
 
 
@@ -556,10 +556,11 @@ def build_parser() -> _Parser:
         sp = sub.add_parser(name, parents=[common], help=help_,
                             epilog=SCHEMA_HELP,
                             formatter_class=argparse.RawDescriptionHelpFormatter)
-        sp.add_argument("files", nargs=nargs, help="input JSON file(s)")
+        # any count parses; main checks it against nargs and names both
+        sp.add_argument("files", nargs="*", help="input JSON file(s)")
         if extra:
             extra(sp)
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(handler=handler, file_count=nargs)
         return sp
 
     add("support", _cmd_support, 1, "support function h_K(u)",
@@ -567,7 +568,7 @@ def build_parser() -> _Parser:
                                    help="direction, comma-separated or JSON"))
     add("sum", _cmd_sum, "+", "Minkowski sum (one file: canonical form)")
     add("scale", _cmd_scale, 1, "scale by a factor or apply a matrix",
-        lambda sp: (sp.add_argument("--factor", type=float),
+        lambda sp: (sp.add_argument("--factor", type=Fraction),
                     sp.add_argument("--matrix", help="rows ';'-separated")))
     add("length", _cmd_length, 1, "length (first intrinsic volume)")
     add("radius", _cmd_radius, 1, "radius: exact or certified bounds",
@@ -643,10 +644,20 @@ def build_parser() -> _Parser:
     return p
 
 
+def _check_file_count(args) -> None:
+    """Raise unless the command got as many files as its nargs allows."""
+    want, got = getattr(args, "file_count", None), len(getattr(args, "files", ()))
+    if want is not None and not {"?": got <= 1, "+": got >= 1}.get(want, got == want):
+        takes = {"?": "at most 1 file", "+": "1 or more files", 1: "exactly 1 file"}
+        raise SchemaError(f"{args.command} takes {takes.get(want, f'exactly {want} files')}, "
+                          f"got {got}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_file_count(args)
         payload = args.handler(args)
     except SchemaError as e:
         sys.stderr.write(dumps({"error": {"code": 2, "message": str(e)}}) + "\n")

@@ -18,13 +18,21 @@ layout through these two functions.
 Every product runs through one row-batched kernel, ``wedge_rows``,
 acting on (N, C(m, k)) arrays of any of these dtypes; ``blade_rows``
 folds it over the vectors of a batch of matrices, and the single-element
-functions (``wedge`` and the blades) are one-row calls.
+functions (``wedge`` and the blades) are one-row calls; ``wedge_pairs``
+and ``subset_blades`` take whole generator lists.
+
+Exact rows (int and Fraction entries) are split once into integer
+numerators over one denominator per row, the gather runs on the
+numerators (int64 while a bound on every partial sum stays below 2^62,
+Python ints beyond), and each output entry becomes one Fraction.
+``_split_exact`` and ``_join_exact`` alone read and write that layout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 
@@ -34,7 +42,9 @@ __all__ = [
     "Multivector",
     "ComplexMultivector",
     "wedge_rows",
+    "wedge_pairs",
     "blade_rows",
+    "subset_blades",
     "hodge_rows",
     "wedge",
     "blade_from_vectors",
@@ -52,9 +62,11 @@ __all__ = [
 ]
 
 
-# rows per gather in wedge_rows: bounds its (rows, C(m, k+l), C(k+l, k))
+# rows per wedge gather: bounds its (rows, C(m, k+l), C(k+l, k))
 # temporaries to a few megabytes however many rows a product has
 _ROW_BLOCK = 4096
+# exact products run in int64 while every partial sum is proven below this
+_INT64_BOUND = 2 ** 62
 
 
 def exterior_dim(m: int, k: int) -> int:
@@ -174,19 +186,87 @@ class Multivector:
         return f"Multivector(m={self.ambient_dim}, k={self.degree}, {self.coeffs!r})"
 
 
+def _split_exact(x):
+    """The integer layout of an exact array: (num, den, top) with
+    x == num / den[..., None], den holding one positive denominator per
+    row along the last axis (the lcm of the row's denominators) and top
+    the largest |num|.  num is int64 when top < 2^62, else an object
+    array of Python ints; den is an object array of Python ints.  None
+    unless x is an object array whose entries are all int or Fraction.
+    """
+    if x.dtype != object:
+        return None
+    rows = x.reshape(math.prod(x.shape[:-1]), x.shape[-1]).tolist()
+    if not all(type(v) is Fraction or type(v) is int for row in rows for v in row):
+        return None
+    den = [math.lcm(*[v.denominator for v in row]) for row in rows]
+    num = [v.numerator * (d // v.denominator) for row, d in zip(rows, den) for v in row]
+    top = max(map(abs, num), default=0)
+    num = np.array(num, dtype=np.int64 if top < _INT64_BOUND else object)
+    return num.reshape(x.shape), np.array(den, dtype=object).reshape(x.shape[:-1]), top
+
+
+def _join_exact(num, den) -> np.ndarray:
+    """Fraction(num[r, j], den[r]) for (N, C) integers num and N
+    denominators den: the inverse of ``_split_exact``."""
+    return np.fromiter(
+        (Fraction(n, d) for row, d in zip(num.tolist(), den.tolist()) for n in row),
+        dtype=object, count=num.size).reshape(num.shape)
+
+
+def _int_arrays(bound: int, *nums):
+    """The numerator arrays in int64 when ``bound`` caps every entry,
+    product and partial sum of the computation below 2^62, else as
+    object arrays of Python ints."""
+    dtype = np.int64 if bound < _INT64_BOUND else object
+    return [n.astype(dtype, copy=False) for n in nums]
+
+
+def _gather(a, b, m: int, k: int, l: int) -> np.ndarray:
+    ii, jj, ss = _wedge_table(m, k, l)
+    return np.concatenate([
+        (a[r:r + _ROW_BLOCK, ii] * b[r:r + _ROW_BLOCK, jj] * ss).sum(axis=2)
+        for r in range(0, max(len(a), 1), _ROW_BLOCK)
+    ])
+
+
+def _wedge(a, b, m: int, k: int, l: int, ia, ib) -> np.ndarray:
+    """Rows a[ia] ^ b[ib]; exact lists are split before the rows are
+    picked, so each generator is split once."""
+    sa, sb = _split_exact(a), _split_exact(b)
+    if sa is None or sb is None:
+        return _gather(a[ia], b[ib], m, k, l)
+    (na, da, top_a), (nb, db, top_b) = sa, sb
+    na, nb = _int_arrays(math.comb(k + l, k) * max(top_a, 1) * max(top_b, 1), na, nb)
+    return _join_exact(_gather(na[ia], nb[ib], m, k, l), da[ia] * db[ib])
+
+
 def wedge_rows(a, b, m: int, k: int, l: int) -> np.ndarray:
     """Row-wise exterior products a[r] ^ b[r] in the exterior powers of R^m.
 
     a has shape (N, C(m, k)) and b shape (N, C(m, l)); the result has
     shape (N, C(m, k+l)), which is (N, 0) when k + l > m.  Float, complex
-    and object (Fraction) rows all run through the same gather.
+    and object (Fraction) rows all run through the same gather, exact
+    rows on their integer numerators.
     """
-    ii, jj, ss = _wedge_table(m, k, l)
+    every = slice(None)
+    return _wedge(np.asarray(a), np.asarray(b), m, k, l, every, every)
+
+
+def wedge_pairs(a, b, m: int, k: int, l: int) -> np.ndarray:
+    """Exterior products a[i] ^ b[j] of every row of a with every row of
+    b, i in the outer order: shape (len(a) * len(b), C(m, k+l))."""
     a, b = np.asarray(a), np.asarray(b)
-    return np.concatenate([
-        (a[r:r + _ROW_BLOCK, ii] * b[r:r + _ROW_BLOCK, jj] * ss).sum(axis=2)
-        for r in range(0, max(len(a), 1), _ROW_BLOCK)
-    ])
+    ia, ib = np.divmod(np.arange(len(a) * len(b)), max(len(b), 1))
+    return _wedge(a, b, m, k, l, ia, ib)
+
+
+def _fold(V) -> np.ndarray:
+    m = V.shape[2]
+    out = V[:, 0, :]
+    for t in range(1, V.shape[1]):
+        out = _gather(out, V[:, t, :], m, t, 1)
+    return out
 
 
 def blade_rows(V) -> np.ndarray:
@@ -195,11 +275,27 @@ def blade_rows(V) -> np.ndarray:
     Row r of the result holds the k x k minors of V[r], shape (N, C(m, k)).
     """
     V = np.asarray(V)
-    m = V.shape[2]
-    out = V[:, 0, :]
-    for t in range(1, V.shape[1]):
-        out = wedge_rows(out, V[:, t, :], m, t, 1)
-    return out
+    split = _split_exact(V)
+    if split is None:
+        return _fold(V)
+    num, den, top = split  # k! M^k bounds every minor the fold forms
+    (num,) = _int_arrays(math.factorial(V.shape[1]) * max(top, 1) ** V.shape[1], num)
+    return _join_exact(_fold(num), np.prod(den, axis=1))
+
+
+def subset_blades(G, d: int, factor: int = 1) -> np.ndarray:
+    """factor * G[s_1] ^ ... ^ G[s_d] for the d-subsets s_1 < ... < s_d
+    of G's rows in lexicographic order: shape (C(N, d), C(m, d)).  Exact
+    rows are split once, before the subsets are gathered."""
+    G = np.asarray(G)
+    blocks = _subset_blocks(len(G), d)
+    split = _split_exact(G)
+    if split is None:
+        return np.concatenate([_fold(G[idx]) for idx in blocks]) * factor
+    num, den, top = split
+    (num,) = _int_arrays(factor * math.factorial(d) * max(top, 1) ** d, num)
+    return np.concatenate([_join_exact(_fold(num[idx]) * factor, np.prod(den[idx], axis=1))
+                           for idx in blocks])
 
 
 def _subset_blocks(count: int, d: int):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -79,9 +80,13 @@ class ComplexStructure:
         object.__setattr__(self, "J", J)
 
 
+@lru_cache(maxsize=None)
 def standard_structure(n: int) -> ComplexStructure:
-    """Multiplication by i in realified coordinates: (x, y) -> (-y, x)."""
-    return ComplexStructure(n, realify_rows(1j * unrealify_rows(np.eye(2 * n))).T)
+    """Multiplication by i in realified coordinates: (x, y) -> (-y, x).
+    One object per n, built and checked once; its J is read-only."""
+    struct = ComplexStructure(n, realify_rows(1j * unrealify_rows(np.eye(2 * n))).T)
+    struct.J.flags.writeable = False
+    return struct
 
 
 def _structure(ambient_dim: int, J) -> ComplexStructure:

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .exterior import _join_exact, _split_exact
 from .sampling import covering_net, direction_net
 
 __all__ = [
@@ -161,6 +162,11 @@ def length(K: Zonotope):
     """
     if K.n_generators == 0:
         return Fraction(0) if (K.exact and K.ambient_dim == 1) else 0.0
+    split = _split_exact(K.generators) if K.ambient_dim == 1 else None
+    if split is not None:  # sum_i |n_i| / d_i over the lcm of the d_i
+        num, den = split[0][:, 0].tolist(), split[1].tolist()
+        common = math.lcm(*den)
+        return Fraction(sum(abs(n) * (common // d) for n, d in zip(num, den)), common)
     if K.exact and K.ambient_dim == 1:
         return sum(abs(row[0]) for row in K.generators)
     return float(np.sum(_row_norms(K.generators)))
@@ -294,30 +300,29 @@ def _canonicalize_float(K: Zonotope) -> Zonotope:
 
 
 def _canonicalize_exact(K: Zonotope) -> Zonotope:
-    rows = []
-    for row in K.generators:
-        vec = [Fraction(x) for x in row]
-        pivot = next((i for i, x in enumerate(vec) if x != 0), None)
-        if pivot is None:
-            continue
-        if vec[pivot] < 0:
-            vec = [-x for x in vec]
-        rows.append((pivot, vec))
-    groups: dict[tuple, list[list[Fraction]]] = {}
-    for pivot, vec in rows:
-        key = (pivot, tuple(x / vec[pivot] for x in vec))
-        groups.setdefault(key, []).append(vec)
-    merged = []
-    for _, vecs in groups.items():
-        total = vecs[0]
-        for v in vecs[1:]:
-            total = [a + b for a, b in zip(total, v)]
-        merged.append(total)
-    merged.sort(key=tuple)
-    g = np.empty((len(merged), K.ambient_dim), dtype=object)
-    for i, vec in enumerate(merged):
-        g[i, :] = vec
-    return replace(K, generators=g)
+    """Rows keyed by their primitive integer direction (numerators over
+    their gcd, first nonzero entry positive); a group merges into its
+    direction times the sum w of the rows' positive multipliers.  Over
+    the lcm of the w's denominators the merged rows are integers, which
+    sort like the rows themselves."""
+    g = K.generators
+    split = _split_exact(g)
+    if split is None:  # entries other than int and Fraction
+        split = _split_exact(np.array([[Fraction(x) for x in row] for row in g],
+                                      dtype=object).reshape(g.shape))
+    num, den, _ = split
+    groups: dict[tuple, list[Fraction]] = {}
+    for row, d in zip(num.tolist(), den.tolist()):
+        gcd = math.gcd(*row)
+        if gcd:
+            lead = gcd if next(x for x in row if x) > 0 else -gcd
+            groups.setdefault(tuple(x // lead for x in row), []).append(Fraction(gcd, d))
+    weights = [sum(ws[1:], ws[0]) for ws in groups.values()]
+    common = math.lcm(*(w.denominator for w in weights))
+    rows = sorted([w.numerator * (common // w.denominator) * x for x in direction]
+                  for direction, w in zip(groups, weights))
+    rows = np.array(rows, dtype=object).reshape(len(rows), K.ambient_dim)
+    return replace(K, generators=_join_exact(rows, np.full(len(rows), common, dtype=object)))
 
 
 def canonicalize(K: Zonotope) -> Zonotope:

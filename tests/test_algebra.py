@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from zonoidal import (
 from zonoidal.exterior import _ROW_BLOCK
 from zonoidal.sampling import direction_net
 from zonoidal.testkit import (
+    _det_exact,
     intrinsic_brute,
     mixed_volume_brute,
     mixed_volume_brute_exact,
@@ -431,3 +433,67 @@ def test_mixed_volume_equals_length_of_canonical_wedge_chain(exact):
         assert isinstance(got, Fraction) and got == want
     else:
         assert math.isclose(got, want, rel_tol=1e-12)
+
+
+def rational_rows(g, n, m, num_hi=6, den_hi=5):
+    arr = np.empty((n, m), dtype=object)
+    for i in range(n):
+        arr[i, :] = [Fraction(int(g.integers(-num_hi, num_hi + 1)), int(g.integers(1, den_hi + 1)))
+                     for _ in range(m)]
+    return arr
+
+
+def exact_support(rows, u) -> Fraction:
+    return sum((abs(sum(x * y for x, y in zip(row, u))) for row in rows), Fraction(0)) / 2
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_exact_volumes_and_products_equal_brute_force(m):
+    g = rng(60 + m)
+    G = rational_rows(g, m + 2, m)
+    K = zonotope(G, grading=(m, 1))
+    got = volume(K)
+    assert type(got) is Fraction and got == mixed_volume_brute_exact([G] * m)
+    Gs = [rational_rows(g, 3, m) for _ in range(m)]
+    got = mixed_volume([zonotope(H, grading=(m, 1)) for H in Gs])
+    assert type(got) is Fraction and got == mixed_volume_brute_exact(Gs)
+    U = rational_rows(g, 4, math.comb(m, m // 2))
+    for d in range(1, m + 1):
+        # reference generators: d! times the d x d minors of each d-subset
+        rows = [[math.factorial(d) * _det_exact([[G[i][c] for c in cols] for i in S])
+                 for cols in combinations(range(m), d)]
+                for S in combinations(range(len(G)), d)]
+        P = wedge_power(K, d)
+        assert P.exact and all(type(x) is Fraction for x in P.generators.flat)
+        for u in U[:, :math.comb(m, d)]:
+            assert support(P, u) == exact_support(rows, u)
+    Pi = projection_body(K)
+    assert Pi.exact and all(type(x) is Fraction for x in Pi.generators.flat)
+    for u in U[:, :m]:
+        # h(u) = sum over (m-1)-subsets S of |det [u; G_S]|
+        want = sum(abs(_det_exact([list(u)] + [list(G[i]) for i in S]))
+                   for S in combinations(range(len(G)), m - 1))
+        assert support(Pi, u) == want
+
+
+def test_huge_rational_entries_stay_exact():
+    # numerators of about 10^12 over denominators of about 10^9: the
+    # products pass 2^62 and run on Python ints
+    g = rng(70)
+    G = np.empty((5, 3), dtype=object)
+    for i in range(5):
+        G[i, :] = [Fraction(int(g.integers(-10 ** 12, 10 ** 12)), int(g.integers(1, 10 ** 9)))
+                   for _ in range(3)]
+    K = zonotope(G, grading=(3, 1))
+    got = volume(K)
+    assert type(got) is Fraction and got == mixed_volume_brute_exact([G] * 3)
+    Gs = [G[:2], G[2:4], G[3:]]
+    got = mixed_volume([zonotope(H, grading=(3, 1)) for H in Gs])
+    assert type(got) is Fraction and got == mixed_volume_brute_exact(Gs)
+
+
+def test_mixed_volume_of_bodies_holding_plain_ints_is_exact():
+    A = zonotope(np.array([[1, 2], [0, 3]], dtype=object), grading=(2, 1))
+    B = zonotope(np.array([[2, 1]], dtype=object), grading=(2, 1))
+    got = mixed_volume([A, B])
+    assert type(got) is Fraction and got == Fraction(9, 2)

@@ -138,14 +138,52 @@ def test_exit_code_2_on_schema_problems(tmp_path):
     assert code == 2
     code, _, err = run(["vol"])
     assert code == 2
-    # each command takes its own number of files
+    # each command takes its own number of files, and the message says so
     f = cube_file(tmp_path)
-    for argv in (["wedge", f], ["tensor", f], ["hausdorff", f], ["bm-probe", f, "--d", "1"],
-                 ["wedge", f, f, f], ["vol", f, f], ["measure", f, f], ["jvol", f, f],
-                 ["kaza", f, f], ["sum"], ["mv"]):
+    for argv, takes in ((["wedge", f], "exactly 2 files, got 1"),
+                        (["tensor", f], "exactly 2 files, got 1"),
+                        (["hausdorff", f], "exactly 2 files, got 1"),
+                        (["bm-probe", f, "--d", "1"], "exactly 2 files, got 1"),
+                        (["wedge", f, f, f], "exactly 2 files, got 3"),
+                        (["vol", f, f], "exactly 1 file, got 2"),
+                        (["vol"], "exactly 1 file, got 0"),
+                        (["measure", f, f], "exactly 1 file, got 2"),
+                        (["jvol", f, f], "at most 1 file, got 2"),
+                        (["kaza", f, f], "at most 1 file, got 2"),
+                        (["sum"], "1 or more files, got 0"),
+                        (["mv"], "1 or more files, got 0")):
         code, _, err = run(argv)
         assert code == 2, argv
-        assert json.loads(err)["error"]["code"] == 2
+        error = json.loads(err)["error"]
+        assert error["code"] == 2
+        assert error["message"] == f"{argv[0]} takes {takes}"
+
+
+def test_scale_factor_is_exact_on_exact_bodies(tmp_path):
+    f = write(tmp_path, "e.json", {"ambient_dim": 2, "generators": [["3/5", "4/5"], ["1", "0"]]})
+    code, out, _ = run(["scale", f, "--factor", "0.1"])
+    assert code == 0
+    assert json.loads(out)["generators"] == [["3/50", "2/25"], ["1/10", "0"]]
+
+
+def test_scale_factor_on_float_bodies_is_the_float_factor(tmp_path):
+    gens = [[0.6, 0.8], [1.0, 0.3], [0.1, 1e-5]]
+    f = write(tmp_path, "k.json", {"ambient_dim": 2, "generators": gens})
+    for factor in ("0.1", "2.5", "1e-3"):
+        want = cli.dumps(zonoidal.zonotope_to_dict(
+            zonoidal.scale(zonoidal.zonotope(gens), float(factor)))) + "\n"
+        assert run(["scale", f, "--factor", factor]) == (0, want, "")
+
+
+def test_negative_factor_scales_a_virtual_body(tmp_path):
+    a = {"ambient_dim": 2, "generators": [[0.6, 0.8]]}
+    b = {"ambient_dim": 2, "generators": [[1.0, 0.0]]}
+    v = write(tmp_path, "v.json", {"plus": a, "minus": b})
+    code, out, _ = run(["scale", v, "--factor", "-0.5"])
+    assert code == 0
+    got = json.loads(out)
+    assert got["plus"]["generators"] == [[0.5, 0.0]]
+    assert got["minus"]["generators"] == [[0.3, 0.4]]
 
 
 def test_exact_measure_round_trips_without_the_flag(tmp_path):

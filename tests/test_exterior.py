@@ -21,9 +21,12 @@ from zonoidal import (
     realify_rows,
     unrealify,
     unrealify_rows,
+    subset_blades,
     wedge,
+    wedge_pairs,
     wedge_rows,
 )
+from zonoidal.exterior import _int_arrays, _split_exact
 from zonoidal.testkit import wedge_norm_brute
 
 
@@ -334,3 +337,96 @@ def test_wedge_rows_shapes_at_the_edges(kind):
     b0 = random_batch(g, kind, (0, exterior_dim(5, 1)))
     assert wedge_rows(a0, b0, 5, 2, 1).shape == (0, exterior_dim(5, 3))
     assert blade_rows(random_batch(g, kind, (0, 3, 5))).shape == (0, exterior_dim(5, 3))
+
+
+def fraction_rows(g, shape, num_hi, den_hi, scale=1):
+    """Object rows of Fraction entries with mixed denominators, plus a
+    plain int in every other slot; numerators reach num_hi * scale."""
+    out = np.empty(shape, dtype=object)
+    for n, idx in enumerate(np.ndindex(*shape)):
+        num = int(g.integers(-num_hi, num_hi + 1)) * scale + int(g.integers(0, 2))
+        out[idx] = num if n % 2 else Fraction(num, int(g.integers(1, den_hi + 1)))
+    return out
+
+
+def wedge_reference(a, b, m, k, l):
+    """a ^ b by the definition: each disjoint pair (I, J) adds the sign of
+    the shuffle that sorts I + J times a_I b_J to the slot of I u J."""
+    rank = {S: i for i, S in enumerate(combinations(range(m), k + l))}
+    out = [Fraction(0)] * len(rank)
+    for x, I in zip(a, combinations(range(m), k)):
+        for y, J in zip(b, combinations(range(m), l)):
+            if not set(I) & set(J):
+                sign = (-1) ** sum(i > j for i in I for j in J)
+                out[rank[tuple(sorted(I + J))]] += sign * x * y
+    return out
+
+
+@pytest.mark.parametrize("num_hi, den_hi, scale",
+                         [(6, 4, 1), (2 ** 40, 1, 1), (10 ** 12, 10 ** 9, 1), (2 ** 40, 3, 2 ** 30)])
+def test_exact_rows_equal_a_plain_fraction_reference(num_hi, den_hi, scale):
+    # Small entries run in int64; 2^40 numerators split into int64 but
+    # their bound passes 2^62; the last two need Python ints to split.
+    g = rng(34)
+    for m, k, l in ((3, 1, 1), (4, 2, 1), (4, 2, 2), (5, 2, 3)):
+        a = fraction_rows(g, (3, exterior_dim(m, k)), num_hi, den_hi, scale)
+        b = fraction_rows(g, (3, exterior_dim(m, l)), num_hi, den_hi, scale)
+        got = wedge_rows(a, b, m, k, l)
+        want = [wedge_reference(a[r], b[r], m, k, l) for r in range(3)]
+        assert_rows_equal(got, want, "fraction")
+    for m, k in ((3, 2), (4, 3), (5, 5)):
+        V = fraction_rows(g, (3, k, m), num_hi, den_hi, scale)
+        assert_rows_equal(blade_rows(V), [minors(list(V[r])) for r in range(3)], "fraction")
+
+
+def test_exact_products_switch_to_python_ints_above_the_bound():
+    num, den, top = _split_exact(np.array([[2 ** 40, Fraction(1, 3)]], dtype=object))
+    assert num.dtype == np.int64 and num.tolist() == [[3 * 2 ** 40, 1]] and den.tolist() == [3]
+    assert _int_arrays(6 * top ** 3, num)[0].dtype == object
+    assert _int_arrays(2 * top, num)[0].dtype == np.int64
+    num, _, top = _split_exact(np.array([[2 ** 62, 1]], dtype=object))
+    assert num.dtype == object and top == 2 ** 62
+    assert _split_exact(np.array([[0.5, 1]], dtype=object)) is None  # a float entry
+    assert _split_exact(np.zeros((2, 3))) is None
+
+
+def test_exact_rows_at_the_edges_stay_fractions():
+    g = rng(35)
+    a = fraction_rows(g, (4, exterior_dim(3, 2)), 6, 4)
+    over = wedge_rows(a, a, 3, 2, 2)
+    assert over.shape == (4, 0) and over.dtype == object
+    empty = wedge_rows(fraction_rows(g, (0, 10), 6, 4), fraction_rows(g, (0, 5), 6, 4), 5, 2, 1)
+    assert empty.shape == (0, exterior_dim(5, 3)) and empty.dtype == object
+    assert blade_rows(fraction_rows(g, (0, 3, 5), 6, 4)).shape == (0, exterior_dim(5, 3))
+    ints = np.array([[1, 2, 3], [0, 1, 4]], dtype=object)
+    got = blade_rows(ints[None])
+    assert got.tolist() == [[1, 4, 5]] and all(type(x) is Fraction for x in got[0])
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "fraction"])
+def test_list_entry_points_match_the_row_kernels(kind):
+    g = rng(36)
+    m = 4
+    a, b = random_batch(g, kind, (5, exterior_dim(m, 2))), random_batch(g, kind, (3, m))
+    want = wedge_rows(np.repeat(a, 3, axis=0), np.tile(b, (5, 1)), m, 2, 1)
+    G = random_batch(g, kind, (6, m))
+    blades = np.concatenate([blade_rows(G[list(S)][None]) for S in combinations(range(6), 3)])
+    if kind == "fraction":
+        assert_rows_equal(wedge_pairs(a, b, m, 2, 1), want.tolist(), kind)
+        assert_rows_equal(subset_blades(G, 3, 6), (blades * 6).tolist(), kind)
+    else:  # the same gathers: equal bit for bit
+        assert np.array_equal(wedge_pairs(a, b, m, 2, 1), want)
+        assert np.array_equal(subset_blades(G, 3, 6), blades * 6)
+    assert wedge_pairs(a, b[:0], m, 2, 1).shape == (0, exterior_dim(m, 3))
+
+
+def test_multivector_wedge_keeps_fraction_coefficients():
+    u = Multivector(3, 1, np.array([Fraction(1, 2), 2, Fraction(-3, 4)], dtype=object))
+    v = Multivector(3, 1, np.array([1, Fraction(1, 3), 0], dtype=object))
+    w = wedge(u, v)
+    assert all(type(x) is Fraction for x in w.coeffs)
+    assert list(w.coeffs) == [Fraction(1, 6) - 2, Fraction(3, 4), Fraction(1, 4)]
+    assert all(type(x) is Fraction for x in wedge(w, u).coeffs)
+    assert np.allclose(w.coeffs.astype(float),
+                       wedge(Multivector(3, 1, u.coeffs.astype(float)),
+                             Multivector(3, 1, v.coeffs.astype(float))).coeffs)

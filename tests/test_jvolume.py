@@ -80,6 +80,24 @@ def test_standard_structure_is_multiplication_by_i():
             assert np.array_equal(J @ realify_rows(z), realify_rows(1j * z))
 
 
+def test_standard_structure_is_cached_and_read_only():
+    for n in (1, 2, 3):
+        struct = standard_structure(n)
+        assert standard_structure(n) is struct
+        with pytest.raises(ValueError):
+            struct.J[0, 0] = 1.0
+    # the cached J gives the same bits as a fresh, writable copy of it
+    g = rng(41)
+    for n in (2, 3):
+        fresh = ComplexStructure(n, np.array(standard_structure(n).J))
+        assert fresh.J.flags.writeable
+        P = random_complex_zonotope(g, n=n, n_gens=2 * n + 1)
+        assert j_volume_zonotope(P) == j_volume_zonotope(P, fresh)
+        assert kazarnovskii_zonotope(P) == kazarnovskii_zonotope(P, fresh)
+        E = subspace_from_vectors(g.standard_normal((n, 2 * n)))
+        assert sigma_J(E) == sigma_J(E, fresh)
+
+
 def test_complex_structure_validation():
     standard_structure(2)
     with pytest.raises(ValueError):

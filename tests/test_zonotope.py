@@ -351,6 +351,46 @@ def test_canonicalize_exact():
     assert gens == [(Fraction(0), Fraction(1)), (Fraction(6), Fraction(12))]
 
 
+def canonicalize_by_fraction_keys(rows):
+    """Plain-Fraction canonical form: sign-normalize each nonzero row,
+    group rows by the row divided by its first nonzero entry, add up
+    each group in input order and sort the sums."""
+    groups = {}
+    for row in rows:
+        vec = [Fraction(x) for x in row]
+        if not any(vec):
+            continue
+        if next(x for x in vec if x) < 0:
+            vec = [-x for x in vec]
+        key = tuple(x / next(y for y in vec if y) for x in vec)
+        groups[key] = [a + b for a, b in zip(groups[key], vec)] if key in groups else vec
+    return sorted(groups.values())
+
+
+def test_canonicalize_exact_matches_the_fraction_key_reference():
+    # collinear rows of both signs over different denominators, zero
+    # rows, plain ints and a float entry in one object array
+    g = rng(80)
+    base = [[Fraction(int(g.integers(-4, 5)), int(g.integers(1, 6))) for _ in range(3)]
+            for _ in range(4)]
+    rows = [r for v in base for r in ([x * Fraction(2, 3) for x in v], [-x / 7 for x in v])]
+    rows += base + [[0, 0, 0], [3, 0, -1], [Fraction(-6, 5), 0, Fraction(2, 5)],
+                    [0.5, 0, Fraction(1, 3)], [0, 0, Fraction(-1, 9)]]
+    arr = np.empty((len(rows), 3), dtype=object)
+    arr[:, :] = rows
+    C = canonicalize(zonotope(arr))
+    assert all(type(x) is Fraction for x in C.generators.flat)
+    assert C.generators.tolist() == canonicalize_by_fraction_keys(rows)
+    assert C.n_generators == 7
+
+
+def test_length_of_exact_segments_over_mixed_denominators():
+    K = zonotope(np.array([[Fraction(1, 6)], [Fraction(-3, 4)], [2], [Fraction(5, 9)]],
+                          dtype=object))
+    val = length(K)
+    assert type(val) is Fraction and val == Fraction(1, 6) + Fraction(3, 4) + 2 + Fraction(5, 9)
+
+
 def test_radius_examples():
     seg = zonotope([[3.0, 4.0]])
     assert math.isclose(radius(seg), 2.5)
