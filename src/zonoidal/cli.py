@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import algebra, jvolume, measures, randomdet
+from .exterior import unrealify_rows
 from .zonotope import (
     VirtualZonotope,
     Zonotope,
@@ -222,14 +223,15 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 
 def _complex_vectors(d: dict) -> np.ndarray:
+    """Complex rows from rows of [re, im] pairs, each pair the realify_rows
+    layout of one entry."""
     try:
-        vecs = d["vectors"]
-        out = np.asarray(
-            [[complex(p[0], p[1]) for p in vec] for vec in vecs], dtype=np.complex128
-        )
-        return out
-    except (KeyError, TypeError, IndexError) as e:
+        pairs = np.asarray(d["vectors"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"malformed complex vectors: {e}") from e
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise SchemaError(f"complex vectors must be [re, im] pairs, got {pairs.shape}")
+    return unrealify_rows(pairs)[..., 0]
 
 
 def _body_dict(K) -> dict:

@@ -32,7 +32,7 @@ import numpy as np
 from . import exterior
 from .algebra import _chain, _require_grading
 from .exterior import realify_rows, unrealify_rows
-from .sampling import SeedStream, chunk_sizes, derive_seed
+from .sampling import SeedStream, _mc_mean_se, derive_seed
 from .zonotope import Zonotope, _lex_order, canonicalize, length, zonotope
 
 __all__ = [
@@ -394,12 +394,14 @@ def _face_membership_counter(P, face):
 
 
 def normal_angle_mc(P, face, samples: int, seed: int = 0) -> tuple[float, float]:
-    """Normalized normal angle Theta_P(F) with its binomial standard error.
+    """Normalized normal angle Theta_P(F) with the Bessel-corrected
+    standard error of its hit indicator.
 
     Samples directions uniformly on the unit sphere of the orthogonal
     complement of the face's direction span; a hit is a direction whose
     maximizing face is F.  A 0-sphere complement is handled exactly by
-    checking both antipodal directions and counting hits/2 (error 0).
+    checking both antipodal directions and counting hits/2 (error 0);
+    larger complements need at least two samples.
     """
     comp, hits = _face_membership_counter(P, face)
     c = comp.dim
@@ -408,17 +410,11 @@ def normal_angle_mc(P, face, samples: int, seed: int = 0) -> tuple[float, float]
     if c == 1:
         U = np.vstack([comp.basis, -comp.basis])
         return float(np.count_nonzero(hits(U))) / 2.0, 0.0
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    stream = SeedStream(seed).derive("normal_angle")
-    hit_count = 0
-    for ci, size in enumerate(chunk_sizes(samples)):
-        pts = stream.derive(ci).sphere(size, c)
-        U = pts @ comp.basis
-        hit_count += int(np.count_nonzero(hits(U)))
-    p = hit_count / samples
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / samples)
-    return p, se
+
+    def draw(stream, size):
+        return hits(stream.sphere(size, c) @ comp.basis).astype(np.float64)
+
+    return _mc_mean_se(SeedStream(seed).derive("normal_angle"), samples, draw)
 
 
 def _face_volume(chart: np.ndarray, n: int) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from . import exterior
 from .algebra import _chain
 from .exterior import realify_rows, unrealify_rows
-from .sampling import SeedStream, chunk_sizes
+from .sampling import SeedStream, _mc_mean_se
 from .zonotope import Zonotope, canonicalize, length, zonotope
 
 __all__ = [
@@ -320,36 +320,19 @@ def expected_abs_det_exact(model: MatrixBlockModel) -> float:
 expected_abs_det_complex_exact = expected_abs_det_exact
 
 
-def _mc_mean_se(model: MatrixBlockModel, n: int, seed: int, statistic):
-    """Mean and standard error over a fixed chunk schedule.
-
-    Each chunk contributes (count, mean, M2), the sum of squared
-    deviations from its own mean; chunks combine by the pairwise update
-    of Chan, Golub and LeVeque (1983).  Unlike sum(x^2) - n mean^2 this
-    does not cancel when the mean dwarfs the spread.
-    """
-    if n < 2:
-        raise ValueError("need at least two samples")
-    stream = SeedStream(seed).derive("edet")
-    count, mean, m2 = 0, 0.0, 0.0
-    for ci, size in enumerate(chunk_sizes(n)):
-        M = model.sample(size, stream.derive(ci))
-        vals = statistic(M)
-        c_mean = float(np.mean(vals))
-        dev = vals - c_mean
-        delta = c_mean - mean
-        total = count + size
-        mean += delta * size / total
-        m2 += float(dev @ dev) + delta * delta * count * size / total
-        count = total
-    return mean, math.sqrt(m2 / (n - 1) / n)
-
-
 def expected_abs_det_mc(model: MatrixBlockModel, n: int, seed: int = 0
                         ) -> tuple[float, float]:
     """Monte Carlo E|det M| with Bessel-corrected standard error; real or
     complex entries alike."""
-    return _mc_mean_se(model, n, seed, lambda M: np.abs(np.linalg.det(M)))
+    # A chunk's matrices live until the next chunk replaces them; freed at
+    # once they cost ~10% in the stochastic bench (a malloc heap-trim effect).
+    held = [None]
+
+    def draw(stream, size):
+        held[0] = model.sample(size, stream)
+        return np.abs(np.linalg.det(held[0]))
+
+    return _mc_mean_se(SeedStream(seed).derive("edet"), n, draw)
 
 
 expected_abs_det_complex_mc = expected_abs_det_mc
@@ -450,27 +433,25 @@ def brute_force_expected_abs_det(model: MatrixBlockModel, power: int = 1,
 
 
 def distribution_to_dict(dist: DiscreteDistribution) -> dict:
-    atoms = dist.atoms
-    if dist.is_complex:
-        listed = [
-            [[float(z.real), float(z.imag)] for z in row] for row in atoms
-        ]
-    else:
-        listed = [[float(x) for x in row] for row in atoms]
-    return {"atoms": listed, "probs": [float(p) for p in dist.probs]}
+    """JSON form {"atoms": [...], "probs": [...]}; a complex entry is written
+    as the pair [re, im], its realify_rows layout."""
+    atoms = realify_rows(dist.atoms[..., None]) if dist.is_complex else dist.atoms
+    return {"atoms": atoms.tolist(), "probs": dist.probs.tolist()}
 
 
 def distribution_from_dict(d: dict, complex_field: bool = False
                            ) -> DiscreteDistribution:
-    atoms = d["atoms"]
-    probs = np.asarray(d["probs"], dtype=np.float64)
-    arr = np.asarray(atoms, dtype=np.float64)
+    """Inverse of distribution_to_dict.  Atoms that are not a regular array,
+    or complex entries that are not [re, im] pairs, are a KeyError."""
+    try:
+        atoms = np.asarray(d["atoms"], dtype=np.float64)
+    except ValueError as e:
+        raise KeyError(f"atoms must be a regular array of numbers: {e}") from e
     if complex_field:
-        if arr.ndim == 3 and arr.shape[2] == 2:
-            arr = arr[:, :, 0] + 1j * arr[:, :, 1]
-        else:
-            arr = arr.astype(np.complex128)
-    return DiscreteDistribution(arr, probs)
+        if atoms.ndim < 2 or atoms.shape[-1] != 2:
+            raise KeyError(f"complex atoms must be [re, im] pairs, got shape {atoms.shape}")
+        atoms = unrealify_rows(atoms)[..., 0]
+    return DiscreteDistribution(atoms, np.asarray(d["probs"], dtype=np.float64))
 
 
 def model_from_dict(d: dict) -> MatrixBlockModel:

@@ -99,6 +99,30 @@ def chunk_sizes(n: int, chunk: int = CHUNK) -> list[int]:
     return [chunk] * full + ([rest] if rest else [])
 
 
+def _mc_mean_se(stream: SeedStream, n: int, draw) -> tuple[float, float]:
+    """Mean and Bessel-corrected standard error of n values over the fixed
+    chunk schedule; draw(stream.derive(ci), size) gives chunk ci's values.
+
+    Each chunk contributes (count, mean, M2), the sum of squared
+    deviations from its own mean; chunks combine by the pairwise update
+    of Chan, Golub and LeVeque (1983).  Unlike sum(x^2) - n mean^2 this
+    does not cancel when the mean dwarfs the spread.
+    """
+    if n < 2:
+        raise ValueError("need at least two samples")
+    count, mean, m2 = 0, 0.0, 0.0
+    for ci, size in enumerate(chunk_sizes(n)):
+        vals = draw(stream.derive(ci), size)
+        c_mean = float(np.mean(vals))
+        dev = vals - c_mean
+        delta = c_mean - mean
+        total = count + size
+        mean += delta * size / total
+        m2 += float(dev @ dev) + delta * delta * count * size / total
+        count = total
+    return mean, math.sqrt(m2 / (n - 1) / n)
+
+
 def _fibonacci_sphere(count: int) -> np.ndarray:
     golden = (1.0 + math.sqrt(5.0)) / 2.0
     i = np.arange(count) + 0.5

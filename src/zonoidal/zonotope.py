@@ -405,11 +405,12 @@ def radius_bounds(K: Zonotope, net_count: int = 4096, seed: int = 0) -> tuple[fl
 def hausdorff_estimate(
     K: Zonotope, L: Zonotope, delta: float = 1e-3, seed: int = 0
 ) -> tuple[float, float]:
-    """Interval around d_H(K, L) = sup_u |h_K(u) - h_L(u)|.
+    """Certified interval around d_H(K, L) = sup_u |h_K(u) - h_L(u)|.
 
-    The lower bound scans a direction net; the Lipschitz constant
-    ||K|| + ||L|| <= (l(K) + l(L)) / 2 converts the net's covering
-    radius delta into an upper bound.
+    The lower end scans a direction net.  In dimensions 1 to 3 the
+    Lipschitz constant (l(K) + l(L)) / 2 turns the net's covering radius
+    delta into the upper end.  From dimension 4 the net certifies no
+    radius; as h_K, h_L >= 0, d_H <= max(||K||, ||L||) <= max(l(K), l(L)) / 2.
     """
     if K.ambient_dim != L.ambient_dim:
         raise ValueError("ambient dimension mismatch in Hausdorff estimate")
@@ -418,8 +419,10 @@ def hausdorff_estimate(
     net = covering_net(K.ambient_dim, delta, seed)
     diff = np.abs(support_many(K, net) - support_many(L, net))
     lo = float(np.max(diff)) if len(diff) else 0.0
-    lip = (float(length(K)) + float(length(L))) / 2.0
-    return (lo, lo + lip * delta)
+    lk, ll = float(length(K)), float(length(L))
+    if K.ambient_dim >= 4:
+        return (lo, max(lo, lk / 2.0, ll / 2.0))
+    return (lo, lo + (lk + ll) / 2.0 * delta)
 
 
 # ---------------------------------------------------------------------------
@@ -474,15 +477,33 @@ def virtual_eq(W1: VirtualZonotope, W2: VirtualZonotope, tol: float = 1e-12) -> 
 # JSON schema
 
 
+def _rows_to_json(rows: np.ndarray) -> list:
+    """JSON rows of a 2-D array: Fraction entries as strings, floats as floats."""
+    entry = str if rows.dtype == object else float
+    return [[entry(x) for x in row] for row in rows]
+
+
+def _rows_from_json(raw, dim: int, exact: bool = False) -> np.ndarray:
+    """The (len(raw), dim) array of JSON rows: Fractions when exact is set
+    or any entry is a string, else float64.  A row of any other length
+    than dim is a KeyError."""
+    bad = [len(row) for row in raw if len(row) != dim]
+    if bad:
+        raise KeyError(f"row of length {bad[0]} where the ambient dimension is {dim}")
+    if not (exact or any(isinstance(x, str) for row in raw for x in row)):
+        return np.asarray(raw, dtype=np.float64).reshape(len(raw), dim)
+    out = np.empty((len(raw), dim), dtype=object)
+    for i, row in enumerate(raw):
+        out[i, :] = [Fraction(x) for x in row]
+    return out
+
+
 def zonotope_to_dict(K: Zonotope) -> dict:
     grading = None
     if K.grading is not None:
         grading = {"base_dim": K.grading[0], "degree": K.grading[1]}
-    if K.exact:
-        gens = [[str(x) for x in row] for row in K.generators]
-    else:
-        gens = [[float(x) for x in row] for row in K.generators]
-    out = {"ambient_dim": K.ambient_dim, "grading": grading, "generators": gens}
+    out = {"ambient_dim": K.ambient_dim, "grading": grading,
+           "generators": _rows_to_json(K.generators)}
     if K.cgrading is not None:
         out["cgrading"] = {"complex_dim": K.cgrading[0], "degree": K.cgrading[1]}
     return out
@@ -500,21 +521,4 @@ def zonotope_from_dict(d: dict, exact: bool = False) -> Zonotope:
         grading = (int(grading["base_dim"]), int(grading["degree"]))
     if cgrading is not None:
         cgrading = (int(cgrading["complex_dim"]), int(cgrading["degree"]))
-    # String entries mean exact rationals regardless of the flag.
-    if not exact:
-        exact = any(isinstance(x, str) for row in raw for x in row)
-    if exact:
-        g = np.empty((len(raw), dim), dtype=object)
-        for i, row in enumerate(raw):
-            if len(row) != dim:
-                raise KeyError("generator length does not match ambient_dim")
-            g[i, :] = [Fraction(x) for x in row]
-        if len(raw) == 0:
-            g = g.reshape(0, dim)
-    else:
-        g = np.asarray(raw, dtype=np.float64)
-        if g.size == 0:
-            g = g.reshape(0, dim)
-        if g.ndim != 2 or g.shape[1] != dim:
-            raise KeyError("generator rows must have length ambient_dim")
-    return Zonotope(dim, g, grading, cgrading)
+    return Zonotope(dim, _rows_from_json(raw, dim, exact), grading, cgrading)

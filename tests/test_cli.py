@@ -454,3 +454,109 @@ def test_console_script_entry_point(tmp_path):
     proc2 = subprocess.run([sys.executable, "-m", "zonoidal", "length", f],
                            capture_output=True, text=True)
     assert proc2.stdout == proc.stdout
+# Inputs and the exact stdout they print, pinned byte for byte: the measure
+# maps and the JSON row and pair readers run on shared code for both fields,
+# and no refactor of it may move an output.
+PINNED_FILES = {
+    'mu_f.json': {'ambient_dim': 2, 'atoms': [[0.6, 0.8], [1.0, 0.0], [-0.6, 0.8]], 'weights': [0.5, 1.25, 0.75]},
+    'mu_f_signed.json': {'ambient_dim': 2, 'atoms': [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], 'weights': [1.0, -0.5, 0.25]},
+    'mu_f_empty.json': {'ambient_dim': 3, 'atoms': [], 'weights': []},
+    'mu_f_offunit.json': {'ambient_dim': 2, 'atoms': [[2.0, 0.0], [0.0, -3.0]], 'weights': [0.1, 0.2]},
+    'mu_q.json': {'atoms': [['3/5', '4/5'], ['1', '0'], ['-5/13', '12/13']], 'weights': ['1/2', '5/4', '1/3']},
+    'mu_q_signed.json': {'atoms': [['1', '0'], ['0', '1'], ['3/5', '4/5']], 'weights': ['1', '-1/2', '1/4']},
+    'mu_q_empty.json': {'ambient_dim': 2, 'atoms': [], 'weights': []},
+    'mu_q_weights_only.json': {'atoms': [[1, 0], [0, 1]], 'weights': ['1/3', 2]},
+    'K_f.json': {'ambient_dim': 3, 'grading': None, 'generators': [[0.3, -1.2, 0.5], [2.0, 0.0, 0.0], [0.1, 0.1, 0.1]]},
+    'K_q_rational.json': {'ambient_dim': 2, 'grading': None, 'generators': [['3', '4'], ['5/13', '-12/13'], ['0', '-2']]},
+    'K_q_irrational.json': {'ambient_dim': 2, 'grading': None, 'generators': [['1', '1'], ['1', '0']]},
+    'K_f_empty.json': {'ambient_dim': 2, 'grading': None, 'generators': []},
+    'discs.json': {'vectors': [[[1.0, 0.5], [-0.25, 2.0]], [[0.0, -1.0], [1.5, 0.3]]]},
+    'cmodel.json': {'size': 2, 'complex': True, 'blocks': [{'width': 1, 'dist': {'atoms': [[[1.0, 0.0], [0.0, 1.0]], [[0.5, -0.5], [2.0, 0.0]]], 'probs': [0.5, 0.5]}}, {'width': 1, 'dist': {'atoms': [[[0.0, 1.0], [1.0, 1.0]], [[-1.0, 0.25], [0.5, 0.5]], [[0.2, 0.0], [0.0, -0.7]]], 'probs': [0.25, 0.25, 0.5]}}]},
+}
+PINNED_STDOUT = [
+    (['measure', 'mu_f.json'],
+     '{"ambient_dim": 2, "grading": null, "generators": [[0.59999999999999998, 0.80000000000000004], [0.89999999999999991, -1.2000000000000002], [2.5, 0.0]]}\n'),
+    (['measure', 'mu_f_signed.json'],
+     '{"plus": {"ambient_dim": 2, "grading": null, "generators": [[0.29999999999999999, 0.40000000000000002], [2.0, 0.0]]}, "minus": {"ambient_dim": 2, "grading": null, "generators": [[0.0, 1.0]]}}\n'),
+    (['measure', 'mu_f_empty.json'],
+     '{"ambient_dim": 3, "grading": null, "generators": []}\n'),
+    (['measure', 'mu_f_offunit.json'],
+     '{"ambient_dim": 2, "grading": null, "generators": [[-0.0, 1.2000000000000002], [0.40000000000000002, 0.0]]}\n'),
+    (['measure', 'mu_q.json'],
+     '{"ambient_dim": 2, "grading": null, "generators": [["10/39", "-8/13"], ["3/5", "4/5"], ["5/2", "0"]]}\n'),
+    (['measure', 'mu_q_signed.json'],
+     '{"plus": {"ambient_dim": 2, "grading": null, "generators": [["3/10", "2/5"], ["2", "0"]]}, "minus": {"ambient_dim": 2, "grading": null, "generators": [["0", "1"]]}}\n'),
+    (['measure', 'mu_q_empty.json', '--exact-rational'],
+     '{"ambient_dim": 2, "grading": null, "generators": []}\n'),
+    (['measure', 'mu_q_weights_only.json'],
+     '{"ambient_dim": 2, "grading": null, "generators": [["0", "4"], ["2/3", "0"]]}\n'),
+    (['measure', '--to', 'K_f.json'],
+     '{"atoms": [[0.57735026918962573, 0.57735026918962573, 0.57735026918962573], [0.22485950669875843, -0.89943802679503371, 0.37476584449793077], [1.0, 0.0, 0.0]], "weights": [0.086602540378443879, 0.66708320320631664, 1.0]}\n'),
+    (['measure', '--to', 'K_q_rational.json'],
+     '{"atoms": [["0", "1"], ["5/13", "-12/13"], ["3/5", "4/5"]], "weights": ["1", "1/2", "5/2"]}\n'),
+    (['measure', '--to', 'K_q_irrational.json'],
+     '{"atoms": [[1.0, 0.0], [0.70710678118654746, 0.70710678118654746]], "weights": [0.5, 0.70710678118654757]}\n'),
+    (['measure', '--to', 'K_f_empty.json'],
+     '{"atoms": [], "weights": []}\n'),
+    (['measure', 'mu_f.json', '--eval-dir', '0.3,-0.7'],
+     '{"value": 1.1199999999999999}\n'),
+    (['measure', 'mu_f_signed.json', '--eval-dir', '1,2'],
+     '{"value": 0.55000000000000004}\n'),
+    (['measure', 'mu_q.json', '--eval-dir', '1/3,-2', '--exact-rational'],
+     '{"value": "4153/2340"}\n'),
+    (['measure', 'mu_q_signed.json', '--eval-dir', '2,1', '--exact-rational'],
+     '{"value": "2"}\n'),
+    (['measure', 'mu_q_empty.json', '--eval-dir', '1,1', '--exact-rational'],
+     '{"value": "0"}\n'),
+    (['mvj', '--discs', '--q', '8', 'discs.json'],
+     '{"value": 5.0866776785940431}\n'),
+    (['edet', 'cmodel.json'],
+     '{"value": 1.5192489038306873}\n'),
+    (['edet', '--mode', 'mc', '--samples', '5000', '--seed', '3', 'cmodel.json'],
+     '{"value": 1.5163921654314187, "stderr": 0.0098020648956679748}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", PINNED_STDOUT, ids=lambda v: " ".join(v)[:60])
+def test_pinned_stdout(tmp_path, monkeypatch, argv, stdout):
+    monkeypatch.chdir(tmp_path)
+    for name, obj in PINNED_FILES.items():
+        write(tmp_path, name, obj)
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    assert out == stdout
+
+
+@pytest.mark.parametrize("command, obj, needle", [
+    (["measure"], {"atoms": [["1", "0"], ["2"]], "weights": ["1/2", "1"]}, "length 1"),
+    (["measure"], {"atoms": [[1.0, 0.0], [2.0]], "weights": [0.5, 1.0]}, "length 1"),
+    (["measure"], {"ambient_dim": 3, "atoms": [[1.0, 0.0]], "weights": [1.0]}, "length 2"),
+    (["measure"], {"atoms": [[1.0, 0.0], [0.0, 1.0]], "weights": [1.0]}, "one weight per atom"),
+    (["sum"], {"ambient_dim": 2, "generators": [[1.0, 0.0], [2.0]]}, "length 1"),
+    (["sum"], {"ambient_dim": 2, "generators": [["1", "0"], ["2", "0", "1"]]}, "length 3"),
+    (["mvj", "--discs"], {"vectors": [[[1, 0, 5], [0, 1]], [[1, 1], [0, 2]]]}, "malformed"),
+    (["mvj", "--discs"], {"vectors": [[[1, 0, 5], [0, 1, 0]], [[1, 1, 0], [0, 2, 0]]]},
+     "[re, im] pairs"),
+    (["edet"], {"size": 1, "complex": True, "blocks": [
+        {"width": 1, "dist": {"atoms": [[[1, 0, 5]]], "probs": [1.0]}}]}, "[re, im] pairs"),
+    (["edet"], {"size": 1, "complex": True, "blocks": [
+        {"width": 1, "dist": {"atoms": [[[1, 0]], [[1, 0, 5]]], "probs": [0.5, 0.5]}}]},
+     "regular array"),
+])
+def test_malformed_rows_and_pairs_exit_2(tmp_path, command, obj, needle):
+    code, out, err = run([*command, write(tmp_path, "in.json", obj)])
+    assert (code, out) == (2, "")
+    assert needle in json.loads(err)["error"]["message"]
+
+
+def test_complex_distribution_round_trips_through_pairs():
+    atoms = np.array([[1 + 2j, -0.5j], [3.0 + 0j, 0.25 - 1j]])
+    dist = zonoidal.DiscreteDistribution(atoms, np.array([0.5, 0.5]))
+    d = zonoidal.distribution_to_dict(dist)
+    assert d["atoms"][0] == [[1.0, 2.0], [0.0, -0.5]]
+    back = zonoidal.distribution_from_dict(json.loads(json.dumps(d)), complex_field=True)
+    assert np.array_equal(back.atoms, atoms)
+    # width-2 blocks carry one more axis; the pairs stay on the last one
+    wide = zonoidal.DiscreteDistribution(atoms[:, :, None] * [1, 1j], np.array([0.5, 0.5]))
+    back = zonoidal.distribution_from_dict(zonoidal.distribution_to_dict(wide), True)
+    assert np.array_equal(back.atoms, wide.atoms)

@@ -403,6 +403,21 @@ def test_normal_angle_vertex():
     assert abs(theta - 0.25) <= 3.0 * se
 
 
+def test_normal_angle_stderr_is_bessel_corrected():
+    # the hit indicator's sample variance: se^2 = p (1 - p) / (n - 1), and
+    # the mean is the hit fraction
+    square = zonotope([[1.0, 0.0], [0.0, 1.0]])
+    E0 = Subspace(2, np.zeros((0, 2)))
+    for n in (40_000, 100_000):
+        theta, se = normal_angle_mc(square, (E0, (1, 1)), n, seed=3)
+        assert math.isclose(se, math.sqrt(theta * (1.0 - theta) / (n - 1)), rel_tol=1e-9)
+    assert normal_angle_mc(square, (E0, (1, 1)), 40_000, seed=3)[0] == 0.2492
+    with pytest.raises(ValueError):
+        normal_angle_mc(square, (E0, (1, 1)), 1, seed=3)
+    E = subspace_from_vectors([[1.0, 0.0]])
+    assert normal_angle_mc(square, (E, (1,)), 1, seed=0) == (0.5, 0.0)
+
+
 def test_normal_angles_partition_sphere():
     g = rng(10)
     P = random_complex_zonotope(g, n_gens=4)

@@ -8,6 +8,7 @@ import pytest
 
 from zonoidal import (
     DiscreteEvenMeasure,
+    Zonotope,
     canonical_eq,
     canonicalize,
     cosine_transform_eval,
@@ -192,3 +193,63 @@ def test_from_dict_renormalizes_offunit_atoms():
     u = [1.0, 0.0]
     ref = DiscreteEvenMeasure(2, np.array([[1.0, 0.0]]), np.array([2.0]))
     assert math.isclose(cosine_transform_eval(mu, u), cosine_transform_eval(ref, u))
+
+
+def exact_measure(atoms, weights, dim=2):
+    a = np.empty((len(atoms), dim), dtype=object)
+    for i, row in enumerate(atoms):
+        a[i, :] = [Fraction(x) for x in row]
+    return DiscreteEvenMeasure(dim, a, np.array([Fraction(w) for w in weights], dtype=object))
+
+
+def all_fractions(arr):
+    return arr.dtype == object and all(isinstance(x, Fraction) for x in arr.flat)
+
+
+def test_exact_signed_measure_keeps_fractions():
+    mu = exact_measure([["1", "0"], ["0", "1"], ["3/5", "4/5"]], ["1", "-1/2", "1/4"])
+    W = signed_measure_to_virtual(mu)
+    assert W.plus.exact and W.minus.exact
+    assert all_fractions(W.plus.generators) and all_fractions(W.minus.generators)
+    assert [list(r) for r in W.minus.generators] == [[0, 1]]
+    u = np.array([Fraction(2), Fraction(-1, 3)], dtype=object)
+    val = cosine_transform_eval(mu, u)
+    assert isinstance(val, Fraction)
+    assert val == 2 - Fraction(1, 6) + Fraction(1, 4) * abs(Fraction(6, 5) - Fraction(4, 15))
+    assert val == virtual_support(W, u)
+    back = measure_from_dict(measure_to_dict(mu))
+    assert back.exact and all_fractions(back.atoms) and all_fractions(back.weights)
+    assert (back.atoms == mu.atoms).all() and (back.weights == mu.weights).all()
+
+
+def test_exact_empty_measure_keeps_fractions():
+    mu = exact_measure([], [])
+    W = signed_measure_to_virtual(mu)
+    assert W.plus.exact and W.minus.exact
+    assert W.plus.n_generators == W.minus.n_generators == 0
+    assert measure_to_zonotope(mu).exact
+    val = cosine_transform_eval(mu, np.array([Fraction(1), Fraction(2)], dtype=object))
+    assert isinstance(val, Fraction) and val == 0
+    assert mu.total_mass() == 0 and isinstance(mu.total_mass(), Fraction)
+    d = measure_to_dict(mu)
+    assert d == {"atoms": [], "weights": []}
+    back = measure_from_dict({**d, "ambient_dim": 2}, exact=True)
+    assert back.exact and back.atoms.shape == (0, 2) and back.weights.dtype == object
+
+
+def test_exact_zonotope_to_measure_keeps_fractions():
+    K = zonotope(np.array([[Fraction(3), Fraction(4)], [Fraction(0), Fraction(-2)]], dtype=object))
+    mu = zonotope_to_measure(K)
+    assert all_fractions(mu.atoms) and all_fractions(mu.weights)
+    assert mu.total_mass() == Fraction(7, 2)
+    empty = zonotope_to_measure(Zonotope(2, np.empty((0, 2), dtype=object)))
+    assert empty.exact and empty.n_atoms == 0
+
+
+def test_from_dict_reads_ragged_rows_as_schema_errors():
+    with pytest.raises(KeyError):
+        measure_from_dict({"atoms": [["1", "0"], ["2"]], "weights": ["1/2", "1"]})
+    with pytest.raises(KeyError):
+        measure_from_dict({"atoms": [[1.0, 0.0], [2.0]], "weights": [0.5, 1.0]})
+    with pytest.raises(KeyError):
+        measure_from_dict({"atoms": [[1.0, 0.0]], "weights": [0.5, 1.0]})

@@ -342,3 +342,15 @@ def test_model_dict_roundtrip():
     gm = model_from_dict(gpayload)
     val, se = expected_abs_det_mc(gm, 50_000, seed=1)
     assert abs(val - 1.0) <= 4 * se
+
+
+def test_mc_estimate_is_pinned_across_chunks():
+    # 70000 draws span two chunks of the fixed schedule; the shared Monte
+    # Carlo routine must reproduce these digits bit for bit
+    d = DiscreteDistribution(np.array([[1.0, 0.2, -0.3], [0.1, -1.0, 0.5], [0.4, 0.4, 2.0]]),
+                             np.array([0.2, 0.3, 0.5]))
+    model = iid_column_model(d, 3)
+    assert expected_abs_det_mc(model, 70_000, 9) == (0.42302480000000003, 0.0033965431769258795)
+    assert expected_abs_det_mc(model, 500, 9) == (0.499048, 0.042815047775566564)
+    with pytest.raises(ValueError):
+        expected_abs_det_mc(model, 1, 9)

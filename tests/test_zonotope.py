@@ -474,6 +474,29 @@ def test_segment_pair_distance_interval():
         assert lo <= 0.5 <= hi
 
 
+@pytest.mark.parametrize("dim", [4, 5])
+def test_hausdorff_interval_certified_from_dimension_four(dim):
+    # the net certifies no covering radius there; the upper end is
+    # max(l(K), l(L)) / 2, which bounds max(||K||, ||L||) >= d_H(K, L)
+    e = np.eye(dim)
+    pairs = [(zonotope(e[:1]), zonotope(e[1:2]), 0.5),
+             (zonotope(e[:1]), zonotope(3.0 * e[:1]), 1.0),
+             (zonotope(e[:1] + e[1:2]), zonotope(e[2:3]), math.sqrt(2.0) / 2.0)]
+    K = zonotope(rng(40 + dim).standard_normal((5, dim)))
+    pairs.append((K, scale(K, 2.0), radius(K)))
+    for A, B, truth in pairs:
+        lo, hi = hausdorff_estimate(A, B, delta=1e-2, seed=dim)
+        assert lo <= truth <= hi
+        assert hi == max(lo, length(A) / 2.0, length(B) / 2.0)
+
+
+def test_hausdorff_upper_end_below_dimension_four_is_lipschitz():
+    for dim in (2, 3):
+        A, B = zonotope(np.eye(dim)[:1]), zonotope(np.eye(dim)[1:2])
+        lo, hi = hausdorff_estimate(A, B, delta=1e-2)
+        assert hi == lo + (length(A) + length(B)) / 2.0 * 1e-2
+
+
 def test_tensor_square_of_difference_grows():
     # support of (A - B) tensor (A - B) in a fixed direction grows linearly
     # in n even though the bodies stay at distance 1/2
