@@ -128,7 +128,7 @@ def _wedge_power_raw(K: Zonotope, d: int) -> Zonotope:
     K = _as_degree_one(K)
     m, _ = K.grading
     if d == 0:
-        return zonotope([[1.0]], ambient_dim=1, grading=(m, 0))
+        return zonotope(np.ones((1, 1), dtype=K.generators.dtype), grading=(m, 0))
     G = canonicalize(K).generators
     gens = exterior.subset_blades(G, d, math.factorial(d))
     return Zonotope(exterior_dim(m, d), gens, grading=(m, d))
@@ -239,8 +239,6 @@ def intrinsic_volume(K: Zonotope, d: int):
     m = K.grading[0]
     if not 0 <= d <= m:
         raise ValueError("intrinsic volume degree out of range")
-    if d == 0:
-        return 1.0
     return _per_factorial(length(_wedge_power_raw(K, d)), d)
 
 

@@ -4,7 +4,9 @@ Every library operation is reachable from exactly one command (see
 COMMAND_OPS); the exterior-algebra module and the callback-based
 induced_map are in-process APIs with no command surface.
 
-Exit codes: 0 success, 2 schema error, 3 precondition violation.
+Exit codes: 0 success, 2 schema error, 3 precondition violation.  Every
+input file goes through _read, so a failure while a file becomes a library
+object exits 2 and names the file; a failure while computing exits 3.
 Errors print {"error": {"code": ..., "message": ...}} on standard
 error.  Floats are serialized with 17 significant digits so identical
 invocations produce byte-identical output.
@@ -105,7 +107,7 @@ JSON schemas:
                 optional "cgrading": {"complex_dim": n, "degree": k} for
                 realified complex zonoids; string entries are exact rationals
   virtual       {"plus": <zonotope>, "minus": <zonotope>}
-  measure       {"atoms": [[..unit vector..], ...], "weights": [...]}
+  measure       {"ambient_dim"?: D, "atoms": [[..unit vector..], ...], "weights": [...]}
   face data     {"ambient_dim": 2n, "vertices": [[...]], "n_faces": [[idx, ...], ...]}
   distribution  {"atoms": [[...]], "probs": [...]}   (complex atoms: [re, im] pairs)
   block model   {"size": m, "complex": false,
@@ -113,6 +115,10 @@ JSON schemas:
                             | {"width": w, "sampler": {"kind": "gaussian", "seed": 0}}]}
   subspace      {"ambient_dim": D, "basis": [[...]]}
   vectors       {"vectors": [[[re, im], ...], ...]}   (complex vectors)
+  sampler       {"kind": "gaussian" | "uniform_sphere" | "discrete",
+                 "dimension": m, "seed"?: s, "dist"?: <distribution>}
+                (edet --empirical; "discrete" draws from "dist")
+  companions    {"columns": [[..m numbers..], ...]}    (bm-probe --companions)
 
 Numeric results: {"value": ..., "stderr": ..., "interval": [lo, hi]}
 (stderr/interval only where meaningful); structured results use the
@@ -170,26 +176,31 @@ def dumps(obj) -> str:
 # Input parsing
 
 
-def _load_json(path: str) -> dict:
+def _read(path: str, what: str, parse):
+    """parse(JSON of path), the one way a file becomes a library object:
+    any failure on the way is a schema error naming the file."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            d = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise SchemaError(f"cannot read JSON from {path}: {e}") from e
+    try:
+        return parse(d)
+    except (KeyError, TypeError, IndexError, AttributeError, ValueError,
+            ArithmeticError) as e:
+        raise SchemaError(f"malformed {what} in {path}: {e}") from e
 
 
 def _load_body(path: str, exact: bool):
     """Zonotope or virtual zonotope from a file."""
-    d = _load_json(path)
-    try:
-        if isinstance(d, dict) and "plus" in d:
-            return VirtualZonotope(
-                zonotope_from_dict(d["plus"], exact),
-                zonotope_from_dict(d["minus"], exact),
-            )
+
+    def parse(d):
+        if "plus" in d:
+            return VirtualZonotope(zonotope_from_dict(d["plus"], exact),
+                                   zonotope_from_dict(d["minus"], exact))
         return zonotope_from_dict(d, exact)
-    except (KeyError, TypeError, IndexError) as e:
-        raise SchemaError(f"malformed zonotope in {path}: {e}") from e
+
+    return _read(path, "zonotope", parse)
 
 
 def _load_zonotope(path: str, exact: bool) -> Zonotope:
@@ -225,13 +236,25 @@ def _parse_matrix(text: str) -> np.ndarray:
 def _complex_vectors(d: dict) -> np.ndarray:
     """Complex rows from rows of [re, im] pairs, each pair the realify_rows
     layout of one entry."""
-    try:
-        pairs = np.asarray(d["vectors"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError(f"malformed complex vectors: {e}") from e
+    pairs = np.asarray(d["vectors"], dtype=np.float64)
     if pairs.ndim != 3 or pairs.shape[2] != 2:
-        raise SchemaError(f"complex vectors must be [re, im] pairs, got {pairs.shape}")
+        raise ValueError(f"complex vectors must be [re, im] pairs, got {pairs.shape}")
     return unrealify_rows(pairs)[..., 0]
+
+
+def _sampler(d: dict, seed: int) -> randomdet.SeededSampler:
+    """Sampler file {"kind", "dimension", "seed"?, "dist"?}; seed if it has none."""
+    dist = randomdet.distribution_from_dict(d["dist"]) if "dist" in d else None
+    return randomdet.SeededSampler(kind=d["kind"], dimension=int(d["dimension"]),
+                                   seed=int(d.get("seed", seed)), dist=dist)
+
+
+def _companions(d: dict) -> np.ndarray:
+    """Companion file {"columns": [[...], ...]} as a matrix of columns."""
+    cols = np.asarray(d["columns"], dtype=np.float64)
+    if cols.size and cols.ndim != 2:
+        raise ValueError(f"columns must be a list of vectors, got shape {cols.shape}")
+    return cols.T
 
 
 def _body_dict(K) -> dict:
@@ -388,8 +411,7 @@ def _require_cgrading_tag(K: Zonotope, path: str) -> Zonotope:
 
 def _cmd_mvj(args):
     if args.discs:
-        d = _load_json(args.files[0])
-        Z = _complex_vectors(d)
+        Z = _read(args.files[0], "complex vectors", _complex_vectors)
         bodies = [jvolume.disc_zonotope(z, args.q) for z in Z]
     else:
         bodies = [
@@ -403,7 +425,7 @@ def _cmd_mvj(args):
 
 def _cmd_jvol(args):
     if args.faces is not None:
-        P = jvolume.face_data_from_dict(_load_json(args.faces))
+        P = _read(args.faces, "face data", jvolume.face_data_from_dict)
         if args.theta is not None:
             val, se = jvolume.normal_angle_mc(P, args.theta, args.samples, args.seed)
         else:
@@ -419,7 +441,7 @@ def _cmd_jvol(args):
 
 def _cmd_kaza(args):
     if args.faces is not None:
-        P = jvolume.face_data_from_dict(_load_json(args.faces))
+        P = _read(args.faces, "face data", jvolume.face_data_from_dict)
         val, se = jvolume.kazarnovskii_polytope_mc(P, args.samples, args.seed)
         return {"value": val, "stderr": se}
     if not args.files:
@@ -429,43 +451,30 @@ def _cmd_kaza(args):
 
 
 def _cmd_sigma_j(args):
-    d = _load_json(args.files[0])
-    try:
-        E = jvolume.Subspace(int(d["ambient_dim"]), np.asarray(d["basis"], dtype=np.float64))
-    except (KeyError, TypeError) as e:
-        raise SchemaError(f"malformed subspace: {e}") from e
+    E = _read(args.files[0], "subspace", lambda d: jvolume.Subspace(
+        int(d["ambient_dim"]), np.asarray(d["basis"], dtype=np.float64)))
     return {"value": jvolume.sigma_J(E)}
+
+
+def _load_distribution(path: str):
+    return _read(path, "distribution", randomdet.distribution_from_dict)
+
+
+def _load_model(path: str):
+    return _read(path, "block model", randomdet.model_from_dict)
 
 
 def _cmd_edet(args):
     if args.vitale:
-        dist = randomdet.distribution_from_dict(_load_json(args.files[0]))
-        return _body_dict(randomdet.vitale_zonotope(dist))
+        return _body_dict(randomdet.vitale_zonotope(_load_distribution(args.files[0])))
     if args.empirical:
-        d = _load_json(args.files[0])
-        try:
-            dist = None
-            if "dist" in d:
-                dist = randomdet.distribution_from_dict(d["dist"])
-            sampler = randomdet.SeededSampler(
-                kind=d["kind"], dimension=int(d["dimension"]),
-                seed=int(d.get("seed", args.seed)), dist=dist,
-            )
-        except (KeyError, TypeError) as e:
-            raise SchemaError(f"malformed sampler: {e}") from e
+        sampler = _read(args.files[0], "sampler", lambda d: _sampler(d, args.seed))
         return _body_dict(randomdet.empirical_zonotope(sampler, args.samples))
     model = _load_model(args.files[0])
     if args.mode == "exact":
         return {"value": randomdet.expected_abs_det_exact(model)}
     val, se = randomdet.expected_abs_det_mc(model, args.samples, args.seed)
     return {"value": val, "stderr": se}
-
-
-def _load_model(path: str):
-    try:
-        return randomdet.model_from_dict(_load_json(path))
-    except (KeyError, TypeError, IndexError) as e:
-        raise SchemaError(f"malformed block model in {path}: {e}") from e
 
 
 def _cmd_edet_complex(args):
@@ -482,15 +491,10 @@ def _cmd_edet_sq_complex(args):
 
 
 def _cmd_bm_probe(args):
-    d1 = randomdet.distribution_from_dict(_load_json(args.files[0]))
-    d2 = randomdet.distribution_from_dict(_load_json(args.files[1]))
+    d1, d2 = (_load_distribution(f) for f in args.files)
     companions = None
     if args.companions is not None:
-        cd = _load_json(args.companions)
-        try:
-            companions = np.asarray(cd["columns"], dtype=np.float64).T
-        except (KeyError, TypeError) as e:
-            raise SchemaError(f"malformed companions: {e}") from e
+        companions = _read(args.companions, "companions", _companions)
     t_grid = None
     if args.t_grid is not None:
         t_grid = [float(v) for v in args.t_grid.split(",") if v.strip()]
@@ -505,7 +509,8 @@ def _cmd_measure(args):
     if args.to:
         K = _load_zonotope(args.files[0], args.exact_rational)
         return measures.measure_to_dict(measures.zonotope_to_measure(K))
-    mu = measures.measure_from_dict(_load_json(args.files[0]), args.exact_rational)
+    mu = _read(args.files[0], "measure",
+               lambda d: measures.measure_from_dict(d, args.exact_rational))
     if args.eval_dir is not None:
         u = _parse_vector(args.eval_dir, args.exact_rational)
         return {"value": measures.cosine_transform_eval(mu, u)}
@@ -660,17 +665,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_file_count(args)
-        payload = args.handler(args)
+        text = dumps(args.handler(args))
     except SchemaError as e:
-        sys.stderr.write(dumps({"error": {"code": 2, "message": str(e)}}) + "\n")
-        return 2
-    except KeyError as e:
         sys.stderr.write(dumps({"error": {"code": 2, "message": str(e)}}) + "\n")
         return 2
     except ValueError as e:
         sys.stderr.write(dumps({"error": {"code": 3, "message": str(e)}}) + "\n")
         return 3
-    sys.stdout.write(dumps(payload) + "\n")
+    sys.stdout.write(text + "\n")
     return 0
 
 

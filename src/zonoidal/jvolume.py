@@ -375,8 +375,11 @@ def _face_membership_counter(P, face):
         return E.complement(), hits
 
     if isinstance(P, PolytopeFaceData):
-        idx = P.n_faces[int(face)] if isinstance(face, (int, np.integer)) else face
-        idx = list(idx)
+        if isinstance(face, (int, np.integer)):
+            if not -len(P.n_faces) <= face < len(P.n_faces):
+                raise ValueError(f"no face {face} among {len(P.n_faces)}")
+            face = P.n_faces[face]
+        idx = list(face)
         verts = P.vertices
         fverts = verts[idx]
         centroid = fverts.mean(axis=0)

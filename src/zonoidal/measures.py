@@ -144,8 +144,10 @@ def signed_measure_to_virtual(mu: DiscreteEvenMeasure) -> VirtualZonotope:
 
 
 def measure_to_dict(mu: DiscreteEvenMeasure) -> dict:
-    """JSON form {"atoms": [[...]], "weights": [...]}."""
-    return {"atoms": _rows_to_json(mu.atoms), "weights": _rows_to_json(mu.weights[None])[0]}
+    """JSON form {"atoms": [[...]], "weights": [...]}; with no atoms to
+    carry the row length, "ambient_dim" comes first."""
+    d = {"atoms": _rows_to_json(mu.atoms), "weights": _rows_to_json(mu.weights[None])[0]}
+    return d if d["atoms"] else {"ambient_dim": mu.ambient_dim, **d}
 
 
 def measure_from_dict(d: dict, exact: bool = False) -> DiscreteEvenMeasure:

@@ -464,16 +464,14 @@ def model_from_dict(d: dict) -> MatrixBlockModel:
     blocks = []
     for bd in d["blocks"]:
         width = int(bd.get("width", 1))
+        dist = sampler = None
         if "dist" in bd:
             dist = distribution_from_dict(bd["dist"], complex_field=complex_field)
-            blocks.append(MatrixBlock(width, dist=dist))
         elif "sampler" in bd:
             sd = bd["sampler"]
             kind = sd["kind"]
             if complex_field and kind == "gaussian":
                 kind = "complex_gaussian"
-            blocks.append(MatrixBlock(width, sampler=SeededSampler(
-                kind=kind, dimension=size, seed=int(sd.get("seed", 0)))))
-        else:
-            raise KeyError("block needs dist or sampler")
+            sampler = SeededSampler(kind=kind, dimension=size, seed=int(sd.get("seed", 0)))
+        blocks.append(MatrixBlock(width, dist=dist, sampler=sampler))
     return MatrixBlockModel(size, tuple(blocks), complex_field=complex_field)

@@ -510,15 +510,10 @@ def zonotope_to_dict(K: Zonotope) -> dict:
 
 
 def zonotope_from_dict(d: dict, exact: bool = False) -> Zonotope:
-    try:
-        dim = int(d["ambient_dim"])
-        raw = d["generators"]
-        grading = d.get("grading")
-        cgrading = d.get("cgrading")
-    except (KeyError, TypeError) as e:
-        raise KeyError(f"malformed zonotope object: {e}") from e
+    dim = int(d["ambient_dim"])
+    grading, cgrading = d.get("grading"), d.get("cgrading")
     if grading is not None:
         grading = (int(grading["base_dim"]), int(grading["degree"]))
     if cgrading is not None:
         cgrading = (int(cgrading["complex_dim"]), int(cgrading["degree"]))
-    return Zonotope(dim, _rows_from_json(raw, dim, exact), grading, cgrading)
+    return Zonotope(dim, _rows_from_json(d["generators"], dim, exact), grading, cgrading)

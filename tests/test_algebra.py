@@ -175,6 +175,19 @@ def test_wedge_power_degenerate_and_zero():
     assert math.isclose(length(V0), 1.0)
 
 
+def test_degree_zero_unit_keeps_the_body_dtype():
+    rows = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1, 3)]]
+    Kq = zonotope(np.array(rows, dtype=object), grading=(2, 1))
+    Kf = zonotope(np.array(rows, dtype=np.float64), grading=(2, 1))
+    assert wedge_power(Kq, 0).exact and not wedge_power(Kf, 0).exact
+    V0 = intrinsic_volume(Kq, 0)
+    assert isinstance(V0, Fraction) and V0 == 1
+    assert type(intrinsic_volume(Kf, 0)) is float and intrinsic_volume(Kf, 0) == 1.0
+    # the unit wedges with an exact body: no exact/float mix
+    assert reverse_af_gap([Kq, Kq], [0, 2]) == 0.0
+    assert reverse_af_gap([Kf, Kf], [0, 2]) == 0.0
+
+
 def test_induced_map_determinant():
     sq = cube(2)
     f = lambda v, w: np.array([v[0] * w[1] - v[1] * w[0]])

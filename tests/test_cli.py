@@ -202,6 +202,17 @@ def test_exit_code_3_on_domain_errors(tmp_path):
     code, _, err = run(["intrinsic", f, "--degree", "5"])
     assert code == 3
     assert json.loads(err)["error"]["code"] == 3
+    # a well-formed file whose computation fails exits 3 too
+    fd = write(tmp_path, "fd.json", {"ambient_dim": 2, "vertices": [[0.0, 0.0], [1.0, 0.0]],
+                                     "n_faces": [[0], [1]]})
+    big = write(tmp_path, "big.json", {"ambient_dim": 2, "generators": [[1e308, 0.0], [0.0, 1e308]]})
+    code, out, err = run(["jvol", "--faces", fd, "--theta", "2"])
+    assert (code, out) == (3, "")
+    assert "no face 2 among 2" in json.loads(err)["error"]["message"]
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, out, err = run(["length", big])
+    assert (code, out) == (3, "")
+    assert "non-finite value in output" in json.loads(err)["error"]["message"]
 
 
 def test_help_enumerates_commands_and_schemas(capsys):
@@ -497,7 +508,7 @@ PINNED_STDOUT = [
     (['measure', '--to', 'K_q_irrational.json'],
      '{"atoms": [[1.0, 0.0], [0.70710678118654746, 0.70710678118654746]], "weights": [0.5, 0.70710678118654757]}\n'),
     (['measure', '--to', 'K_f_empty.json'],
-     '{"atoms": [], "weights": []}\n'),
+     '{"ambient_dim": 2, "atoms": [], "weights": []}\n'),
     (['measure', 'mu_f.json', '--eval-dir', '0.3,-0.7'],
      '{"value": 1.1199999999999999}\n'),
     (['measure', 'mu_f_signed.json', '--eval-dir', '1,2'],
@@ -542,6 +553,7 @@ def test_pinned_stdout(tmp_path, monkeypatch, argv, stdout):
     (["edet"], {"size": 1, "complex": True, "blocks": [
         {"width": 1, "dist": {"atoms": [[[1, 0]], [[1, 0, 5]]], "probs": [0.5, 0.5]}}]},
      "regular array"),
+    (["sum"], {"ambient_dim": 2, "generators": [["1/0", "0"]]}, "Fraction(1, 0)"),
 ])
 def test_malformed_rows_and_pairs_exit_2(tmp_path, command, obj, needle):
     code, out, err = run([*command, write(tmp_path, "in.json", obj)])
@@ -560,3 +572,63 @@ def test_complex_distribution_round_trips_through_pairs():
     wide = zonoidal.DiscreteDistribution(atoms[:, :, None] * [1, 1j], np.array([0.5, 0.5]))
     back = zonoidal.distribution_from_dict(zonoidal.distribution_to_dict(wide), True)
     assert np.array_equal(back.atoms, wide.atoms)
+
+
+def test_empty_measure_keeps_its_dimension(tmp_path):
+    empty = write(tmp_path, "K.json", {"ambient_dim": 2, "generators": []})
+    code, out, _ = run(["measure", "--to", empty])
+    assert code == 0
+    back = run(["measure", write(tmp_path, "mu.json", json.loads(out))])
+    assert back == run(["sum", empty]) == (0, '{"ambient_dim": 2, "grading": null, '
+                                              '"generators": []}\n', "")
+
+
+# One command per file kind, the bad file written as "BAD" among good ones.
+# Each gets three bad inputs: a JSON list, a field of the wrong type and a
+# non-numeric entry.
+_CUBE = {"ambient_dim": 2, "generators": [[1.0, 0.0], [0.0, 1.0]]}
+_DIST = {"atoms": [[1.0, 0.0], [0.0, 1.0]], "probs": [0.5, 0.5]}
+_FACES = {"ambient_dim": 2, "vertices": [[0.0, 0.0], [1.0, 0.0]], "n_faces": [[0], [1]]}
+FILE_KINDS = [
+    ("zonotope", ["vol", "BAD"],
+     {**_CUBE, "generators": 5}, {**_CUBE, "generators": [["x", "0"]]}),
+    ("zonotope", ["support", "BAD", "--dir", "1,0"],  # a virtual one
+     {"plus": _CUBE, "minus": 5}, {"plus": _CUBE, "minus": {**_CUBE, "generators": [[0, "x"]]}}),
+    ("complex vectors", ["mvj", "--discs", "BAD"],
+     {"vectors": {"re": 1}}, {"vectors": [[["x", 0.0]]]}),
+    ("face data", ["jvol", "--faces", "BAD"],
+     {**_FACES, "n_faces": 5}, {**_FACES, "vertices": [["x", 0.0], [1.0, 0.0]]}),
+    ("face data", ["kaza", "--faces", "BAD"],
+     {**_FACES, "ambient_dim": [2]}, {**_FACES, "n_faces": [["x"]]}),
+    ("subspace", ["sigma-j", "BAD"],
+     {"ambient_dim": [2], "basis": [[1.0, 0.0]]}, {"ambient_dim": 2, "basis": [["x", 0.0]]}),
+    ("block model", ["edet", "BAD"],
+     {"size": 2, "blocks": [5]},
+     {"size": 1, "blocks": [{"width": 1, "dist": {"atoms": [[1.0]], "probs": ["x"]}}]}),
+    ("distribution", ["edet", "--vitale", "BAD"],
+     {**_DIST, "probs": 5}, {**_DIST, "probs": ["x", 0.5]}),
+    ("distribution", ["bm-probe", "BAD", "GOOD", "--d", "2"],
+     {**_DIST, "atoms": 5}, {**_DIST, "atoms": [["x", 0.0], [0.0, 1.0]]}),
+    ("sampler", ["edet", "--empirical", "BAD"],
+     {"kind": "gaussian", "dimension": [2]}, {"kind": "gaussian", "dimension": "x"}),
+    ("companions", ["bm-probe", "GOOD", "GOOD", "--d", "1", "--companions", "BAD"],
+     {"columns": 5}, {"columns": [["x", 0.0]]}),
+    ("measure", ["measure", "BAD"],
+     {"atoms": 5, "weights": [1]}, {"atoms": [[1.0, 0.0]], "weights": ["x"]}),
+]
+
+
+@pytest.mark.parametrize("what, argv, obj", [
+    pytest.param(what, argv, obj, id=f"{argv[0]} {what}: {bad}")
+    for what, argv, wrong_type, non_numeric in FILE_KINDS
+    for bad, obj in (("list", [1, 2]), ("wrong type", wrong_type), ("non-numeric", non_numeric))
+])
+def test_every_malformed_file_exits_2(tmp_path, what, argv, obj):
+    bad = write(tmp_path, "bad.json", obj)
+    good = write(tmp_path, "good.json", _DIST)
+    code, out, err = run([{"BAD": bad, "GOOD": good}.get(a, a) for a in argv])
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["code"] == 2
+    assert error["message"].startswith(f"malformed {what} in {bad}: ")

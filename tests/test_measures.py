@@ -232,8 +232,8 @@ def test_exact_empty_measure_keeps_fractions():
     assert isinstance(val, Fraction) and val == 0
     assert mu.total_mass() == 0 and isinstance(mu.total_mass(), Fraction)
     d = measure_to_dict(mu)
-    assert d == {"atoms": [], "weights": []}
-    back = measure_from_dict({**d, "ambient_dim": 2}, exact=True)
+    assert d == {"ambient_dim": 2, "atoms": [], "weights": []}
+    back = measure_from_dict(d, exact=True)
     assert back.exact and back.atoms.shape == (0, 2) and back.weights.dtype == object
 
 
