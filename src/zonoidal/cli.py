@@ -185,10 +185,21 @@ def _read(path: str, what: str, parse):
     except (OSError, json.JSONDecodeError) as e:
         raise SchemaError(f"cannot read JSON from {path}: {e}") from e
     try:
+        _reject_null_entries(d)
         return parse(d)
     except (KeyError, TypeError, IndexError, AttributeError, ValueError,
             ArithmeticError) as e:
         raise SchemaError(f"malformed {what} in {path}: {e}") from e
+
+
+def _reject_null_entries(d) -> None:
+    """Raise on a JSON null inside a list: a missing number, which numpy
+    would read as NaN.  A null object value, such as "grading", stays valid."""
+    if isinstance(d, list) and any(v is None for v in d):
+        raise ValueError("null where a number belongs")
+    for v in d.values() if isinstance(d, dict) else d:
+        if isinstance(v, (list, dict)):
+            _reject_null_entries(v)
 
 
 def _load_body(path: str, exact: bool):
@@ -221,7 +232,7 @@ def _parse_vector(text: str, exact: bool = False) -> np.ndarray:
             out[:] = [Fraction(str(v)) for v in vals]
             return out
         return np.asarray([float(v) for v in vals], dtype=np.float64)
-    except (ValueError, json.JSONDecodeError) as e:
+    except (ValueError, TypeError) as e:  # JSONDecodeError is a ValueError
         raise SchemaError(f"bad vector {text!r}: {e}") from e
 
 
@@ -384,8 +395,10 @@ def _cmd_mv(args):
     if args.reverse_af:
         if args.degrees is None:
             raise SchemaError("--reverse-af needs --degrees")
-        degrees = [int(v) for v in args.degrees.split(",") if v.strip()]
-        return {"value": algebra.reverse_af_gap(Ks, degrees)}
+        degrees = _parse_vector(args.degrees, exact=True)
+        if any(v.denominator != 1 for v in degrees):
+            raise SchemaError(f"bad degrees {args.degrees!r}: need integers")
+        return {"value": algebra.reverse_af_gap(Ks, [int(v) for v in degrees])}
     return {"value": algebra.mixed_volume(Ks)}
 
 
@@ -497,7 +510,7 @@ def _cmd_bm_probe(args):
         companions = _read(args.companions, "companions", _companions)
     t_grid = None
     if args.t_grid is not None:
-        t_grid = [float(v) for v in args.t_grid.split(",") if v.strip()]
+        t_grid = _parse_vector(args.t_grid)
     curve = randomdet.bm_concavity_probe(
         d1, d2, args.d, companions=companions, t_grid=t_grid,
         n=args.samples if args.mc else 0, seed=args.seed,
@@ -669,7 +682,7 @@ def main(argv=None) -> int:
     except SchemaError as e:
         sys.stderr.write(dumps({"error": {"code": 2, "message": str(e)}}) + "\n")
         return 2
-    except ValueError as e:
+    except (ValueError, ArithmeticError) as e:
         sys.stderr.write(dumps({"error": {"code": 3, "message": str(e)}}) + "\n")
         return 3
     sys.stdout.write(text + "\n")

@@ -22,7 +22,7 @@ import numpy as np
 from . import exterior
 from .algebra import _chain
 from .exterior import realify_rows, unrealify_rows
-from .sampling import SeedStream, _mc_mean_se
+from .sampling import CHUNK, SeedStream, _mc_mean_se
 from .zonotope import Zonotope, canonicalize, length, zonotope
 
 __all__ = [
@@ -323,14 +323,28 @@ expected_abs_det_complex_exact = expected_abs_det_exact
 def expected_abs_det_mc(model: MatrixBlockModel, n: int, seed: int = 0
                         ) -> tuple[float, float]:
     """Monte Carlo E|det M| with Bessel-corrected standard error; real or
-    complex entries alike."""
-    # A chunk's matrices live until the next chunk replaces them; freed at
-    # once they cost ~10% in the stochastic bench (a malloc heap-trim effect).
-    held = [None]
+    complex entries alike.  When every block is discrete and the joint atom
+    support has at most min(n, CHUNK) matrices, each sample looks |det| up
+    in a table over that support, at the atoms model.sample would draw: the
+    same determinants, so the same estimate bit for bit."""
+    shape = tuple(b.dist.n_atoms for b in model.blocks) if model.all_discrete() else ()
+    if shape and math.prod(shape) <= min(n, CHUNK):
+        joint = np.indices(shape).reshape(len(shape), -1)
+        table = np.abs(np.linalg.det(np.concatenate(
+            [b.atom_matrices(model.size)[i] for b, i in zip(model.blocks, joint)], axis=2)))
 
-    def draw(stream, size):
-        held[0] = model.sample(size, stream)
-        return np.abs(np.linalg.det(held[0]))
+        def draw(stream, size):
+            idx = [stream.derive("block", j).choice(size, b.dist.probs)
+                   for j, b in enumerate(model.blocks)]
+            return table[np.ravel_multi_index(idx, shape)]
+    else:
+        # A chunk's matrices live until the next chunk replaces them; freed at
+        # once they cost ~10% in the stochastic bench (a malloc heap-trim effect).
+        held = [None]
+
+        def draw(stream, size):
+            held[0] = model.sample(size, stream)
+            return np.abs(np.linalg.det(held[0]))
 
     return _mc_mean_se(SeedStream(seed).derive("edet"), n, draw)
 

@@ -584,46 +584,58 @@ def test_empty_measure_keeps_its_dimension(tmp_path):
 
 
 # One command per file kind, the bad file written as "BAD" among good ones.
-# Each gets three bad inputs: a JSON list, a field of the wrong type and a
-# non-numeric entry.
+# Each gets four bad inputs: a JSON list, a field of the wrong type, a
+# non-numeric entry and a null among the numbers (numpy would read it as NaN).
 _CUBE = {"ambient_dim": 2, "generators": [[1.0, 0.0], [0.0, 1.0]]}
 _DIST = {"atoms": [[1.0, 0.0], [0.0, 1.0]], "probs": [0.5, 0.5]}
 _FACES = {"ambient_dim": 2, "vertices": [[0.0, 0.0], [1.0, 0.0]], "n_faces": [[0], [1]]}
 FILE_KINDS = [
     ("zonotope", ["vol", "BAD"],
-     {**_CUBE, "generators": 5}, {**_CUBE, "generators": [["x", "0"]]}),
+     {**_CUBE, "generators": 5}, {**_CUBE, "generators": [["x", "0"]]},
+     {**_CUBE, "grading": None, "generators": [[None, 0.0], [0.0, 1.0]]}),
     ("zonotope", ["support", "BAD", "--dir", "1,0"],  # a virtual one
-     {"plus": _CUBE, "minus": 5}, {"plus": _CUBE, "minus": {**_CUBE, "generators": [[0, "x"]]}}),
+     {"plus": _CUBE, "minus": 5}, {"plus": _CUBE, "minus": {**_CUBE, "generators": [[0, "x"]]}},
+     {"plus": _CUBE, "minus": {**_CUBE, "generators": [[0.0, None]]}}),
     ("complex vectors", ["mvj", "--discs", "BAD"],
-     {"vectors": {"re": 1}}, {"vectors": [[["x", 0.0]]]}),
+     {"vectors": {"re": 1}}, {"vectors": [[["x", 0.0]]]},
+     {"vectors": [[[1.0, None], [0.0, 1.0]]]}),
     ("face data", ["jvol", "--faces", "BAD"],
-     {**_FACES, "n_faces": 5}, {**_FACES, "vertices": [["x", 0.0], [1.0, 0.0]]}),
+     {**_FACES, "n_faces": 5}, {**_FACES, "vertices": [["x", 0.0], [1.0, 0.0]]},
+     {**_FACES, "vertices": [[None, 0.0], [1.0, 0.0]]}),
     ("face data", ["kaza", "--faces", "BAD"],
-     {**_FACES, "ambient_dim": [2]}, {**_FACES, "n_faces": [["x"]]}),
+     {**_FACES, "ambient_dim": [2]}, {**_FACES, "n_faces": [["x"]]},
+     {**_FACES, "vertices": [[0.0, 0.0], [1.0, None]]}),
     ("subspace", ["sigma-j", "BAD"],
-     {"ambient_dim": [2], "basis": [[1.0, 0.0]]}, {"ambient_dim": 2, "basis": [["x", 0.0]]}),
+     {"ambient_dim": [2], "basis": [[1.0, 0.0]]}, {"ambient_dim": 2, "basis": [["x", 0.0]]},
+     {"ambient_dim": 2, "basis": [[1.0, None]]}),
     ("block model", ["edet", "BAD"],
      {"size": 2, "blocks": [5]},
-     {"size": 1, "blocks": [{"width": 1, "dist": {"atoms": [[1.0]], "probs": ["x"]}}]}),
+     {"size": 1, "blocks": [{"width": 1, "dist": {"atoms": [[1.0]], "probs": ["x"]}}]},
+     {"size": 1, "blocks": [{"width": 1, "dist": {"atoms": [[None], [1.0]],
+                                                  "probs": [0.5, 0.5]}}]}),
     ("distribution", ["edet", "--vitale", "BAD"],
-     {**_DIST, "probs": 5}, {**_DIST, "probs": ["x", 0.5]}),
+     {**_DIST, "probs": 5}, {**_DIST, "probs": ["x", 0.5]}, {**_DIST, "probs": [0.5, None]}),
     ("distribution", ["bm-probe", "BAD", "GOOD", "--d", "2"],
-     {**_DIST, "atoms": 5}, {**_DIST, "atoms": [["x", 0.0], [0.0, 1.0]]}),
+     {**_DIST, "atoms": 5}, {**_DIST, "atoms": [["x", 0.0], [0.0, 1.0]]},
+     {**_DIST, "atoms": [[None, 0.0], [0.0, 1.0]]}),
     ("sampler", ["edet", "--empirical", "BAD"],
-     {"kind": "gaussian", "dimension": [2]}, {"kind": "gaussian", "dimension": "x"}),
+     {"kind": "gaussian", "dimension": [2]}, {"kind": "gaussian", "dimension": "x"},
+     {"kind": "discrete", "dimension": 2, "dist": {**_DIST, "atoms": [[1.0, None], [0.0, 1.0]]}}),
     ("companions", ["bm-probe", "GOOD", "GOOD", "--d", "1", "--companions", "BAD"],
-     {"columns": 5}, {"columns": [["x", 0.0]]}),
+     {"columns": 5}, {"columns": [["x", 0.0]]}, {"columns": [[None, 1.0]]}),
     ("measure", ["measure", "BAD"],
-     {"atoms": 5, "weights": [1]}, {"atoms": [[1.0, 0.0]], "weights": ["x"]}),
+     {"atoms": 5, "weights": [1]}, {"atoms": [[1.0, 0.0]], "weights": ["x"]},
+     {"atoms": [[1.0, 0.0]], "weights": [None]}),
 ]
 
 
-@pytest.mark.parametrize("what, argv, obj", [
-    pytest.param(what, argv, obj, id=f"{argv[0]} {what}: {bad}")
-    for what, argv, wrong_type, non_numeric in FILE_KINDS
-    for bad, obj in (("list", [1, 2]), ("wrong type", wrong_type), ("non-numeric", non_numeric))
+@pytest.mark.parametrize("what, argv, case, obj", [
+    pytest.param(what, argv, case, obj, id=f"{argv[0]} {what}: {case}")
+    for what, argv, wrong_type, non_numeric, null in FILE_KINDS
+    for case, obj in (("list", [1, 2]), ("wrong type", wrong_type), ("non-numeric", non_numeric),
+                      ("null", null))
 ])
-def test_every_malformed_file_exits_2(tmp_path, what, argv, obj):
+def test_every_malformed_file_exits_2(tmp_path, what, argv, case, obj):
     bad = write(tmp_path, "bad.json", obj)
     good = write(tmp_path, "good.json", _DIST)
     code, out, err = run([{"BAD": bad, "GOOD": good}.get(a, a) for a in argv])
@@ -632,3 +644,27 @@ def test_every_malformed_file_exits_2(tmp_path, what, argv, obj):
     error = json.loads(line)["error"]
     assert error["code"] == 2
     assert error["message"].startswith(f"malformed {what} in {bad}: ")
+    if case == "null":
+        assert error["message"].endswith("null where a number belongs")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gamma-k", "--k", "1", "--x", "1000"], "math range error"),
+    (["j-ball", "--n", "400"], "int too large to convert to float"),
+    (["gaussian-edet", "--m", "400"], "math range error"),
+])
+def test_constants_overflow_exits_3(argv, message):
+    code, out, err = run(["constants", *argv])
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == {"code": 3, "message": message}
+
+
+def test_malformed_numbers_in_options_exit_2(tmp_path):
+    f, d = cube_file(tmp_path), write(tmp_path, "d.json", _DIST)
+    for argv, needle in ((["mv", f, f, "--reverse-af", "--degrees", "1,x"], "bad vector '1,x'"),
+                         (["mv", f, f, "--reverse-af", "--degrees", "1.5,0.5"], "need integers"),
+                         (["bm-probe", d, d, "--d", "2", "--t-grid", "a"], "bad vector 'a'"),
+                         (["support", f, "--dir", "[1, null]"], "bad vector '[1, null]'")):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert needle in json.loads(err)["error"]["message"]

@@ -36,6 +36,7 @@ from zonoidal import (
     volume,
     zonotope,
 )
+from zonoidal.sampling import CHUNK, SeedStream, _mc_mean_se, chunk_sizes
 from zonoidal.testkit import brute_force_expected_abs_det
 
 
@@ -354,3 +355,36 @@ def test_mc_estimate_is_pinned_across_chunks():
     assert expected_abs_det_mc(model, 500, 9) == (0.499048, 0.042815047775566564)
     with pytest.raises(ValueError):
         expected_abs_det_mc(model, 1, 9)
+
+
+def _table_models():
+    rng = np.random.default_rng(14)
+    real = DiscreteDistribution(rng.normal(size=(4, 3)), np.full(4, 0.25))
+    cplx = DiscreteDistribution(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)),
+                                np.array([0.5, 0.3, 0.2]))
+    col = DiscreteDistribution(rng.normal(size=(5, 4)), np.full(5, 0.2))
+    wide = MatrixBlock(2, dist=DiscreteDistribution(rng.normal(size=(3, 4, 2)),
+                                                    np.array([0.6, 0.3, 0.1])))
+    big = DiscreteDistribution(rng.normal(size=(17, 4)), np.full(17, 1 / 17))
+    return {
+        "real iid": iid_column_model(real, 3),
+        "complex iid": iid_column_model(cplx, 3),
+        "mixed widths": MatrixBlockModel(4, (wide, MatrixBlock(1, dist=col),
+                                             MatrixBlock(1, dist=col))),
+        "support above CHUNK": iid_column_model(big, 4),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 100, 70_000, 200_000])
+@pytest.mark.parametrize("name", list(_table_models()))
+def test_mc_table_route_is_the_direct_route_bit_for_bit(name, n, monkeypatch):
+    model = _table_models()[name]
+    support = math.prod(b.dist.n_atoms for b in model.blocks)
+    stream = SeedStream(5).derive("edet")
+    ref = _mc_mean_se(stream, n, lambda s, size: np.abs(np.linalg.det(model.sample(size, s))))
+    stacks, det = [], np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: stacks.append(len(a)) or det(a))
+    assert expected_abs_det_mc(model, n, 5) == ref
+    # one determinant per support matrix when that is at most min(n, CHUNK),
+    # else one per sample, chunk by chunk
+    assert stacks == ([support] if support <= min(n, CHUNK) else chunk_sizes(n))
