@@ -181,8 +181,8 @@ def _read(path: str, what: str, parse):
     any failure on the way is a schema error naming the file."""
     try:
         with open(path) as fh:
-            d = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+            d = json.load(fh, parse_constant=_reject_constant)
+    except (OSError, ValueError) as e:  # JSONDecodeError is a ValueError
         raise SchemaError(f"cannot read JSON from {path}: {e}") from e
     try:
         _reject_null_entries(d)
@@ -190,6 +190,11 @@ def _read(path: str, what: str, parse):
     except (KeyError, TypeError, IndexError, AttributeError, ValueError,
             ArithmeticError) as e:
         raise SchemaError(f"malformed {what} in {path}: {e}") from e
+
+
+def _reject_constant(name: str):
+    """json.load's hook for NaN, Infinity and -Infinity, which JSON lacks."""
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def _reject_null_entries(d) -> None:

@@ -33,7 +33,7 @@ from . import exterior
 from .algebra import _chain, _require_grading
 from .exterior import realify_rows, unrealify_rows
 from .sampling import SeedStream, _mc_mean_se, derive_seed
-from .zonotope import Zonotope, _lex_order, canonicalize, length, zonotope
+from .zonotope import Zonotope, _finite_floats, _lex_order, canonicalize, length, zonotope
 
 __all__ = [
     "ComplexStructure",
@@ -524,4 +524,5 @@ def face_data_to_dict(P: PolytopeFaceData) -> dict:
 
 
 def face_data_from_dict(d: dict) -> PolytopeFaceData:
-    return PolytopeFaceData(int(d["ambient_dim"]), d["vertices"], d["n_faces"])
+    """Inverse of face_data_to_dict; a null or non-finite vertex entry is a KeyError."""
+    return PolytopeFaceData(int(d["ambient_dim"]), _finite_floats(d["vertices"]), d["n_faces"])

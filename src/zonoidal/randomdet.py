@@ -23,7 +23,7 @@ from . import exterior
 from .algebra import _chain
 from .exterior import realify_rows, unrealify_rows
 from .sampling import CHUNK, SeedStream, _mc_mean_se
-from .zonotope import Zonotope, canonicalize, length, zonotope
+from .zonotope import Zonotope, _finite_floats, canonicalize, length, zonotope
 
 __all__ = [
     "DiscreteDistribution",
@@ -456,16 +456,17 @@ def distribution_to_dict(dist: DiscreteDistribution) -> dict:
 def distribution_from_dict(d: dict, complex_field: bool = False
                            ) -> DiscreteDistribution:
     """Inverse of distribution_to_dict.  Atoms that are not a regular array,
-    or complex entries that are not [re, im] pairs, are a KeyError."""
+    complex entries that are not [re, im] pairs, and null or non-finite
+    entries are a KeyError."""
     try:
-        atoms = np.asarray(d["atoms"], dtype=np.float64)
+        atoms = _finite_floats(d["atoms"])
     except ValueError as e:
         raise KeyError(f"atoms must be a regular array of numbers: {e}") from e
     if complex_field:
         if atoms.ndim < 2 or atoms.shape[-1] != 2:
             raise KeyError(f"complex atoms must be [re, im] pairs, got shape {atoms.shape}")
         atoms = unrealify_rows(atoms)[..., 0]
-    return DiscreteDistribution(atoms, np.asarray(d["probs"], dtype=np.float64))
+    return DiscreteDistribution(atoms, _finite_floats(d["probs"]))
 
 
 def model_from_dict(d: dict) -> MatrixBlockModel:

@@ -217,9 +217,9 @@ def linear_image(M, K: Zonotope) -> Zonotope:
 
 
 def _sign_normalize_float(g: np.ndarray) -> np.ndarray:
-    nz = np.abs(g) > 0.0
-    first = np.argmax(nz, axis=1)
-    lead = g[np.arange(len(g)), first]
+    lead = g[:, 0]
+    if not np.all(lead != 0.0):  # some row leads with 0.0 or -0.0
+        lead = g[np.arange(len(g)), np.argmax(np.abs(g) > 0.0, axis=1)]
     return g * np.where(lead < 0, -1.0, 1.0)[:, None]
 
 
@@ -251,49 +251,68 @@ def _collinear_labels(unit: np.ndarray) -> np.ndarray:
     A class is a connected component of the graph joining two rows
     whose sine is at most COLLINEAR_SINE_TOL.  Two joined rows differ in
     |<u, p>| by at most about their sine, for any unit p; so the rows
-    are sorted by that key for one fixed generic p, the order is cut at
-    every gap above twice the tolerance, and each component grows inside
-    its run against the rows not yet assigned.  The sine of a pair is the
+    are sorted by that key for one fixed generic p, and the order is cut
+    at every gap above twice the tolerance.  A breadth-first search then
+    grows the components of every run in lockstep: each round gives each
+    run one pivot, a row queued by its current component or else its
+    smallest unassigned row as a new seed, and tests all pivots against
+    the unassigned rows of their runs in one gathered batch.  The rounds
+    number the most pivots any one run takes.  The sine of a pair is the
     residual of its higher-index row against its lower-index row, so the
-    graph does not depend on the visit order.
+    graph does not depend on the visit order, and a seed is the smallest
+    index of its class.
     """
     n, dim = unit.shape
     labels = np.arange(n)
     p = np.cos(np.arange(1.0, dim + 1.0))
     key = np.abs(unit @ (p / np.linalg.norm(p)))
     order = np.argsort(key, kind="stable")
-    cuts = np.flatnonzero(np.diff(key[order]) > 2.0 * COLLINEAR_SINE_TOL) + 1
-    starts, ends = np.r_[0, cuts], np.r_[cuts, n]
-    runs = ends - starts > 1
-    for a, b in zip(starts[runs], ends[runs]):
-        rest = np.sort(order[a:b])
-        while len(rest) > 1:
-            seed, rest = rest[0], rest[1:]
-            queue = [seed]
-            while queue and len(rest):
-                i = queue.pop()
-                q, cand = unit[i], unit[rest]
-                cos = (cand @ q)[:, None]
-                resid = np.where((rest < i)[:, None], q - cos * cand, cand - cos * q)
-                sine = np.linalg.norm(resid, axis=1)
-                hit = sine <= COLLINEAR_SINE_TOL
-                labels[rest[hit]] = seed
-                queue.extend(rest[hit])
-                rest = rest[~hit]
-    return labels
+    gap = np.diff(key[order]) > 2.0 * COLLINEAR_SINE_TOL
+    multi = ~(np.r_[True, gap] & np.r_[gap, True])  # in a run of two or more
+    if not multi.any():
+        return labels
+    # rows in runs, each run's rows in index order (run is sorted already);
+    # a queued row is assigned but has not been a pivot yet
+    rows, run = order[multi], np.cumsum(np.r_[True, gap])[multi]
+    rows = rows[np.lexsort((rows, run))]
+    queued = np.zeros(len(rows), dtype=bool)
+    while True:
+        start = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
+        size = np.diff(np.r_[start, len(rows)])
+        at = np.arange(len(rows))
+        last_queued = np.maximum.reduceat(np.where(queued, at, -1), start)
+        seeded = last_queued < 0
+        # live: the run has an unassigned row beside its pivot
+        live = np.add.reduceat(~queued, start, dtype=np.intp) > seeded
+        if not live.any():
+            return labels
+        pivot = np.where(seeded, start, last_queued)
+        piv, in_live = np.repeat(pivot, size), np.repeat(live, size)
+        cand = np.flatnonzero(~queued & in_live & (at != piv))
+        i, j = rows[piv[cand]], rows[cand]
+        q, u = unit[i], unit[j]
+        cos = np.einsum("ij,ij->i", q, u)[:, None]
+        resid = np.where((j < i)[:, None], q - cos * u, u - cos * q)
+        hit = np.linalg.norm(resid, axis=1) <= COLLINEAR_SINE_TOL
+        labels[j[hit]] = labels[i[hit]]
+        queued[cand[hit]] = True
+        in_live[pivot] = False
+        rows, run, queued = rows[in_live], run[in_live], queued[in_live]
 
 
 def _canonicalize_float(K: Zonotope) -> Zonotope:
-    norms = np.linalg.norm(K.generators, axis=1)
-    g, norms = K.generators[norms > 0.0], norms[norms > 0.0]
+    g, norms = K.generators, np.linalg.norm(K.generators, axis=1)
+    nonzero = norms > 0.0
+    if not nonzero.all():
+        g, norms = g[nonzero], norms[nonzero]
     if len(g) == 0:
         return replace(K, generators=g)
     g = _sign_normalize_float(g)
     unit = g / norms[:, None]
     labels = _collinear_labels(unit)
-    order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
-    if len(starts) < len(g):
+    if (labels != np.arange(len(g))).any():
+        order = np.argsort(labels, kind="stable")
+        starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
         flips = np.where(np.sum(unit * unit[labels], axis=1) < 0, -1.0, 1.0)
         g = _sign_normalize_float(np.add.reduceat((g * flips[:, None])[order], starts))
     return replace(K, generators=g[_lex_order(g)])
@@ -483,17 +502,28 @@ def _rows_to_json(rows: np.ndarray) -> list:
     return [[entry(x) for x in row] for row in rows]
 
 
+def _finite_floats(raw) -> np.ndarray:
+    """JSON numbers as a float64 array; a null (which numpy reads as NaN),
+    NaN or infinite entry is a KeyError."""
+    a = np.asarray(raw, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise KeyError("null or non-finite entry where a number belongs")
+    return a
+
+
 def _rows_from_json(raw, dim: int, exact: bool = False) -> np.ndarray:
     """The (len(raw), dim) array of JSON rows: Fractions when exact is set
     or any entry is a string, else float64.  A row of any other length
-    than dim is a KeyError."""
+    than dim, or an entry that is null or not finite, is a KeyError."""
     bad = [len(row) for row in raw if len(row) != dim]
     if bad:
         raise KeyError(f"row of length {bad[0]} where the ambient dimension is {dim}")
     if not (exact or any(isinstance(x, str) for row in raw for x in row)):
-        return np.asarray(raw, dtype=np.float64).reshape(len(raw), dim)
+        return _finite_floats(raw).reshape(len(raw), dim)
     out = np.empty((len(raw), dim), dtype=object)
     for i, row in enumerate(raw):
+        if any(x is None or (type(x) is float and not math.isfinite(x)) for x in row):
+            raise KeyError("null or non-finite entry where a number belongs")
         out[i, :] = [Fraction(x) for x in row]
     return out
 

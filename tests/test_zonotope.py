@@ -11,9 +11,12 @@ from zonoidal import (
     Zonotope,
     canonical_eq,
     canonicalize,
+    distribution_from_dict,
+    face_data_from_dict,
     hausdorff_estimate,
     length,
     linear_image,
+    measure_from_dict,
     minkowski_sum,
     radius,
     radius_bounds,
@@ -31,6 +34,8 @@ from zonoidal import (
     zonotope_from_dict,
     zonotope_to_dict,
 )
+from zonoidal.algebra import _chain
+from zonoidal.jvolume import disc_zonotope
 from zonoidal.sampling import direction_net
 from zonoidal.testkit import length_brute, radius_brute, support_brute
 from zonoidal.zonotope import COLLINEAR_SINE_TOL, _collinear_labels, _lex_order
@@ -268,6 +273,118 @@ def test_collinear_labels_match_dense_components():
         unit = np.array(rows)
         unit /= np.linalg.norm(unit, axis=1)[:, None]
         assert np.array_equal(_collinear_labels(unit), _components_brute(unit))
+
+
+def _partner(g, v):
+    """A random vector orthogonal to v, of v's length."""
+    w = g.standard_normal(len(v))
+    w -= (w @ v) / (v @ v) * v
+    return w * (np.linalg.norm(v) / np.linalg.norm(w))
+
+
+def _turned(v, w, t):
+    """v turned by angle t towards its partner w."""
+    return math.cos(t) * v + math.sin(t) * w
+
+
+def _multi_run_rows(g, dim):
+    """Generator rows whose sort keys fall into many runs at once: 2-row
+    runs of duplicates, negations and turns by 0.3-0.45 tolerances, 3-row
+    chains whose ends are 1.2-1.8 tolerances apart, a 5-row chain whose
+    ends are 3 tolerances apart, rows that share one key without being
+    collinear, and leading 0.0 and -0.0."""
+    tol = COLLINEAR_SINE_TOL
+    rows = []
+    for _ in range(int(g.integers(5, 40))):
+        v = g.standard_normal(dim)
+        w = _partner(g, v)
+        t = tol * g.uniform(0.6, 0.9)  # the ends of a 3-row chain: 2t > tol
+        kind = int(g.integers(5))
+        if kind == 0:
+            rows += [v, v.copy()]
+        elif kind == 1:
+            rows += [v, -g.uniform(0.5, 3.0) * v]
+        elif kind == 2:
+            rows += [v, g.uniform(-3.0, 3.0) * _turned(v, w, t / 2.0)]
+        elif kind == 3:
+            rows += [_turned(v, w, t), v, -_turned(v, w, -t)]
+        else:
+            rows.append(v)
+    v = g.standard_normal(dim)
+    w = _partner(g, v)
+    rows += [g.choice([-2.0, 0.5, 1.0]) * _turned(v, w, 0.75 * k * tol) for k in range(5)]
+    p = np.cos(np.arange(1.0, dim + 1.0))
+    p /= np.linalg.norm(p)
+    for _ in range(int(g.integers(2, 8))):
+        a = g.uniform(0.1, 0.9)
+        for _ in range(int(g.integers(2, 6))):
+            w = g.standard_normal(dim)
+            w -= (w @ p) * p
+            u = a * p + math.sqrt(1.0 - a * a) * w / np.linalg.norm(w)
+            rows += [u] if g.random() < 0.7 else [u, -3.0 * u]
+    lead0 = np.column_stack([np.zeros(4), g.standard_normal((4, dim - 1))])
+    rows += [*lead0, *-lead0, *-(2.0 * lead0)]
+    if dim > 2:
+        rows.append(np.r_[-0.0, -0.0, g.standard_normal(dim - 2)])
+    G = np.array(rows)
+    return G[g.permutation(len(G))]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+def test_collinear_labels_match_dense_components_on_multi_run_batches(dim):
+    g = rng(30 + dim)
+    for _ in range(8):
+        G = _multi_run_rows(g, dim)
+        unit = G / np.linalg.norm(G, axis=1)[:, None]
+        labels = _collinear_labels(unit)
+        assert np.array_equal(labels, _components_brute(unit))
+        assert len(np.unique(labels)) < len(G)
+
+
+def _canonicalize_dense(G):
+    """canonicalize by its definition: drop zero rows, make each first
+    nonzero entry positive, merge each dense component into its rows'
+    sum (turned to the smallest row's side, in index order, with the
+    rounding of np.add.reduceat), sort rows."""
+    def sign_normalized(rows):
+        lead = np.array([next(x for x in row if abs(x) > 0.0) for row in rows])
+        return rows * np.where(lead < 0, -1.0, 1.0)[:, None]
+
+    G = G[np.linalg.norm(G, axis=1) > 0.0]
+    if len(G) == 0:
+        return G
+    g = sign_normalized(G)
+    unit = g / np.linalg.norm(G, axis=1)[:, None]
+    labels = _components_brute(unit)
+    merged = []
+    for c in np.unique(labels):
+        rows = [g[i] if unit[i] @ unit[c] >= 0 else -g[i] for i in np.flatnonzero(labels == c)]
+        merged.append(np.add.reduceat(np.array(rows), [0])[0])
+    g = sign_normalized(np.array(merged))
+    return g[np.lexsort(g.T[::-1])]
+
+
+def _dense_oracle_cases():
+    g = rng(40)
+    cases = {f"multi-run R^{d}": _multi_run_rows(g, d) for d in (2, 3, 5)}
+    P = zonotope(g.standard_normal((8, 6)), cgrading=(3, 1))
+    cases["C^3 P ^ P"] = _chain([P, P]).generators
+    z1, z2 = g.standard_normal(2) + 1j * g.standard_normal(2), np.array([1.0, 1j])
+    cases["disc wedge C^2"] = _chain([disc_zonotope(z1, 12), disc_zonotope(z2, 12)]).generators
+    cases["disc wedge C^3"] = _chain([disc_zonotope(z, 6) for z in g.standard_normal((3, 3))
+                                      + 1j * g.standard_normal((3, 3))]).generators
+    cases["with zero rows"] = np.vstack([np.zeros((3, 4)), -np.zeros((2, 4)),
+                                         _multi_run_rows(g, 4)])
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_dense_oracle_cases()))
+def test_canonicalize_matches_dense_oracle_bit_for_bit(case):
+    G = _dense_oracle_cases()[case]
+    C = canonicalize(zonotope(G)).generators
+    expected = _canonicalize_dense(G)
+    assert C.shape == expected.shape and len(C) < len(G)
+    assert C.tobytes() == expected.tobytes()
 
 
 def _lex_order_cases():
@@ -542,3 +659,23 @@ def test_serialization_cgrading_and_errors():
     assert back.cgrading == (2, 1)
     with pytest.raises(KeyError):
         zonotope_from_dict({"ambient_dim": 2})
+
+
+@pytest.mark.parametrize("entry", [None, math.nan, math.inf, -math.inf])
+def test_json_readers_refuse_null_and_non_finite_entries(entry):
+    # numpy would read None as NaN, and canonicalize would drop that row
+    rows = [[entry, 0.0], [0.0, 1.0]]
+    with pytest.raises(KeyError, match="non-finite"):
+        zonotope_from_dict({"ambient_dim": 2, "generators": rows})
+    with pytest.raises(KeyError, match="non-finite"):
+        zonotope_from_dict({"ambient_dim": 2, "generators": rows}, exact=True)
+    with pytest.raises(KeyError, match="non-finite"):
+        measure_from_dict({"atoms": rows, "weights": [1.0, 1.0]})
+    with pytest.raises(KeyError, match="non-finite"):
+        measure_from_dict({"atoms": [[1.0, 0.0]], "weights": [entry]})
+    with pytest.raises(KeyError, match="non-finite"):
+        distribution_from_dict({"atoms": rows, "probs": [0.5, 0.5]})
+    with pytest.raises(KeyError, match="non-finite"):
+        distribution_from_dict({"atoms": [[1.0, 0.0], [0.0, 1.0]], "probs": [0.5, entry]})
+    with pytest.raises(KeyError, match="non-finite"):
+        face_data_from_dict({"ambient_dim": 2, "vertices": rows, "n_faces": [[0], [1]]})
