@@ -74,23 +74,14 @@ def tensor_product(K: Zonotope, L: Zonotope) -> Zonotope:
     """Zonotope of the tensor of independent representatives.
 
     Generators are all pairwise outer products, flattened row-major.
-    Exact lists are split once into integer numerators; each product
-    entry is one Fraction over the two rows' denominators.
     """
     K, L = _one_field(K, L)
-    dim, count = K.ambient_dim * L.ambient_dim, K.n_generators * L.n_generators
-    if count == 0:
-        return zonotope([], ambient_dim=dim)
-    a, b = K.generators, L.generators
-    sa, sb = exterior._split_exact(a), exterior._split_exact(b)
-    if sa is None or sb is None:
-        gens = np.einsum("ia,jb->ijab", a, b).reshape(count, dim)
-    else:
-        (na, da, top_a), (nb, db, top_b) = sa, sb
-        na, nb = exterior._int_arrays(max(top_a, 1) * max(top_b, 1), na, nb)
-        num = (na[:, None, :, None] * nb[None, :, None, :]).reshape(count, dim)
-        gens = exterior._join_exact(num, np.outer(da, db).ravel())
-    return canonicalize(Zonotope(dim, gens))
+    if K.n_generators == 0 or L.n_generators == 0:
+        return zonotope([], ambient_dim=K.ambient_dim * L.ambient_dim)
+    gens = np.einsum("ia,jb->ijab", K.generators, L.generators).reshape(
+        K.n_generators * L.n_generators, K.ambient_dim * L.ambient_dim
+    )
+    return canonicalize(Zonotope(K.ambient_dim * L.ambient_dim, gens))
 
 
 def virtual_tensor(W1: VirtualZonotope, W2: VirtualZonotope) -> VirtualZonotope:

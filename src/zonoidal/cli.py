@@ -27,6 +27,7 @@ from .exterior import unrealify_rows
 from .zonotope import (
     VirtualZonotope,
     Zonotope,
+    _finite_floats,
     canonicalize,
     hausdorff_estimate,
     length,
@@ -178,33 +179,20 @@ def dumps(obj) -> str:
 
 def _read(path: str, what: str, parse):
     """parse(JSON of path), the one way a file becomes a library object:
-    any failure on the way is a schema error naming the file."""
+    any failure on the way is a schema error naming the file.  The
+    library's readers refuse null and non-finite numbers."""
     try:
         with open(path) as fh:
-            d = json.load(fh, parse_constant=_reject_constant)
-    except (OSError, ValueError) as e:  # JSONDecodeError is a ValueError
+            d = json.load(fh)
+    except (OSError, json.JSONDecodeError) as e:
         raise SchemaError(f"cannot read JSON from {path}: {e}") from e
     try:
-        _reject_null_entries(d)
         return parse(d)
     except (KeyError, TypeError, IndexError, AttributeError, ValueError,
             ArithmeticError) as e:
-        raise SchemaError(f"malformed {what} in {path}: {e}") from e
-
-
-def _reject_constant(name: str):
-    """json.load's hook for NaN, Infinity and -Infinity, which JSON lacks."""
-    raise ValueError(f"{name} is not a JSON number")
-
-
-def _reject_null_entries(d) -> None:
-    """Raise on a JSON null inside a list: a missing number, which numpy
-    would read as NaN.  A null object value, such as "grading", stays valid."""
-    if isinstance(d, list) and any(v is None for v in d):
-        raise ValueError("null where a number belongs")
-    for v in d.values() if isinstance(d, dict) else d:
-        if isinstance(v, (list, dict)):
-            _reject_null_entries(v)
+        # str() of a KeyError quotes its message or missing key
+        detail = e.args[0] if isinstance(e, KeyError) and e.args else e
+        raise SchemaError(f"malformed {what} in {path}: {detail}") from e
 
 
 def _load_body(path: str, exact: bool):
@@ -252,7 +240,7 @@ def _parse_matrix(text: str) -> np.ndarray:
 def _complex_vectors(d: dict) -> np.ndarray:
     """Complex rows from rows of [re, im] pairs, each pair the realify_rows
     layout of one entry."""
-    pairs = np.asarray(d["vectors"], dtype=np.float64)
+    pairs = _finite_floats(d["vectors"])
     if pairs.ndim != 3 or pairs.shape[2] != 2:
         raise ValueError(f"complex vectors must be [re, im] pairs, got {pairs.shape}")
     return unrealify_rows(pairs)[..., 0]
@@ -267,7 +255,7 @@ def _sampler(d: dict, seed: int) -> randomdet.SeededSampler:
 
 def _companions(d: dict) -> np.ndarray:
     """Companion file {"columns": [[...], ...]} as a matrix of columns."""
-    cols = np.asarray(d["columns"], dtype=np.float64)
+    cols = _finite_floats(d["columns"])
     if cols.size and cols.ndim != 2:
         raise ValueError(f"columns must be a list of vectors, got shape {cols.shape}")
     return cols.T
@@ -470,7 +458,7 @@ def _cmd_kaza(args):
 
 def _cmd_sigma_j(args):
     E = _read(args.files[0], "subspace", lambda d: jvolume.Subspace(
-        int(d["ambient_dim"]), np.asarray(d["basis"], dtype=np.float64)))
+        int(d["ambient_dim"]), _finite_floats(d["basis"])))
     return {"value": jvolume.sigma_J(E)}
 
 

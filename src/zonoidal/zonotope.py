@@ -507,7 +507,7 @@ def _finite_floats(raw) -> np.ndarray:
     NaN or infinite entry is a KeyError."""
     a = np.asarray(raw, dtype=np.float64)
     if not np.isfinite(a).all():
-        raise KeyError("null or non-finite entry where a number belongs")
+        raise KeyError("non-finite entry or null where a number belongs")
     return a
 
 
@@ -523,7 +523,7 @@ def _rows_from_json(raw, dim: int, exact: bool = False) -> np.ndarray:
     out = np.empty((len(raw), dim), dtype=object)
     for i, row in enumerate(raw):
         if any(x is None or (type(x) is float and not math.isfinite(x)) for x in row):
-            raise KeyError("null or non-finite entry where a number belongs")
+            raise KeyError("non-finite entry or null where a number belongs")
         out[i, :] = [Fraction(x) for x in row]
     return out
 

@@ -74,24 +74,6 @@ def test_tensor_length_multiplicative():
         assert math.isclose(length(tensor_product(K, L)), prod, rel_tol=1e-12)
 
 
-def test_exact_tensor_equals_the_fraction_einsum():
-    # int64 numerators, Python-int numerators (above 2^62) and int entries
-    g = rng(6)
-    big = Fraction(3 ** 41, 7 ** 5)
-    for scale_ in (1, big):
-        for _ in range(8):
-            k, l, a, b = (int(x) for x in g.integers(1, 5, 4))
-            A = np.array([[Fraction(int(n), int(d)) * scale_ for n, d in
-                           zip(g.integers(-9, 10, a), g.integers(1, 12, a))] for _ in range(k)],
-                         dtype=object)
-            B = np.array([[int(n) for n in g.integers(-9, 10, b)] for _ in range(l)], dtype=object)
-            want = canonicalize(zonotope(np.einsum("ia,jb->ijab", A, B).reshape(k * l, a * b)))
-            got = tensor_product(zonotope(A), zonotope(B))
-            assert got.generators.shape == want.generators.shape
-            assert got.generators.tolist() == want.generators.tolist()
-            assert all(type(x) is Fraction for x in got.generators.ravel())
-
-
 def test_tensor_with_origin():
     K = zonotope(rng(2).standard_normal((3, 2)))
     O = zonotope([], ambient_dim=2)

@@ -649,23 +649,23 @@ def test_every_malformed_file_exits_2(tmp_path, what, argv, case, obj):
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
-@pytest.mark.parametrize("argv, text", [
-    pytest.param(["vol", "BAD"], '{"ambient_dim": 2, "generators": [[%s, 0.0], [0.0, 1.0]]}',
-                 id="vol"),
-    pytest.param(["sum", "BAD", "BAD"],
+@pytest.mark.parametrize("what, argv, text", [
+    pytest.param("zonotope", ["vol", "BAD"],
+                 '{"ambient_dim": 2, "generators": [[%s, 0.0], [0.0, 1.0]]}', id="vol"),
+    pytest.param("zonotope", ["sum", "BAD", "BAD"],
                  '{"ambient_dim": 2, "generators": [[1.0, 0.0], [0.0, %s]]}', id="sum"),
-    pytest.param(["edet", "--vitale", "BAD"],
+    pytest.param("distribution", ["edet", "--vitale", "BAD"],
                  '{"atoms": [[%s, 0.0], [0.0, 1.0]], "probs": [0.5, 0.5]}', id="edet --vitale"),
 ])
-def test_non_finite_json_literals_exit_2(tmp_path, argv, text, literal):
+def test_non_finite_json_literals_exit_2(tmp_path, what, argv, text, literal):
     # Python's json reads these literals, which JSON itself lacks
     bad = tmp_path / "bad.json"
     bad.write_text(text % literal)
     code, out, err = run([str(bad) if a == "BAD" else a for a in argv])
     assert (code, out) == (2, "")
-    error = json.loads(err)["error"]
-    assert error == {"code": 2, "message": f"cannot read JSON from {bad}: "
-                                           f"{literal} is not a JSON number"}
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith(f"malformed {what} in {bad}: ")
+    assert message.endswith("non-finite entry or null where a number belongs")
 
 
 @pytest.mark.parametrize("argv, message", [
