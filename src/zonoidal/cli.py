@@ -224,16 +224,16 @@ def _parse_vector(text: str, exact: bool = False) -> np.ndarray:
             out = np.empty(len(vals), dtype=object)
             out[:] = [Fraction(str(v)) for v in vals]
             return out
-        return np.asarray([float(v) for v in vals], dtype=np.float64)
-    except (ValueError, TypeError) as e:  # JSONDecodeError is a ValueError
+        return _finite_floats([float(v) for v in vals])
+    except (ValueError, TypeError, KeyError) as e:  # JSONDecodeError is a ValueError
         raise SchemaError(f"bad vector {text!r}: {e}") from e
 
 
 def _parse_matrix(text: str) -> np.ndarray:
     try:
         rows = [r for r in text.split(";") if r.strip()]
-        return np.asarray([[float(v) for v in r.split(",")] for r in rows])
-    except ValueError as e:
+        return _finite_floats([[float(v) for v in r.split(",")] for r in rows])
+    except (ValueError, KeyError) as e:
         raise SchemaError(f"bad matrix {text!r}: {e}") from e
 
 

@@ -10,20 +10,21 @@ exterior power carries the tag ``cgrading=(n, k)``.  Complex wedges and
 the mixed J-volume are ``algebra``'s wedge chain, which reads that tag
 and wedges such bodies as complex rows over C^n.
 
-The J-volume of a zonotope P in C^n sums, over the distinct spans E of
-n independent generators, vol_n of the sub-zonotope of generators lying
-in E times sigma^J(E)^(1/2); the Kazarnovskii pseudovolume uses
-sigma^J(E) un-rooted.  Both are computed as one sum over the n-subsets
-S of the generators of ||wedge S|| times the weight of sigma^J(span S),
-which needs no span identification.  For general polytopes the same sum
-runs over the supplied n-faces with a Monte Carlo normal-angle weight.
+The J-volume of a zonotope P in C^n is the sum, over the n-subsets S of
+its generators, of |det_C S|: the complex determinant of S's rows in the
+structure's J-frame, the complex twin of volume = sum |det S|.  The
+Kazarnovskii pseudovolume sums |det_C S|^2 / ||wedge S||, which is
+||wedge S|| sigma^J(span S).  Both read ``_minors_and_norms``; a dependent
+subset adds 0 by itself, so no span or tolerance is involved.  J must be
+orthogonal.  For general polytopes the same weights multiply the supplied
+n-faces' volumes and Monte Carlo normal angles.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 
@@ -65,19 +66,37 @@ SPAN_MEMBER_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ComplexStructure:
-    """A linear map J with J^2 = -Identity on R^(2n)."""
+    """An orthogonal map J with J^2 = -Identity on R^(2n), and its read-only
+    J-frame: orthonormal columns a_1, J a_1, ..., a_n, J a_n."""
 
     complex_dim: int
     J: np.ndarray
+    frame: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         J = np.asarray(self.J, dtype=np.float64)
         n = self.complex_dim
         if J.shape != (2 * n, 2 * n):
             raise ValueError("J must be 2n x 2n")
-        if np.max(np.abs(J @ J + np.eye(2 * n))) > J_SQUARE_TOL:
-            raise ValueError("J^2 must equal -Identity")
+        if max(np.max(np.abs(J @ J + np.eye(2 * n))), np.max(np.abs(J + J.T))) > J_SQUARE_TOL:
+            raise ValueError("J must be antisymmetric with J^2 = -Identity (orthogonal)")
         object.__setattr__(self, "J", J)
+        object.__setattr__(self, "frame", _j_frame(J))
+
+
+def _j_frame(J: np.ndarray) -> np.ndarray:
+    """Greedy J-frame: each a_k is the largest column of the projector
+    onto the complement of the columns so far, normalized.  For the
+    standard J every step is exact, and the frame is the identity."""
+    m = len(J)
+    F = np.zeros((m, 0))
+    for _ in range(m // 2):
+        P = np.eye(m) - F @ F.T
+        a = P[:, np.argmax(np.diagonal(P))]
+        a = a / np.linalg.norm(a)
+        F = np.column_stack([F, a, J @ a])
+    F.flags.writeable = False
+    return F
 
 
 @lru_cache(maxsize=None)
@@ -175,26 +194,30 @@ class PolytopeFaceData:
         object.__setattr__(self, "n_faces", faces)
 
 
-def _wedge_norms_and_sigmas(V: np.ndarray, J: np.ndarray):
-    """For a batch V of shape (B, n, 2n): ||V[b, 0] ^ ... ^ V[b, n-1]||
-    and sigma^J of the span of V[b]'s rows, from one QR V[b]^T = Q R:
-    the norm is |prod diag R| and sigma^J = min(|det [Q, JQ]|, 1).
-    A dependent V[b] has norm 0 up to rounding and an arbitrary sigma."""
-    Q, R = np.linalg.qr(np.swapaxes(V, 1, 2))
-    norms = np.abs(np.prod(np.diagonal(R, axis1=1, axis2=2), axis=1))
-    sigmas = np.abs(np.linalg.det(np.concatenate([Q, J @ Q], axis=2)))
-    return norms, np.minimum(sigmas, 1.0)
+def _complex_minors(G: np.ndarray, struct: ComplexStructure) -> np.ndarray:
+    """|det_C S| for the n-subsets S of G's rows, in lexicographic order,
+    in J-complex coordinates (the rows times the J-frame)."""
+    return np.abs(exterior.subset_blades(unrealify_rows(G @ struct.frame),
+                                         struct.complex_dim)[:, 0])
+
+
+def _minors_and_norms(G: np.ndarray, struct: ComplexStructure):
+    """``_complex_minors`` and ||wedge S|| for the same subsets S."""
+    return (_complex_minors(G, struct),
+            np.linalg.norm(exterior.subset_blades(G, struct.complex_dim), axis=1))
 
 
 def sigma_J(E: Subspace, J=None) -> float:
-    """sigma^J(E) = |det [b_1 .. b_n, Jb_1 .. Jb_n]| for an orthonormal
-    basis of the half-dimensional subspace E; 1 exactly on Lagrangian
-    planes, 0 exactly when E contains a complex line.
+    """sigma^J(E) = (|det_C B| / ||wedge B||)^2 for any basis B of the
+    half-dimensional subspace E, which equals |det [b_1 .. b_n, Jb_1 ..
+    Jb_n]| for an orthonormal one; in [0, 1] for an orthogonal J, 1 on
+    Lagrangian planes and 0 when E contains a complex line.
     """
     struct = _structure(E.ambient_dim, J)
     if E.dim != struct.complex_dim:
         raise ValueError("sigma^J needs a half-dimensional subspace")
-    return float(_wedge_norms_and_sigmas(E.basis[None], struct.J)[1][0])
+    dets, norms = _minors_and_norms(E.basis, struct)
+    return float((dets[0] / norms[0]) ** 2)
 
 
 def embed_real_zonotope(K: Zonotope) -> Zonotope:
@@ -307,31 +330,26 @@ def _float_canonical(P: Zonotope) -> Zonotope:
     return canonicalize(replace(P, generators=P.generators.astype(np.float64, copy=False)))
 
 
-def _j_volume_sum(P: Zonotope, J, weight) -> float:
-    """sum of ||wedge S|| weight(sigma^J(span S)) over the n-subsets S
-    of the canonical generators (see the module docstring)."""
-    if P.ambient_dim % 2:
-        raise ValueError("J-volume needs even ambient dimension")
-    struct = _structure(P.ambient_dim, J)
-    G = _float_canonical(P).generators
-    total = 0.0
-    for idx in exterior._subset_blocks(len(G), struct.complex_dim):
-        norms, sigmas = _wedge_norms_and_sigmas(G[idx], struct.J)
-        total += float(norms @ weight(sigmas))
-    return total
+def _canonical(P: Zonotope, J):
+    return _float_canonical(P).generators, _structure(P.ambient_dim, J)
 
 
 def j_volume_zonotope(P: Zonotope, J=None) -> float:
-    """vol_n^J(P): sum over generator spans E of vol_n(F_P(E)) sigma^J(E)^(1/2).
+    """vol_n^J(P): sum of |det_C S| over the n-subsets S of the canonical
+    generators, which is the sum over generator spans E of
+    vol_n(F_P(E)) sigma^J(E)^(1/2).
 
     Agrees with length(P^(^_C n)) / n! for the standard structure.
     """
-    return _j_volume_sum(P, J, np.sqrt)
+    return float(np.sum(_complex_minors(*_canonical(P, J))))
 
 
 def kazarnovskii_zonotope(P: Zonotope, J=None) -> float:
-    """Kazarnovskii pseudovolume: the same sum with sigma^J un-rooted."""
-    return _j_volume_sum(P, J, lambda s: s)
+    """Kazarnovskii pseudovolume: the sum of |det_C S|^2 / ||wedge S||,
+    that is of ||wedge S|| sigma^J(span S), a dependent S adding 0."""
+    dets, norms = _minors_and_norms(*_canonical(P, J))
+    return float(np.sum(np.divide(dets * dets, norms, out=np.zeros_like(norms),
+                                  where=norms > 0.0)))
 
 
 def disc_zonotope(z, q: int) -> Zonotope:
@@ -432,7 +450,8 @@ def _face_volume(chart: np.ndarray, n: int) -> float:
         return 0.0
 
 
-def _polytope_mc_sum(P: PolytopeFaceData, samples, seed, J, weight):
+def _polytope_mc_sum(P: PolytopeFaceData, samples, seed, J, power: int):
+    """sum of vol_n(F) Theta_P(F) sigma^J(E_F)^(power/2) over the n-faces."""
     struct = _structure(P.ambient_dim, J)
     n = struct.complex_dim
     total = 0.0
@@ -445,11 +464,11 @@ def _polytope_mc_sum(P: PolytopeFaceData, samples, seed, J, weight):
             raise ValueError(f"face {fi} spans more than {n} dimensions")
         if B.shape[0] < n:
             continue
-        E = Subspace(P.ambient_dim, B)
         vol = _face_volume((fverts - centroid) @ B.T, n)
         if vol == 0.0:
             continue
-        w = weight(sigma_J(E, struct))
+        dets, norms = _minors_and_norms(B, struct)
+        w = float(dets[0] / norms[0]) ** power
         if w == 0.0:
             continue
         theta, se = normal_angle_mc(P, list(idx), samples,
@@ -464,13 +483,13 @@ def j_volume_polytope_mc(P: PolytopeFaceData, samples: int, seed: int = 0,
     """Monte Carlo J-volume from supplied n-faces:
     sum of vol_n(F) Theta_P(F) sigma^J(E_F)^(1/2), with propagated error.
     """
-    return _polytope_mc_sum(P, samples, seed, J, math.sqrt)
+    return _polytope_mc_sum(P, samples, seed, J, 1)
 
 
 def kazarnovskii_polytope_mc(P: PolytopeFaceData, samples: int, seed: int = 0,
                              J=None) -> tuple[float, float]:
     """Monte Carlo Kazarnovskii pseudovolume (sigma^J un-rooted)."""
-    return _polytope_mc_sum(P, samples, seed, J, lambda s: s)
+    return _polytope_mc_sum(P, samples, seed, J, 2)
 
 
 def zonotope_faces_for_span(P: Zonotope, E: Subspace) -> list[tuple]:

@@ -302,6 +302,9 @@ def _collinear_labels(unit: np.ndarray) -> np.ndarray:
 
 def _canonicalize_float(K: Zonotope) -> Zonotope:
     g, norms = K.generators, np.linalg.norm(K.generators, axis=1)
+    # a finite row whose norm overflows stays; a NaN or inf entry does not
+    if not np.isfinite(norms).all() and not np.isfinite(g).all():
+        raise ValueError("generator entries must be finite")
     nonzero = norms > 0.0
     if not nonzero.all():
         g, norms = g[nonzero], norms[nonzero]
@@ -349,7 +352,8 @@ def canonicalize(K: Zonotope) -> Zonotope:
     (first nonzero coordinate positive), sorted lexicographically
     (float rows by ``_lex_order``).
 
-    The support function is unchanged at every direction.
+    The support function is unchanged at every direction.  A NaN or
+    infinite float entry is a ValueError.
     """
     if K.exact:
         return _canonicalize_exact(K)

@@ -679,6 +679,17 @@ def test_constants_overflow_exits_3(argv, message):
     assert json.loads(err)["error"] == {"code": 3, "message": message}
 
 
+def test_non_finite_numbers_in_options_exit_2(tmp_path):
+    f = cube_file(tmp_path)
+    for argv, needle in ((["scale", f, "--matrix", "nan,0;0,1"], "bad matrix 'nan,0;0,1'"),
+                         (["scale", f, "--matrix", "1,0;0,-inf"], "bad matrix '1,0;0,-inf'"),
+                         (["support", f, "--dir", "inf,0"], "bad vector 'inf,0'"),
+                         (["support", f, "--dir", "[NaN, 0]"], "bad vector '[NaN, 0]'")):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert needle in json.loads(err)["error"]["message"]
+
+
 def test_malformed_numbers_in_options_exit_2(tmp_path):
     f, d = cube_file(tmp_path), write(tmp_path, "d.json", _DIST)
     for argv, needle in ((["mv", f, f, "--reverse-af", "--degrees", "1,x"], "bad vector '1,x'"),

@@ -2,6 +2,8 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -306,11 +308,15 @@ def test_j_volume_of_a_disc_in_a_complex_line_is_zero():
 def test_j_volume_and_kazarnovskii_for_nonstandard_structures():
     # Reference: sum over independent n-subsets S of the canonical
     # generators of ||wedge S|| weight(sigma^J(span S)).
+    # sigma^J is defined for orthogonal J only; a non-orthogonal one is refused.
     g = rng(15)
     J0 = standard_structure(2).J
     R, _ = np.linalg.qr(g.standard_normal((4, 4)))
+    R2, _ = np.linalg.qr(g.standard_normal((4, 4)))
     A = g.standard_normal((4, 4)) + 2.0 * np.eye(4)
-    for J in (R @ J0 @ R.T, A @ J0 @ np.linalg.inv(A)):
+    with pytest.raises(ValueError):
+        j_volume_zonotope(random_complex_zonotope(g), A @ J0 @ np.linalg.inv(A))
+    for J in (R @ J0 @ R.T, R2 @ J0 @ R2.T):
         assert not np.allclose(J, J0)
         for n_gens in (2, 3, 5):
             P = random_complex_zonotope(g, n_gens=n_gens)
@@ -326,6 +332,105 @@ def test_j_volume_and_kazarnovskii_for_nonstandard_structures():
             assert math.isclose(j_volume_zonotope(P, J), math.fsum(root), rel_tol=1e-10)
             assert math.isclose(kazarnovskii_zonotope(P, J), math.fsum(plain),
                                 rel_tol=1e-10)
+
+
+def exact_j_sums_c2(rows):
+    """(J-volume, Kazarnovskii) of the zonotope with these rows in C^2:
+    sums over pairs S of |det_C S| and |det_C S|^2 / ||wedge S||, from
+    the rows as exact rationals, square roots taken to 40 digits."""
+    def dec(q):
+        return Decimal(q.numerator) / Decimal(q.denominator)
+
+    rows = [[Fraction(x) for x in row] for row in rows]
+    jvol = kaza = Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for a, b in combinations(rows, 2):
+            re = a[0] * b[2] - a[1] * b[3] - a[2] * b[0] + a[3] * b[1]
+            im = a[0] * b[3] + a[1] * b[2] - a[2] * b[1] - a[3] * b[0]
+            det2 = re * re + im * im
+            wedge2 = sum((a[i] * b[j] - a[j] * b[i]) ** 2 for i, j in combinations(range(4), 2))
+            if wedge2:
+                jvol += dec(det2).sqrt()
+                kaza += dec(det2) / dec(wedge2).sqrt()
+    return float(jvol), float(kaza)
+
+
+def near_dependent_rows(g):
+    # a generator 1e-8 off the plane of two others, and a pair 1e-8 from collinear
+    A = g.standard_normal((3, 4))
+    u = g.standard_normal(4)
+    return np.array([A[0], A[1], 0.4 * A[0] - 1.3 * A[1] + 1e-8 * u,
+                     A[2], A[2] + 1e-8 * u, g.standard_normal(4)])
+
+
+@pytest.mark.parametrize("s", [1e-9, 1.0, 1e9])
+def test_j_volume_and_kazarnovskii_match_an_exact_reference(s):
+    # Both sums stay within a few ulps of the exact value on near-dependent
+    # and scaled bodies, which a Gram-determinant norm would not.
+    g = rng(13)
+    for _ in range(10):
+        rows = s * near_dependent_rows(g)
+        P = zonotope(rows, cgrading=(2, 1))
+        jvol, kaza = exact_j_sums_c2(rows)
+        assert math.isclose(j_volume_zonotope(P), jvol, rel_tol=1e-14)
+        assert math.isclose(kazarnovskii_zonotope(P), kaza, rel_tol=1e-14)
+
+
+def test_exactly_dependent_subsets_add_zero_without_warnings():
+    # e1, e3, e1 + e3, e5 in R^6 = C^3: three unimodular real triples and
+    # one dependent triple, whose ||wedge S|| is exactly 0.
+    e = np.eye(6)
+    P = zonotope(np.array([e[0], e[2], e[0] + e[2], e[4]]), cgrading=(3, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert j_volume_zonotope(P) == 3.0
+        assert kazarnovskii_zonotope(P) == 3.0
+
+
+def test_rotated_structure_equals_rotated_body():
+    # J = R J0 R^T on P gives what J0 gives on P rotated by R^T (rows G R).
+    g = rng(16)
+    for n in (2, 3):
+        J0 = standard_structure(n).J
+        for _ in range(3):
+            R, _ = np.linalg.qr(g.standard_normal((2 * n, 2 * n)))
+            P = random_complex_zonotope(g, n=n, n_gens=2 * n + 1)
+            rotated = zonotope(P.generators @ R, cgrading=(n, 1))
+            J = R @ J0 @ R.T
+            assert math.isclose(j_volume_zonotope(P, J), j_volume_zonotope(rotated),
+                                rel_tol=1e-12)
+            assert math.isclose(kazarnovskii_zonotope(P, J), kazarnovskii_zonotope(rotated),
+                                rel_tol=1e-12)
+
+
+def test_j_frame_is_the_identity_for_the_standard_structure():
+    for n in (1, 2, 3):
+        F = standard_structure(n).frame
+        assert np.array_equal(F, np.eye(2 * n))
+        with pytest.raises(ValueError):
+            F[0, 0] = 2.0
+    real_plane = subspace_from_vectors([[1, 0, 0, 0], [0, 0, 1, 0.0]])
+    assert sigma_J(real_plane) == 1.0
+    complex_line = subspace_from_vectors([[1, 0, 0, 0], [0, 1, 0, 0.0]])
+    assert sigma_J(complex_line) == 0.0
+    # any orthogonal J: orthonormal frame columns a_k, J a_k
+    R, _ = np.linalg.qr(rng(17).standard_normal((6, 6)))
+    J = R @ standard_structure(3).J @ R.T
+    F = ComplexStructure(3, J).frame
+    assert np.allclose(F.T @ F, np.eye(6), atol=1e-14)
+    assert np.allclose(F.T @ J @ F, standard_structure(3).J, atol=1e-14)
+
+
+def test_complex_structure_must_be_orthogonal():
+    # A J0 A^-1 squares to -I but is not orthogonal, so sigma^J would leave [0, 1].
+    g = rng(18)
+    J0 = standard_structure(2).J
+    A = g.standard_normal((4, 4)) + 2.0 * np.eye(4)
+    J = A @ J0 @ np.linalg.inv(A)
+    assert np.allclose(J @ J, -np.eye(4), atol=1e-12)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        ComplexStructure(2, J)
 
 
 def test_j_volume_unitary_invariant():

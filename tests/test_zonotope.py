@@ -30,12 +30,13 @@ from zonoidal import (
     virtual_length,
     virtual_negate,
     virtual_support,
+    volume,
     zonotope,
     zonotope_from_dict,
     zonotope_to_dict,
 )
 from zonoidal.algebra import _chain
-from zonoidal.jvolume import disc_zonotope
+from zonoidal.jvolume import disc_zonotope, j_volume_zonotope
 from zonoidal.sampling import direction_net
 from zonoidal.testkit import length_brute, radius_brute, support_brute
 from zonoidal.zonotope import COLLINEAR_SINE_TOL, _collinear_labels, _lex_order
@@ -659,6 +660,19 @@ def test_serialization_cgrading_and_errors():
     assert back.cgrading == (2, 1)
     with pytest.raises(KeyError):
         zonotope_from_dict({"ambient_dim": 2})
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_canonicalize_refuses_non_finite_entries(entry):
+    K = zonotope([[entry, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        canonicalize(K)
+    with pytest.raises(ValueError, match="finite"):
+        volume(K)
+    P = zonotope([[entry, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+                 cgrading=(2, 1))
+    with pytest.raises(ValueError, match="finite"):
+        j_volume_zonotope(P)
 
 
 @pytest.mark.parametrize("entry", [None, math.nan, math.inf, -math.inf])
