@@ -64,6 +64,11 @@ mv = zn.mixed_volume([A, B, C])
 print("V(A,B,C) =", mv)
 print("V is symmetric:", math.isclose(mv, zn.mixed_volume([C, A, B]), rel_tol=1e-12))
 
+# Any multilinear map induces one on zonoids; the determinant sends
+# (A, B, C) to a segment of length 3! V(A, B, C).
+D = zn.induced_map(lambda u, v, w: np.array([np.linalg.det(np.array([u, v, w]))]), [A, B, C])
+print("length(det(A, B, C)) / 3! =", zn.length(D) / math.factorial(3))
+
 # Wedging a body with itself d times gives its d-homogeneous content;
 # the top power recovers the volume.
 cube = zn.zonotope(np.eye(3), grading=(3, 1))

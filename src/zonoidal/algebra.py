@@ -1,10 +1,10 @@
 """Products of zonotopes and the volume identities they compute.
 
-Every product here expands a multilinear map over generator tuples:
-the tensor product takes all pairwise outer products, the wedge product
-all pairwise exterior products, and a user-supplied multilinear map is
-expanded the same way.  Mixed, intrinsic and ordinary volumes then fall
-out of wedge-product lengths:
+The tensor product takes all pairwise outer products of generators, the
+wedge product all pairwise exterior products, and a user-supplied
+multilinear map f = L o (x) induces the linear image under L of the
+tensor product.  Mixed, intrinsic and ordinary volumes then fall out of
+wedge-product lengths:
 
     MV(K_1, ..., K_m) = length(K_1 ^ ... ^ K_m) / m!
     V_d(K)            = length(K^(^d)) / d!
@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from functools import reduce
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .zonotope import (
     _one_field,
     canonicalize,
     length,
+    linear_image,
     minkowski_sum,
     scale,
     zonotope,
@@ -144,48 +145,35 @@ def wedge_power(K: Zonotope, d: int) -> Zonotope:
     return canonicalize(_wedge_power_raw(K, d))
 
 
-def induced_map(f, zonotopes, out_dim: int | None = None, probe_seed: int = 7) -> Zonotope:
+def induced_map(f, zonotopes) -> Zonotope:
     """Zonotope of f(X_1, ..., X_p) for a multilinear callback f.
 
-    f takes p vectors and returns a vector; it is expanded over all
-    generator tuples.  Multilinearity is the caller's responsibility
-    and is spot-checked on random inputs (warning on failure).
+    f takes p vectors and returns a vector.  By the universal property
+    f = L o (x), where L's column (a_1, ..., a_p), in the row-major order
+    of ``tensor_product``, is f(e_a1, ..., e_ap); the body is
+    L(K_1 (x) ... (x) K_p), generators read as float64.  f is called
+    prod_j d_j + 1 times: the last call checks f(x) = L(x_1 (x) ... (x) x_p)
+    at one random tuple, linearity in every slot at once (warning on
+    failure).  Expanding f over generator tuples would take prod_j N_j
+    calls, fewer only for many factors in a high dimension with few
+    generators.
     """
-    Ks = [canonicalize(K) for K in zonotopes]
+    Ks = [Zonotope(K.ambient_dim, K.generators.astype(np.float64)) for K in zonotopes]
     if not Ks:
         raise ValueError("need at least one zonotope")
-    _probe_linearity(f, Ks, probe_seed)
-    rows = [
-        np.asarray(f(*picked), dtype=np.float64)
-        for picked in product(*(K.generators.astype(np.float64) for K in Ks))
-    ]
-    if not rows:
-        if out_dim is None:
-            probe = f(*[np.zeros(K.ambient_dim) for K in Ks])
-            out_dim = len(np.asarray(probe))
-        return zonotope([], ambient_dim=out_dim)
-    return canonicalize(Zonotope(len(rows[0]), np.asarray(rows)))
-
-
-def _probe_linearity(f, Ks, seed, rtol=1e-8):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    slot = int(rng.integers(len(Ks)))
-    args_u = [rng.standard_normal(K.ambient_dim) for K in Ks]
-    args_v = list(args_u)
-    u = rng.standard_normal(Ks[slot].ambient_dim)
-    v = rng.standard_normal(Ks[slot].ambient_dim)
-    a, b = float(rng.standard_normal()), float(rng.standard_normal())
-    args_u[slot] = u
-    args_v[slot] = v
-    args_c = list(args_u)
-    args_c[slot] = a * u + b * v
-    lhs = np.asarray(f(*args_c), dtype=np.float64)
-    rhs = a * np.asarray(f(*args_u), dtype=np.float64) + b * np.asarray(
-        f(*args_v), dtype=np.float64
-    )
-    tol = rtol * max(1.0, float(np.max(np.abs(rhs))))
-    if np.any(np.abs(lhs - rhs) > tol):
-        warnings.warn("callback failed the multilinearity spot check", stacklevel=3)
+    dims = [K.ambient_dim for K in Ks]
+    bases = [np.eye(d) for d in dims]
+    L = np.column_stack([
+        np.asarray(f(*(e[a] for e, a in zip(bases, idx))), dtype=np.float64)
+        for idx in np.ndindex(*dims)
+    ])
+    rng = np.random.Generator(np.random.Philox(key=7))
+    x = [rng.standard_normal(d) for d in dims]
+    Lx = L @ reduce(np.multiply.outer, x).ravel()
+    fx = np.asarray(f(*x), dtype=np.float64)
+    if np.any(np.abs(fx - Lx) > 1e-8 * max(1.0, float(np.max(np.abs(Lx))))):
+        warnings.warn("callback failed the multilinearity spot check", stacklevel=2)
+    return linear_image(L, reduce(tensor_product, Ks))
 
 
 def _chain(zonotopes) -> Zonotope:
@@ -227,10 +215,8 @@ def mixed_volume(zonotopes):
 
 
 def volume(K: Zonotope):
-    """vol_m(K) = length(K^(^m)) / m! = sum over m-subsets of |det|."""
-    K = _as_degree_one(K)
-    m = K.grading[0]
-    return _per_factorial(length(_wedge_power_raw(K, m)), m)
+    """vol_m(K) = V_m(K) = sum over m-subsets of |det|."""
+    return intrinsic_volume(K, _as_degree_one(K).grading[0])
 
 
 def intrinsic_volume(K: Zonotope, d: int):

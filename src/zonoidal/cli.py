@@ -237,6 +237,14 @@ def _parse_matrix(text: str) -> np.ndarray:
         raise SchemaError(f"bad matrix {text!r}: {e}") from e
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of a float option: NaN and infinities are schema errors."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
 def _complex_vectors(d: dict) -> np.ndarray:
     """Complex rows from rows of [re, im] pairs, each pair the realify_rows
     layout of one entry."""
@@ -551,7 +559,7 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
     common.add_argument("--samples", type=int, default=100000,
                         help="Monte Carlo sample count / net size")
-    common.add_argument("--net", type=float, default=1e-3,
+    common.add_argument("--net", type=_finite_float, default=1e-3,
                         help="angular resolution for direction nets")
     common.add_argument("--exact-rational", action="store_true",
                         help="read numeric entries as exact rationals")
@@ -651,7 +659,7 @@ def build_parser() -> _Parser:
                                       "j-ball"])
     csp.add_argument("--m", type=int, default=2)
     csp.add_argument("--k", type=int, default=1)
-    csp.add_argument("--x", type=float, default=1.0)
+    csp.add_argument("--x", type=_finite_float, default=1.0)
     csp.add_argument("--n", type=int, default=1)
     csp.set_defaults(handler=_cmd_constants)
     return p

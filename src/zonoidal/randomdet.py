@@ -361,13 +361,12 @@ def expected_sq_abs_det_complex(model: MatrixBlockModel) -> float:
     if any(b.width != 1 for b in model.blocks):
         raise ValueError("squared-determinant path expects width-1 blocks")
     n = model.size
-    zonoids = []
+    blocks = []
     for b in model.blocks:
         z = b.atom_matrices(n)[:, :, 0]
         atoms = np.stack([realify_rows(z), realify_rows(1j * z)], axis=2)
-        block = MatrixBlock(2, dist=DiscreteDistribution(atoms, b.dist.probs))
-        zonoids.append(_block_zonoid(block, 2 * n, False))
-    return float(length(_chain(zonoids)))
+        blocks.append(MatrixBlock(2, dist=DiscreteDistribution(atoms, b.dist.probs)))
+    return expected_abs_det_exact(MatrixBlockModel(2 * n, blocks))
 
 
 def bm_concavity_probe(d1: DiscreteDistribution, d2: DiscreteDistribution,

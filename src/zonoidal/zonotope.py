@@ -302,9 +302,13 @@ def _collinear_labels(unit: np.ndarray) -> np.ndarray:
 
 def _canonicalize_float(K: Zonotope) -> Zonotope:
     g, norms = K.generators, np.linalg.norm(K.generators, axis=1)
-    # a finite row whose norm overflows stays; a NaN or inf entry does not
-    if not np.isfinite(norms).all() and not np.isfinite(g).all():
-        raise ValueError("generator entries must be finite")
+    if not np.isfinite(norms).all():
+        # a finite row whose squares overflow has norm m ||g / m||, m = max |entry|
+        m = np.abs(g).max(axis=1)
+        big = np.isinf(norms) & np.isfinite(m)
+        norms[big] = m[big] * np.linalg.norm(g[big] / m[big, None], axis=1)
+        if not np.isfinite(norms).all():
+            raise ValueError("generator entries and norms must be finite")
     nonzero = norms > 0.0
     if not nonzero.all():
         g, norms = g[nonzero], norms[nonzero]
@@ -353,7 +357,8 @@ def canonicalize(K: Zonotope) -> Zonotope:
     (float rows by ``_lex_order``).
 
     The support function is unchanged at every direction.  A NaN or
-    infinite float entry is a ValueError.
+    infinite float entry is a ValueError, and so is a row whose norm
+    exceeds the float64 range.
     """
     if K.exact:
         return _canonicalize_exact(K)

@@ -211,6 +211,40 @@ def test_induced_map_warns_on_nonlinear():
         induced_map(lambda v, w: v + w, [K, K])
 
 
+def test_induced_map_warns_on_map_nonlinear_in_a_later_slot():
+    K = zonotope(np.eye(2))
+    with pytest.warns(UserWarning, match="multilinearity"):
+        induced_map(lambda v, w: np.array([v[0] * w[0] ** 2]), [K, K])
+
+
+def test_induced_map_calls_f_once_per_basis_tuple_and_once_more():
+    g = rng(5)
+    calls = []
+
+    def f(v, w):
+        calls.append(1)
+        return np.outer(v, w).ravel()
+
+    K, L = zonotope(g.standard_normal((30, 2))), zonotope(g.standard_normal((20, 3)))
+    D = induced_map(f, [K, L])
+    assert len(calls) == 2 * 3 + 1
+    assert canonical_eq(D, tensor_product(K, L))
+
+
+def test_induced_map_of_an_empty_factor():
+    f = lambda v, w: np.array([v[0] * w[1] - v[1] * w[0], v[1] * w[1], 0.0])
+    D = induced_map(f, [zonotope([], ambient_dim=2), cube(2)])
+    assert D.ambient_dim == 3 and D.n_generators == 0
+
+
+def test_induced_triple_determinant_is_six_mixed_volumes():
+    g = rng(31)
+    Ks = [zonotope(g.standard_normal((n, 3)), grading=(3, 1)) for n in (5, 6, 7)]
+    D = induced_map(lambda u, v, w: np.array([np.linalg.det(np.array([u, v, w]))]), Ks)
+    assert D.ambient_dim == 1
+    assert math.isclose(length(D) / math.factorial(3), mixed_volume(Ks), rel_tol=1e-12)
+
+
 def test_mixed_volume_of_segments():
     segs = [zonotope([[1.0, 0.0]], grading=(2, 1)),
             zonotope([[1.0, 1.0]], grading=(2, 1))]

@@ -699,3 +699,12 @@ def test_malformed_numbers_in_options_exit_2(tmp_path):
         code, out, err = run(argv)
         assert (code, out) == (2, ""), argv
         assert needle in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_options_exit_2(tmp_path, value):
+    f = cube_file(tmp_path)
+    for argv in (["constants", "gamma-k", f"--x={value}"], ["hausdorff", f, f, f"--net={value}"]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert "not a finite number" in json.loads(err)["error"]["message"]

@@ -23,7 +23,9 @@ DEMOS = [
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_runs(name, tmp_path):
     # The CLI tour writes its JSON files under a fresh temporary directory.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    # Warnings are errors, as in the suite, also in the CLI processes a demo starts.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path),
+               PYTHONWARNINGS="error")
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
                           capture_output=True, text=True, env=env, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr

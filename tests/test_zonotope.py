@@ -675,6 +675,20 @@ def test_canonicalize_refuses_non_finite_entries(entry):
         j_volume_zonotope(P)
 
 
+def test_canonicalize_keeps_directions_of_rows_whose_squares_overflow():
+    # numpy's row norm squares the entries, so it overflows at 1e160
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        K = canonicalize(zonotope([[1e160, 0.0], [0.0, 1e160]]))
+    assert np.array_equal(K.generators, [[0.0, 1e160], [1e160, 0.0]])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        K = canonicalize(zonotope([[1e200, 1e200], [0.0, 1.0], [1e300, 0.0]]))
+    assert np.array_equal(K.generators, [[0.0, 1.0], [1e200, 1e200], [1e300, 0.0]])
+    # finite entries whose norm is past the float64 range
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="norms must be finite"):
+            canonicalize(zonotope([[1.5e308, 1.5e308], [0.0, 1.0]]))
+
+
 @pytest.mark.parametrize("entry", [None, math.nan, math.inf, -math.inf])
 def test_json_readers_refuse_null_and_non_finite_entries(entry):
     # numpy would read None as NaN, and canonicalize would drop that row
