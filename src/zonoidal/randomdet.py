@@ -338,13 +338,8 @@ def expected_abs_det_mc(model: MatrixBlockModel, n: int, seed: int = 0
                    for j, b in enumerate(model.blocks)]
             return table[np.ravel_multi_index(idx, shape)]
     else:
-        # A chunk's matrices live until the next chunk replaces them; freed at
-        # once they cost ~10% in the stochastic bench (a malloc heap-trim effect).
-        held = [None]
-
         def draw(stream, size):
-            held[0] = model.sample(size, stream)
-            return np.abs(np.linalg.det(held[0]))
+            return np.abs(np.linalg.det(model.sample(size, stream)))
 
     return _mc_mean_se(SeedStream(seed).derive("edet"), n, draw)
 

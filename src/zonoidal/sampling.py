@@ -4,8 +4,9 @@ All Monte Carlo paths in the library draw from counter-based Philox
 streams keyed by a SHA-256 hash of (seed, label path).  Work is cut
 into fixed-size chunks with per-chunk derived keys, so an estimate for
 a given (seed, N) is bit-identical no matter how the chunks are
-scheduled.  Gaussians come from an explicit Box-Muller transform on the
-uniform stream rather than any library sampler.
+scheduled.  Uniforms, indices and Gaussians (numpy's ziggurat sampler)
+all come from the generator of one such key, so a rerun with the same
+numpy repeats every draw bit for bit.
 """
 
 from __future__ import annotations
@@ -51,17 +52,9 @@ class SeedStream:
         return self._generator().random(int(n))
 
     def gaussians(self, n: int) -> np.ndarray:
-        """n standard normals via Box-Muller on the uniform stream."""
-        n = int(n)
-        half = (n + 1) // 2
-        u = self._generator().random(2 * half)
-        u1 = 1.0 - u[:half]  # (0, 1], keeps the log finite
-        u2 = u[half:]
-        r = np.sqrt(-2.0 * np.log(u1))
-        out = np.empty(2 * half)
-        out[0::2] = r * np.cos(2.0 * np.pi * u2)
-        out[1::2] = r * np.sin(2.0 * np.pi * u2)
-        return out[:n]
+        """n standard normals, numpy's ziggurat on this label path's Philox
+        key: bit-identical on every rerun with the same numpy."""
+        return self._generator().standard_normal(int(n))
 
     def gaussian_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.gaussians(rows * cols).reshape(rows, cols)

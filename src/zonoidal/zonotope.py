@@ -321,7 +321,11 @@ def _canonicalize_float(K: Zonotope) -> Zonotope:
         order = np.argsort(labels, kind="stable")
         starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
         flips = np.where(np.sum(unit * unit[labels], axis=1) < 0, -1.0, 1.0)
-        g = _sign_normalize_float(np.add.reduceat((g * flips[:, None])[order], starts))
+        with np.errstate(over="ignore"):
+            g = np.add.reduceat((g * flips[:, None])[order], starts)
+        if not np.isfinite(g).all():
+            raise ValueError("generator entries and norms must be finite")
+        g = _sign_normalize_float(g)
     return replace(K, generators=g[_lex_order(g)])
 
 
@@ -358,7 +362,7 @@ def canonicalize(K: Zonotope) -> Zonotope:
 
     The support function is unchanged at every direction.  A NaN or
     infinite float entry is a ValueError, and so is a row whose norm
-    exceeds the float64 range.
+    exceeds the float64 range or a merge of collinear rows that overflows.
     """
     if K.exact:
         return _canonicalize_exact(K)

@@ -388,3 +388,21 @@ def test_mc_table_route_is_the_direct_route_bit_for_bit(name, n, monkeypatch):
     # one determinant per support matrix when that is at most min(n, CHUNK),
     # else one per sample, chunk by chunk
     assert stacks == ([support] if support <= min(n, CHUNK) else chunk_sizes(n))
+
+
+def test_gaussian_stream_is_pinned():
+    # numpy's ziggurat on the path's Philox key; a change of either moves
+    # every Gaussian, sphere and net draw in the library
+    g = SeedStream(5).derive("g").gaussians(9)
+    assert g[:8].tolist() == [
+        1.2719801777747524, -0.170297831436923, -0.6849459953405482, -0.20246372880699423,
+        0.27883914447292585, 0.9338743275891634, -1.4400433129918735, -1.3097049192729802,
+    ]
+    assert np.array_equal(SeedStream(5).derive("g").gaussians(1), g[:1])
+    assert SeedStream(5).derive("g").gaussians(0).shape == (0,)
+    s = SeedStream(5).derive("m")
+    assert np.array_equal(s.gaussian_matrix(3, 4), s.gaussians(12).reshape(3, 4))
+    x = SeedStream(11).derive("moments").gaussians(10**6)
+    assert abs(x.mean()) <= 5e-3
+    assert abs(x.var() - 1.0) <= 5e-3
+    assert abs(np.mean(x**4) - 3.0) <= 3e-2

@@ -689,6 +689,17 @@ def test_canonicalize_keeps_directions_of_rows_whose_squares_overflow():
             canonicalize(zonotope([[1.5e308, 1.5e308], [0.0, 1.0]]))
 
 
+def test_canonicalize_refuses_a_merge_past_the_float64_range():
+    # each row is finite, but their collinear sum is not
+    for rows in ([[1e308, 0.0], [1e308, 0.0]], [[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]]):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="norms must be finite"):
+                canonicalize(zonotope(rows))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        K = canonicalize(zonotope([[6e307, 0.0], [-6e307, 0.0]]))
+    assert np.array_equal(K.generators, [[1.2e308, 0.0]])
+
+
 @pytest.mark.parametrize("entry", [None, math.nan, math.inf, -math.inf])
 def test_json_readers_refuse_null_and_non_finite_entries(entry):
     # numpy would read None as NaN, and canonicalize would drop that row
