@@ -3,123 +3,16 @@ mixed/intrinsic volumes through wedge lengths, complex-structure
 J-volumes, and expected absolute determinants of block-independent
 random matrices, exact where finite data allows and seeded Monte Carlo
 elsewhere.
+
+The package re-exports each module's ``__all__``.
 """
 
-from .exterior import (
-    ComplexMultivector,
-    Multivector,
-    blade_from_vectors,
-    blade_rows,
-    complex_blade_from_vectors,
-    complex_wedge,
-    exterior_dim,
-    hodge_rows,
-    hodge_star,
-    inner,
-    norm,
-    realify,
-    realify_rows,
-    subset_blades,
-    unrealify,
-    unrealify_rows,
-    wedge,
-    wedge_pairs,
-    wedge_rows,
-)
-from .zonotope import (
-    VirtualZonotope,
-    Zonotope,
-    canonical_eq,
-    canonicalize,
-    hausdorff_estimate,
-    length,
-    linear_image,
-    minkowski_sum,
-    radius,
-    radius_bounds,
-    scale,
-    support,
-    support_many,
-    virtual_add,
-    virtual_eq,
-    virtual_length,
-    virtual_negate,
-    virtual_support,
-    zonotope,
-    zonotope_from_dict,
-    zonotope_to_dict,
-)
-from .algebra import (
-    af_gap,
-    hodge_star_zonoid,
-    induced_map,
-    intrinsic_volume,
-    mixed_volume,
-    projection_body,
-    reverse_af_gap,
-    tensor_product,
-    virtual_tensor,
-    volume,
-    wedge_power,
-    wedge_product,
-)
-from .measures import (
-    DiscreteEvenMeasure,
-    cosine_transform_eval,
-    measure_from_dict,
-    measure_to_dict,
-    measure_to_zonotope,
-    signed_measure_to_virtual,
-    zonotope_to_measure,
-)
-from .jvolume import (
-    ComplexStructure,
-    PolytopeFaceData,
-    Subspace,
-    complex_wedge_zonoids,
-    complex_zonotope,
-    disc_zonotope,
-    embed_real_zonotope,
-    face_data_from_dict,
-    face_data_to_dict,
-    j_volume_polytope_mc,
-    j_volume_zonotope,
-    kazarnovskii_polytope_mc,
-    kazarnovskii_zonotope,
-    mixed_J_volume,
-    normal_angle_mc,
-    sigma_J,
-    standard_structure,
-    subspace_from_vectors,
-    zonotope_face_data,
-    zonotope_faces_for_span,
-)
-from .randomdet import (
-    DiscreteDistribution,
-    MatrixBlock,
-    MatrixBlockModel,
-    SeededSampler,
-    bernoulli_mixture,
-    bm_concavity_probe,
-    complex_gaussian_abs_det,
-    distribution_from_dict,
-    distribution_to_dict,
-    empirical_zonotope,
-    expected_abs_det_complex_exact,
-    expected_abs_det_complex_mc,
-    expected_abs_det_exact,
-    expected_abs_det_mc,
-    expected_simple_wedge_norm,
-    expected_sq_abs_det_complex,
-    gaussian_abs_det,
-    iid_column_model,
-    j_ball_volume,
-    model_from_dict,
-    multivariate_gamma,
-    scale_distribution,
-    tau,
-    vitale_zonotope,
-)
-from .sampling import SeedStream, covering_net, derive_seed, direction_net
+from .exterior import *  # noqa: F401,F403
+from .zonotope import *  # noqa: F401,F403
+from .algebra import *  # noqa: F401,F403
+from .measures import *  # noqa: F401,F403
+from .jvolume import *  # noqa: F401,F403
+from .randomdet import *  # noqa: F401,F403
+from .sampling import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

@@ -1,8 +1,13 @@
 """Command-line front end: JSON in, JSON out, reproducible seeds.
 
-Every library operation is reachable from exactly one command (see
-COMMAND_OPS); the exterior-algebra module and the callback-based
-induced_map are in-process APIs with no command surface.
+Each command is declared once, by ``@_command`` on its handler: its name,
+input file count, help, the library operations it is the designated
+command of, which of the shared flags in _SHARED it reads and its own
+options.  build_parser builds one subparser per registered command, so a
+command takes no flag it does not read, and the registry fills
+COMMAND_OPS: every library operation is reachable from exactly one
+command.  The exterior-algebra module and the callback-based induced_map
+are in-process APIs with no command surface.
 
 Exit codes: 0 success, 2 schema error, 3 precondition violation.  Every
 input file goes through _read, so a failure while a file becomes a library
@@ -47,60 +52,6 @@ from .zonotope import (
     zonotope_to_dict,
 )
 
-# Designated command surface of each library operation (coverage is
-# tested: every op appears exactly once).
-COMMAND_OPS = {
-    "support": ["support", "support_many", "virtual_support"],
-    "sum": ["minkowski_sum", "virtual_add", "canonicalize"],
-    "scale": ["scale", "linear_image", "virtual_negate"],
-    "length": ["length", "virtual_length"],
-    "radius": ["radius", "radius_bounds"],
-    "hausdorff": ["hausdorff_estimate"],
-    "tensor": ["tensor_product", "virtual_tensor"],
-    "wedge": ["wedge_product"],
-    "power": ["wedge_power"],
-    "hodge": ["hodge_star_zonoid"],
-    "projbody": ["projection_body"],
-    "mv": ["mixed_volume", "af_gap", "reverse_af_gap"],
-    "vol": ["volume"],
-    "intrinsic": ["intrinsic_volume"],
-    "mvj": ["mixed_J_volume", "complex_wedge_zonoids", "disc_zonotope"],
-    "jvol": [
-        "j_volume_zonotope",
-        "j_volume_polytope_mc",
-        "normal_angle_mc",
-        "zonotope_face_data",
-    ],
-    "kaza": ["kazarnovskii_zonotope", "kazarnovskii_polytope_mc"],
-    "sigma-j": ["sigma_J"],
-    "edet": [
-        "expected_abs_det_exact",
-        "expected_abs_det_mc",
-        "vitale_zonotope",
-        "empirical_zonotope",
-    ],
-    "edet-complex": [
-        "expected_abs_det_complex_exact",
-        "expected_abs_det_complex_mc",
-    ],
-    "edet-sq-complex": ["expected_sq_abs_det_complex"],
-    "bm-probe": ["bm_concavity_probe", "bernoulli_mixture"],
-    "measure": [
-        "zonotope_to_measure",
-        "measure_to_zonotope",
-        "cosine_transform_eval",
-        "signed_measure_to_virtual",
-    ],
-    "constants": [
-        "tau",
-        "multivariate_gamma",
-        "expected_simple_wedge_norm",
-        "gaussian_abs_det",
-        "complex_gaussian_abs_det",
-        "j_ball_volume",
-    ],
-}
-
 SCHEMA_HELP = """\
 JSON schemas:
   zonotope      {"ambient_dim": D, "grading": {"base_dim": m, "degree": k} | null,
@@ -113,7 +64,8 @@ JSON schemas:
   distribution  {"atoms": [[...]], "probs": [...]}   (complex atoms: [re, im] pairs)
   block model   {"size": m, "complex": false,
                  "blocks": [{"width": w, "dist": <distribution>}
-                            | {"width": w, "sampler": {"kind": "gaussian", "seed": 0}}]}
+                            | {"width": w, "sampler": {"kind": "gaussian"}}]}
+                (sampler blocks draw from the --seed stream)
   subspace      {"ambient_dim": D, "basis": [[...]]}
   vectors       {"vectors": [[[re, im], ...], ...]}   (complex vectors)
   sampler       {"kind": "gaussian" | "uniform_sphere" | "discrete",
@@ -282,9 +234,54 @@ def _as_virtual(K) -> VirtualZonotope:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers (each returns the payload to print)
+# Command registry
+
+# command name -> (handler, file count, help, shared flags, own options)
+_COMMANDS: dict[str, tuple] = {}
+# command name -> the library operations it is the designated command of
+COMMAND_OPS: dict[str, list[str]] = {}
+
+# The flags several commands share; each command takes only those it reads.
+_SHARED = {
+    "--seed": dict(type=int, default=0, help="RNG seed (u64)"),
+    "--samples": dict(type=int, default=100000, help="Monte Carlo sample count / net size"),
+    "--net": dict(type=_finite_float, default=1e-3,
+                  help="angular resolution for direction nets"),
+    "--exact-rational": dict(action="store_true",
+                             help="read numeric entries as exact rationals"),
+}
+_EXACT = ("--exact-rational",)
+_MC = ("--samples", "--seed")
 
 
+def _command(name, files, help_, ops, shared=(), extra=None):
+    """Register the decorated handler as command ``name``.
+
+    files is its input file count (an int, "?" or "+"), ops the library
+    operations it is the designated command of, shared the _SHARED flags
+    it reads and extra its own options, each mapped to its add_argument
+    keywords.  The handler returns the payload to print.
+    """
+    def register(handler):
+        _COMMANDS[name] = (handler, files, help_, shared, extra or {})
+        COMMAND_OPS[name] = list(ops)
+        return handler
+
+    return register
+
+
+def _mode(*choices) -> dict:
+    return {"--mode": dict(choices=list(choices), default=choices[0])}
+
+
+# ---------------------------------------------------------------------------
+# Command handlers
+
+
+@_command("support", 1, "support function h_K(u)",
+          ["support", "support_many", "virtual_support"], _EXACT,
+          {"--dir": dict(action="append", required=True,
+                         help="direction, comma-separated or JSON")})
 def _cmd_support(args):
     K = _load_body(args.files[0], args.exact_rational)
     dirs = [_parse_vector(t, args.exact_rational and not isinstance(K, VirtualZonotope))
@@ -298,6 +295,8 @@ def _cmd_support(args):
     return {"value": vals[0] if len(vals) == 1 else vals}
 
 
+@_command("sum", "+", "Minkowski sum (one file: canonical form)",
+          ["minkowski_sum", "virtual_add", "canonicalize"], _EXACT)
 def _cmd_sum(args):
     bodies = [_load_body(f, args.exact_rational) for f in args.files]
     if any(isinstance(b, VirtualZonotope) for b in bodies):
@@ -311,6 +310,9 @@ def _cmd_sum(args):
     return _body_dict(acc)
 
 
+@_command("scale", 1, "scale by a factor or apply a matrix",
+          ["scale", "linear_image", "virtual_negate"], _EXACT,
+          {"--factor": dict(type=Fraction), "--matrix": dict(help="rows ';'-separated")})
 def _cmd_scale(args):
     K = _load_body(args.files[0], args.exact_rational)
     if args.matrix is not None:
@@ -336,6 +338,7 @@ def _cmd_scale(args):
     return _body_dict(scale(K, lam))
 
 
+@_command("length", 1, "length (first intrinsic volume)", ["length", "virtual_length"], _EXACT)
 def _cmd_length(args):
     K = _load_body(args.files[0], args.exact_rational)
     if isinstance(K, VirtualZonotope):
@@ -343,6 +346,8 @@ def _cmd_length(args):
     return {"value": length(K)}
 
 
+@_command("radius", 1, "radius: exact or certified bounds", ["radius", "radius_bounds"],
+          _EXACT + _MC, _mode("exact", "bounds"))
 def _cmd_radius(args):
     K = _load_zonotope(args.files[0], args.exact_rational)
     if args.mode == "exact":
@@ -351,6 +356,8 @@ def _cmd_radius(args):
     return {"value": 0.5 * (lo + hi), "interval": [lo, hi]}
 
 
+@_command("hausdorff", 2, "Hausdorff distance interval", ["hausdorff_estimate"],
+          _EXACT + ("--seed", "--net"))
 def _cmd_hausdorff(args):
     K = _load_zonotope(args.files[0], args.exact_rational)
     L = _load_zonotope(args.files[1], args.exact_rational)
@@ -358,6 +365,8 @@ def _cmd_hausdorff(args):
     return {"value": 0.5 * (lo + hi), "interval": [lo, hi]}
 
 
+@_command("tensor", 2, "tensor product of two zonotopes",
+          ["tensor_product", "virtual_tensor"], _EXACT)
 def _cmd_tensor(args):
     A = _load_body(args.files[0], args.exact_rational)
     B = _load_body(args.files[1], args.exact_rational)
@@ -366,27 +375,36 @@ def _cmd_tensor(args):
     return _body_dict(algebra.tensor_product(A, B))
 
 
+@_command("wedge", 2, "wedge product of graded zonotopes", ["wedge_product"], _EXACT)
 def _cmd_wedge(args):
     A = _load_zonotope(args.files[0], args.exact_rational)
     B = _load_zonotope(args.files[1], args.exact_rational)
     return _body_dict(algebra.wedge_product(A, B))
 
 
+@_command("power", 1, "d-fold wedge power", ["wedge_power"], _EXACT,
+          {"--degree": dict(type=int, required=True)})
 def _cmd_power(args):
     K = _load_zonotope(args.files[0], args.exact_rational)
     return _body_dict(algebra.wedge_power(K, args.degree))
 
 
+@_command("hodge", 1, "Hodge star, generator-wise", ["hodge_star_zonoid"], _EXACT)
 def _cmd_hodge(args):
     K = _load_zonotope(args.files[0], args.exact_rational)
     return _body_dict(algebra.hodge_star_zonoid(K))
 
 
+@_command("projbody", 1, "projection body", ["projection_body"], _EXACT)
 def _cmd_projbody(args):
     K = _load_zonotope(args.files[0], args.exact_rational)
     return _body_dict(algebra.projection_body(K))
 
 
+@_command("mv", "+", "mixed volume; AF inequality probes",
+          ["mixed_volume", "af_gap", "reverse_af_gap"], _EXACT,
+          {"--af-gap": dict(action="store_true"), "--reverse-af": dict(action="store_true"),
+           "--degrees": dict(help="comma-separated d_i")})
 def _cmd_mv(args):
     Ks = [_load_zonotope(f, args.exact_rational) for f in args.files]
     if args.af_gap:
@@ -403,11 +421,14 @@ def _cmd_mv(args):
     return {"value": algebra.mixed_volume(Ks)}
 
 
+@_command("vol", 1, "volume", ["volume"], _EXACT)
 def _cmd_vol(args):
     K = _load_zonotope(args.files[0], args.exact_rational)
     return {"value": algebra.volume(K)}
 
 
+@_command("intrinsic", 1, "intrinsic volume V_d", ["intrinsic_volume"], _EXACT,
+          {"--degree": dict(type=int, required=True)})
 def _cmd_intrinsic(args):
     K = _load_zonotope(args.files[0], args.exact_rational)
     return {"value": algebra.intrinsic_volume(K, args.degree)}
@@ -423,6 +444,12 @@ def _require_cgrading_tag(K: Zonotope, path: str) -> Zonotope:
     return K
 
 
+@_command("mvj", "+", "mixed J-volume of complex zonoids",
+          ["mixed_J_volume", "complex_wedge_zonoids", "disc_zonotope"], _EXACT,
+          {"--discs": dict(action="store_true",
+                           help="files hold complex vectors; use 2q-gon disc models"),
+           "--q": dict(type=int, default=64),
+           "--wedge": dict(action="store_true", help="emit the complex wedge zonotope")})
 def _cmd_mvj(args):
     if args.discs:
         Z = _read(args.files[0], "complex vectors", _complex_vectors)
@@ -437,6 +464,12 @@ def _cmd_mvj(args):
     return {"value": jvolume.mixed_J_volume(*bodies)}
 
 
+@_command("jvol", "?", "J-volume: exact zonotope path or face MC",
+          ["j_volume_zonotope", "j_volume_polytope_mc", "normal_angle_mc",
+           "zonotope_face_data"], _EXACT + _MC,
+          {"--faces": dict(help="face-data JSON file"),
+           "--theta": dict(type=int, help="normal angle of one face index"),
+           "--make-faces": dict(action="store_true", help="emit face data for a zonotope")})
 def _cmd_jvol(args):
     if args.faces is not None:
         P = _read(args.faces, "face data", jvolume.face_data_from_dict)
@@ -453,6 +486,9 @@ def _cmd_jvol(args):
     return {"value": jvolume.j_volume_zonotope(K)}
 
 
+@_command("kaza", "?", "Kazarnovskii pseudovolume",
+          ["kazarnovskii_zonotope", "kazarnovskii_polytope_mc"], _EXACT + _MC,
+          {"--faces": dict(help="face-data JSON file")})
 def _cmd_kaza(args):
     if args.faces is not None:
         P = _read(args.faces, "face data", jvolume.face_data_from_dict)
@@ -464,6 +500,7 @@ def _cmd_kaza(args):
     return {"value": jvolume.kazarnovskii_zonotope(K)}
 
 
+@_command("sigma-j", 1, "sigma^J of a subspace", ["sigma_J"])
 def _cmd_sigma_j(args):
     E = _read(args.files[0], "subspace", lambda d: jvolume.Subspace(
         int(d["ambient_dim"]), _finite_floats(d["basis"])))
@@ -478,12 +515,7 @@ def _load_model(path: str):
     return _read(path, "block model", randomdet.model_from_dict)
 
 
-def _cmd_edet(args):
-    if args.vitale:
-        return _body_dict(randomdet.vitale_zonotope(_load_distribution(args.files[0])))
-    if args.empirical:
-        sampler = _read(args.files[0], "sampler", lambda d: _sampler(d, args.seed))
-        return _body_dict(randomdet.empirical_zonotope(sampler, args.samples))
+def _edet_model(args):
     model = _load_model(args.files[0])
     if args.mode == "exact":
         return {"value": randomdet.expected_abs_det_exact(model)}
@@ -491,19 +523,41 @@ def _cmd_edet(args):
     return {"value": val, "stderr": se}
 
 
-def _cmd_edet_complex(args):
-    model = _load_model(args.files[0])
-    if args.mode == "exact":
-        return {"value": randomdet.expected_abs_det_complex_exact(model)}
-    val, se = randomdet.expected_abs_det_complex_mc(model, args.samples, args.seed)
-    return {"value": val, "stderr": se}
+@_command("edet", 1, "expected |det| of a block model",
+          ["expected_abs_det_exact", "expected_abs_det_mc", "vitale_zonotope",
+           "empirical_zonotope"], _MC,
+          {**_mode("exact", "mc"),
+           "--vitale": dict(action="store_true", help="file is a distribution; emit its zonoid"),
+           "--empirical": dict(action="store_true", help="file is a sampler; emit the "
+                                                         "empirical zonoid of --samples draws")})
+def _cmd_edet(args):
+    if args.vitale:
+        return _body_dict(randomdet.vitale_zonotope(_load_distribution(args.files[0])))
+    if args.empirical:
+        sampler = _read(args.files[0], "sampler", lambda d: _sampler(d, args.seed))
+        return _body_dict(randomdet.empirical_zonotope(sampler, args.samples))
+    return _edet_model(args)
 
 
+# the complex estimators are the real ones under other names
+_command("edet-complex", 1, "complex expected |det|",
+         ["expected_abs_det_complex_exact", "expected_abs_det_complex_mc"], _MC,
+         _mode("exact", "mc"))(_edet_model)
+
+
+@_command("edet-sq-complex", 1, "exact E|det|^2 for complex columns",
+          ["expected_sq_abs_det_complex"])
 def _cmd_edet_sq_complex(args):
     model = _load_model(args.files[0])
     return {"value": randomdet.expected_sq_abs_det_complex(model)}
 
 
+@_command("bm-probe", 2, "concavity probe of t -> E^(1/d)",
+          ["bm_concavity_probe", "bernoulli_mixture"], _MC,
+          {"--d": dict(type=int, required=True),
+           "--companions": dict(help="fixed-columns JSON"),
+           "--t-grid": dict(help="comma-separated t values"),
+           "--mc": dict(action="store_true", help="Monte Carlo instead of exact")})
 def _cmd_bm_probe(args):
     d1, d2 = (_load_distribution(f) for f in args.files)
     companions = None
@@ -519,6 +573,11 @@ def _cmd_bm_probe(args):
     return {"curve": [[t, v, se] for (t, v, se) in curve]}
 
 
+@_command("measure", 1, "zonotope <-> even measure dictionary",
+          ["zonotope_to_measure", "measure_to_zonotope", "cosine_transform_eval",
+           "signed_measure_to_virtual"], _EXACT,
+          {"--to": dict(action="store_true", help="zonotope file -> measure"),
+           "--eval-dir": dict(help="evaluate the cosine transform here")})
 def _cmd_measure(args):
     if args.to:
         K = _load_zonotope(args.files[0], args.exact_rational)
@@ -533,21 +592,26 @@ def _cmd_measure(args):
     return _body_dict(measures.signed_measure_to_virtual(mu))
 
 
+# constant -> (randomdet function name, its options in order); by name, so a
+# traced run, which rebinds randomdet's functions, sees the call
+_CONSTANTS = {
+    "tau": ("tau", ("m",)),
+    "gamma-k": ("multivariate_gamma", ("k", "x")),
+    "wedge-norm": ("expected_simple_wedge_norm", ("k", "m")),
+    "gaussian-edet": ("gaussian_abs_det", ("m",)),
+    "complex-gaussian-edet": ("complex_gaussian_abs_det", ("n",)),
+    "j-ball": ("j_ball_volume", ("n",)),
+}
+
+
+@_command("constants", 0, "closed-form constants", [fn for fn, _ in _CONSTANTS.values()],
+          extra={"name": dict(choices=list(_CONSTANTS)), "--m": dict(type=int, default=2),
+                 "--k": dict(type=int, default=1),
+                 "--x": dict(type=_finite_float, default=1.0),
+                 "--n": dict(type=int, default=1)})
 def _cmd_constants(args):
-    name = args.name
-    if name == "tau":
-        return {"value": randomdet.tau(args.m)}
-    if name == "gamma-k":
-        return {"value": randomdet.multivariate_gamma(args.k, args.x)}
-    if name == "wedge-norm":
-        return {"value": randomdet.expected_simple_wedge_norm(args.k, args.m)}
-    if name == "gaussian-edet":
-        return {"value": randomdet.gaussian_abs_det(args.m)}
-    if name == "complex-gaussian-edet":
-        return {"value": randomdet.complex_gaussian_abs_det(args.n)}
-    if name == "j-ball":
-        return {"value": randomdet.j_ball_volume(args.n)}
-    raise SchemaError(f"unknown constant {name!r}")
+    fn, params = _CONSTANTS[args.name]
+    return {"value": getattr(randomdet, fn)(*(getattr(args, p) for p in params))}
 
 
 # ---------------------------------------------------------------------------
@@ -555,15 +619,6 @@ def _cmd_constants(args):
 
 
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
-    common.add_argument("--samples", type=int, default=100000,
-                        help="Monte Carlo sample count / net size")
-    common.add_argument("--net", type=_finite_float, default=1e-3,
-                        help="angular resolution for direction nets")
-    common.add_argument("--exact-rational", action="store_true",
-                        help="read numeric entries as exact rationals")
-
     p = _Parser(
         prog="zonoid",
         description="Zonotope calculus: products, volumes, J-volumes, "
@@ -572,103 +627,24 @@ def build_parser() -> _Parser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, nargs, help_, extra=None):
-        sp = sub.add_parser(name, parents=[common], help=help_,
-                            epilog=SCHEMA_HELP,
+    for name, (handler, files, help_, shared, extra) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_, epilog=SCHEMA_HELP,
                             formatter_class=argparse.RawDescriptionHelpFormatter)
-        # any count parses; main checks it against nargs and names both
-        sp.add_argument("files", nargs="*", help="input JSON file(s)")
-        if extra:
-            extra(sp)
-        sp.set_defaults(handler=handler, file_count=nargs)
-        return sp
-
-    add("support", _cmd_support, 1, "support function h_K(u)",
-        lambda sp: sp.add_argument("--dir", action="append", required=True,
-                                   help="direction, comma-separated or JSON"))
-    add("sum", _cmd_sum, "+", "Minkowski sum (one file: canonical form)")
-    add("scale", _cmd_scale, 1, "scale by a factor or apply a matrix",
-        lambda sp: (sp.add_argument("--factor", type=Fraction),
-                    sp.add_argument("--matrix", help="rows ';'-separated")))
-    add("length", _cmd_length, 1, "length (first intrinsic volume)")
-    add("radius", _cmd_radius, 1, "radius: exact or certified bounds",
-        lambda sp: sp.add_argument("--mode", choices=["exact", "bounds"],
-                                   default="exact"))
-    add("hausdorff", _cmd_hausdorff, 2, "Hausdorff distance interval")
-    add("tensor", _cmd_tensor, 2, "tensor product of two zonotopes")
-    add("wedge", _cmd_wedge, 2, "wedge product of graded zonotopes")
-    add("power", _cmd_power, 1, "d-fold wedge power",
-        lambda sp: sp.add_argument("--degree", type=int, required=True))
-    add("hodge", _cmd_hodge, 1, "Hodge star, generator-wise")
-    add("projbody", _cmd_projbody, 1, "projection body")
-    add("mv", _cmd_mv, "+", "mixed volume; AF inequality probes",
-        lambda sp: (sp.add_argument("--af-gap", action="store_true"),
-                    sp.add_argument("--reverse-af", action="store_true"),
-                    sp.add_argument("--degrees", help="comma-separated d_i")))
-    add("vol", _cmd_vol, 1, "volume")
-    add("intrinsic", _cmd_intrinsic, 1, "intrinsic volume V_d",
-        lambda sp: sp.add_argument("--degree", type=int, required=True))
-    add("mvj", _cmd_mvj, "+", "mixed J-volume of complex zonoids",
-        lambda sp: (sp.add_argument("--discs", action="store_true",
-                                    help="files hold complex vectors; use "
-                                         "2q-gon disc models"),
-                    sp.add_argument("--q", type=int, default=64),
-                    sp.add_argument("--wedge", action="store_true",
-                                    help="emit the complex wedge zonotope")))
-    add("jvol", _cmd_jvol, "?", "J-volume: exact zonotope path or face MC",
-        lambda sp: (sp.add_argument("--faces", help="face-data JSON file"),
-                    sp.add_argument("--theta", type=int,
-                                    help="normal angle of one face index"),
-                    sp.add_argument("--make-faces", action="store_true",
-                                    help="emit face data for a zonotope")))
-    add("kaza", _cmd_kaza, "?", "Kazarnovskii pseudovolume",
-        lambda sp: sp.add_argument("--faces", help="face-data JSON file"))
-    add("sigma-j", _cmd_sigma_j, 1, "sigma^J of a subspace")
-    add("edet", _cmd_edet, 1, "expected |det| of a block model",
-        lambda sp: (sp.add_argument("--mode", choices=["exact", "mc"],
-                                    default="exact"),
-                    sp.add_argument("--vitale", action="store_true",
-                                    help="file is a distribution; emit its zonoid"),
-                    sp.add_argument("--empirical", action="store_true",
-                                    help="file is a sampler; emit the "
-                                         "empirical zonoid of --samples draws")))
-    add("edet-complex", _cmd_edet_complex, 1, "complex expected |det|",
-        lambda sp: sp.add_argument("--mode", choices=["exact", "mc"],
-                                   default="exact"))
-    add("edet-sq-complex", _cmd_edet_sq_complex, 1,
-        "exact E|det|^2 for complex columns")
-    add("bm-probe", _cmd_bm_probe, 2, "concavity probe of t -> E^(1/d)",
-        lambda sp: (sp.add_argument("--d", type=int, required=True),
-                    sp.add_argument("--companions", help="fixed-columns JSON"),
-                    sp.add_argument("--t-grid", help="comma-separated t values"),
-                    sp.add_argument("--mc", action="store_true",
-                                    help="Monte Carlo instead of exact")))
-    add("measure", _cmd_measure, 1, "zonotope <-> even measure dictionary",
-        lambda sp: (sp.add_argument("--to", action="store_true",
-                                    help="zonotope file -> measure"),
-                    sp.add_argument("--eval-dir",
-                                    help="evaluate the cosine transform here")))
-
-    csp = sub.add_parser("constants", parents=[common],
-                         help="closed-form constants",
-                         epilog=SCHEMA_HELP,
-                         formatter_class=argparse.RawDescriptionHelpFormatter)
-    csp.add_argument("name", choices=["tau", "gamma-k", "wedge-norm",
-                                      "gaussian-edet", "complex-gaussian-edet",
-                                      "j-ball"])
-    csp.add_argument("--m", type=int, default=2)
-    csp.add_argument("--k", type=int, default=1)
-    csp.add_argument("--x", type=_finite_float, default=1.0)
-    csp.add_argument("--n", type=int, default=1)
-    csp.set_defaults(handler=_cmd_constants)
+        for flag in shared:
+            sp.add_argument(flag, **_SHARED[flag])
+        if files:
+            # any count parses; main checks it against the command's and names both
+            sp.add_argument("files", nargs="*", help="input JSON file(s)")
+        for flag, kwargs in extra.items():
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(handler=handler, file_count=files)
     return p
 
 
 def _check_file_count(args) -> None:
-    """Raise unless the command got as many files as its nargs allows."""
-    want, got = getattr(args, "file_count", None), len(getattr(args, "files", ()))
-    if want is not None and not {"?": got <= 1, "+": got >= 1}.get(want, got == want):
+    """Raise unless the command got as many files as it takes."""
+    want, got = args.file_count, len(getattr(args, "files", ()))
+    if not {"?": got <= 1, "+": got >= 1}.get(want, got == want):
         takes = {"?": "at most 1 file", "+": "1 or more files", 1: "exactly 1 file"}
         raise SchemaError(f"{args.command} takes {takes.get(want, f'exactly {want} files')}, "
                           f"got {got}")

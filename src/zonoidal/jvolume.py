@@ -506,7 +506,7 @@ def zonotope_faces_for_span(P: Zonotope, E: Subspace) -> list[tuple]:
     return [tuple(eps) for eps in _vertex_signs(outside @ E.complement().basis.T)]
 
 
-def zonotope_face_data(P: Zonotope, J=None) -> PolytopeFaceData:
+def zonotope_face_data(P: Zonotope) -> PolytopeFaceData:
     """All n-faces of a zonotope in R^(2n) as explicit vertex data.
 
     The faces with direction span E, for each span of n independent
@@ -514,9 +514,12 @@ def zonotope_face_data(P: Zonotope, J=None) -> PolytopeFaceData:
     complement; their vertices are the cells cut by the in-E generators
     in E (``_vertex_signs``).  Vertices are keyed by sign vector over the
     canonical generators, so no scale merges or splits them; they, and
-    the faces of each span, are sorted by sign vector.
+    the faces of each span, are sorted by sign vector.  The faces do not
+    depend on a complex structure, only on n.
     """
-    n = _structure(P.ambient_dim, J).complex_dim
+    if P.ambient_dim % 2:
+        raise ValueError("n-faces need an even ambient dimension 2n")
+    n = P.ambient_dim // 2
     G = _float_canonical(P).generators
     signs, sizes = [], []
     for mask, V in _spans(G, n):

@@ -466,7 +466,8 @@ def distribution_from_dict(d: dict, complex_field: bool = False
 def model_from_dict(d: dict) -> MatrixBlockModel:
     """Block model schema: {"size": m, "complex": bool, "blocks": [...]},
     each block {"width": w, "dist": {...}} or {"width": w, "sampler":
-    {"kind": ..., "seed": ...}}.
+    {"kind": ...}}.  Sampler blocks draw from the stream of the estimator
+    that samples the model, so a "seed" key in a sampler block is ignored.
     """
     size = int(d["size"])
     complex_field = bool(d.get("complex", False))
@@ -481,6 +482,6 @@ def model_from_dict(d: dict) -> MatrixBlockModel:
             kind = sd["kind"]
             if complex_field and kind == "gaussian":
                 kind = "complex_gaussian"
-            sampler = SeededSampler(kind=kind, dimension=size, seed=int(sd.get("seed", 0)))
+            sampler = SeededSampler(kind=kind, dimension=size)
         blocks.append(MatrixBlock(width, dist=dist, sampler=sampler))
     return MatrixBlockModel(size, tuple(blocks), complex_field=complex_field)

@@ -300,15 +300,23 @@ def _collinear_labels(unit: np.ndarray) -> np.ndarray:
         rows, run, queued = rows[in_live], run[in_live], queued[in_live]
 
 
+def _scaled_norms(g: np.ndarray) -> np.ndarray:
+    """Norms of nonzero rows as m ||g / m||, m the row's largest |entry|,
+    which no overflowing square can spoil; ValueError for a non-finite
+    entry or a norm past the float64 range."""
+    m = np.abs(g).max(axis=1)
+    with np.errstate(invalid="ignore"):  # inf / inf: the row is refused below
+        norms = m * np.linalg.norm(g / m[:, None], axis=1)
+    if not np.isfinite(norms).all():
+        raise ValueError("generator entries and norms must be finite")
+    return norms
+
+
 def _canonicalize_float(K: Zonotope) -> Zonotope:
     g, norms = K.generators, np.linalg.norm(K.generators, axis=1)
     if not np.isfinite(norms).all():
-        # a finite row whose squares overflow has norm m ||g / m||, m = max |entry|
-        m = np.abs(g).max(axis=1)
-        big = np.isinf(norms) & np.isfinite(m)
-        norms[big] = m[big] * np.linalg.norm(g[big] / m[big, None], axis=1)
-        if not np.isfinite(norms).all():
-            raise ValueError("generator entries and norms must be finite")
+        bad = ~np.isfinite(norms)  # squares may overflow where the entries do not
+        norms[bad] = _scaled_norms(g[bad])
     nonzero = norms > 0.0
     if not nonzero.all():
         g, norms = g[nonzero], norms[nonzero]
@@ -323,8 +331,7 @@ def _canonicalize_float(K: Zonotope) -> Zonotope:
         flips = np.where(np.sum(unit * unit[labels], axis=1) < 0, -1.0, 1.0)
         with np.errstate(over="ignore"):
             g = np.add.reduceat((g * flips[:, None])[order], starts)
-        if not np.isfinite(g).all():
-            raise ValueError("generator entries and norms must be finite")
+        _scaled_norms(g)  # a merged row's entries or norm can pass float64
         g = _sign_normalize_float(g)
     return replace(K, generators=g[_lex_order(g)])
 

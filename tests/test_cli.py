@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -708,3 +709,133 @@ def test_non_finite_float_options_exit_2(tmp_path, value):
         code, out, err = run(argv)
         assert (code, out) == (2, ""), argv
         assert "not a finite number" in json.loads(err)["error"]["message"]
+
+
+# Handler paths that no test above runs in-process: each prints dumps of the
+# library call it stands for.
+_PLAIN = {"ambient_dim": 2, "grading": None, "generators": [[1.0, 0.5], [0.0, 2.0], [-0.7, 0.3]]}
+_OTHER = {"ambient_dim": 3, "grading": None, "generators": [[0.2, 1.0, -1.0], [1.5, 0.0, 0.25]]}
+_VIRTUAL = {"plus": _PLAIN, "minus": {"ambient_dim": 2, "generators": [[0.4, 0.1]]}}
+_C2 = [{"ambient_dim": 4, "generators": G.tolist()}
+       for G in np.random.Generator(np.random.Philox(key=21)).standard_normal((2, 3, 4))]
+
+
+def printed(payload):
+    return (0, cli.dumps(payload) + "\n", "")
+
+
+def virtual_dict(W):
+    return {"plus": zonoidal.zonotope_to_dict(W.plus), "minus": zonoidal.zonotope_to_dict(W.minus)}
+
+
+def test_wedge_command(tmp_path):
+    graded = [{**_OTHER, "grading": {"base_dim": 3, "degree": 1}, "generators": G}
+              for G in (_OTHER["generators"], [[1.0, 0.5, 0.0], [0.0, 1.0, -2.0], [0.3, 0.0, 1.0]])]
+    a, b = (write(tmp_path, f"g{i}.json", g) for i, g in enumerate(graded))
+    A, B = (zonoidal.zonotope_from_dict(g) for g in graded)
+    assert run(["wedge", a, b]) == printed(
+        zonoidal.zonotope_to_dict(zonoidal.wedge_product(A, B)))
+
+
+def test_radius_exact_mode(tmp_path):
+    f = write(tmp_path, "K.json", _PLAIN)
+    want = printed({"value": zonoidal.radius(zonoidal.zonotope_from_dict(_PLAIN))})
+    assert run(["radius", f, "--mode", "exact"]) == want
+
+
+def test_tensor_of_two_plain_bodies(tmp_path):
+    a, b = write(tmp_path, "a.json", _PLAIN), write(tmp_path, "b.json", _OTHER)
+    A, B = zonoidal.zonotope_from_dict(_PLAIN), zonoidal.zonotope_from_dict(_OTHER)
+    assert run(["tensor", a, b]) == printed(
+        zonoidal.zonotope_to_dict(zonoidal.tensor_product(A, B)))
+
+
+def test_kaza_faces(tmp_path):
+    P = zonoidal.zonotope_from_dict(_C2[0])
+    faces = zonoidal.face_data_to_dict(zonoidal.zonotope_face_data(P))
+    fd = write(tmp_path, "fd.json", faces)
+    val, se = zonoidal.kazarnovskii_polytope_mc(zonoidal.face_data_from_dict(faces), 3000, 4)
+    assert run(["kaza", "--faces", fd, "--samples", "3000", "--seed", "4"]) == printed(
+        {"value": val, "stderr": se})
+
+
+def test_edet_complex_mc_mode(tmp_path):
+    dist = {"atoms": [[[1.0, 0.0], [0.5, 0.5]], [[0.0, -1.0], [2.0, 0.0]]], "probs": [0.3, 0.7]}
+    model = {"size": 2, "complex": True, "blocks": [{"width": 1, "dist": dist}] * 2}
+    f = write(tmp_path, "cm.json", model)
+    val, se = zonoidal.expected_abs_det_complex_mc(zonoidal.model_from_dict(model), 3000, 5)
+    assert run(["edet-complex", f, "--mode", "mc", "--samples", "3000", "--seed", "5"]) == printed(
+        {"value": val, "stderr": se})
+
+
+def test_sum_length_and_scale_of_a_virtual_body(tmp_path):
+    v = write(tmp_path, "v.json", _VIRTUAL)
+    W = zonoidal.VirtualZonotope(zonoidal.zonotope_from_dict(_VIRTUAL["plus"]),
+                                 zonoidal.zonotope_from_dict(_VIRTUAL["minus"]))
+    assert run(["sum", v, v]) == printed(virtual_dict(zonoidal.virtual_add(W, W)))
+    assert run(["length", v]) == printed({"value": zonoidal.virtual_length(W)})
+    assert run(["scale", v, "--factor", "1.5"]) == printed(virtual_dict(zonoidal.VirtualZonotope(
+        zonoidal.scale(W.plus, 1.5), zonoidal.scale(W.minus, 1.5))))
+
+
+def test_mvj_tags_an_untagged_body_as_degree_one(tmp_path):
+    files = [write(tmp_path, f"K{i}.json", K) for i, K in enumerate(_C2)]
+    tagged = [zonoidal.zonotope_from_dict({**K, "cgrading": {"complex_dim": 2, "degree": 1}})
+              for K in _C2]
+    assert run(["mvj", *files]) == printed({"value": zonoidal.mixed_J_volume(*tagged)})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scale", "K"], "scale needs --factor or --matrix"),
+    (["kaza"], "kaza needs a zonotope file or --faces"),
+    (["mv", "K", "--af-gap"], "--af-gap needs at least two zonotopes"),
+    (["mvj", "ODD"], "ODD: odd ambient dimension for a complex zonoid"),
+])
+def test_handler_schema_errors_exit_2(tmp_path, argv, message):
+    files = {"K": write(tmp_path, "K.json", _PLAIN), "ODD": write(tmp_path, "ODD.json", _OTHER)}
+    code, out, err = run([files.get(a, a) for a in argv])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"code": 2, "message": message.replace(
+        "ODD", files["ODD"])}
+
+
+def test_sampler_blocks_draw_from_the_seed_option(tmp_path):
+    def model(name, **sampler):
+        return write(tmp_path, name, {"size": 3, "blocks": [
+            {"width": 2, "sampler": {"kind": "gaussian", **sampler}},
+            {"width": 1, "sampler": {"kind": "uniform_sphere", **sampler}}]})
+
+    argv = ["edet", "--mode", "mc", "--samples", "4000"]
+    keyed, plain = model("keyed.json", seed=123), model("plain.json")
+    out = run([*argv, "--seed", "7", keyed])
+    assert out[0] == 0
+    assert run([*argv, "--seed", "7", plain]) == out
+    assert run([*argv, "--seed", "8", plain])[1] != out[1]
+
+
+# The shared flags each command reads; a command takes no other.
+SHARED_FLAGS = {"--seed", "--samples", "--net", "--exact-rational"}
+READS_EXACT = {"support", "sum", "scale", "length", "radius", "hausdorff", "tensor", "wedge",
+               "power", "hodge", "projbody", "mv", "vol", "intrinsic", "mvj", "jvol", "kaza",
+               "measure"}
+READS_SAMPLES = {"radius", "jvol", "kaza", "edet", "edet-complex", "bm-probe"}
+
+
+def test_commands_take_only_the_shared_flags_they_read(tmp_path, capsys):
+    for command in EXPECTED_COMMANDS:
+        want = {"--exact-rational"} if command in READS_EXACT else set()
+        if command in READS_SAMPLES:
+            want |= {"--samples", "--seed"}
+        if command == "hausdorff":
+            want |= {"--seed", "--net"}
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert set(re.findall(r"--[a-z-]+", usage)) & SHARED_FLAGS == want, command
+    K = cube_file(tmp_path)
+    M = write(tmp_path, "M.json", {"size": 1, "blocks": [{"width": 1, "dist": _DIST}]})
+    for argv in (["vol", K, "--seed", "3"], ["edet", M, "--exact-rational"]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert "unrecognized arguments" in json.loads(err)["error"]["message"]

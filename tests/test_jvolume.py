@@ -752,3 +752,8 @@ def test_polytope_mc_point_and_rank_checks():
 def test_face_data_index_validation():
     with pytest.raises(ValueError):
         PolytopeFaceData(2, [[0.0, 0.0]], [[0, 5]])
+
+
+def test_zonotope_face_data_refuses_an_odd_ambient_dimension():
+    with pytest.raises(ValueError, match="even ambient dimension"):
+        zonotope_face_data(zonotope([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]))

@@ -718,3 +718,10 @@ def test_json_readers_refuse_null_and_non_finite_entries(entry):
         distribution_from_dict({"atoms": [[1.0, 0.0], [0.0, 1.0]], "probs": [0.5, entry]})
     with pytest.raises(KeyError, match="non-finite"):
         face_data_from_dict({"ambient_dim": 2, "vertices": rows, "n_faces": [[0], [1]]})
+
+
+def test_canonicalize_refuses_a_merge_whose_norm_passes_the_float64_range():
+    # the merged row [1.6e308, 1.6e308] has finite entries and an infinite norm
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="norms must be finite"):
+            canonicalize(zonotope([[8e307, 8e307], [8e307, 8e307]]))
