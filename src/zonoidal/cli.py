@@ -33,6 +33,7 @@ from .zonotope import (
     VirtualZonotope,
     Zonotope,
     _finite_floats,
+    _integer,
     canonicalize,
     hausdorff_estimate,
     length,
@@ -209,8 +210,8 @@ def _complex_vectors(d: dict) -> np.ndarray:
 def _sampler(d: dict, seed: int) -> randomdet.SeededSampler:
     """Sampler file {"kind", "dimension", "seed"?, "dist"?}; seed if it has none."""
     dist = randomdet.distribution_from_dict(d["dist"]) if "dist" in d else None
-    return randomdet.SeededSampler(kind=d["kind"], dimension=int(d["dimension"]),
-                                   seed=int(d.get("seed", seed)), dist=dist)
+    return randomdet.SeededSampler(kind=d["kind"], dimension=_integer(d["dimension"]),
+                                   seed=_integer(d.get("seed", seed)), dist=dist)
 
 
 def _companions(d: dict) -> np.ndarray:
@@ -314,6 +315,8 @@ def _cmd_sum(args):
           ["scale", "linear_image", "virtual_negate"], _EXACT,
           {"--factor": dict(type=Fraction), "--matrix": dict(help="rows ';'-separated")})
 def _cmd_scale(args):
+    if args.factor is not None and args.matrix is not None:
+        raise SchemaError("scale takes --factor or --matrix, not both")
     K = _load_body(args.files[0], args.exact_rational)
     if args.matrix is not None:
         M = _parse_matrix(args.matrix)
@@ -452,6 +455,8 @@ def _require_cgrading_tag(K: Zonotope, path: str) -> Zonotope:
            "--wedge": dict(action="store_true", help="emit the complex wedge zonotope")})
 def _cmd_mvj(args):
     if args.discs:
+        if len(args.files) != 1:
+            raise SchemaError(f"mvj --discs takes exactly 1 file, got {len(args.files)}")
         Z = _read(args.files[0], "complex vectors", _complex_vectors)
         bodies = [jvolume.disc_zonotope(z, args.q) for z in Z]
     else:
@@ -464,6 +469,13 @@ def _cmd_mvj(args):
     return {"value": jvolume.mixed_J_volume(*bodies)}
 
 
+def _face_data(args) -> jvolume.PolytopeFaceData:
+    """The --faces file of jvol or kaza, which then take no zonotope file."""
+    if args.files:
+        raise SchemaError(f"{args.command} --faces takes no zonotope file, got {args.files[0]}")
+    return _read(args.faces, "face data", jvolume.face_data_from_dict)
+
+
 @_command("jvol", "?", "J-volume: exact zonotope path or face MC",
           ["j_volume_zonotope", "j_volume_polytope_mc", "normal_angle_mc",
            "zonotope_face_data"], _EXACT + _MC,
@@ -472,7 +484,7 @@ def _cmd_mvj(args):
            "--make-faces": dict(action="store_true", help="emit face data for a zonotope")})
 def _cmd_jvol(args):
     if args.faces is not None:
-        P = _read(args.faces, "face data", jvolume.face_data_from_dict)
+        P = _face_data(args)
         if args.theta is not None:
             val, se = jvolume.normal_angle_mc(P, args.theta, args.samples, args.seed)
         else:
@@ -491,7 +503,7 @@ def _cmd_jvol(args):
           {"--faces": dict(help="face-data JSON file")})
 def _cmd_kaza(args):
     if args.faces is not None:
-        P = _read(args.faces, "face data", jvolume.face_data_from_dict)
+        P = _face_data(args)
         val, se = jvolume.kazarnovskii_polytope_mc(P, args.samples, args.seed)
         return {"value": val, "stderr": se}
     if not args.files:
@@ -503,7 +515,7 @@ def _cmd_kaza(args):
 @_command("sigma-j", 1, "sigma^J of a subspace", ["sigma_J"])
 def _cmd_sigma_j(args):
     E = _read(args.files[0], "subspace", lambda d: jvolume.Subspace(
-        int(d["ambient_dim"]), _finite_floats(d["basis"])))
+        _integer(d["ambient_dim"]), _finite_floats(d["basis"])))
     return {"value": jvolume.sigma_J(E)}
 
 

@@ -17,7 +17,8 @@ Kazarnovskii pseudovolume sums |det_C S|^2 / ||wedge S||, which is
 ||wedge S|| sigma^J(span S).  Both read ``_minors_and_norms``; a dependent
 subset adds 0 by itself, so no span or tolerance is involved.  J must be
 orthogonal.  For general polytopes the same weights multiply the supplied
-n-faces' volumes and Monte Carlo normal angles.
+n-faces' volumes and Monte Carlo normal angles, each normal cone given as
+(C, W, tie) in its face's complement and sampled there (``_face_cone``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from . import exterior
 from .algebra import _chain, _require_grading
 from .exterior import realify_rows, unrealify_rows
 from .sampling import SeedStream, _mc_mean_se, derive_seed
-from .zonotope import Zonotope, _finite_floats, _lex_order, canonicalize, length, zonotope
+from .zonotope import (Zonotope, _finite_floats, _integer, _lex_order, canonicalize, length,
+                       zonotope)
 
 __all__ = [
     "ComplexStructure",
@@ -186,7 +188,9 @@ class PolytopeFaceData:
             V = V.reshape(0, self.ambient_dim)
         if V.ndim != 2 or V.shape[1] != self.ambient_dim:
             raise ValueError("vertices must be rows of length ambient_dim")
-        faces = tuple(tuple(int(i) for i in f) for f in self.n_faces)
+        # index arrays become lists of Python ints first, which _integer takes fastest
+        faces = tuple(tuple(map(_integer, f.tolist() if isinstance(f, np.ndarray) else f))
+                      for f in self.n_faces)
         for f in faces:
             if not f or max(f) >= V.shape[0] or min(f) < 0:
                 raise ValueError("face refers to a missing vertex")
@@ -371,71 +375,60 @@ def disc_zonotope(z, q: int) -> Zonotope:
     return canonicalize(zonotope(realify_rows(rows), ambient_dim=2 * n, cgrading=(n, 1)))
 
 
-def _face_membership_counter(P, face):
-    """Return (complement Subspace, hit predicate) for a face of P."""
+def _face_cone(P, face):
+    """The normal cone of a face of P as (C, W, tie): C's orthonormal rows
+    span the complement of the face's direction span, and s @ C, for s in
+    R^c, is in the cone when s @ W.T >= -tie throughout."""
     if isinstance(P, Zonotope):
         E, signs = face
         if not isinstance(E, Subspace):
             E = subspace_from_vectors(E, P.ambient_dim)
-        P = _float_canonical(P)
-        outside = P.generators[~E.members(P.generators)]
+        G = _float_canonical(P).generators
+        outside = G[~E.members(G)]
         signs = np.asarray(signs, dtype=np.float64)
         if signs.shape != (outside.shape[0],):
-            raise ValueError(
-                "sign vector must match the generators outside the span, "
-                "in canonical order"
-            )
-
-        def hits(U: np.ndarray) -> np.ndarray:
-            dots = U @ outside.T
-            return np.all(dots * signs > 0.0, axis=1)
-
-        return E.complement(), hits
-
-    if isinstance(P, PolytopeFaceData):
-        if isinstance(face, (int, np.integer)):
-            if not -len(P.n_faces) <= face < len(P.n_faces):
-                raise ValueError(f"no face {face} among {len(P.n_faces)}")
-            face = P.n_faces[face]
-        idx = list(face)
-        verts = P.vertices
-        fverts = verts[idx]
-        centroid = fverts.mean(axis=0)
-        E = Subspace(P.ambient_dim, _orthonormal_rows(fverts - centroid))
-        # U has unit rows, so no |<u, v>| exceeds the largest vertex norm.
-        tie = 1e-12 * float(np.max(np.linalg.norm(verts, axis=1)))
-
-        def hits(U: np.ndarray) -> np.ndarray:
-            all_dots = U @ verts.T
-            return all_dots[:, idx].min(axis=1) >= all_dots.max(axis=1) - tie
-
-        return E.complement(), hits
-
-    raise TypeError("P must be a Zonotope or PolytopeFaceData")
+            raise ValueError("sign vector must match the generators outside the span, "
+                             "in canonical order")
+        C = E.complement().basis
+        return C, (signs[:, None] * outside) @ C.T, 0.0
+    if not isinstance(P, PolytopeFaceData):
+        raise TypeError("P must be a Zonotope or PolytopeFaceData")
+    if isinstance(face, (int, np.integer)):
+        if not -len(P.n_faces) <= face < len(P.n_faces):
+            raise ValueError(f"no face {face} among {len(P.n_faces)}")
+        face = P.n_faces[face]
+    else:  # a vertex list gets PolytopeFaceData's index check
+        face = PolytopeFaceData(P.ambient_dim, P.vertices, (face,)).n_faces[0]
+    fverts = P.vertices[list(face)]
+    centroid = fverts.mean(axis=0)
+    C = Subspace(P.ambient_dim, _orthonormal_rows(fverts - centroid)).complement().basis
+    # s @ C has unit length, so no |<s @ C, v>| exceeds the largest vertex norm.
+    tie = 1e-12 * float(np.max(np.linalg.norm(P.vertices, axis=1)))
+    return C, (centroid - P.vertices) @ C.T, tie
 
 
 def normal_angle_mc(P, face, samples: int, seed: int = 0) -> tuple[float, float]:
     """Normalized normal angle Theta_P(F) with the Bessel-corrected
     standard error of its hit indicator.
 
-    Samples directions uniformly on the unit sphere of the orthogonal
-    complement of the face's direction span; a hit is a direction whose
-    maximizing face is F.  A 0-sphere complement is handled exactly by
-    checking both antipodal directions and counting hits/2 (error 0);
-    larger complements need at least two samples.
+    Samples s uniformly on the unit sphere of R^c, the coordinates of the
+    face's complement (``_face_cone``); a hit is an s in the normal cone.
+    A 0-sphere complement is handled exactly by checking both s = +-1 and
+    counting hits/2 (error 0); larger complements need at least two
+    samples.
     """
-    comp, hits = _face_membership_counter(P, face)
-    c = comp.dim
+    C, W, tie = _face_cone(P, face)
+    c = len(C)
     if c == 0:
         raise ValueError("degenerate complement: the face spans the ambient space")
+
+    def hits(S: np.ndarray) -> np.ndarray:
+        return np.all(S @ W.T >= -tie, axis=1)
+
     if c == 1:
-        U = np.vstack([comp.basis, -comp.basis])
-        return float(np.count_nonzero(hits(U))) / 2.0, 0.0
-
-    def draw(stream, size):
-        return hits(stream.sphere(size, c) @ comp.basis).astype(np.float64)
-
-    return _mc_mean_se(SeedStream(seed).derive("normal_angle"), samples, draw)
+        return float(np.count_nonzero(hits(np.array([[1.0], [-1.0]])))) / 2.0, 0.0
+    return _mc_mean_se(SeedStream(seed).derive("normal_angle"), samples,
+                       lambda stream, size: hits(stream.sphere(size, c)).astype(np.float64))
 
 
 def _face_volume(chart: np.ndarray, n: int) -> float:
@@ -547,4 +540,5 @@ def face_data_to_dict(P: PolytopeFaceData) -> dict:
 
 def face_data_from_dict(d: dict) -> PolytopeFaceData:
     """Inverse of face_data_to_dict; a null or non-finite vertex entry is a KeyError."""
-    return PolytopeFaceData(int(d["ambient_dim"]), _finite_floats(d["vertices"]), d["n_faces"])
+    return PolytopeFaceData(_integer(d["ambient_dim"]), _finite_floats(d["vertices"]),
+                            d["n_faces"])

@@ -27,6 +27,7 @@ from .zonotope import (
     Zonotope,
     VirtualZonotope,
     canonicalize,
+    _integer,
     _rows_from_json,
     _rows_to_json,
     _sign_normalize_float,
@@ -156,7 +157,7 @@ def measure_from_dict(d: dict, exact: bool = False) -> DiscreteEvenMeasure:
     atoms_raw, weights_raw = d["atoms"], d["weights"]
     if len(weights_raw) != len(atoms_raw):
         raise KeyError("one weight per atom required")
-    dim = int(d.get("ambient_dim", len(atoms_raw[0]) if atoms_raw else 0))
+    dim = _integer(d.get("ambient_dim", len(atoms_raw[0]) if atoms_raw else 0))
     exact = exact or any(isinstance(w, str) for w in weights_raw)
     atoms = _rows_from_json(atoms_raw, dim, exact)
     weights = _rows_from_json([weights_raw], len(weights_raw), atoms.dtype == object)[0]

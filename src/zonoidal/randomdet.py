@@ -23,7 +23,7 @@ from . import exterior
 from .algebra import _chain
 from .exterior import realify_rows, unrealify_rows
 from .sampling import CHUNK, SeedStream, _mc_mean_se
-from .zonotope import Zonotope, _finite_floats, canonicalize, length, zonotope
+from .zonotope import Zonotope, _finite_floats, _integer, canonicalize, length, zonotope
 
 __all__ = [
     "DiscreteDistribution",
@@ -469,11 +469,11 @@ def model_from_dict(d: dict) -> MatrixBlockModel:
     {"kind": ...}}.  Sampler blocks draw from the stream of the estimator
     that samples the model, so a "seed" key in a sampler block is ignored.
     """
-    size = int(d["size"])
+    size = _integer(d["size"])
     complex_field = bool(d.get("complex", False))
     blocks = []
     for bd in d["blocks"]:
-        width = int(bd.get("width", 1))
+        width = _integer(bd.get("width", 1))
         dist = sampler = None
         if "dist" in bd:
             dist = distribution_from_dict(bd["dist"], complex_field=complex_field)

@@ -531,6 +531,15 @@ def _finite_floats(raw) -> np.ndarray:
     return a
 
 
+def _integer(x) -> int:
+    """An integer JSON field as an int: a Python or numpy integer (not a
+    bool) or an integral float such as 2.0; anything else is a KeyError."""
+    if (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            or isinstance(x, float) and x.is_integer()):
+        return int(x)
+    raise KeyError(f"not an integer: {x!r}")
+
+
 def _rows_from_json(raw, dim: int, exact: bool = False) -> np.ndarray:
     """The (len(raw), dim) array of JSON rows: Fractions when exact is set
     or any entry is a string, else float64.  A row of any other length
@@ -560,10 +569,10 @@ def zonotope_to_dict(K: Zonotope) -> dict:
 
 
 def zonotope_from_dict(d: dict, exact: bool = False) -> Zonotope:
-    dim = int(d["ambient_dim"])
+    dim = _integer(d["ambient_dim"])
     grading, cgrading = d.get("grading"), d.get("cgrading")
     if grading is not None:
-        grading = (int(grading["base_dim"]), int(grading["degree"]))
+        grading = (_integer(grading["base_dim"]), _integer(grading["degree"]))
     if cgrading is not None:
-        cgrading = (int(cgrading["complex_dim"]), int(cgrading["degree"]))
+        cgrading = (_integer(cgrading["complex_dim"]), _integer(cgrading["degree"]))
     return Zonotope(dim, _rows_from_json(d["generators"], dim, exact), grading, cgrading)

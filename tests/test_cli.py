@@ -720,6 +720,17 @@ _C2 = [{"ambient_dim": 4, "generators": G.tolist()}
        for G in np.random.Generator(np.random.Philox(key=21)).standard_normal((2, 3, 4))]
 
 
+def _with(obj, path, change):
+    """A deep copy of the JSON object obj whose entry x at path is change(x)."""
+    obj = json.loads(json.dumps(obj))
+    *parents, last = path
+    inner = obj
+    for key in parents:
+        inner = inner[key]
+    inner[last] = change(inner[last])
+    return obj
+
+
 def printed(payload):
     return (0, cli.dumps(payload) + "\n", "")
 
@@ -797,6 +808,63 @@ def test_handler_schema_errors_exit_2(tmp_path, argv, message):
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == {"code": 2, "message": message.replace(
         "ODD", files["ODD"])}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["jvol", "--faces", "F", "K"], "jvol --faces takes no zonotope file, got K"),
+    (["kaza", "--faces", "F", "K"], "kaza --faces takes no zonotope file, got K"),
+    (["mvj", "--discs", "--q", "8", "D", "K"], "mvj --discs takes exactly 1 file, got 2"),
+    (["scale", "K", "--factor", "2", "--matrix", "1,0;0,1"],
+     "scale takes --factor or --matrix, not both"),
+])
+def test_conflicting_inputs_exit_2(tmp_path, argv, message):
+    files = {"K": write(tmp_path, "K.json", _PLAIN), "F": write(tmp_path, "F.json", _FACES),
+             "D": write(tmp_path, "D.json", {"vectors": [[[1.0, 0.0], [0.0, 1.0]]]})}
+    code, out, err = run([files.get(a, a) for a in argv])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"code": 2, "message": message.replace("K", files["K"])}
+
+
+_MODEL = {"size": 1, "blocks": [{"width": 1, "dist": {"atoms": [[1.0]], "probs": [1.0]}}]}
+_SAMPLER = {"kind": "gaussian", "dimension": 2, "seed": 3}
+
+
+# (file kind, command, a good file, the path of an integer field in it)
+INTEGER_FIELDS = [
+    ("zonotope", ["vol"], _CUBE, ("ambient_dim",)),
+    ("zonotope", ["vol"], {**_CUBE, "grading": {"base_dim": 2, "degree": 1}},
+     ("grading", "base_dim")),
+    ("zonotope", ["vol"], {**_CUBE, "grading": {"base_dim": 2, "degree": 1}},
+     ("grading", "degree")),
+    ("zonotope", ["vol"], {**_CUBE, "cgrading": {"complex_dim": 1, "degree": 1}},
+     ("cgrading", "complex_dim")),
+    ("zonotope", ["vol"], {**_CUBE, "cgrading": {"complex_dim": 1, "degree": 1}},
+     ("cgrading", "degree")),
+    ("measure", ["measure"], {"ambient_dim": 2, "atoms": [[1.0, 0.0]], "weights": [1.0]},
+     ("ambient_dim",)),
+    ("face data", ["jvol", "--faces"], _FACES, ("ambient_dim",)),
+    ("face data", ["jvol", "--faces"], _FACES, ("n_faces", 1, 0)),
+    ("block model", ["edet"], _MODEL, ("size",)),
+    ("block model", ["edet"], _MODEL, ("blocks", 0, "width")),
+    ("sampler", ["edet", "--empirical", "--samples", "3"], _SAMPLER, ("dimension",)),
+    ("sampler", ["edet", "--empirical", "--samples", "3"], _SAMPLER, ("seed",)),
+    ("subspace", ["sigma-j"], {"ambient_dim": 2, "basis": [[1.0, 0.0]]}, ("ambient_dim",)),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, 0.7, "2", True])
+@pytest.mark.parametrize("what, argv, base, path", INTEGER_FIELDS,
+                         ids=[f"{f[1][0]} {'.'.join(map(str, f[3]))}" for f in INTEGER_FIELDS])
+def test_integer_fields_take_only_integers(tmp_path, what, argv, base, path, value):
+    # an integral float reads as its integer; anything else is a schema error
+    want = run([*argv, write(tmp_path, "good.json", base)])
+    assert want[0] == 0
+    assert run([*argv, write(tmp_path, "float.json", _with(base, path, float))]) == want
+    bad = write(tmp_path, "bad.json", _with(base, path, lambda _: value))
+    code, out, err = run([*argv, bad])
+    assert (code, out) == (2, "")
+    message = json.loads(err)["error"]["message"]
+    assert message == f"malformed {what} in {bad}: not an integer: {value!r}"
 
 
 def test_sampler_blocks_draw_from_the_seed_option(tmp_path):

@@ -45,7 +45,8 @@ from zonoidal import (
     zonotope_faces_for_span,
 )
 from zonoidal.exterior import _ROW_BLOCK, blade_from_vectors, complex_blade_from_vectors
-from zonoidal.jvolume import _face_volume, _independent_spans, _unique_rows
+from zonoidal.jvolume import _face_volume, _independent_spans, _orthonormal_rows, _unique_rows
+from zonoidal.sampling import CHUNK, SeedStream, _mc_mean_se
 from zonoidal.testkit import hull_area_brute, wedge_norm_brute
 
 
@@ -752,6 +753,61 @@ def test_polytope_mc_point_and_rank_checks():
 def test_face_data_index_validation():
     with pytest.raises(ValueError):
         PolytopeFaceData(2, [[0.0, 0.0]], [[0, 5]])
+
+
+@pytest.mark.parametrize("face", [[], [-1, 0, 1, 2], [0, 99]])
+def test_normal_angle_refuses_a_vertex_list_with_a_missing_vertex(face):
+    fd = zonotope_face_data(random_complex_zonotope(rng(12), n_gens=3))
+    with pytest.raises(ValueError, match="face refers to a missing vertex"):
+        normal_angle_mc(fd, face, 100, seed=0)
+
+
+def _ambient_normal_angle(P, face, samples, seed):
+    """normal_angle_mc by sampling the face's complement in R^2n: the same
+    seeded chunks lifted by the same complement rows, then face data's
+    test (the face's vertices maximize <u, v> within a tie) or a zonotope
+    face's (each outside generator has the face's sign on u)."""
+    if isinstance(P, PolytopeFaceData):
+        idx = list(P.n_faces[face] if isinstance(face, int) else face)
+        fverts = P.vertices[idx]
+        comp = Subspace(P.ambient_dim,
+                        _orthonormal_rows(fverts - fverts.mean(axis=0))).complement().basis
+        tie = 1e-12 * float(np.max(np.linalg.norm(P.vertices, axis=1)))
+
+        def hits(U):
+            dots = U @ P.vertices.T
+            return dots[:, idx].min(axis=1) >= dots.max(axis=1) - tie
+    else:
+        E, signs = face
+        outside = P.generators[~E.members(P.generators)]
+        comp = E.complement().basis
+
+        def hits(U):
+            return np.all(np.asarray(signs) * (U @ outside.T) > 0.0, axis=1)
+
+    return _mc_mean_se(SeedStream(seed).derive("normal_angle"), samples, lambda stream, size:
+                       hits(stream.sphere(size, len(comp)) @ comp).astype(np.float64))
+
+
+@pytest.mark.parametrize("seed, n, n_gens", [(13, 2, 4), (14, 2, 5), (15, 3, 4)])
+def test_cone_test_in_the_complement_equals_the_ambient_test(seed, n, n_gens):
+    fd = zonotope_face_data(random_complex_zonotope(rng(seed), n=n, n_gens=n_gens))
+    assert len(fd.n_faces) > 0
+    for fi, idx in enumerate(fd.n_faces):
+        want = _ambient_normal_angle(fd, fi, 3000, seed=fi)
+        assert normal_angle_mc(fd, fi, 3000, seed=fi) == want
+        assert normal_angle_mc(fd, list(idx), 3000, seed=fi) == want
+
+
+def test_zonotope_cone_test_in_the_complement_equals_the_ambient_test():
+    P = random_complex_zonotope(rng(16), n_gens=5)
+    E = _independent_spans(P, 2)[0]
+    faces = zonotope_faces_for_span(P, E)
+    assert len(faces) == 6
+    for k, eps in enumerate(faces):
+        samples = CHUNK + 1000 if k == 0 else 3000  # the first crosses a chunk boundary
+        want = _ambient_normal_angle(P, (E, eps), samples, seed=k)
+        assert normal_angle_mc(P, (E, eps), samples, seed=k) == want
 
 
 def test_zonotope_face_data_refuses_an_odd_ambient_dimension():

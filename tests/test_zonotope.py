@@ -39,7 +39,7 @@ from zonoidal.algebra import _chain
 from zonoidal.jvolume import disc_zonotope, j_volume_zonotope
 from zonoidal.sampling import direction_net
 from zonoidal.testkit import length_brute, radius_brute, support_brute
-from zonoidal.zonotope import COLLINEAR_SINE_TOL, _collinear_labels, _lex_order
+from zonoidal.zonotope import COLLINEAR_SINE_TOL, _collinear_labels, _integer, _lex_order
 
 
 def rng(seed=0):
@@ -725,3 +725,10 @@ def test_canonicalize_refuses_a_merge_whose_norm_passes_the_float64_range():
     with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(ValueError, match="norms must be finite"):
             canonicalize(zonotope([[8e307, 8e307], [8e307, 8e307]]))
+
+
+def test_integer_reads_integers_and_integral_floats_only():
+    assert [_integer(x) for x in (3, np.int64(3), np.intp(3), 3.0, np.float64(3.0))] == [3] * 5
+    for x in (True, np.bool_(True), 2.5, float("nan"), float("inf"), "3", None, [3]):
+        with pytest.raises(KeyError, match="not an integer"):
+            _integer(x)
