@@ -4,10 +4,11 @@ Each command is declared once, by ``@_command`` on its handler: its name,
 input file count, help, the library operations it is the designated
 command of, which of the shared flags in _SHARED it reads and its own
 options.  build_parser builds one subparser per registered command, so a
-command takes no flag it does not read, and the registry fills
-COMMAND_OPS: every library operation is reachable from exactly one
-command.  The exterior-algebra module and the callback-based induced_map
-are in-process APIs with no command surface.
+command takes no flag it does not read; a handler refuses (``_refuse``)
+a shared flag the command line gave to a mode that ignores it.  The
+registry fills COMMAND_OPS: every library operation is reachable from
+exactly one command.  The exterior-algebra module and the callback-based
+induced_map are in-process APIs with no command surface.
 
 Exit codes: 0 success, 2 schema error, 3 precondition violation.  Every
 input file goes through _read, so a failure while a file becomes a library
@@ -243,6 +244,8 @@ _COMMANDS: dict[str, tuple] = {}
 COMMAND_OPS: dict[str, list[str]] = {}
 
 # The flags several commands share; each command takes only those it reads.
+# They parse to None when absent, and main records the ones given in
+# args.given before it fills in these defaults.
 _SHARED = {
     "--seed": dict(type=int, default=0, help="RNG seed (u64)"),
     "--samples": dict(type=int, default=100000, help="Monte Carlo sample count / net size"),
@@ -273,6 +276,14 @@ def _command(name, files, help_, ops, shared=(), extra=None):
 
 def _mode(*choices) -> dict:
     return {"--mode": dict(choices=list(choices), default=choices[0])}
+
+
+def _refuse(args, context: str, *flags) -> None:
+    """Refuse the shared flags among flags that the command line gave:
+    in context the command would ignore them."""
+    for flag in flags:
+        if flag in args.given:
+            raise SchemaError(f"{context} takes no {flag}")
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +365,7 @@ def _cmd_length(args):
 def _cmd_radius(args):
     K = _load_zonotope(args.files[0], args.exact_rational)
     if args.mode == "exact":
+        _refuse(args, "radius --mode exact", *_MC)
         return {"value": radius(K)}
     lo, hi = radius_bounds(K, net_count=args.samples, seed=args.seed)
     return {"value": 0.5 * (lo + hi), "interval": [lo, hi]}
@@ -455,6 +467,7 @@ def _require_cgrading_tag(K: Zonotope, path: str) -> Zonotope:
            "--wedge": dict(action="store_true", help="emit the complex wedge zonotope")})
 def _cmd_mvj(args):
     if args.discs:
+        _refuse(args, "mvj --discs", *_EXACT)
         if len(args.files) != 1:
             raise SchemaError(f"mvj --discs takes exactly 1 file, got {len(args.files)}")
         Z = _read(args.files[0], "complex vectors", _complex_vectors)
@@ -473,6 +486,7 @@ def _face_data(args) -> jvolume.PolytopeFaceData:
     """The --faces file of jvol or kaza, which then take no zonotope file."""
     if args.files:
         raise SchemaError(f"{args.command} --faces takes no zonotope file, got {args.files[0]}")
+    _refuse(args, f"{args.command} --faces", *_EXACT)
     return _read(args.faces, "face data", jvolume.face_data_from_dict)
 
 
@@ -484,6 +498,8 @@ def _face_data(args) -> jvolume.PolytopeFaceData:
            "--make-faces": dict(action="store_true", help="emit face data for a zonotope")})
 def _cmd_jvol(args):
     if args.faces is not None:
+        if args.make_faces:
+            raise SchemaError("jvol --faces takes no --make-faces")
         P = _face_data(args)
         if args.theta is not None:
             val, se = jvolume.normal_angle_mc(P, args.theta, args.samples, args.seed)
@@ -492,6 +508,9 @@ def _cmd_jvol(args):
         return {"value": val, "stderr": se}
     if not args.files:
         raise SchemaError("jvol needs a zonotope file or --faces")
+    if args.theta is not None:
+        raise SchemaError("jvol --theta needs --faces")
+    _refuse(args, "jvol without --faces", *_MC)
     K = _load_zonotope(args.files[0], args.exact_rational)
     if args.make_faces:
         return jvolume.face_data_to_dict(jvolume.zonotope_face_data(K))
@@ -508,6 +527,7 @@ def _cmd_kaza(args):
         return {"value": val, "stderr": se}
     if not args.files:
         raise SchemaError("kaza needs a zonotope file or --faces")
+    _refuse(args, "kaza without --faces", *_MC)
     K = _load_zonotope(args.files[0], args.exact_rational)
     return {"value": jvolume.kazarnovskii_zonotope(K)}
 
@@ -530,6 +550,7 @@ def _load_model(path: str):
 def _edet_model(args):
     model = _load_model(args.files[0])
     if args.mode == "exact":
+        _refuse(args, f"{args.command} --mode exact", *_MC)
         return {"value": randomdet.expected_abs_det_exact(model)}
     val, se = randomdet.expected_abs_det_mc(model, args.samples, args.seed)
     return {"value": val, "stderr": se}
@@ -543,7 +564,10 @@ def _edet_model(args):
            "--empirical": dict(action="store_true", help="file is a sampler; emit the "
                                                          "empirical zonoid of --samples draws")})
 def _cmd_edet(args):
+    if args.vitale and args.empirical:
+        raise SchemaError("edet takes --vitale or --empirical, not both")
     if args.vitale:
+        _refuse(args, "edet --vitale", *_MC)
         return _body_dict(randomdet.vitale_zonotope(_load_distribution(args.files[0])))
     if args.empirical:
         sampler = _read(args.files[0], "sampler", lambda d: _sampler(d, args.seed))
@@ -571,6 +595,8 @@ def _cmd_edet_sq_complex(args):
            "--t-grid": dict(help="comma-separated t values"),
            "--mc": dict(action="store_true", help="Monte Carlo instead of exact")})
 def _cmd_bm_probe(args):
+    if not args.mc:
+        _refuse(args, "bm-probe without --mc", *_MC)
     d1, d2 = (_load_distribution(f) for f in args.files)
     companions = None
     if args.companions is not None:
@@ -643,14 +669,26 @@ def build_parser() -> _Parser:
         sp = sub.add_parser(name, help=help_, epilog=SCHEMA_HELP,
                             formatter_class=argparse.RawDescriptionHelpFormatter)
         for flag in shared:
-            sp.add_argument(flag, **_SHARED[flag])
+            sp.add_argument(flag, **{**_SHARED[flag], "default": None})
         if files:
             # any count parses; main checks it against the command's and names both
             sp.add_argument("files", nargs="*", help="input JSON file(s)")
         for flag, kwargs in extra.items():
             sp.add_argument(flag, **kwargs)
-        sp.set_defaults(handler=handler, file_count=files)
+        sp.set_defaults(handler=handler, file_count=files, shared=shared)
     return p
+
+
+def _fill_shared(args) -> None:
+    """Record the shared flags the command line gave in args.given, and
+    give the others their _SHARED defaults."""
+    args.given = set()
+    for flag in args.shared:
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, _SHARED[flag].get("default", False))
+        else:
+            args.given.add(flag)
 
 
 def _check_file_count(args) -> None:
@@ -666,6 +704,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _fill_shared(args)
         _check_file_count(args)
         text = dumps(args.handler(args))
     except SchemaError as e:

@@ -1,7 +1,7 @@
 """Seeded, reproducible random streams and deterministic direction nets.
 
-All Monte Carlo paths in the library draw from counter-based Philox
-streams keyed by a SHA-256 hash of (seed, label path).  Work is cut
+All Monte Carlo paths in the library draw from SFC64 streams keyed by
+the SHA-256 path hash, a hash of (seed, label path).  Work is cut
 into fixed-size chunks with per-chunk derived keys, so an estimate for
 a given (seed, N) is bit-identical no matter how the chunks are
 scheduled.  Uniforms, indices and Gaussians (numpy's ziggurat sampler)
@@ -45,15 +45,15 @@ class SeedStream:
         return SeedStream(self.seed, self._labels + tuple(labels))
 
     def _generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=_derive_key(self.seed, self._labels)))
+        return np.random.Generator(np.random.SFC64(_derive_key(self.seed, self._labels)))
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform doubles in [0, 1)."""
         return self._generator().random(int(n))
 
     def gaussians(self, n: int) -> np.ndarray:
-        """n standard normals, numpy's ziggurat on this label path's Philox
-        key: bit-identical on every rerun with the same numpy."""
+        """n standard normals, numpy's ziggurat on this label path's SFC64
+        stream: bit-identical on every rerun with the same numpy."""
         return self._generator().standard_normal(int(n))
 
     def gaussian_matrix(self, rows: int, cols: int) -> np.ndarray:

@@ -116,6 +116,8 @@ class Zonotope:
 def zonotope(generators, ambient_dim=None, grading=None, cgrading=None) -> Zonotope:
     """Build a zonotope from generator rows (not canonicalized)."""
     g = np.asarray(generators)
+    if ambient_dim is not None:
+        ambient_dim = _integer(ambient_dim)
     if g.size == 0:
         if ambient_dim is None:
             raise ValueError("ambient_dim required for the zero zonotope")
@@ -124,13 +126,20 @@ def zonotope(generators, ambient_dim=None, grading=None, cgrading=None) -> Zonot
         g = g[None, :]
     if ambient_dim is None:
         ambient_dim = g.shape[1]
-    return Zonotope(int(ambient_dim), g, grading, cgrading)
+    return Zonotope(ambient_dim, g, grading, cgrading)
 
 
 def _row_norms(g: np.ndarray) -> np.ndarray:
+    """Row norms.  A float row whose plain norm is not finite or is below
+    2^-511, where the squares may have overflowed or underflowed, gets
+    ``_scaled_norms`` instead; ValueError as there."""
     if g.dtype == object:
         return np.array([math.sqrt(float(sum(x * x for x in row))) for row in g])
-    return np.linalg.norm(g, axis=1)
+    norms = np.linalg.norm(g, axis=1)
+    flagged = ~((norms >= 2.0 ** -511) & (norms < np.inf))
+    if flagged.any():
+        norms[flagged] = _scaled_norms(g[flagged])
+    return norms
 
 
 def support(K: Zonotope, u) -> float:
@@ -301,22 +310,19 @@ def _collinear_labels(unit: np.ndarray) -> np.ndarray:
 
 
 def _scaled_norms(g: np.ndarray) -> np.ndarray:
-    """Norms of nonzero rows as m ||g / m||, m the row's largest |entry|,
-    which no overflowing square can spoil; ValueError for a non-finite
-    entry or a norm past the float64 range."""
-    m = np.abs(g).max(axis=1)
+    """Row norms as m ||g / m||, m the row's largest |entry| (0 for a zero
+    row), which no overflowing or underflowing square can spoil;
+    ValueError for a non-finite entry or a norm past the float64 range."""
+    m = np.abs(g).max(axis=1, initial=0.0)
     with np.errstate(invalid="ignore"):  # inf / inf: the row is refused below
-        norms = m * np.linalg.norm(g / m[:, None], axis=1)
+        norms = m * np.linalg.norm(g / np.where(m > 0, m, 1.0)[:, None], axis=1)
     if not np.isfinite(norms).all():
         raise ValueError("generator entries and norms must be finite")
     return norms
 
 
 def _canonicalize_float(K: Zonotope) -> Zonotope:
-    g, norms = K.generators, np.linalg.norm(K.generators, axis=1)
-    if not np.isfinite(norms).all():
-        bad = ~np.isfinite(norms)  # squares may overflow where the entries do not
-        norms[bad] = _scaled_norms(g[bad])
+    g, norms = K.generators, _row_norms(K.generators)
     nonzero = norms > 0.0
     if not nonzero.all():
         g, norms = g[nonzero], norms[nonzero]

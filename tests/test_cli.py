@@ -525,7 +525,7 @@ PINNED_STDOUT = [
     (['edet', 'cmodel.json'],
      '{"value": 1.5192489038306873}\n'),
     (['edet', '--mode', 'mc', '--samples', '5000', '--seed', '3', 'cmodel.json'],
-     '{"value": 1.5163921654314187, "stderr": 0.0098020648956679748}\n'),
+     '{"value": 1.5178120546958147, "stderr": 0.0097762890960584777}\n'),
 ]
 
 
@@ -816,10 +816,28 @@ def test_handler_schema_errors_exit_2(tmp_path, argv, message):
     (["mvj", "--discs", "--q", "8", "D", "K"], "mvj --discs takes exactly 1 file, got 2"),
     (["scale", "K", "--factor", "2", "--matrix", "1,0;0,1"],
      "scale takes --factor or --matrix, not both"),
+    # an option the command would ignore in the mode it was given in
+    (["edet", "--vitale", "--samples", "5", "P"], "edet --vitale takes no --samples"),
+    (["edet", "--vitale", "--seed", "3", "P"], "edet --vitale takes no --seed"),
+    (["edet", "--vitale", "--empirical", "P"], "edet takes --vitale or --empirical, not both"),
+    (["radius", "--mode", "exact", "--samples", "5", "K"],
+     "radius --mode exact takes no --samples"),
+    (["radius", "--mode", "exact", "--seed", "9", "K"], "radius --mode exact takes no --seed"),
+    (["jvol", "K", "--theta", "3"], "jvol --theta needs --faces"),
+    (["jvol", "--faces", "F", "--make-faces"], "jvol --faces takes no --make-faces"),
+    (["jvol", "K", "--samples", "5"], "jvol without --faces takes no --samples"),
+    (["kaza", "K", "--seed", "0"], "kaza without --faces takes no --seed"),
+    (["jvol", "--faces", "F", "--exact-rational"], "jvol --faces takes no --exact-rational"),
+    (["kaza", "--faces", "F", "--exact-rational"], "kaza --faces takes no --exact-rational"),
+    (["mvj", "--discs", "--exact-rational", "D"], "mvj --discs takes no --exact-rational"),
+    (["edet", "--mode", "exact", "--seed", "3", "M"], "edet --mode exact takes no --seed"),
+    (["edet-complex", "--samples", "5", "M"], "edet-complex --mode exact takes no --samples"),
+    (["bm-probe", "--d", "1", "--seed", "3", "P", "P"], "bm-probe without --mc takes no --seed"),
 ])
 def test_conflicting_inputs_exit_2(tmp_path, argv, message):
     files = {"K": write(tmp_path, "K.json", _PLAIN), "F": write(tmp_path, "F.json", _FACES),
-             "D": write(tmp_path, "D.json", {"vectors": [[[1.0, 0.0], [0.0, 1.0]]]})}
+             "D": write(tmp_path, "D.json", {"vectors": [[[1.0, 0.0], [0.0, 1.0]]]}),
+             "P": write(tmp_path, "P.json", _DIST), "M": write(tmp_path, "M.json", _MODEL)}
     code, out, err = run([files.get(a, a) for a in argv])
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == {"code": 2, "message": message.replace("K", files["K"])}

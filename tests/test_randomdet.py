@@ -36,6 +36,7 @@ from zonoidal import (
     volume,
     zonotope,
 )
+from zonoidal import randomdet
 from zonoidal.sampling import CHUNK, SeedStream, _mc_mean_se, chunk_sizes
 from zonoidal.testkit import brute_force_expected_abs_det
 
@@ -351,8 +352,8 @@ def test_mc_estimate_is_pinned_across_chunks():
     d = DiscreteDistribution(np.array([[1.0, 0.2, -0.3], [0.1, -1.0, 0.5], [0.4, 0.4, 2.0]]),
                              np.array([0.2, 0.3, 0.5]))
     model = iid_column_model(d, 3)
-    assert expected_abs_det_mc(model, 70_000, 9) == (0.42302480000000003, 0.0033965431769258795)
-    assert expected_abs_det_mc(model, 500, 9) == (0.499048, 0.042815047775566564)
+    assert expected_abs_det_mc(model, 70_000, 9) == (0.41013217142857145, 0.003355658517819053)
+    assert expected_abs_det_mc(model, 500, 9) == (0.44774400000000003, 0.04111824481956987)
     with pytest.raises(ValueError):
         expected_abs_det_mc(model, 1, 9)
 
@@ -381,22 +382,22 @@ def test_mc_table_route_is_the_direct_route_bit_for_bit(name, n, monkeypatch):
     model = _table_models()[name]
     support = math.prod(b.dist.n_atoms for b in model.blocks)
     stream = SeedStream(5).derive("edet")
-    ref = _mc_mean_se(stream, n, lambda s, size: np.abs(np.linalg.det(model.sample(size, s))))
-    stacks, det = [], np.linalg.det
-    monkeypatch.setattr(np.linalg, "det", lambda a: stacks.append(len(a)) or det(a))
+    ref = _mc_mean_se(stream, n, lambda s, size: randomdet._abs_det(model.sample(size, s)))
+    stacks, abs_det = [], randomdet._abs_det
+    monkeypatch.setattr(randomdet, "_abs_det", lambda a: stacks.append(len(a)) or abs_det(a))
     assert expected_abs_det_mc(model, n, 5) == ref
-    # one determinant per support matrix when that is at most min(n, CHUNK),
-    # else one per sample, chunk by chunk
+    # one |det| kernel call over the support matrices when there are at most
+    # min(n, CHUNK) of them, else one per chunk of samples
     assert stacks == ([support] if support <= min(n, CHUNK) else chunk_sizes(n))
 
 
 def test_gaussian_stream_is_pinned():
-    # numpy's ziggurat on the path's Philox key; a change of either moves
+    # numpy's ziggurat on the path's SFC64 stream; a change of either moves
     # every Gaussian, sphere and net draw in the library
     g = SeedStream(5).derive("g").gaussians(9)
     assert g[:8].tolist() == [
-        1.2719801777747524, -0.170297831436923, -0.6849459953405482, -0.20246372880699423,
-        0.27883914447292585, 0.9338743275891634, -1.4400433129918735, -1.3097049192729802,
+        -0.06319028078843543, 1.0557377983373037, -1.6768184175278236, 2.363147700843154,
+        -0.02497384031483576, 0.7137601197955027, 0.029009076003368866, -0.10806847814635061,
     ]
     assert np.array_equal(SeedStream(5).derive("g").gaussians(1), g[:1])
     assert SeedStream(5).derive("g").gaussians(0).shape == (0,)
@@ -406,3 +407,65 @@ def test_gaussian_stream_is_pinned():
     assert abs(x.mean()) <= 5e-3
     assert abs(x.var() - 1.0) <= 5e-3
     assert abs(np.mean(x**4) - 3.0) <= 3e-2
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_abs_det_kernel_agrees_with_lapack(m, complex_field):
+    g = rng(20 + m)
+
+    def draw(n):
+        A = g.standard_normal((n, m, m))
+        return A + 1j * g.standard_normal((n, m, m)) if complex_field else A
+
+    A = draw(300)
+    ref = np.abs(np.linalg.det(A))
+    assert np.all(np.abs(randomdet._abs_det(A) - ref) <= 1e-12 * ref)
+    # near-singular: the last column is a combination of the others plus
+    # 1e-9 of noise.  Rescaled by s = 1e+-70 (for m <= 4, where |det| stays
+    # finite) the reference is s^m |det| at scale 1: numpy's det is
+    # exp(log |det|), which loses about |log |det|| ulps.
+    B = draw(300)
+    B[..., -1] = B[..., :-1] @ g.standard_normal(m - 1) + 1e-9 * B[..., -1]
+    for Y in (A, B):
+        ref = np.abs(np.linalg.det(Y))
+        for s in (1.0, 1e70, 1e-70) if m <= 4 else (1.0,):
+            X = s * Y
+            gap = np.abs(randomdet._abs_det(X) - ref * s ** m)
+            assert np.all(gap <= 1e-14 * np.prod(np.linalg.norm(X, axis=1), axis=1))
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+def test_model_sample_puts_each_block_at_its_columns(complex_field):
+    g = rng(21)
+
+    def atoms(*shape):
+        a = g.standard_normal(shape)
+        return a + 1j * g.standard_normal(shape) if complex_field else a
+
+    kind = "complex_gaussian" if complex_field else "gaussian"
+    model = MatrixBlockModel(5, (
+        MatrixBlock(2, sampler=SeededSampler(kind, 5)),
+        MatrixBlock(1, dist=DiscreteDistribution(atoms(4, 5), np.full(4, 0.25))),
+        MatrixBlock(2, dist=DiscreteDistribution(atoms(3, 5, 2), np.array([0.6, 0.3, 0.1]))),
+    ), complex_field=complex_field)
+    stream = SeedStream(3).derive("model")
+    M = model.sample(100, stream)
+    if complex_field:  # the buffer takes the model's field
+        with pytest.raises(ValueError, match="complex_field"):
+            MatrixBlockModel(5, model.blocks).sample(100, stream)
+    assert M.shape == (100, 5, 5) and np.iscomplexobj(M) == complex_field
+    start = 0
+    for j, b in enumerate(model.blocks):
+        want = b.sample_matrices(100, 5, stream.derive("block", j))
+        assert np.array_equal(M[:, :, start:start + b.width], want)
+        start += b.width
+
+
+def test_complex_gaussian_sampler_pairs_the_stream_gaussians():
+    stream = SeedStream(8).derive("complex")
+    z = SeededSampler("complex_gaussian", 4).sample(25_000, stream)
+    g = stream.gaussians(2 * z.size)
+    assert z.shape == (25_000, 4)
+    assert np.array_equal(z.ravel(), (g[0::2] + 1j * g[1::2]) / math.sqrt(2.0))
+    assert abs(np.mean(np.abs(z) ** 2) - 1.0) <= 4.0 / math.sqrt(z.size)

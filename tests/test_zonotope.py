@@ -1,6 +1,7 @@
 """Tests for generator-level zonotope calculus."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -14,10 +15,12 @@ from zonoidal import (
     distribution_from_dict,
     face_data_from_dict,
     hausdorff_estimate,
+    intrinsic_volume,
     length,
     linear_image,
     measure_from_dict,
     minkowski_sum,
+    mixed_volume,
     radius,
     radius_bounds,
     scale,
@@ -732,3 +735,35 @@ def test_integer_reads_integers_and_integral_floats_only():
     for x in (True, np.bool_(True), 2.5, float("nan"), float("inf"), "3", None, [3]):
         with pytest.raises(KeyError, match="not an integer"):
             _integer(x)
+
+
+def test_zonotope_refuses_a_float_dimension():
+    for gens in ([[1.0, 0.0]], []):
+        with pytest.raises(KeyError, match="not an integer"):
+            zonotope(gens, ambient_dim=2.5)
+    K = zonotope([[1.0, 0.0]], ambient_dim=2.0)
+    assert type(K.ambient_dim) is int and K.ambient_dim == 2
+
+
+def test_lengths_and_volumes_follow_the_scale_law():
+    # V_d(s K) = s^d V_d(K) wherever the true value is a normal float, also
+    # where the squares of the entries of K's wedge powers underflow or
+    # overflow (numpy's plain norm overflows first and warns; the flagged
+    # rows are then rescaled)
+    K = zonotope(rng(3).standard_normal((7, 3)))
+    laws = [(1, length), (2, lambda K: intrinsic_volume(K, 2)), (3, volume),
+            (3, lambda K: mixed_volume([K] * 3))]
+    base = [f(K) for _, f in laws]
+    for e in range(-150, 151, 10):
+        s = 10.0 ** e
+        with np.errstate(over="ignore"):
+            sK = zonotope(K.generators * s)
+            for (d, f), v in zip(laws, base):
+                want = v
+                for _ in range(d):
+                    want *= s
+                if sys.float_info.min <= want < math.inf:
+                    assert math.isclose(f(sK), want, rel_tol=1e-12), (e, d)
+    tiny = canonicalize(zonotope([[1e-170, 0.0], [0.0, 1.0]]))
+    assert np.array_equal(tiny.generators, [[0.0, 1.0], [1e-170, 0.0]])
+    assert length(zonotope([[3e-170, 4e-170]])) == 5e-170
