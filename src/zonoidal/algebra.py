@@ -13,6 +13,7 @@ wedge-product lengths:
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -25,7 +26,9 @@ from .exterior import exterior_dim, realify_rows, unrealify_rows
 from .zonotope import (
     Zonotope,
     VirtualZonotope,
+    _lex_order,
     _one_field,
+    _row_norms,
     canonicalize,
     length,
     linear_image,
@@ -71,18 +74,58 @@ def _as_degree_one(K: Zonotope) -> Zonotope:
     return replace(K, grading=K.grading or (K.ambient_dim, 1), cgrading=None)
 
 
+def _pair_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All outer products a[i] (x) b[j], i in the outer order, flattened row-major."""
+    return np.einsum("ia,jb->ijab", a, b).reshape(len(a) * len(b), a.shape[1] * b.shape[1])
+
+
+def _canonical_pair_rows(K: Zonotope, L: Zonotope) -> np.ndarray | None:
+    """The canonical rows of the float K (x) L from the canonical factors,
+    or None when a factor's canonical form or a product row may leave
+    the normal float64 range (see ``tensor_product``)."""
+    try:
+        a, b = canonicalize(K).generators, canonicalize(L).generators
+    except ValueError:  # a factor row or merge past float64; the product may fit
+        return None
+    # Python floats, whose products overflow without a warning; an empty
+    # factor gives inf and 0, and an empty product
+    tiny = (float(np.abs(a[a != 0.0]).min(initial=np.inf))
+            * float(np.abs(b[b != 0.0]).min(initial=np.inf)))
+    huge = float(_row_norms(a).max(initial=0.0)) * float(_row_norms(b).max(initial=0.0))
+    # half the float64 range: room for the rounding of each product's norm
+    if not (tiny >= sys.float_info.min and huge < 2.0 ** 1023):
+        return None
+    g = _pair_rows(a, b)
+    return g[_lex_order(g)]
+
+
 def tensor_product(K: Zonotope, L: Zonotope) -> Zonotope:
     """Zonotope of the tensor of independent representatives.
 
-    Generators are all pairwise outer products, flattened row-major.
+    Generators are all pairwise outer products, flattened row-major, in
+    canonical form.  A float product is formed from the canonical
+    factors, and the products of canonical rows are canonical but for
+    their order, so they need only ``_lex_order``:
+    cos(a (x) b, a' (x) b') = cos(a, a') cos(b, b'), so the sine of two
+    product rows is at least either factor sine, and the collinear
+    classes of the product are the products of the factors' classes;
+    and each lead entry is the product of two positive leads.
+
+    That argument needs every product of nonzero entries to be a normal
+    float (an underflow could zero a row or its lead) and every product
+    row norm to be finite.  The smallest nonzero entries and largest row
+    norms of the canonical factors show both; when they do not, or a
+    factor's canonical form leaves float64, the pairwise products of K
+    and L are canonicalized as they are.
     """
     K, L = _one_field(K, L)
+    dim = K.ambient_dim * L.ambient_dim
     if K.n_generators == 0 or L.n_generators == 0:
-        return zonotope([], ambient_dim=K.ambient_dim * L.ambient_dim)
-    gens = np.einsum("ia,jb->ijab", K.generators, L.generators).reshape(
-        K.n_generators * L.n_generators, K.ambient_dim * L.ambient_dim
-    )
-    return canonicalize(Zonotope(K.ambient_dim * L.ambient_dim, gens))
+        return zonotope([], ambient_dim=dim)
+    g = None if K.exact else _canonical_pair_rows(K, L)
+    if g is None:
+        return canonicalize(Zonotope(dim, _pair_rows(K.generators, L.generators)))
+    return Zonotope(dim, g)
 
 
 def virtual_tensor(W1: VirtualZonotope, W2: VirtualZonotope) -> VirtualZonotope:

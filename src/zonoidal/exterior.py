@@ -223,11 +223,18 @@ def _int_arrays(bound: int, *nums):
 
 
 def _gather(a, b, m: int, k: int, l: int) -> np.ndarray:
+    """Rows a[r] ^ b[r], gathered _ROW_BLOCK rows at a time into one
+    output, which takes the first block's dtype and memory order, as a
+    concatenation of the blocks would (later row sums depend on it)."""
     ii, jj, ss = _wedge_table(m, k, l)
-    return np.concatenate([
-        (a[r:r + _ROW_BLOCK, ii] * b[r:r + _ROW_BLOCK, jj] * ss).sum(axis=2)
-        for r in range(0, max(len(a), 1), _ROW_BLOCK)
-    ])
+    out = None
+    for r in range(0, max(len(a), 1), _ROW_BLOCK):
+        rows = slice(r, r + _ROW_BLOCK)
+        block = (a[rows, ii] * b[rows, jj] * ss).sum(axis=2)
+        if out is None:
+            out = np.empty_like(block, shape=(len(a), block.shape[1]))
+        out[rows] = block
+    return out
 
 
 def _wedge(a, b, m: int, k: int, l: int, ia, ib) -> np.ndarray:

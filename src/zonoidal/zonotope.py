@@ -129,13 +129,26 @@ def zonotope(generators, ambient_dim=None, grading=None, cgrading=None) -> Zonot
     return Zonotope(ambient_dim, g, grading, cgrading)
 
 
+def _exact_norm(row) -> float:
+    """sqrt(sum x^2) of exact entries as a float: the exact sum s is
+    scaled by 4^-k into [1/2, 4) before the float square root, which is
+    then scaled by 2^k, so no step overflows or underflows on the way to
+    a norm in the float range."""
+    s = Fraction(sum(x * x for x in row))
+    n, d = s.numerator, s.denominator
+    k = (n.bit_length() - d.bit_length()) // 2
+    return math.ldexp(math.sqrt(n / (d << 2 * k) if k >= 0 else (n << -2 * k) / d), k)
+
+
 def _row_norms(g: np.ndarray) -> np.ndarray:
     """Row norms.  A float row whose plain norm is not finite or is below
     2^-511, where the squares may have overflowed or underflowed, gets
-    ``_scaled_norms`` instead; ValueError as there."""
+    ``_scaled_norms`` instead, so an overflowing square raises no
+    warning; ValueError as there.  Exact rows take ``_exact_norm``."""
     if g.dtype == object:
-        return np.array([math.sqrt(float(sum(x * x for x in row))) for row in g])
-    norms = np.linalg.norm(g, axis=1)
+        return np.array([_exact_norm(row) for row in g])
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(g, axis=1)
     flagged = ~((norms >= 2.0 ** -511) & (norms < np.inf))
     if flagged.any():
         norms[flagged] = _scaled_norms(g[flagged])
@@ -236,12 +249,13 @@ def _lex_order(g: np.ndarray) -> np.ndarray:
     """The stable lexicographic row order of g, first column first: the
     permutation ``np.lexsort(g.T[::-1])`` returns, for rows without NaN.
 
-    One stable argsort on column 0 orders every row whose first entry is
-    unique; only the rows tied there are lexsorted again, in the slots
-    they already hold.  Both sorts are stable, so equal rows keep their
-    input order.
+    One argsort on column 0 puts every row whose first entry is unique
+    in its slot; only the rows tied there are lexsorted again, in the
+    slots they already hold.  That argsort need not be stable: the tied
+    rows enter the lexsort in index order, and ``np.lexsort`` is stable,
+    so equal rows keep their input order.
     """
-    order = np.argsort(g[:, 0], kind="stable")
+    order = np.argsort(g[:, 0])
     col = g[order, 0]
     same = col[1:] == col[:-1]
     if not same.any():
@@ -249,7 +263,7 @@ def _lex_order(g: np.ndarray) -> np.ndarray:
     tied = np.zeros(len(g), dtype=bool)
     tied[1:] = same
     tied[:-1] |= same
-    sub = order[tied]
+    sub = np.sort(order[tied])
     order[tied] = sub[np.lexsort(g[sub].T[::-1])]
     return order
 
@@ -275,7 +289,7 @@ def _collinear_labels(unit: np.ndarray) -> np.ndarray:
     labels = np.arange(n)
     p = np.cos(np.arange(1.0, dim + 1.0))
     key = np.abs(unit @ (p / np.linalg.norm(p)))
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     gap = np.diff(key[order]) > 2.0 * COLLINEAR_SINE_TOL
     multi = ~(np.r_[True, gap] & np.r_[gap, True])  # in a run of two or more
     if not multi.any():
@@ -314,7 +328,8 @@ def _scaled_norms(g: np.ndarray) -> np.ndarray:
     row), which no overflowing or underflowing square can spoil;
     ValueError for a non-finite entry or a norm past the float64 range."""
     m = np.abs(g).max(axis=1, initial=0.0)
-    with np.errstate(invalid="ignore"):  # inf / inf: the row is refused below
+    # inf / inf, or a norm past float64: the row is refused below
+    with np.errstate(invalid="ignore", over="ignore"):
         norms = m * np.linalg.norm(g / np.where(m > 0, m, 1.0)[:, None], axis=1)
     if not np.isfinite(norms).all():
         raise ValueError("generator entries and norms must be finite")

@@ -87,6 +87,77 @@ def test_tensor_associative():
                         tensor_product(K, tensor_product(L, M)))
 
 
+def _raw_tensor(K, L):
+    """canonicalize of the raw pairwise products, the reference route."""
+    rows = np.einsum("ia,jb->ijab", K.generators, L.generators).reshape(
+        K.n_generators * L.n_generators, K.ambient_dim * L.ambient_dim)
+    return canonicalize(zonotope(rows, ambient_dim=K.ambient_dim * L.ambient_dim))
+
+
+def _collinear_heavy(g, n, dim):
+    """n Gaussian rows in R^dim, n collinear classes: with an exact
+    duplicate, a negated scaled copy and a chain of three rows leading
+    away from a third row, each 0.6e-10 from the one before, inside
+    COLLINEAR_SINE_TOL, while the chain's ends are 1.8e-10 apart."""
+    base = g.standard_normal((n, dim))
+    v = base[2] / np.linalg.norm(base[2])
+    w = g.standard_normal(dim)
+    w -= (w @ v) * v
+    w /= np.linalg.norm(w)
+    chain = [(np.cos(t) * v + np.sin(t) * w) * s
+             for t, s in zip((0.6e-10, 1.2e-10, 1.8e-10), (0.7, 1.3, 2.1))]
+    rows = np.vstack([base, base[0], -2.5 * base[1], chain])
+    return zonotope(g.permutation(rows))
+
+
+def test_tensor_of_collinear_factors_matches_the_raw_product():
+    # The factors' classes merge before the product is formed, so the
+    # merged rows are summed in another order than the raw route sums
+    # them; they agree to a few units in the last place (measured: at most
+    # 3.4e-16 times the row norm over these seeds).
+    for seed in range(6):
+        g = rng(100 + seed)
+        K, L = _collinear_heavy(g, 5, 3), _collinear_heavy(g, 4, 2)
+        got, want = tensor_product(K, L), _raw_tensor(K, L)
+        assert got.n_generators == want.n_generators == 5 * 4
+        gap = np.linalg.norm(got.generators - want.generators, axis=1)
+        assert np.all(gap <= 1e-15 * np.linalg.norm(want.generators, axis=1))
+
+
+def _factor_cases():
+    g = rng(110)
+    A, B = g.standard_normal((6, 3)), g.standard_normal((5, 3))
+    lead = np.array([[1e-200, 1.0, -2.0], [1e-200, -3.0, 0.5]])
+    return {
+        "products overflow": (A * 1e160, B * 1e160),
+        "product norms past the float64 range": (A * 1e154, B * 1e154),
+        "large products": (A * 1e152, B * 1e152),
+        "small normal products": (A * 1e-150, B * 1e-150),
+        "products underflow to zero": (A * 1e-170, B * 1e-170),
+        "products underflow to subnormals and zero": (A * 1e-162, B * 1e-162),
+        "only the lead entry underflows": (lead, lead[::-1] * [1.0, -1.0, 1.0]),
+        "a factor norm past float64": (np.full((2, 3), 1.5e308), B * 1e-300),
+        "an empty canonical factor": (np.zeros((3, 3)), B),
+    }
+
+
+@pytest.mark.parametrize("case", list(_factor_cases()))
+def test_tensor_at_the_float_range_limits_is_the_raw_product(case):
+    # the same rows bit for bit, or the same ValueError; a warning would
+    # fail the test (filterwarnings = error)
+    K, L = (zonotope(x) for x in _factor_cases()[case])
+    try:
+        want = _raw_tensor(K, L)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            tensor_product(K, L)
+        assert str(got.value) == str(err)
+        return
+    got = tensor_product(K, L)
+    assert got.generators.shape == want.generators.shape
+    assert got.generators.tobytes() == want.generators.tobytes()
+
+
 def test_tensor_support_factorizes_on_split_directions():
     # h_{K (x) L}(u (x) v) = 2 h_K(u) h_L(v) under the segment convention
     # K(x) (x) K(y) = K(x (x) y), so the norm bound carries a factor 2

@@ -679,27 +679,23 @@ def test_canonicalize_refuses_non_finite_entries(entry):
 
 
 def test_canonicalize_keeps_directions_of_rows_whose_squares_overflow():
-    # numpy's row norm squares the entries, so it overflows at 1e160
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        K = canonicalize(zonotope([[1e160, 0.0], [0.0, 1e160]]))
+    # numpy's row norm squares the entries, so it overflows at 1e160; the
+    # rows are rescaled, and no warning is raised (filterwarnings = error)
+    K = canonicalize(zonotope([[1e160, 0.0], [0.0, 1e160]]))
     assert np.array_equal(K.generators, [[0.0, 1e160], [1e160, 0.0]])
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        K = canonicalize(zonotope([[1e200, 1e200], [0.0, 1.0], [1e300, 0.0]]))
+    K = canonicalize(zonotope([[1e200, 1e200], [0.0, 1.0], [1e300, 0.0]]))
     assert np.array_equal(K.generators, [[0.0, 1.0], [1e200, 1e200], [1e300, 0.0]])
     # finite entries whose norm is past the float64 range
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.raises(ValueError, match="norms must be finite"):
-            canonicalize(zonotope([[1.5e308, 1.5e308], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="norms must be finite"):
+        canonicalize(zonotope([[1.5e308, 1.5e308], [0.0, 1.0]]))
 
 
 def test_canonicalize_refuses_a_merge_past_the_float64_range():
     # each row is finite, but their collinear sum is not
     for rows in ([[1e308, 0.0], [1e308, 0.0]], [[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]]):
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(ValueError, match="norms must be finite"):
-                canonicalize(zonotope(rows))
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        K = canonicalize(zonotope([[6e307, 0.0], [-6e307, 0.0]]))
+        with pytest.raises(ValueError, match="norms must be finite"):
+            canonicalize(zonotope(rows))
+    K = canonicalize(zonotope([[6e307, 0.0], [-6e307, 0.0]]))
     assert np.array_equal(K.generators, [[1.2e308, 0.0]])
 
 
@@ -725,9 +721,8 @@ def test_json_readers_refuse_null_and_non_finite_entries(entry):
 
 def test_canonicalize_refuses_a_merge_whose_norm_passes_the_float64_range():
     # the merged row [1.6e308, 1.6e308] has finite entries and an infinite norm
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.raises(ValueError, match="norms must be finite"):
-            canonicalize(zonotope([[8e307, 8e307], [8e307, 8e307]]))
+    with pytest.raises(ValueError, match="norms must be finite"):
+        canonicalize(zonotope([[8e307, 8e307], [8e307, 8e307]]))
 
 
 def test_integer_reads_integers_and_integral_floats_only():
@@ -748,8 +743,8 @@ def test_zonotope_refuses_a_float_dimension():
 def test_lengths_and_volumes_follow_the_scale_law():
     # V_d(s K) = s^d V_d(K) wherever the true value is a normal float, also
     # where the squares of the entries of K's wedge powers underflow or
-    # overflow (numpy's plain norm overflows first and warns; the flagged
-    # rows are then rescaled)
+    # overflow (numpy's plain norm overflows first; the flagged rows are
+    # then rescaled)
     K = zonotope(rng(3).standard_normal((7, 3)))
     laws = [(1, length), (2, lambda K: intrinsic_volume(K, 2)), (3, volume),
             (3, lambda K: mixed_volume([K] * 3))]
@@ -764,6 +759,14 @@ def test_lengths_and_volumes_follow_the_scale_law():
                     want *= s
                 if sys.float_info.min <= want < math.inf:
                     assert math.isclose(f(sK), want, rel_tol=1e-12), (e, d)
+    # the exact route, on the same float inputs as Fractions: its squared
+    # norms pass the float64 range at these scales
+    for s in (1e-100, 1e100):
+        sK = zonotope(K.generators * s)
+        exact = zonotope(np.array([[Fraction(x) for x in row] for row in sK.generators],
+                                  dtype=object))
+        got = intrinsic_volume(exact, 2)
+        assert got > 0.0 and math.isclose(got, intrinsic_volume(sK, 2), rel_tol=1e-12)
     tiny = canonicalize(zonotope([[1e-170, 0.0], [0.0, 1.0]]))
     assert np.array_equal(tiny.generators, [[0.0, 1.0], [1e-170, 0.0]])
     assert length(zonotope([[3e-170, 4e-170]])) == 5e-170
