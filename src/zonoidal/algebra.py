@@ -22,13 +22,12 @@ from functools import reduce
 import numpy as np
 
 from . import exterior
-from .exterior import exterior_dim, realify_rows, unrealify_rows
+from .exterior import _row_norms, exterior_dim, realify_rows, unrealify_rows
 from .zonotope import (
     Zonotope,
     VirtualZonotope,
     _lex_order,
     _one_field,
-    _row_norms,
     canonicalize,
     length,
     linear_image,
@@ -153,7 +152,8 @@ def _wedge_raw(K: Zonotope, L: Zonotope) -> Zonotope:
     a, b = K.generators, L.generators
     if is_complex:
         a, b = unrealify_rows(a), unrealify_rows(b)
-    gens = exterior.wedge_pairs(a, b, m, k, l)
+    with np.errstate(over="ignore", invalid="ignore"):  # see _wedge_power_raw
+        gens = exterior.wedge_pairs(a, b, m, k, l)
     if is_complex:
         return Zonotope(2 * exterior_dim(m, k + l), realify_rows(gens), cgrading=(m, k + l))
     return Zonotope(exterior_dim(m, k + l), gens, grading=(m, k + l))
@@ -174,7 +174,10 @@ def _wedge_power_raw(K: Zonotope, d: int) -> Zonotope:
     if d == 0:
         return zonotope(np.ones((1, 1), dtype=K.generators.dtype), grading=(m, 0))
     G = canonicalize(K).generators
-    gens = exterior.subset_blades(G, d, math.factorial(d))
+    # a product past float64 is an inf or nan row, which length and
+    # canonicalize refuse with the ValueError of the exact route's norms
+    with np.errstate(over="ignore", invalid="ignore"):
+        gens = exterior.subset_blades(G, d, math.factorial(d))
     return Zonotope(exterior_dim(m, d), gens, grading=(m, d))
 
 

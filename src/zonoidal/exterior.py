@@ -353,12 +353,58 @@ def hodge_star(a: Multivector) -> Multivector:
     return Multivector(m, m - k, hodge_rows(a.coeffs[None], m, k)[0])
 
 
+def _exact_norm(row) -> float:
+    """sqrt(sum x^2) of exact entries as a float: the exact sum s is
+    scaled by 4^-k into [1/2, 4) before the float square root, which is
+    then scaled by 2^k, so no step overflows or underflows on the way to
+    a norm in the float range; ValueError for a norm past it, as
+    ``_row_norms`` gives."""
+    s = Fraction(sum(x * x for x in row))
+    n, d = s.numerator, s.denominator
+    k = (n.bit_length() - d.bit_length()) // 2
+    try:
+        return math.ldexp(math.sqrt(n / (d << 2 * k) if k >= 0 else (n << -2 * k) / d), k)
+    except OverflowError:
+        raise ValueError("generator entries and norms must be finite") from None
+
+
+def _spoiled(norms):
+    """Where a plain float norm's squares may have overflowed or underflowed."""
+    return ~((norms >= 2.0 ** -511) & (norms < np.inf))
+
+
+def _row_norms(g: np.ndarray) -> np.ndarray:
+    """Row norms.  A float row whose plain norm is ``_spoiled`` (not finite
+    or below 2^-511) is taken as m ||row / m||, m its largest |entry|,
+    which no overflowing or underflowing square can spoil, so none raises
+    a warning; ValueError for a non-finite entry or a norm past the
+    float64 range.  Exact rows take ``_exact_norm``."""
+    if g.dtype == object:
+        return np.array([_exact_norm(row) for row in g])
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(g, axis=1)
+    flagged = _spoiled(norms)
+    if flagged.any():
+        rows = g[flagged]
+        m = np.abs(rows).max(axis=1, initial=0.0)
+        # inf / inf, or a norm past float64: the row is refused below
+        with np.errstate(invalid="ignore", over="ignore"):
+            norms[flagged] = m * np.linalg.norm(rows / np.where(m > 0, m, 1.0)[:, None], axis=1)
+        if not np.isfinite(norms).all():
+            raise ValueError("generator entries and norms must be finite")
+    return norms
+
+
 def norm(a) -> float:
-    """Euclidean coefficient norm; equals the spanned k-volume on blades."""
+    """Euclidean coefficient norm; equals the spanned k-volume on blades.
+    A ``_spoiled`` float norm, and an exact one, come from ``_row_norms``."""
     c = a.coeffs
-    if c.dtype == object:
-        return math.sqrt(float(sum(x * x for x in c)))
-    return float(np.linalg.norm(c))
+    if c.dtype != object:
+        with np.errstate(over="ignore"):
+            plain = np.linalg.norm(c)
+        if not _spoiled(plain):
+            return float(plain)
+    return float(_row_norms(c[None])[0])
 
 
 def inner(a: Multivector, b: Multivector):

@@ -27,7 +27,6 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -35,8 +34,8 @@ from . import exterior
 from .algebra import _chain, _require_grading
 from .exterior import realify_rows, unrealify_rows
 from .sampling import SeedStream, _mc_mean_se, derive_seed
-from .zonotope import (Zonotope, _finite_floats, _integer, _lex_order, canonicalize, length,
-                       zonotope)
+from .zonotope import (Zonotope, _finite_floats, _in_flat, _integer, _orthonormal_rows, _spans,
+                       _unique_rows, _vertex_signs, canonicalize, length, zonotope)
 
 __all__ = [
     "ComplexStructure",
@@ -63,7 +62,6 @@ __all__ = [
 
 J_SQUARE_TOL = 1e-12
 ORTHONORMAL_TOL = 1e-10
-SPAN_MEMBER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -146,25 +144,9 @@ class Subspace:
         _, _, Vt = np.linalg.svd(self.basis, full_matrices=True)
         return Subspace(self.ambient_dim, Vt[self.dim:])
 
-    def contains(self, v, tol: float = SPAN_MEMBER_TOL) -> bool:
-        return bool(self.members(np.asarray(v, dtype=np.float64)[None, :], tol)[0])
-
-    def members(self, G: np.ndarray, tol: float = SPAN_MEMBER_TOL) -> np.ndarray:
-        """Mask of the rows of G lying in the subspace (relative residual <= tol)."""
-        resid = G - (G @ self.basis.T) @ self.basis
-        return np.linalg.norm(resid, axis=1) <= tol * np.linalg.norm(G, axis=1)
-
-
-def _orthonormal_rows(V: np.ndarray, expected_rank: int | None = None) -> np.ndarray:
-    """Orthonormal row basis of the row span of V (SVD), rank-checked."""
-    V = np.asarray(V, dtype=np.float64)
-    U, s, Vt = np.linalg.svd(V, full_matrices=False)
-    if s.size == 0:
-        return Vt[:0]
-    rank = int(np.sum(s > max(V.shape) * np.finfo(np.float64).eps * s[0]))
-    if expected_rank is not None and rank < expected_rank:
-        raise ValueError("rank-deficient basis")
-    return Vt[:rank]
+    def members(self, G: np.ndarray) -> np.ndarray:
+        """Mask of the rows of G lying in the subspace (``zonotope._in_flat``)."""
+        return _in_flat(G, self.basis)
 
 
 def subspace_from_vectors(vectors, ambient_dim: int | None = None) -> Subspace:
@@ -267,69 +249,6 @@ def mixed_J_volume(*zonotopes: Zonotope) -> float:
     return float(length(_chain(zonotopes))) / math.factorial(n)
 
 
-def _spans(A: np.ndarray, d: int) -> list:
-    """Distinct spans of d independent rows of A, from one batched SVD per
-    block of d-subsets, as (mask of the rows each contains, orthonormal
-    rows of R^m whose first d span it), keyed by the mask.  The rank and
-    membership tests are those of ``_orthonormal_rows`` and ``members``."""
-    A = np.asarray(A, dtype=np.float64)
-    rank_tol = max(d, A.shape[1]) * np.finfo(np.float64).eps
-    norms = np.linalg.norm(A, axis=1)
-    spans: dict[bytes, tuple] = {}
-    for idx in exterior._subset_blocks(len(A), d):
-        _, s, Vt = np.linalg.svd(A[idx], full_matrices=True)
-        Vt = Vt[np.all(s > rank_tol * s[:, :1], axis=1)]
-        B = Vt[:, :d]
-        resid = A - (A @ np.swapaxes(B, 1, 2)) @ B
-        members = np.linalg.norm(resid, axis=2) <= SPAN_MEMBER_TOL * norms
-        for mask, V in zip(members, Vt):
-            spans.setdefault(mask.tobytes(), (mask, V))
-    return list(spans.values())
-
-
-def _independent_spans(P: Zonotope, n: int) -> list[Subspace]:
-    """Distinct n-dimensional generator spans as Subspaces (``_spans``)."""
-    return [Subspace(P.ambient_dim, V[:n]) for _, V in _spans(P.generators, n)]
-
-
-def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a in lexicographic order, and the index of
-    each row of a among them: ``np.unique(a, axis=0, return_inverse=True)``
-    for rows without NaN, from one ``_lex_order`` and a neighbour test."""
-    order = _lex_order(a)
-    s = a[order]
-    new = np.ones(len(a), dtype=bool)
-    new[1:] = np.any(s[1:] != s[:-1], axis=1)
-    inverse = np.empty(len(a), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return s[new], inverse
-
-
-def _vertex_signs(A: np.ndarray) -> np.ndarray:
-    """Sorted sign vectors (rows of +-1.0) of the open cells of the central
-    arrangement normal to A's rows: the vertices of the zonotope they
-    generate.  On A's row space, of dimension c, c rows cut all 2^c
-    orthants.  Otherwise every cell has an extreme ray r normal to a
-    (c-1)-span of rows (``_spans``): the rows off r take their sign at r
-    or at -r, and the rows in the span recurse in it."""
-    def cells(A: np.ndarray) -> np.ndarray:
-        N, c = A.shape
-        if N == c:
-            return np.array(list(product((-1.0, 1.0), repeat=c)))
-        out = []
-        for mask, V in _spans(A, c - 1):
-            inner = cells(A[mask] @ V[:c - 1].T)
-            off = np.where(A[~mask] @ V[c - 1] > 0.0, 1.0, -1.0)
-            block = np.empty((2, len(inner), N))
-            block[:, :, mask] = inner
-            block[:, :, ~mask] = np.array([off, -off])[:, None]
-            out.append(block.reshape(-1, N))
-        return _unique_rows(np.concatenate(out))[0]
-
-    A = np.asarray(A, dtype=np.float64)
-    return cells(A @ _orthonormal_rows(A).T)
-
-
 def _float_canonical(P: Zonotope) -> Zonotope:
     return canonicalize(replace(P, generators=P.generators.astype(np.float64, copy=False)))
 
@@ -375,6 +294,26 @@ def disc_zonotope(z, q: int) -> Zonotope:
     return canonicalize(zonotope(realify_rows(rows), ambient_dim=2 * n, cgrading=(n, 1)))
 
 
+def _outside(P: Zonotope, E: Subspace):
+    """The canonical generators of P outside E, in canonical order, and
+    the orthonormal rows of E's complement."""
+    G = _float_canonical(P).generators
+    return G[~E.members(G)], E.complement().basis
+
+
+def _face_frame(P: PolytopeFaceData, face: tuple):
+    """A face of face data as orthonormal rows B spanning its direction
+    span, its vertices about their centroid in B's coordinates, and its
+    normal cone (C, W, tie) (``_face_cone``)."""
+    fverts = P.vertices[list(face)]
+    centroid = fverts.mean(axis=0)
+    B = _orthonormal_rows(fverts - centroid)
+    C = Subspace(P.ambient_dim, B).complement().basis
+    # s @ C has unit length, so no |<s @ C, v>| exceeds the largest vertex norm.
+    tie = 1e-12 * float(np.max(np.linalg.norm(P.vertices, axis=1)))
+    return B, (fverts - centroid) @ B.T, (C, (centroid - P.vertices) @ C.T, tie)
+
+
 def _face_cone(P, face):
     """The normal cone of a face of P as (C, W, tie): C's orthonormal rows
     span the complement of the face's direction span, and s @ C, for s in
@@ -383,13 +322,11 @@ def _face_cone(P, face):
         E, signs = face
         if not isinstance(E, Subspace):
             E = subspace_from_vectors(E, P.ambient_dim)
-        G = _float_canonical(P).generators
-        outside = G[~E.members(G)]
+        outside, C = _outside(P, E)
         signs = np.asarray(signs, dtype=np.float64)
         if signs.shape != (outside.shape[0],):
             raise ValueError("sign vector must match the generators outside the span, "
                              "in canonical order")
-        C = E.complement().basis
         return C, (signs[:, None] * outside) @ C.T, 0.0
     if not isinstance(P, PolytopeFaceData):
         raise TypeError("P must be a Zonotope or PolytopeFaceData")
@@ -399,12 +336,7 @@ def _face_cone(P, face):
         face = P.n_faces[face]
     else:  # a vertex list gets PolytopeFaceData's index check
         face = PolytopeFaceData(P.ambient_dim, P.vertices, (face,)).n_faces[0]
-    fverts = P.vertices[list(face)]
-    centroid = fverts.mean(axis=0)
-    C = Subspace(P.ambient_dim, _orthonormal_rows(fverts - centroid)).complement().basis
-    # s @ C has unit length, so no |<s @ C, v>| exceeds the largest vertex norm.
-    tie = 1e-12 * float(np.max(np.linalg.norm(P.vertices, axis=1)))
-    return C, (centroid - P.vertices) @ C.T, tie
+    return _face_frame(P, face)[2]
 
 
 def normal_angle_mc(P, face, samples: int, seed: int = 0) -> tuple[float, float]:
@@ -417,7 +349,11 @@ def normal_angle_mc(P, face, samples: int, seed: int = 0) -> tuple[float, float]
     counting hits/2 (error 0); larger complements need at least two
     samples.
     """
-    C, W, tie = _face_cone(P, face)
+    return _cone_angle_mc(*_face_cone(P, face), samples, seed)
+
+
+def _cone_angle_mc(C, W, tie, samples: int, seed: int) -> tuple[float, float]:
+    """``normal_angle_mc`` of the normal cone (C, W, tie)."""
     c = len(C)
     if c == 0:
         raise ValueError("degenerate complement: the face spans the ambient space")
@@ -450,22 +386,19 @@ def _polytope_mc_sum(P: PolytopeFaceData, samples, seed, J, power: int):
     total = 0.0
     var = 0.0
     for fi, idx in enumerate(P.n_faces):
-        fverts = P.vertices[list(idx)]
-        centroid = fverts.mean(axis=0)
-        B = _orthonormal_rows(fverts - centroid)
+        B, chart, cone = _face_frame(P, idx)
         if B.shape[0] > n:
             raise ValueError(f"face {fi} spans more than {n} dimensions")
         if B.shape[0] < n:
             continue
-        vol = _face_volume((fverts - centroid) @ B.T, n)
+        vol = _face_volume(chart, n)
         if vol == 0.0:
             continue
         dets, norms = _minors_and_norms(B, struct)
         w = float(dets[0] / norms[0]) ** power
         if w == 0.0:
             continue
-        theta, se = normal_angle_mc(P, list(idx), samples,
-                                    seed=derive_seed(seed, "face", fi))
+        theta, se = _cone_angle_mc(*cone, samples, derive_seed(seed, "face", fi))
         total += vol * w * theta
         var += (vol * w * se) ** 2
     return total, math.sqrt(var)
@@ -494,9 +427,8 @@ def zonotope_faces_for_span(P: Zonotope, E: Subspace) -> list[tuple]:
     of the central arrangement of the outside generators projected to
     E's complement (``_vertex_signs``).
     """
-    G = _float_canonical(P).generators
-    outside = G[~E.members(G)]
-    return [tuple(eps) for eps in _vertex_signs(outside @ E.complement().basis.T)]
+    outside, C = _outside(P, E)
+    return [tuple(eps) for eps in _vertex_signs(outside @ C.T)]
 
 
 def zonotope_face_data(P: Zonotope) -> PolytopeFaceData:

@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
-from .exterior import _join_exact, _split_exact
+from .exterior import _join_exact, _row_norms, _split_exact, _subset_blocks
 from .sampling import covering_net, direction_net
 
 __all__ = [
@@ -49,6 +50,8 @@ __all__ = [
 
 # two generators merge when the sine of their angle is at most this
 COLLINEAR_SINE_TOL = 1e-10
+# a row lies in a flat when its residual off it is at most this times its norm
+SPAN_MEMBER_TOL = 1e-9
 # exact radius enumerates 2^(n-1) sign vectors; refuse beyond this
 RADIUS_EXACT_MAX_GENERATORS = 22
 
@@ -127,34 +130,6 @@ def zonotope(generators, ambient_dim=None, grading=None, cgrading=None) -> Zonot
     if ambient_dim is None:
         ambient_dim = g.shape[1]
     return Zonotope(ambient_dim, g, grading, cgrading)
-
-
-def _exact_norm(row) -> float:
-    """sqrt(sum x^2) of exact entries as a float: the exact sum s is
-    scaled by 4^-k into [1/2, 4) before the float square root, which is
-    then scaled by 2^k, so no step overflows or underflows on the way to
-    a norm in the float range."""
-    s = Fraction(sum(x * x for x in row))
-    n, d = s.numerator, s.denominator
-    k = (n.bit_length() - d.bit_length()) // 2
-    return math.ldexp(math.sqrt(n / (d << 2 * k) if k >= 0 else (n << -2 * k) / d), k)
-
-
-def _row_norms(g: np.ndarray) -> np.ndarray:
-    """Row norms.  A float row whose plain norm is not finite or is below
-    2^-511, where the squares may have overflowed or underflowed, gets
-    ``_scaled_norms`` instead, so an overflowing square raises no
-    warning; ValueError as there.  Exact rows take ``_exact_norm``."""
-    if g.dtype == object:
-        return np.array([_exact_norm(row) for row in g])
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(g, axis=1)
-    flagged = ~((norms >= 2.0 ** -511) & (norms < np.inf))
-    if flagged.any():
-        norms[flagged] = _scaled_norms(g[flagged])
-    return norms
-
-
 def support(K: Zonotope, u) -> float:
     """Support function h_K(u) = 1/2 sum_i |<v_i, u>|."""
     u = np.asarray(u)
@@ -189,8 +164,6 @@ def length(K: Zonotope):
         num, den = split[0][:, 0].tolist(), split[1].tolist()
         common = math.lcm(*den)
         return Fraction(sum(abs(n) * (common // d) for n, d in zip(num, den)), common)
-    if K.exact and K.ambient_dim == 1:
-        return sum(abs(row[0]) for row in K.generators)
     return float(np.sum(_row_norms(K.generators)))
 
 
@@ -323,17 +296,83 @@ def _collinear_labels(unit: np.ndarray) -> np.ndarray:
         rows, run, queued = rows[in_live], run[in_live], queued[in_live]
 
 
-def _scaled_norms(g: np.ndarray) -> np.ndarray:
-    """Row norms as m ||g / m||, m the row's largest |entry| (0 for a zero
-    row), which no overflowing or underflowing square can spoil;
-    ValueError for a non-finite entry or a norm past the float64 range."""
-    m = np.abs(g).max(axis=1, initial=0.0)
-    # inf / inf, or a norm past float64: the row is refused below
-    with np.errstate(invalid="ignore", over="ignore"):
-        norms = m * np.linalg.norm(g / np.where(m > 0, m, 1.0)[:, None], axis=1)
-    if not np.isfinite(norms).all():
-        raise ValueError("generator entries and norms must be finite")
-    return norms
+# ---------------------------------------------------------------------------
+# flats: the rank of rows, membership in a flat, spans and cells
+
+
+def _significant(s: np.ndarray, shape) -> np.ndarray:
+    """The rank rule: the singular values s (descending along the last axis)
+    of matrices of the given shape that exceed max(shape) eps s_0."""
+    return s > max(shape[-2:]) * np.finfo(np.float64).eps * s[..., :1]
+
+
+def _in_flat(G: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Mask of the rows of G whose residual off the span of B's orthonormal
+    rows (of each B, for a stack) is at most SPAN_MEMBER_TOL times their norm."""
+    resid = G - (G @ np.swapaxes(B, -1, -2)) @ B
+    return np.linalg.norm(resid, axis=-1) <= SPAN_MEMBER_TOL * np.linalg.norm(G, axis=1)
+
+
+def _orthonormal_rows(V: np.ndarray, expected_rank: int | None = None) -> np.ndarray:
+    """Orthonormal row basis of the row span of V (SVD), rank-checked."""
+    V = np.asarray(V, dtype=np.float64)
+    _, s, Vt = np.linalg.svd(V, full_matrices=False)
+    rank = int(np.sum(_significant(s, V.shape)))
+    if expected_rank is not None and rank < expected_rank:
+        raise ValueError("rank-deficient basis")
+    return Vt[:rank]
+
+
+def _spans(A: np.ndarray, d: int) -> list:
+    """Distinct spans of d independent rows of A, from one batched SVD per
+    block of d-subsets, as (mask of the rows each contains, orthonormal
+    rows of R^m whose first d span it), keyed by the mask."""
+    A = np.asarray(A, dtype=np.float64)
+    spans: dict[bytes, tuple] = {}
+    for idx in _subset_blocks(len(A), d):
+        _, s, Vt = np.linalg.svd(A[idx], full_matrices=True)
+        Vt = Vt[np.all(_significant(s, (d, A.shape[1])), axis=1)]
+        for mask, V in zip(_in_flat(A, Vt[:, :d]), Vt):
+            spans.setdefault(mask.tobytes(), (mask, V))
+    return list(spans.values())
+
+
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a in lexicographic order, and the index of
+    each row of a among them: ``np.unique(a, axis=0, return_inverse=True)``
+    for rows without NaN, from one ``_lex_order`` and a neighbour test."""
+    order = _lex_order(a)
+    s = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = np.any(s[1:] != s[:-1], axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return s[new], inverse
+
+
+def _vertex_signs(A: np.ndarray) -> np.ndarray:
+    """Sorted sign vectors (rows of +-1.0) of the open cells of the central
+    arrangement normal to A's rows: the vertices of the zonotope they
+    generate.  On A's row space, of dimension c, c rows cut all 2^c
+    orthants.  Otherwise every cell has an extreme ray r normal to a
+    (c-1)-span of rows (``_spans``): the rows off r take their sign at r
+    or at -r, and the rows in the span recurse in it."""
+    def cells(A: np.ndarray) -> np.ndarray:
+        N, c = A.shape
+        if N == c:
+            return np.array(list(product((-1.0, 1.0), repeat=c)))
+        out = []
+        for mask, V in _spans(A, c - 1):
+            inner = cells(A[mask] @ V[:c - 1].T)
+            off = np.where(A[~mask] @ V[c - 1] > 0.0, 1.0, -1.0)
+            block = np.empty((2, len(inner), N))
+            block[:, :, mask] = inner
+            block[:, :, ~mask] = np.array([off, -off])[:, None]
+            out.append(block.reshape(-1, N))
+        return _unique_rows(np.concatenate(out))[0]
+
+    A = np.asarray(A, dtype=np.float64)
+    return cells(A @ _orthonormal_rows(A).T)
 
 
 def _canonicalize_float(K: Zonotope) -> Zonotope:
@@ -352,7 +391,7 @@ def _canonicalize_float(K: Zonotope) -> Zonotope:
         flips = np.where(np.sum(unit * unit[labels], axis=1) < 0, -1.0, 1.0)
         with np.errstate(over="ignore"):
             g = np.add.reduceat((g * flips[:, None])[order], starts)
-        _scaled_norms(g)  # a merged row's entries or norm can pass float64
+        _row_norms(g)  # a merged row's entries or norm can pass float64
         g = _sign_normalize_float(g)
     return replace(K, generators=g[_lex_order(g)])
 

@@ -228,6 +228,34 @@ def test_unrealify_rows_inverts_realify_rows():
     assert np.array_equal(unrealify_rows(R), Z)
 
 
+def test_inner_of_fraction_multivectors_is_exact():
+    a = Multivector.from_vector(np.array([Fraction(1, 3), Fraction(1, 2), 0], dtype=object))
+    b = Multivector.from_vector(np.array([3, Fraction(2, 3), 5], dtype=object))
+    got = inner(a, b)
+    assert type(got) is Fraction and got == Fraction(4, 3)
+
+
+def test_norm_in_the_float_range_is_numpys_norm():
+    g = rng(31)
+    for size in (1, 3, 10, 56, 252):
+        c = g.standard_normal(size) * 10.0 ** int(g.integers(-100, 100))
+        for coeffs in (c, c + 1j * g.standard_normal(size) * np.abs(c).max()):
+            assert Multivector.from_vector(coeffs).norm() == float(np.linalg.norm(coeffs))
+
+
+def test_norm_at_extreme_scales_in_both_fields():
+    # where the plain sum of squares would overflow or underflow; no
+    # warning (filterwarnings = error)
+    for coeffs, want in (([Fraction(10) ** 200, 1], 1e200), ([Fraction(1, 10 ** 200), 0], 1e-200),
+                         ([1e200, 1.0], 1e200), ([1e-200, 0.0], 1e-200), ([1.0, 1e200j], 1e200)):
+        dtype = object if isinstance(coeffs[0], Fraction) else None
+        v = Multivector.from_vector(np.array(coeffs, dtype=dtype))
+        assert math.isclose(v.norm(), want, rel_tol=1e-15)
+    for coeffs in (np.array([Fraction(10) ** 400, 1], dtype=object), np.array([1.5e308, 1.5e308])):
+        with pytest.raises(ValueError, match="norms must be finite"):
+            Multivector.from_vector(coeffs).norm()
+
+
 def test_inner_rejects_complex_coefficients():
     a = Multivector.from_vector(np.array([1.0 + 1.0j, 2.0]))
     b = Multivector.from_vector(np.array([1.0, 0.0]))

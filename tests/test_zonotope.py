@@ -120,6 +120,16 @@ def test_length_exact_in_dim_one():
     val = length(K)
     assert isinstance(val, Fraction)
     assert val == Fraction(1, 3) + Fraction(2, 5)
+    # object rows of other numbers take the exact route's row norms
+    assert length(Zonotope(1, np.array([[1.5], [-0.5]], dtype=object))) == 2.0
+
+
+def test_canonical_eq_of_exact_bodies_compares_fractions():
+    K = frac_zonotope([[Fraction(1, 2), 1], [1, 2], [0, Fraction(1, 3)]])
+    assert canonical_eq(K, frac_zonotope([[0, Fraction(-1, 3)], [Fraction(3, 2), 3]]))
+    # 10^-30 apart: equal within any float tolerance, not as Fractions
+    off = frac_zonotope([[0, Fraction(-1, 3)], [Fraction(3, 2), 3 + Fraction(1, 10 ** 30)]])
+    assert not canonical_eq(K, off)
 
 
 def test_minkowski_sum_merges_and_supports_add():
@@ -770,3 +780,16 @@ def test_lengths_and_volumes_follow_the_scale_law():
     tiny = canonicalize(zonotope([[1e-170, 0.0], [0.0, 1.0]]))
     assert np.array_equal(tiny.generators, [[0.0, 1.0], [1e-170, 0.0]])
     assert length(zonotope([[3e-170, 4e-170]])) == 5e-170
+
+
+def test_a_volume_past_float64_is_one_value_error_in_both_fields():
+    # V_2 is about 10^400: the exact route's norm and the float route's
+    # wedge rows both pass float64, and both raise the same ValueError with
+    # no warning (filterwarnings = error)
+    rows = [[10 ** 200, 1, 2], [3, 10 ** 200, 5], [1, 1, 7]]
+    K = zonotope(np.array(rows, dtype=np.float64))
+    for body in (K, frac_zonotope(rows)):
+        with pytest.raises(ValueError, match="^generator entries and norms must be finite$"):
+            intrinsic_volume(body, 2)
+    with pytest.raises(ValueError, match="^generator entries and norms must be finite$"):
+        mixed_volume([K, K, K])
