@@ -32,7 +32,6 @@ from .zonotope import (
     length,
     linear_image,
     minkowski_sum,
-    scale,
     zonotope,
 )
 
@@ -173,20 +172,19 @@ def _wedge_power_raw(K: Zonotope, d: int) -> Zonotope:
     m, _ = K.grading
     if d == 0:
         return zonotope(np.ones((1, 1), dtype=K.generators.dtype), grading=(m, 0))
-    G = canonicalize(K).generators
     # a product past float64 is an inf or nan row, which length and
     # canonicalize refuse with the ValueError of the exact route's norms
     with np.errstate(over="ignore", invalid="ignore"):
-        gens = exterior.subset_blades(G, d, math.factorial(d))
+        gens = exterior.subset_blades(K.generators, d, math.factorial(d))
     return Zonotope(exterior_dim(m, d), gens, grading=(m, d))
 
 
 def wedge_power(K: Zonotope, d: int) -> Zonotope:
     """d-fold wedge of K with itself.
 
-    Antisymmetry kills tuples with repeats and merges the d!
-    permutations of a subset, so it suffices to take the blades of the
-    d-subsets of the generators and scale each by d!.
+    Antisymmetry kills tuples with repeats and merges the d! permutations
+    of a subset, so the blades of the d-subsets of the generators as
+    given, each scaled by d!, are merged once.
     """
     return canonicalize(_wedge_power_raw(K, d))
 
@@ -286,14 +284,15 @@ def hodge_star_zonoid(K: Zonotope) -> Zonotope:
 def projection_body(K: Zonotope) -> Zonotope:
     """Projection body: h(u) = ||u|| vol_{m-1}(K projected along u).
 
-    Computed as (2 / (m-1)!) * star(K^(m-1)).
+    Computed as (2 / (m-1)!) * star(K^(m-1)), merged once, after the scaling.
     """
     K = _as_degree_one(K)
     m = K.grading[0]
     if m < 2:
         raise ValueError("projection body needs ambient dimension >= 2")
-    starred = hodge_star_zonoid(wedge_power(K, m - 1))
-    return scale(starred, Fraction(2, math.factorial(m - 1)))
+    lam = Fraction(2, math.factorial(m - 1))
+    gens = exterior.hodge_rows(_wedge_power_raw(K, m - 1).generators, m, m - 1)
+    return canonicalize(Zonotope(m, gens * (lam if K.exact else float(lam)), grading=(m, 1)))
 
 
 def af_gap(K1: Zonotope, K2: Zonotope, companions=(), middle: Zonotope | None = None):

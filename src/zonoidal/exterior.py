@@ -293,11 +293,13 @@ def blade_rows(V) -> np.ndarray:
 def subset_blades(G, d: int, factor: int = 1) -> np.ndarray:
     """factor * G[s_1] ^ ... ^ G[s_d] for the d-subsets s_1 < ... < s_d
     of G's rows in lexicographic order: shape (C(N, d), C(m, d)).  Exact
-    rows are split once, before the subsets are gathered."""
+    rows are split once, before the subsets are gathered.  A float row
+    that ``_row_norms`` refuses is a ValueError, also with no d-subsets."""
     G = np.asarray(G)
     blocks = _subset_blocks(len(G), d)
     split = _split_exact(G)
     if split is None:
+        _row_norms(G)
         return np.concatenate([_fold(G[idx]) for idx in blocks]) * factor
     num, den, top = split
     (num,) = _int_arrays(factor * math.factorial(d) * max(top, 1) ** d, num)

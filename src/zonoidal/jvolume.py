@@ -32,7 +32,7 @@ import numpy as np
 
 from . import exterior
 from .algebra import _chain, _require_grading
-from .exterior import realify_rows, unrealify_rows
+from .exterior import _row_norms, realify_rows, unrealify_rows
 from .sampling import SeedStream, _mc_mean_se, derive_seed
 from .zonotope import (Zonotope, _finite_floats, _in_flat, _integer, _orthonormal_rows, _spans,
                        _unique_rows, _vertex_signs, canonicalize, length, zonotope)
@@ -182,15 +182,16 @@ class PolytopeFaceData:
 
 def _complex_minors(G: np.ndarray, struct: ComplexStructure) -> np.ndarray:
     """|det_C S| for the n-subsets S of G's rows, in lexicographic order,
-    in J-complex coordinates (the rows times the J-frame)."""
+    in J-complex coordinates (the rows times the J-frame).  A row of G
+    that ``_row_norms`` refuses is a ValueError, also with no n-subsets."""
+    _row_norms(G)
     return np.abs(exterior.subset_blades(unrealify_rows(G @ struct.frame),
                                          struct.complex_dim)[:, 0])
 
 
 def _minors_and_norms(G: np.ndarray, struct: ComplexStructure):
     """``_complex_minors`` and ||wedge S|| for the same subsets S."""
-    return (_complex_minors(G, struct),
-            np.linalg.norm(exterior.subset_blades(G, struct.complex_dim), axis=1))
+    return _complex_minors(G, struct), _row_norms(exterior.subset_blades(G, struct.complex_dim))
 
 
 def sigma_J(E: Subspace, J=None) -> float:
@@ -208,8 +209,6 @@ def sigma_J(E: Subspace, J=None) -> float:
 
 def embed_real_zonotope(K: Zonotope) -> Zonotope:
     """Embed a real zonotope in R^n into C^n (zero imaginary parts)."""
-    if K.exact:
-        K = canonicalize(K)
     out = realify_rows(K.generators.astype(np.float64))
     return canonicalize(zonotope(out, ambient_dim=2 * K.ambient_dim,
                                  cgrading=(K.ambient_dim, 1)))
@@ -253,26 +252,26 @@ def _float_canonical(P: Zonotope) -> Zonotope:
     return canonicalize(replace(P, generators=P.generators.astype(np.float64, copy=False)))
 
 
-def _canonical(P: Zonotope, J):
-    return _float_canonical(P).generators, _structure(P.ambient_dim, J)
-
-
 def j_volume_zonotope(P: Zonotope, J=None) -> float:
-    """vol_n^J(P): sum of |det_C S| over the n-subsets S of the canonical
-    generators, which is the sum over generator spans E of
+    """vol_n^J(P): sum of |det_C S| over the n-subsets S of the generators
+    as given, which is the sum over generator spans E of
     vol_n(F_P(E)) sigma^J(E)^(1/2).
 
     Agrees with length(P^(^_C n)) / n! for the standard structure.
     """
-    return float(np.sum(_complex_minors(*_canonical(P, J))))
+    G = P.generators.astype(np.float64, copy=False)
+    return float(np.sum(_complex_minors(G, _structure(P.ambient_dim, J))))
 
 
 def kazarnovskii_zonotope(P: Zonotope, J=None) -> float:
     """Kazarnovskii pseudovolume: the sum of |det_C S|^2 / ||wedge S||,
-    that is of ||wedge S|| sigma^J(span S), a dependent S adding 0."""
-    dets, norms = _minors_and_norms(*_canonical(P, J))
-    return float(np.sum(np.divide(dets * dets, norms, out=np.zeros_like(norms),
-                                  where=norms > 0.0)))
+    that is of ||wedge S|| sigma^J(span S), a dependent S adding 0.  Each
+    term is |det_C S| times sigma^J(span S)^(1/2) <= 1, so no step
+    overflows or underflows where the value is a normal float."""
+    G = P.generators.astype(np.float64, copy=False)
+    dets, norms = _minors_and_norms(G, _structure(P.ambient_dim, J))
+    return float(np.sum(dets * np.divide(dets, norms, out=np.zeros_like(norms),
+                                         where=norms > 0.0)))
 
 
 def disc_zonotope(z, q: int) -> Zonotope:

@@ -315,11 +315,11 @@ def j_ball_volume(n: int) -> float:
 
 def _block_zonoid(block: MatrixBlock, size: int, complex_field: bool) -> Zonotope:
     """K(Z_j) for a discrete block: pushforward of its atoms through the
-    blade, realified in the complex exterior power when complex_field."""
+    blade, realified in the complex exterior power when complex_field; unmerged."""
     rows = exterior.blade_rows(np.swapaxes(block.atom_matrices(size), 1, 2))
     gens = block.dist.probs[:, None] * (realify_rows(rows) if complex_field else rows)
     tag = {"cgrading" if complex_field else "grading": (size, block.width)}
-    return canonicalize(Zonotope(gens.shape[1], gens, **tag))
+    return Zonotope(gens.shape[1], gens, **tag)
 
 
 def expected_abs_det_exact(model: MatrixBlockModel) -> float:

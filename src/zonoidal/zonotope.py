@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .exterior import _join_exact, _row_norms, _split_exact, _subset_blocks
-from .sampling import covering_net, direction_net
+from .sampling import CHUNK, covering_net, direction_net
 
 __all__ = [
     "Zonotope",
@@ -67,7 +67,8 @@ class Zonotope:
               (ambient_dim == 2 C(n, k)).
 
     Float64 generator arrays are kept as given, without a copy; no
-    function writes into a generator array.
+    function writes into a generator array.  Object entries other than
+    int and Fraction become Fractions (numpy integers through int).
     """
 
     ambient_dim: int
@@ -85,6 +86,10 @@ class Zonotope:
             raise ValueError("generators must be real; store complex rows realified")
         if g.dtype != object:
             g = g.astype(np.float64, copy=False)
+        elif not {type(x) for x in g.flat} <= {int, Fraction}:
+            g = np.array([x if type(x) in (int, Fraction)
+                          else Fraction(int(x) if isinstance(x, np.integer) else x)
+                          for x in g.flat], dtype=object).reshape(g.shape)
         object.__setattr__(self, "generators", g)
 
     @property
@@ -150,6 +155,20 @@ def support_many(K: Zonotope, U: np.ndarray) -> np.ndarray:
         return np.zeros(len(U))
     g = K.generators.astype(np.float64) if K.exact else K.generators
     return 0.5 * np.abs(U @ g.T).sum(axis=1)
+
+
+def _net_max(net: np.ndarray, K: Zonotope, L: Zonotope | None = None) -> float:
+    """The largest h_K(u), or |h_K(u) - h_L(u)| given L, over the rows u
+    of net (0.0 for none), CHUNK rows at a time, so that no (directions x
+    generators) matrix is formed whole."""
+    best = 0.0
+    for start in range(0, len(net), CHUNK):
+        U = net[start:start + CHUNK]
+        h = support_many(K, U)
+        if L is not None:
+            h = np.abs(h - support_many(L, U))
+        best = max(best, float(np.max(h)))
+    return best
 
 
 def length(K: Zonotope):
@@ -402,12 +421,7 @@ def _canonicalize_exact(K: Zonotope) -> Zonotope:
     direction times the sum w of the rows' positive multipliers.  Over
     the lcm of the w's denominators the merged rows are integers, which
     sort like the rows themselves."""
-    g = K.generators
-    split = _split_exact(g)
-    if split is None:  # entries other than int and Fraction
-        split = _split_exact(np.array([[Fraction(x) for x in row] for row in g],
-                                      dtype=object).reshape(g.shape))
-    num, den, _ = split
+    num, den, _ = _split_exact(K.generators)
     groups: dict[tuple, list[Fraction]] = {}
     for row, d in zip(num.tolist(), den.tolist()):
         gcd = math.gcd(*row)
@@ -495,8 +509,7 @@ def radius_bounds(K: Zonotope, net_count: int = 4096, seed: int = 0) -> tuple[fl
     if K.n_generators == 0:
         return (0.0, 0.0)
     ell = float(length(K))
-    net = direction_net(K.ambient_dim, net_count, seed)
-    lo = float(np.max(support_many(K, net)))
+    lo = _net_max(direction_net(K.ambient_dim, net_count, seed), K)
     lo = max(lo, ell / tau(K.ambient_dim))
     return (lo, ell / 2.0)
 
@@ -515,9 +528,7 @@ def hausdorff_estimate(
         raise ValueError("ambient dimension mismatch in Hausdorff estimate")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    net = covering_net(K.ambient_dim, delta, seed)
-    diff = np.abs(support_many(K, net) - support_many(L, net))
-    lo = float(np.max(diff)) if len(diff) else 0.0
+    lo = _net_max(covering_net(K.ambient_dim, delta, seed), K, L)
     lk, ll = float(length(K)), float(length(L))
     if K.ambient_dim >= 4:
         return (lo, max(lo, lk / 2.0, ll / 2.0))

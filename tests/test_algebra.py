@@ -615,3 +615,47 @@ def test_mixed_volume_of_bodies_holding_plain_ints_is_exact():
     B = zonotope(np.array([[2, 1]], dtype=object), grading=(2, 1))
     got = mixed_volume([A, B])
     assert type(got) is Fraction and got == Fraction(9, 2)
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-12, 1e-14])
+def test_volume_of_a_near_collinear_pair_keeps_both_generators(eps):
+    # e1 and e1 + eps e2 lie within COLLINEAR_SINE_TOL, and their merge
+    # would lose about eps of the volume 7 + eps; the sum over the given
+    # generators keeps it
+    K = zonotope([[1.0, 0.0, 0.0], [1.0, eps, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                  [1.0, 1.0, 1.0]])
+    want = 7 + Fraction(eps)
+    assert abs(Fraction(volume(K)) - want) <= Fraction(1e-15) * want
+
+
+def raw_and_canonical(exact: bool):
+    """A body in R^3 whose generators repeat, negate, rescale and split
+    four directions and add a zero row, and its canonical form.  No two
+    rows of its wedge powers or projection body tie in their first entry,
+    where ``canonical_eq``'s row order would turn on the last bit."""
+    base = [[3, 2, 1], [1, 5, -2], [4, -1, 3], [2, 3, 7]]
+    extra = [[-3, -2, -1], [2, 10, -4], [4, -1, 3], [0, 0, 0],
+             [1, Fraction(3, 2), Fraction(7, 2)]]
+    rows = [[Fraction(x) / 3 for x in row] for row in base + extra]
+    K = zonotope(np.array(rows, dtype=object) if exact else np.array(rows, dtype=float))
+    C = canonicalize(K)
+    assert C.n_generators == 4 and K.exact == exact
+    return K, C
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+def test_functionals_of_a_raw_list_equal_those_of_its_canonical_form(exact):
+    K, C = raw_and_canonical(exact)
+    pairs = [(volume(K), volume(C))] + [(intrinsic_volume(K, d), intrinsic_volume(C, d))
+                                        for d in range(4)]
+    for got, want in pairs:
+        assert type(got) is type(want)
+        if isinstance(want, Fraction):
+            assert got == want
+        else:
+            assert math.isclose(got, want, rel_tol=1e-13)
+    # returned bodies against the route through the canonical form
+    for d in range(4):
+        assert canonical_eq(wedge_power(K, d), wedge_power(C, d))
+    via_canonical = scale(hodge_star_zonoid(wedge_power(C, 2)), Fraction(2, math.factorial(2)))
+    assert canonical_eq(projection_body(K), via_canonical)

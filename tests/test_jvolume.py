@@ -855,3 +855,31 @@ def test_face_data_of_a_near_parallel_pair_has_every_face():
     assert len(fd.n_faces) == 60
     val, se = j_volume_polytope_mc(fd, 20_000, seed=1)
     assert abs(val - j_volume_zonotope(P)) <= 4.0 * se
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+def test_j_volumes_of_a_raw_list_equal_those_of_its_canonical_form(exact):
+    # four directions in C^2, repeated, negated, rescaled by reals and split,
+    # plus a zero row
+    Z = np.array([[1 + 2j, -1j], [2, 1 + 1j], [-1 + 1j, 3], [1j, 2 - 1j]])
+    raw = np.vstack([Z, -Z[0], 2 * Z[1], Z[2], np.zeros(2), Z[3] / 2])
+    rows = [[Fraction(int(x), 3) for x in row] for row in realify_rows(raw * 2)]
+    P = zonotope(np.array(rows, dtype=object) if exact else np.array(rows, dtype=float),
+                 cgrading=(2, 1))
+    C = canonicalize(P)
+    assert C.n_generators == 4
+    for f in (j_volume_zonotope, kazarnovskii_zonotope):
+        assert math.isclose(f(P), f(C), rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("s", [1e-100, 1e-80, 1e80, 1e100])
+def test_kazarnovskii_scales_as_the_square_at_extreme_scales(s):
+    # each term is |det_C S| (|det_C S| / ||wedge S||), so no square of a
+    # minor underflows or overflows (a numpy warning is an error here)
+    g = np.random.default_rng(0)
+    Z = g.standard_normal((5, 2)) + 1j * g.standard_normal((5, 2))
+    want = kazarnovskii_zonotope(complex_zonotope(Z))
+    assert math.isclose(kazarnovskii_zonotope(complex_zonotope(Z * s)) / (s * s), want,
+                        rel_tol=1e-15)
+    assert math.isclose(j_volume_zonotope(complex_zonotope(Z * s)) / (s * s),
+                        j_volume_zonotope(complex_zonotope(Z)), rel_tol=1e-15)

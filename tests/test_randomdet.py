@@ -469,3 +469,24 @@ def test_complex_gaussian_sampler_pairs_the_stream_gaussians():
     assert z.shape == (25_000, 4)
     assert np.array_equal(z.ravel(), (g[0::2] + 1j * g[1::2]) / math.sqrt(2.0))
     assert abs(np.mean(np.abs(z) ** 2) - 1.0) <= 4.0 / math.sqrt(z.size)
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+def test_exact_abs_det_of_repeated_and_zero_atoms_matches_brute_force(complex_field):
+    # the block zonoids are read unmerged: an atom repeated, negated and
+    # doubled, and a zero atom
+    a = random_discrete(rng(22), 3, 3, complex_field).atoms
+    atoms = np.array([a[0], a[1], a[0], -a[1], np.zeros(3), 2 * a[2], a[2]])
+    probs = np.arange(1.0, 8.0) / 28.0
+    model = iid_column_model(DiscreteDistribution(atoms, probs), 3)
+    assert model.complex_field == complex_field
+    assert math.isclose(expected_abs_det_exact(model), brute_force_expected_abs_det(model),
+                        rel_tol=1e-12)
+    # a width-2 block with a repeated and a zero atom beside a width-1 block
+    wide = DiscreteDistribution(np.array([np.stack([a[0], a[1]], axis=1)] * 2
+                                         + [np.zeros((3, 2))]), [0.25, 0.5, 0.25])
+    model = MatrixBlockModel(3, (MatrixBlock(2, dist=wide),
+                                 MatrixBlock(1, dist=DiscreteDistribution(atoms, probs))),
+                             complex_field=complex_field)
+    assert math.isclose(expected_abs_det_exact(model), brute_force_expected_abs_det(model),
+                        rel_tol=1e-12)

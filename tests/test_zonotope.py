@@ -16,6 +16,7 @@ from zonoidal import (
     face_data_from_dict,
     hausdorff_estimate,
     intrinsic_volume,
+    kazarnovskii_zonotope,
     length,
     linear_image,
     measure_from_dict,
@@ -34,15 +35,17 @@ from zonoidal import (
     virtual_negate,
     virtual_support,
     volume,
+    wedge_power,
     zonotope,
     zonotope_from_dict,
     zonotope_to_dict,
 )
 from zonoidal.algebra import _chain
 from zonoidal.jvolume import disc_zonotope, j_volume_zonotope
-from zonoidal.sampling import direction_net
+from zonoidal.sampling import CHUNK, direction_net
 from zonoidal.testkit import length_brute, radius_brute, support_brute
-from zonoidal.zonotope import COLLINEAR_SINE_TOL, _collinear_labels, _integer, _lex_order
+from zonoidal.zonotope import (COLLINEAR_SINE_TOL, _collinear_labels, _integer, _lex_order,
+                               _net_max)
 
 
 def rng(seed=0):
@@ -686,6 +689,21 @@ def test_canonicalize_refuses_non_finite_entries(entry):
                  cgrading=(2, 1))
     with pytest.raises(ValueError, match="finite"):
         j_volume_zonotope(P)
+    # the functionals read the generators as given, and refuse them there
+    for d in (1, 2):
+        with pytest.raises(ValueError, match="finite"):
+            intrinsic_volume(K, d)
+    with pytest.raises(ValueError, match="finite"):
+        kazarnovskii_zonotope(P)
+    # fewer generators than the degree: no subset carries the entry
+    one = zonotope([[entry, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        volume(one)
+    with pytest.raises(ValueError, match="finite"):
+        wedge_power(one, 2)
+    for f in (j_volume_zonotope, kazarnovskii_zonotope):
+        with pytest.raises(ValueError, match="finite"):
+            f(zonotope([[entry, 0.0, 0.0, 0.0]], cgrading=(2, 1)))
 
 
 def test_canonicalize_keeps_directions_of_rows_whose_squares_overflow():
@@ -793,3 +811,31 @@ def test_a_volume_past_float64_is_one_value_error_in_both_fields():
             intrinsic_volume(body, 2)
     with pytest.raises(ValueError, match="^generator entries and norms must be finite$"):
         mixed_volume([K, K, K])
+
+
+def test_object_entries_become_ints_and_fractions():
+    # numpy integers through int, floats through Fraction(x)
+    K = zonotope(np.array([[np.int64(3), np.int64(4)]], dtype=object))
+    assert length(K) == 5.0
+    F = zonotope(np.array([[1.5, 0], [0, 2.5], [0.5, 0.5]], dtype=object))
+    got = volume(F)
+    assert type(got) is Fraction and got == Fraction(23, 4)
+    for body in (K, F):
+        assert {type(x) for x in body.generators.flat} <= {int, Fraction}
+    assert F.generators[0, 0] == Fraction(3, 2) and type(F.generators[0, 1]) is int
+
+
+def test_net_supports_are_taken_in_blocks():
+    # a net one block and a part long, whose largest support is at its last
+    # direction, in the partial block; the blocked maxima equal the
+    # whole-net ones bit for bit
+    net = direction_net(3, CHUNK + 1001, seed=2)
+    K = zonotope(net[-1:])
+    L = zonotope(np.vstack([net[-1:], rng(3).standard_normal((3, 3))]))
+    assert np.argmax(support_many(K, net)) == len(net) - 1
+    assert _net_max(net, K) == float(np.max(support_many(K, net)))
+    assert _net_max(net, K, L) == float(np.max(np.abs(support_many(K, net)
+                                                      - support_many(L, net))))
+    assert _net_max(net[:0], K, L) == 0.0
+    lo, _ = radius_bounds(L, net_count=CHUNK + 1001, seed=2)
+    assert lo == max(float(np.max(support_many(L, net))), length(L) / tau(3))
