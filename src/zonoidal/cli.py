@@ -35,7 +35,6 @@ from .zonotope import (
     Zonotope,
     _finite_floats,
     _integer,
-    canonicalize,
     hausdorff_estimate,
     length,
     linear_image,
@@ -316,10 +315,7 @@ def _cmd_sum(args):
         for b in bodies[1:]:
             acc = virtual_add(acc, _as_virtual(b))
         return _body_dict(acc)
-    acc = canonicalize(bodies[0])
-    for b in bodies[1:]:
-        acc = minkowski_sum(acc, b)
-    return _body_dict(acc)
+    return _body_dict(minkowski_sum(*bodies))
 
 
 @_command("scale", 1, "scale by a factor or apply a matrix",

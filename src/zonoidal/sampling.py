@@ -66,10 +66,7 @@ class SeedStream:
         if dim == 1:
             u = self.uniforms(n)
             return np.where(u < 0.5, -1.0, 1.0)[:, None]
-        g = self.gaussians(n * dim).reshape(n, dim)
-        norms = np.linalg.norm(g, axis=1)
-        norms[norms == 0] = 1.0
-        return g / norms[:, None]
+        return _unit_rows(self.gaussians(n * dim).reshape(n, dim))
 
     def choice(self, n: int, probs) -> np.ndarray:
         """n indices sampled from the finite distribution probs."""
@@ -116,13 +113,41 @@ def _mc_mean_se(stream: SeedStream, n: int, draw) -> tuple[float, float]:
     return mean, math.sqrt(m2 / (n - 1) / n)
 
 
-def _fibonacci_sphere(count: int) -> np.ndarray:
+def _unit_rows(g: np.ndarray) -> np.ndarray:
+    """The rows of g over their norms (a zero row stays zero)."""
+    norms = np.linalg.norm(g, axis=1)
+    norms[norms == 0] = 1.0
+    return g / norms[:, None]
+
+
+def _net_blocks(dim: int, count: int, seed: int = 0):
+    """The rows of ``direction_net(dim, count, seed)``, CHUNK at a time.
+
+    The angular grid and the Fibonacci sphere are closed forms in the
+    row index, computed per index range; from dimension 4 the Gaussian
+    cloud is drawn from one SFC64 generator a block at a time, which
+    repeats one large draw.
+    """
+    if dim < 1 or count < 1:
+        raise ValueError("need dim >= 1 and count >= 1")
+    if dim == 1:
+        yield np.array([[1.0], [-1.0]])[:count]
+        return
+    phase = (_derive_key(seed, ("net2",)) % (1 << 32)) / (1 << 32)
+    draw = SeedStream(seed).derive("net", dim, count)._generator()
     golden = (1.0 + math.sqrt(5.0)) / 2.0
-    i = np.arange(count) + 0.5
-    z = 1.0 - 2.0 * i / count
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    phi = 2.0 * np.pi * i / golden
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    for start in range(0, count, CHUNK):
+        i = np.arange(start, min(start + CHUNK, count))
+        if dim == 2:
+            theta = 2.0 * np.pi * (i + phase) / count
+            yield np.column_stack([np.cos(theta), np.sin(theta)])
+        elif dim == 3:  # Fibonacci sphere
+            z = 1.0 - 2.0 * (i + 0.5) / count
+            r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+            phi = 2.0 * np.pi * (i + 0.5) / golden
+            yield np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+        else:
+            yield _unit_rows(draw.standard_normal(len(i) * dim).reshape(len(i), dim))
 
 
 def direction_net(dim: int, count: int, seed: int = 0) -> np.ndarray:
@@ -132,17 +157,20 @@ def direction_net(dim: int, count: int, seed: int = 0) -> np.ndarray:
     Fibonacci sphere, higher dimensions a seeded Gaussian cloud.  The same
     (dim, count, seed) always yields the same net.
     """
-    if dim < 1 or count < 1:
-        raise ValueError("need dim >= 1 and count >= 1")
+    return np.concatenate(list(_net_blocks(dim, count, seed)))
+
+
+def _covering_count(dim: int, delta: float) -> int:
+    """The size of ``covering_net(dim, delta)``."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
     if dim == 1:
-        return np.array([[1.0], [-1.0]])[:count]
+        return 2
     if dim == 2:
-        phase = (_derive_key(seed, ("net2",)) % (1 << 32)) / (1 << 32)
-        theta = 2.0 * np.pi * (np.arange(count) + phase) / count
-        return np.column_stack([np.cos(theta), np.sin(theta)])
+        return max(8, math.ceil(math.pi / delta))
     if dim == 3:
-        return _fibonacci_sphere(count)
-    return SeedStream(seed).derive("net", dim, count).sphere(count, dim)
+        return max(64, math.ceil((3.6 / delta) ** 2))
+    return min(500_000, max(1024, math.ceil((4.0 / delta)) ** (dim - 1)))
 
 
 def covering_net(dim: int, delta: float, seed: int = 0) -> np.ndarray:
@@ -153,15 +181,4 @@ def covering_net(dim: int, delta: float, seed: int = 0) -> np.ndarray:
     is a heuristic (seeded Gaussian cloud) and no covering certificate
     is claimed.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    if dim == 2:
-        count = max(8, math.ceil(math.pi / delta))
-        return direction_net(2, count, seed)
-    if dim == 3:
-        count = max(64, math.ceil((3.6 / delta) ** 2))
-        return direction_net(3, count, seed)
-    count = min(500_000, max(1024, math.ceil((4.0 / delta)) ** (dim - 1)))
-    return direction_net(dim, count, seed)
+    return direction_net(dim, _covering_count(dim, delta), seed)

@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .exterior import _join_exact, _row_norms, _split_exact, _subset_blocks
-from .sampling import CHUNK, covering_net, direction_net
+from .sampling import _covering_count, _net_blocks
 
 __all__ = [
     "Zonotope",
@@ -50,8 +50,9 @@ __all__ = [
 
 # two generators merge when the sine of their angle is at most this
 COLLINEAR_SINE_TOL = 1e-10
-# a row lies in a flat when its residual off it is at most this times its norm
-SPAN_MEMBER_TOL = 1e-9
+# rank and flat membership, relative to s_0 or to a row's norm (_significant,
+# _in_flat); keep it well below COLLINEAR_SINE_TOL and well above rounding
+FLAT_TOL = 1e-13
 # exact radius enumerates 2^(n-1) sign vectors; refuse beyond this
 RADIUS_EXACT_MAX_GENERATORS = 22
 
@@ -157,13 +158,12 @@ def support_many(K: Zonotope, U: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(U @ g.T).sum(axis=1)
 
 
-def _net_max(net: np.ndarray, K: Zonotope, L: Zonotope | None = None) -> float:
+def _net_max(blocks, K: Zonotope, L: Zonotope | None = None) -> float:
     """The largest h_K(u), or |h_K(u) - h_L(u)| given L, over the rows u
-    of net (0.0 for none), CHUNK rows at a time, so that no (directions x
-    generators) matrix is formed whole."""
+    of the net's blocks (0.0 for none), so that neither the net nor a
+    (directions x generators) matrix is formed whole."""
     best = 0.0
-    for start in range(0, len(net), CHUNK):
-        U = net[start:start + CHUNK]
+    for U in blocks:
         h = support_many(K, U)
         if L is not None:
             h = np.abs(h - support_many(L, U))
@@ -186,27 +186,26 @@ def length(K: Zonotope):
     return float(np.sum(_row_norms(K.generators)))
 
 
-def _one_field(K: Zonotope, L: Zonotope) -> tuple[Zonotope, Zonotope]:
-    """K and L with generators in one field: an empty body takes the
-    other's dtype; a Fraction and a float body with generators are an error."""
-    if K.exact != L.exact:
-        if K.n_generators == 0:
-            K = replace(K, generators=K.generators.astype(L.generators.dtype))
-        elif L.n_generators == 0:
-            L = replace(L, generators=L.generators.astype(K.generators.dtype))
-        else:
-            raise ValueError("cannot mix exact and float zonotopes")
-    return K, L
+def _one_field(*bodies: Zonotope) -> tuple[Zonotope, ...]:
+    """The bodies with generators in one field: empty bodies take the dtype
+    of those with generators (of the last body when none has any); a
+    Fraction and a float body with generators are an error."""
+    dtypes = {K.generators.dtype for K in bodies if K.n_generators}
+    if len(dtypes) > 1:
+        raise ValueError("cannot mix exact and float zonotopes")
+    dtype = dtypes.pop() if dtypes else bodies[-1].generators.dtype
+    return tuple(K if K.generators.dtype == dtype
+                 else replace(K, generators=K.generators.astype(dtype)) for K in bodies)
 
 
-def minkowski_sum(K: Zonotope, L: Zonotope) -> Zonotope:
-    """Minkowski sum; h_{K+L} = h_K + h_L."""
-    if K.ambient_dim != L.ambient_dim:
+def minkowski_sum(K: Zonotope, *more: Zonotope) -> Zonotope:
+    """Minkowski sum of one or more bodies, merged once; h_{K+L} = h_K + h_L.
+    A grading tag is kept when every body carries the same one."""
+    if any(L.ambient_dim != K.ambient_dim for L in more):
         raise ValueError("ambient dimension mismatch in Minkowski sum")
-    grading = K.grading if K.grading == L.grading else None
-    cgrading = K.cgrading if K.cgrading == L.cgrading else None
-    K, L = _one_field(K, L)
-    gens = np.concatenate([K.generators, L.generators], axis=0)
+    grading = K.grading if all(L.grading == K.grading for L in more) else None
+    cgrading = K.cgrading if all(L.cgrading == K.cgrading for L in more) else None
+    gens = np.concatenate([L.generators for L in _one_field(K, *more)], axis=0)
     return canonicalize(Zonotope(K.ambient_dim, gens, grading, cgrading))
 
 
@@ -319,24 +318,23 @@ def _collinear_labels(unit: np.ndarray) -> np.ndarray:
 # flats: the rank of rows, membership in a flat, spans and cells
 
 
-def _significant(s: np.ndarray, shape) -> np.ndarray:
-    """The rank rule: the singular values s (descending along the last axis)
-    of matrices of the given shape that exceed max(shape) eps s_0."""
-    return s > max(shape[-2:]) * np.finfo(np.float64).eps * s[..., :1]
+def _significant(s: np.ndarray) -> np.ndarray:
+    """The rank rule: singular values s (descending) above FLAT_TOL s_0."""
+    return s > FLAT_TOL * s[..., :1]
 
 
 def _in_flat(G: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Mask of the rows of G whose residual off the span of B's orthonormal
-    rows (of each B, for a stack) is at most SPAN_MEMBER_TOL times their norm."""
+    rows (of each B, for a stack) is at most FLAT_TOL times their norm."""
     resid = G - (G @ np.swapaxes(B, -1, -2)) @ B
-    return np.linalg.norm(resid, axis=-1) <= SPAN_MEMBER_TOL * np.linalg.norm(G, axis=1)
+    return np.linalg.norm(resid, axis=-1) <= FLAT_TOL * np.linalg.norm(G, axis=1)
 
 
 def _orthonormal_rows(V: np.ndarray, expected_rank: int | None = None) -> np.ndarray:
     """Orthonormal row basis of the row span of V (SVD), rank-checked."""
     V = np.asarray(V, dtype=np.float64)
     _, s, Vt = np.linalg.svd(V, full_matrices=False)
-    rank = int(np.sum(_significant(s, V.shape)))
+    rank = int(np.sum(_significant(s)))
     if expected_rank is not None and rank < expected_rank:
         raise ValueError("rank-deficient basis")
     return Vt[:rank]
@@ -350,7 +348,7 @@ def _spans(A: np.ndarray, d: int) -> list:
     spans: dict[bytes, tuple] = {}
     for idx in _subset_blocks(len(A), d):
         _, s, Vt = np.linalg.svd(A[idx], full_matrices=True)
-        Vt = Vt[np.all(_significant(s, (d, A.shape[1])), axis=1)]
+        Vt = Vt[np.all(_significant(s), axis=1)]
         for mask, V in zip(_in_flat(A, Vt[:, :d]), Vt):
             spans.setdefault(mask.tobytes(), (mask, V))
     return list(spans.values())
@@ -451,7 +449,14 @@ def canonicalize(K: Zonotope) -> Zonotope:
 
 
 def canonical_eq(K: Zonotope, L: Zonotope, tol: float = 1e-12) -> bool:
-    """Equality of canonical forms, entrywise within tol."""
+    """Equality of canonical forms: a one-to-one pairing of their rows,
+    each pair equal entrywise within tol times the largest |entry| (or 1).
+
+    Rows pair by position where they agree.  Rounding can order rows whose
+    first entries tie within the tolerance either way, so a row that
+    fails is paired by augmenting paths (Kuhn) over the other body's rows
+    whose first entries lie within the tolerance of its own.
+    """
     if K.ambient_dim != L.ambient_dim:
         return False
     a, b = canonicalize(K), canonicalize(L)
@@ -465,8 +470,22 @@ def canonical_eq(K: Zonotope, L: Zonotope, tol: float = 1e-12) -> bool:
     gb = b.generators.astype(np.float64) if b.exact else b.generators
     if ga.size == 0:
         return True
-    scale_ = max(1.0, float(np.max(np.abs(ga))), float(np.max(np.abs(gb))))
-    return bool(np.all(np.abs(ga - gb) <= tol * scale_))
+    tol = tol * max(1.0, float(np.max(np.abs(ga))), float(np.max(np.abs(gb))))
+    close = np.all(np.abs(ga - gb) <= tol, axis=1)
+    lo = np.searchsorted(gb[:, 0], ga[:, 0] - tol, side="left")
+    hi = np.searchsorted(gb[:, 0], ga[:, 0] + tol, side="right")
+    owner = np.where(close, np.arange(len(ga)), -1)  # the row of a paired with gb[j]
+
+    def pair(i: int, seen: set) -> bool:
+        for j in range(lo[i], hi[i]):
+            if j not in seen and np.all(np.abs(ga[i] - gb[j]) <= tol):
+                seen.add(j)
+                if owner[j] < 0 or pair(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(pair(i, set()) for i in np.flatnonzero(~close))
 
 
 def radius(K: Zonotope) -> float:
@@ -509,7 +528,7 @@ def radius_bounds(K: Zonotope, net_count: int = 4096, seed: int = 0) -> tuple[fl
     if K.n_generators == 0:
         return (0.0, 0.0)
     ell = float(length(K))
-    lo = _net_max(direction_net(K.ambient_dim, net_count, seed), K)
+    lo = _net_max(_net_blocks(K.ambient_dim, net_count, seed), K)
     lo = max(lo, ell / tau(K.ambient_dim))
     return (lo, ell / 2.0)
 
@@ -528,7 +547,7 @@ def hausdorff_estimate(
         raise ValueError("ambient dimension mismatch in Hausdorff estimate")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    lo = _net_max(covering_net(K.ambient_dim, delta, seed), K, L)
+    lo = _net_max(_net_blocks(K.ambient_dim, _covering_count(K.ambient_dim, delta), seed), K, L)
     lk, ll = float(length(K)), float(length(L))
     if K.ambient_dim >= 4:
         return (lo, max(lo, lk / 2.0, ll / 2.0))

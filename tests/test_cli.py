@@ -100,6 +100,22 @@ def test_byte_identical_reruns(tmp_path):
     assert a == b and a[0] == 0
 
 
+def test_sum_of_three_files_merges_once(tmp_path, monkeypatch):
+    rows = [[[1.0, 0.0], [0.5, 0.5]], [[0.0, 1.0], [-2.0, 0.0]], [[1.0, 1.0], [0.3, -0.7]]]
+    files = [write(tmp_path, f"{i}.json", {"ambient_dim": 2, "generators": r})
+             for i, r in enumerate(rows)]
+    zmod = sys.modules["zonoidal.zonotope"]
+    real, calls = zmod.canonicalize, []
+    monkeypatch.setattr(zmod, "canonicalize", lambda K: calls.append(K) or real(K))
+    code, out, _ = run(["sum", *files])
+    assert code == 0 and len(calls) == 1
+    monkeypatch.undo()
+    got = zonoidal.zonotope_from_dict(json.loads(out))
+    bodies = [zonoidal.zonotope(r) for r in rows]
+    pairwise = zonoidal.minkowski_sum(zonoidal.minkowski_sum(bodies[0], bodies[1]), bodies[2])
+    assert zonoidal.canonical_eq(got, pairwise)
+
+
 def test_sum_output_feeds_back_in(tmp_path):
     f1 = write(tmp_path, "a.json", {"ambient_dim": 2, "generators": [[1.0, 0.0], [0.5, 0.5]]})
     f2 = write(tmp_path, "b.json", {"ambient_dim": 2, "generators": [[0.0, 1.0]]})

@@ -620,6 +620,23 @@ def _lp_cells(A):
     return set(cells) | {tuple(-e for e in s) for s in cells}
 
 
+def _faces_match_lp_oracle(P):
+    """Assert that every span's faces of P's canonical form are the LP
+    oracle's cells (sign vectors run over the outside generators in
+    canonical order); return the number of faces."""
+    P = canonicalize(P)
+    n = P.ambient_dim // 2
+    G = P.generators
+    total = 0
+    for _, V in _spans(G, n):
+        E = Subspace(P.ambient_dim, V[:n])
+        eps = zonotope_faces_for_span(P, E)
+        outside = G[~E.members(G)] @ E.complement().basis.T
+        assert set(eps) == _lp_cells(outside)
+        total += len(eps)
+    return total
+
+
 def test_faces_for_span_match_lp_oracle():
     g = rng(27)
     near = g.standard_normal((4, 2)) + 1j * g.standard_normal((4, 2))
@@ -633,17 +650,7 @@ def test_faces_for_span_match_lp_oracle():
     bodies = [(discs[0], 80), (discs[1], 168), (complex_zonotope(near), None),
               (flats, None), (_fourteen_cell_body(1e-3)[0], None)]
     for P, want_total in bodies:
-        # Sign vectors run over the outside generators in canonical order.
-        P = canonicalize(P)
-        n = P.ambient_dim // 2
-        G = P.generators
-        total = 0
-        for _, V in _spans(G, n):
-            E = Subspace(P.ambient_dim, V[:n])
-            eps = zonotope_faces_for_span(P, E)
-            outside = G[~E.members(G)] @ E.complement().basis.T
-            assert set(eps) == _lp_cells(outside)
-            total += len(eps)
+        total = _faces_match_lp_oracle(P)
         assert want_total is None or total == want_total
     fd = zonotope_face_data(minkowski_sum(disc_zonotope([1.0, 0.3j], 16),
                                           disc_zonotope([0.2 - 0.5j, 1.0], 16)))
@@ -817,17 +824,17 @@ def test_zonotope_face_data_refuses_an_odd_ambient_dimension():
         zonotope_face_data(zonotope([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]))
 
 
-def _near_parallel_body(seed, s):
-    """Four Gaussian generators in C^2 and a fifth, 1.3 times the first's
-    direction tilted by sine s toward a random orthogonal direction."""
+def _near_parallel_body(seed, s, n=2, n_gens=5):
+    """n_gens - 1 Gaussian generators in C^n and one more, 1.3 times the
+    first's direction tilted by sine s toward a random orthogonal direction."""
     g = np.random.default_rng(seed)
-    G = g.standard_normal((4, 4))
+    G = g.standard_normal((n_gens - 1, 2 * n))
     u = G[0] / np.linalg.norm(G[0])
-    w = g.standard_normal(4)
+    w = g.standard_normal(2 * n)
     w -= (w @ u) * u
     w /= np.linalg.norm(w)
     h = 1.3 * (math.sqrt(1.0 - s * s) * u + s * w)
-    return zonotope(np.vstack([G, h]), cgrading=(2, 1))
+    return zonotope(np.vstack([G, h]), cgrading=(n, 1))
 
 
 def test_near_parallel_pair_stays_apart_and_keeps_its_vertices():
@@ -842,11 +849,6 @@ def test_near_parallel_pair_stays_apart_and_keeps_its_vertices():
     assert math.isclose(j_volume_zonotope(P), dual, rel_tol=1e-10)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "span membership (SPAN_MEMBER_TOL = 1e-9) puts a generator at sine 1e-9 "
-    "inside the spans of its near-parallel partner, which canonicalize keeps "
-    "apart (COLLINEAR_SINE_TOL = 1e-10): 34 faces instead of 60, and the "
-    "face Monte Carlo reads about 9.14 against 17.89"))
 def test_face_data_of_a_near_parallel_pair_has_every_face():
     P = _near_parallel_body(0, 1e-9)
     fd = zonotope_face_data(P)
@@ -855,6 +857,61 @@ def test_face_data_of_a_near_parallel_pair_has_every_face():
     assert len(fd.n_faces) == 60
     val, se = j_volume_polytope_mc(fd, 20_000, seed=1)
     assert abs(val - j_volume_zonotope(P)) <= 4.0 * se
+
+
+_NEAR_PARALLEL_SINES = (1.05e-10, 3e-10, 1e-9, 2e-9, 1e-8, 1e-7, 3e-7, 1e-6)
+
+
+@pytest.mark.parametrize("n, n_gens, seeds, sines, faces", [
+    (2, 5, 20, _NEAR_PARALLEL_SINES, 60),
+    (2, 7, 10, (1.05e-10, 1e-9, 1e-8, 1e-7), 210),
+    (3, 5, 10, (1.05e-10, 1e-9, 1e-8, 1e-7), 40),
+    (3, 6, 10, (1.05e-10, 1e-9, 1e-8, 1e-7), 160),
+])
+def test_face_data_of_near_parallel_pairs_has_the_generic_count(n, n_gens, seeds, sines, faces):
+    # canonicalize keeps a pair at sine above COLLINEAR_SINE_TOL apart, so
+    # the body is generic: C(N, n) spans, each with the cells of the N - n
+    # outside hyperplanes in its n-dimensional complement
+    wrong = [(seed, s) for s in sines for seed in range(seeds)
+             if len(zonotope_face_data(_near_parallel_body(seed, s, n, n_gens)).n_faces) != faces]
+    assert wrong == []
+
+
+def _degenerate_rows(g, n):
+    """Gaussian rows G in R^2n (3 for n = 2, 4 for n = 3) and three rows
+    exactly dependent on them, so that some flats hold three generators."""
+    G = g.standard_normal((3 if n == 2 else 4, 2 * n))
+    third = G[2] if n == 2 else G[3]
+    middle = 0.3 * G[0] - G[1] + (0.0 if n == 2 else 2.0 * G[2])
+    return np.vstack([G, G[0] + 0.7 * G[1], middle, third - 1.7 * G[0]])
+
+
+@pytest.mark.parametrize("n, seeds", [(2, 30), (3, 20)])
+def test_face_count_of_a_degenerate_body_survives_rotation_and_scale(n, seeds):
+    # Rounding leaves exactly dependent rows off each other's flats by
+    # about 1e-16 relative, which a rotation or a scale moves around; one
+    # tolerance far above that decides rank and membership alike.
+    for seed in range(seeds):
+        g = np.random.default_rng(seed)
+        A = _degenerate_rows(g, n)
+        P = zonotope(A, cgrading=(n, 1))
+        want = len(zonotope_face_data(P).n_faces)
+        bodies = [P]
+        for _ in range(3):
+            Q, R = np.linalg.qr(g.standard_normal((2 * n, 2 * n)))
+            c = 10.0 ** g.uniform(-3.0, 3.0)
+            bodies.append(zonotope(c * A @ (Q * np.sign(np.diag(R))).T, cgrading=(n, 1)))
+            assert len(zonotope_face_data(bodies[-1]).n_faces) == want, seed
+        if seed < 3:
+            assert _faces_match_lp_oracle(P) == want
+            assert _faces_match_lp_oracle(bodies[-1]) == want
+
+
+def test_rows_parallel_within_the_flat_tolerance_span_a_line():
+    # as canonicalize merges them; the rank rule is relative to s_0
+    assert subspace_from_vectors([[1.0, 0.0, 0.0, 0.0], [1.0, 1e-14, 0.0, 0.0]]).dim == 1
+    assert subspace_from_vectors([[1.0, 0.0, 0.0, 0.0], [1.0, 1e-12, 0.0, 0.0]]).dim == 2
+    assert subspace_from_vectors(1e-200 * np.eye(4)[:3]).dim == 3
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])

@@ -22,6 +22,7 @@ from zonoidal import (
     measure_from_dict,
     minkowski_sum,
     mixed_volume,
+    projection_body,
     radius,
     radius_bounds,
     scale,
@@ -42,7 +43,7 @@ from zonoidal import (
 )
 from zonoidal.algebra import _chain
 from zonoidal.jvolume import disc_zonotope, j_volume_zonotope
-from zonoidal.sampling import CHUNK, direction_net
+from zonoidal.sampling import CHUNK, SeedStream, _derive_key, _net_blocks, direction_net
 from zonoidal.testkit import length_brute, radius_brute, support_brute
 from zonoidal.zonotope import (COLLINEAR_SINE_TOL, _collinear_labels, _integer, _lex_order,
                                _net_max)
@@ -827,15 +828,121 @@ def test_object_entries_become_ints_and_fractions():
 
 def test_net_supports_are_taken_in_blocks():
     # a net one block and a part long, whose largest support is at its last
-    # direction, in the partial block; the blocked maxima equal the
-    # whole-net ones bit for bit
+    # direction, in the partial block; the maxima over the net's blocks
+    # equal the whole-net ones bit for bit
     net = direction_net(3, CHUNK + 1001, seed=2)
     K = zonotope(net[-1:])
     L = zonotope(np.vstack([net[-1:], rng(3).standard_normal((3, 3))]))
     assert np.argmax(support_many(K, net)) == len(net) - 1
-    assert _net_max(net, K) == float(np.max(support_many(K, net)))
-    assert _net_max(net, K, L) == float(np.max(np.abs(support_many(K, net)
-                                                      - support_many(L, net))))
-    assert _net_max(net[:0], K, L) == 0.0
+    assert _net_max(_net_blocks(3, len(net), 2), K) == float(np.max(support_many(K, net)))
+    assert _net_max(_net_blocks(3, len(net), 2), K, L) == float(
+        np.max(np.abs(support_many(K, net) - support_many(L, net))))
+    assert _net_max([], K, L) == 0.0
     lo, _ = radius_bounds(L, net_count=CHUNK + 1001, seed=2)
     assert lo == max(float(np.max(support_many(L, net))), length(L) / tau(3))
+
+
+def _whole_net(dim, count, seed):
+    """The direction net in one piece, from its closed forms and one draw."""
+    if dim >= 4:
+        return SeedStream(seed).derive("net", dim, count).sphere(count, dim)
+    i = np.arange(count) + (0.5 if dim == 3 else (_derive_key(seed, ("net2",)) % 2**32) / 2**32)
+    if dim == 2:
+        theta = 2.0 * np.pi * i / count
+        return np.column_stack([np.cos(theta), np.sin(theta)])
+    z = 1.0 - 2.0 * i / count
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    phi = 2.0 * np.pi * i / ((1.0 + math.sqrt(5.0)) / 2.0)
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
+@pytest.mark.parametrize("dim, count", [(2, CHUNK + 1001), (3, 2 * CHUNK + 3), (5, CHUNK + 7),
+                                        (5, 11)])
+def test_net_blocks_repeat_the_whole_net(dim, count):
+    blocks = list(_net_blocks(dim, count, seed=4))
+    assert [len(b) for b in blocks[:-1]] == [CHUNK] * (len(blocks) - 1)
+    want = _whole_net(dim, count, seed=4)
+    assert np.array_equal(np.concatenate(blocks), want)
+    assert np.array_equal(direction_net(dim, count, seed=4), want)
+
+
+def test_hausdorff_net_is_never_held_whole():
+    import tracemalloc
+
+    K = zonotope(np.random.default_rng(0).standard_normal((12, 3)))
+    L = scale(K, 2.0)
+    tracemalloc.start()
+    try:
+        lo, hi = hausdorff_estimate(K, L, delta=3e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    count = math.ceil((3.6 / 3e-3) ** 2)  # the covering net's 1.44M directions
+    assert peak < count * 3 * 8  # the whole net's 35 MB
+    assert 0.0 < lo <= hi and lo <= length(K) / 2.0 + 1e-12
+
+
+def test_minkowski_sum_of_several_bodies_merges_once(monkeypatch):
+    zmod = sys.modules["zonoidal.zonotope"]  # the package's name zonotope is the function
+    g = rng(8)
+    bodies = [random_zonotope(g, dim=3) for _ in range(3)]
+    bodies[2] = zonotope(np.vstack([bodies[2].generators, -2.5 * bodies[0].generators[:1]]))
+    pairwise = minkowski_sum(minkowski_sum(bodies[0], bodies[1]), bodies[2])
+    calls = []
+    real = zmod.canonicalize
+    monkeypatch.setattr(zmod, "canonicalize", lambda K: calls.append(K) or real(K))
+    total = minkowski_sum(*bodies)
+    assert len(calls) == 1 and len(calls[0].generators) == sum(b.n_generators for b in bodies)
+    monkeypatch.undo()
+    assert canonical_eq(total, pairwise)
+    assert np.array_equal(minkowski_sum(bodies[0]).generators, canonicalize(bodies[0]).generators)
+
+
+def test_minkowski_sum_of_several_bodies_keeps_agreeing_tags_and_refuses_mixtures():
+    A = zonotope(np.eye(3), grading=(3, 1))
+    B = zonotope([[1.0, 2.0, 0.0]], grading=(3, 1))
+    assert minkowski_sum(A, B, A).grading == (3, 1)
+    assert minkowski_sum(A, B, zonotope([[0.0, 1.0, 1.0]])).grading is None
+    empty = zonotope(np.zeros((0, 3), dtype=object), ambient_dim=3)
+    assert not minkowski_sum(empty, A, B).exact
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        minkowski_sum(A, B, zonotope([[1.0, 0.0]]))
+    with pytest.raises(ValueError, match="cannot mix exact and float"):
+        minkowski_sum(A, B, frac_zonotope([[1, 0, 0]]))
+
+
+def _tied_projection_bodies():
+    """The projection body of a raw list and of its canonical form: equal
+    to 4.4e-16, with two rows tied at 8/3 in the first entry that rounding
+    puts in either order."""
+    raw = np.array([[1, 2, 0], [0, 3, -1], [2, -1, 1], [1, 1, 4], [-1, -2, 0], [0, 6, -2],
+                    [2, -1, 1], [0, 0, 0], [0.5, 0.5, 2]]) / 3
+    return projection_body(zonotope(raw)), projection_body(canonicalize(zonotope(raw)))
+
+
+def test_canonical_eq_pairs_rows_that_rounding_ordered_either_way():
+    P, Q = _tied_projection_bodies()
+    a, b = canonicalize(P).generators, canonicalize(Q).generators
+    assert not np.all(np.abs(a - b) <= 1e-12 * np.max(np.abs(a)))  # the order differs
+    assert canonical_eq(P, Q) and canonical_eq(Q, P)
+    empty = zonotope([], ambient_dim=3)
+    assert virtual_eq(VirtualZonotope(P, empty), VirtualZonotope(Q, empty))
+
+
+def test_canonical_eq_still_needs_every_row_within_tol():
+    P, _ = _tied_projection_bodies()
+    g = canonicalize(P).generators
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(g))))
+    for i in (0, 1, len(g) // 2, len(g) - 1):
+        moved = g.copy()
+        moved[i, -1] += 10.0 * tol
+        assert not canonical_eq(P, zonotope(moved)), i
+
+
+def test_canonical_eq_needs_a_one_to_one_pairing():
+    # every row has a row within tol in the other body, but (1, 0) would
+    # have to pair with two rows
+    K = zonotope([[1.0, 0.0], [1.0, 0.01], [2.0, 1.0]])
+    L = zonotope([[1.0, 0.0], [2.0, 1.0], [2.0, 1.01]])
+    assert not canonical_eq(K, L, tol=0.05)
+    assert canonical_eq(K, zonotope([[1.0, 0.02], [1.0, -0.01], [2.0, 1.0]]), tol=0.05)
