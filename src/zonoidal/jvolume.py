@@ -35,7 +35,8 @@ from .algebra import _chain, _require_grading
 from .exterior import _row_norms, realify_rows, unrealify_rows
 from .sampling import SeedStream, _mc_mean_se, derive_seed
 from .zonotope import (Zonotope, _finite_floats, _in_flat, _integer, _orthonormal_rows, _spans,
-                       _unique_rows, _vertex_signs, canonicalize, length, zonotope)
+                       _unique_rows, _vertex_signs, _vertex_signs_many, canonicalize, length,
+                       zonotope)
 
 __all__ = [
     "ComplexStructure",
@@ -170,14 +171,20 @@ class PolytopeFaceData:
             V = V.reshape(0, self.ambient_dim)
         if V.ndim != 2 or V.shape[1] != self.ambient_dim:
             raise ValueError("vertices must be rows of length ambient_dim")
-        # index arrays become lists of Python ints first, which _integer takes fastest
-        faces = tuple(tuple(map(_integer, f.tolist() if isinstance(f, np.ndarray) else f))
-                      for f in self.n_faces)
+        faces = tuple(map(_face_indices, self.n_faces))
         for f in faces:
             if not f or max(f) >= V.shape[0] or min(f) < 0:
                 raise ValueError("face refers to a missing vertex")
         object.__setattr__(self, "vertices", V)
         object.__setattr__(self, "n_faces", faces)
+
+
+def _face_indices(f) -> tuple:
+    """A face as a tuple of Python ints: a 1-D integer array by one dtype
+    check (its tolist() holds ints), anything else by ``_integer`` per entry."""
+    if isinstance(f, np.ndarray) and f.ndim == 1 and f.dtype.kind in "iu":
+        return tuple(f.tolist())
+    return tuple(map(_integer, f.tolist() if isinstance(f, np.ndarray) else f))
 
 
 def _complex_minors(G: np.ndarray, struct: ComplexStructure) -> np.ndarray:
@@ -436,19 +443,21 @@ def zonotope_face_data(P: Zonotope) -> PolytopeFaceData:
     The faces with direction span E, for each span of n independent
     generators, are the cells cut by the outside generators in E's
     complement; their vertices are the cells cut by the in-E generators
-    in E (``_vertex_signs``).  Vertices are keyed by sign vector over the
-    canonical generators, so no scale merges or splits them; they, and
-    the faces of each span, are sorted by sign vector.  The faces do not
-    depend on a complex structure, only on n.
+    in E.  The arrangements of all spans go to one ``_vertex_signs_many``
+    call, which takes each level of all of them at once.  Vertices are
+    keyed by sign vector over the canonical generators, so no scale merges
+    or splits them; they, and the faces of each span, are sorted by sign
+    vector.  The faces do not depend on a complex structure, only on n.
     """
     if P.ambient_dim % 2:
         raise ValueError("n-faces need an even ambient dimension 2n")
     n = P.ambient_dim // 2
     G = _float_canonical(P).generators
+    _, masks, Vs = _spans(G[None], n)
+    cells = _vertex_signs_many([G[~mask] @ V[n:].T for mask, V in zip(masks, Vs)]
+                               + [G[mask] @ V[:n].T for mask, V in zip(masks, Vs)])
     signs, sizes = [], []
-    for mask, V in _spans(G, n):
-        faces = _vertex_signs(G[~mask] @ V[n:].T)
-        inside = _vertex_signs(G[mask] @ V[:n].T)
+    for mask, faces, inside in zip(masks, cells, cells[len(masks):]):
         block = np.empty((len(faces), len(inside), len(G)))
         block[:, :, ~mask] = faces[:, None, :]
         block[:, :, mask] = inside
@@ -457,7 +466,8 @@ def zonotope_face_data(P: Zonotope) -> PolytopeFaceData:
     if not signs:
         return PolytopeFaceData(P.ambient_dim, np.zeros((0, P.ambient_dim)), ())
     verts, index = _unique_rows(np.concatenate(signs))
-    faces = np.split(index, np.cumsum(sizes)[:-1])
+    cut = np.cumsum([0] + sizes).tolist()
+    faces = [index[lo:hi] for lo, hi in zip(cut, cut[1:])]
     return PolytopeFaceData(P.ambient_dim, 0.5 * verts @ G, faces)
 
 

@@ -325,9 +325,10 @@ def _significant(s: np.ndarray) -> np.ndarray:
 
 def _in_flat(G: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Mask of the rows of G whose residual off the span of B's orthonormal
-    rows (of each B, for a stack) is at most FLAT_TOL times their norm."""
+    rows is at most FLAT_TOL times their norm; G and B may be stacks that
+    broadcast against each other."""
     resid = G - (G @ np.swapaxes(B, -1, -2)) @ B
-    return np.linalg.norm(resid, axis=-1) <= FLAT_TOL * np.linalg.norm(G, axis=1)
+    return np.linalg.norm(resid, axis=-1) <= FLAT_TOL * np.linalg.norm(G, axis=-1)
 
 
 def _orthonormal_rows(V: np.ndarray, expected_rank: int | None = None) -> np.ndarray:
@@ -340,18 +341,29 @@ def _orthonormal_rows(V: np.ndarray, expected_rank: int | None = None) -> np.nda
     return Vt[:rank]
 
 
-def _spans(A: np.ndarray, d: int) -> list:
-    """Distinct spans of d independent rows of A, from one batched SVD per
-    block of d-subsets, as (mask of the rows each contains, orthonormal
-    rows of R^m whose first d span it), keyed by the mask."""
-    A = np.asarray(A, dtype=np.float64)
-    spans: dict[bytes, tuple] = {}
-    for idx in _subset_blocks(len(A), d):
-        _, s, Vt = np.linalg.svd(A[idx], full_matrices=True)
-        Vt = Vt[np.all(_significant(s), axis=1)]
-        for mask, V in zip(_in_flat(A, Vt[:, :d]), Vt):
-            spans.setdefault(mask.tobytes(), (mask, V))
-    return list(spans.values())
+def _spans(As: np.ndarray, d: int):
+    """Distinct spans of d independent rows in each arrangement of a stack
+    As of shape (g, N, c), from one batched SVD per block of d-subsets, as
+    arrays (owner, mask, V): per span, the arrangement it lies in, the
+    mask of that arrangement's rows it contains, and orthonormal rows of
+    R^c whose first d span it.  A span is keyed by (owner, mask) and read
+    off its first d-subset in lexicographic order; spans are listed by
+    owner, then by that subset."""
+    As = np.asarray(As, dtype=np.float64)
+    found = []
+    for idx in _subset_blocks(As.shape[1], d):
+        _, s, Vt = np.linalg.svd(As[:, idx], full_matrices=True)
+        owner, sub = np.nonzero(np.all(_significant(s), axis=-1))
+        Vt = Vt[owner, sub]
+        found.append((owner, _in_flat(As[owner], Vt[:, :d]), Vt))
+    owner, mask, V = (np.concatenate(x) for x in zip(*found))
+    key = np.column_stack([owner, np.packbits(mask, axis=1)])
+    order = _lex_order(key)  # stable: a span's first subset leads its run
+    lead = np.ones(len(key), dtype=bool)
+    lead[1:] = np.any(key[order[1:]] != key[order[:-1]], axis=1)
+    first = order[lead]
+    first = first[np.lexsort((first, owner[first]))]
+    return owner[first], mask[first], V[first]
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -367,29 +379,91 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s[new], inverse
 
 
+def _cells(stacks: list) -> list:
+    """Open cells of the central arrangements in stacks, arrays (g, N, c)
+    whose arrangements have rank c, as (owner, signs) per stack: each
+    arrangement's sign rows, sorted by owner, then lexicographically.
+    c rows cut all 2^c orthants.  Otherwise every cell has an extreme ray
+    r normal to a (c-1)-span of rows (``_spans``): the rows off r take
+    their sign at r or at -r, and the rows in the span recurse in it.
+    Stacks of one shape are taken as one, and the in-span arrangements of
+    all their spans recurse in one call, so each level is one call."""
+    by_shape, out, pending, inner = {}, [None] * len(stacks), [], []
+    for j, A in enumerate(stacks):
+        by_shape.setdefault(A.shape[1:], []).append(j)
+
+    def put(js, owner, signs):  # hand each stack in js its arrangements' cells
+        start = np.cumsum([0] + [len(stacks[j]) for j in js])
+        cut = np.searchsorted(owner, start).tolist()
+        for j, first, lo, hi in zip(js, start.tolist(), cut, cut[1:]):
+            out[j] = (owner[lo:hi] - first, signs[lo:hi])
+
+    for (N, c), js in by_shape.items():
+        A = np.concatenate([stacks[j] for j in js])
+        if N == c:
+            orthants = np.array(list(product((-1.0, 1.0), repeat=c))).reshape(2**c, c)
+            put(js, np.repeat(np.arange(len(A)), 2**c), np.tile(orthants, (len(A), 1)))
+            continue
+        owner, mask, V = _spans(A, c - 1)
+        off = np.where((A[owner] @ V[:, c - 1, :, None])[..., 0] > 0.0, 1.0, -1.0)
+        size = mask.sum(axis=1)
+        groups = []
+        for k in sorted(set(size.tolist())):  # one in-span stack per member count
+            sel = np.flatnonzero(size == k)
+            cols = np.nonzero(mask[sel])[1].reshape(len(sel), k)
+            groups.append((len(inner), sel, cols))
+            inner.append(A[owner[sel, None], cols] @ np.swapaxes(V[sel, :c - 1], 1, 2))
+        pending.append((js, owner, off, groups))
+    done = _cells(inner) if inner else []
+    for js, owner, off, groups in pending:
+        rows = []
+        for t, sel, cols in groups:
+            at, signs = done[t]
+            block = np.concatenate([off[sel[at]], -off[sel[at]]])
+            np.put_along_axis(block, np.tile(cols[at], (2, 1)), np.tile(signs, (2, 1)), axis=1)
+            # packed big-endian with +1 as a set bit, sign rows sort as unpacked
+            rows.append(np.column_stack([np.tile(owner[sel[at]], 2),
+                                         np.packbits(block > 0.0, axis=1)]))
+        cells = _unique_rows(np.concatenate(rows))[0]
+        signs = np.unpackbits(cells[:, 1:].astype(np.uint8), axis=1, count=off.shape[1])
+        put(js, cells[:, 0], 2.0 * signs - 1.0)
+    return out
+
+
+def _vertex_signs_many(As) -> list:
+    """``_vertex_signs`` of each arrangement in As: one stacked SVD per shape
+    gives each its rank c and its coordinates on its row space, R^c, and
+    ``_cells`` takes them all at once.  A row that is zero there (a zero
+    row, or one below the rank rule off the others' span) cuts no cell
+    and is a ValueError."""
+    As = [np.asarray(A, dtype=np.float64) for A in As]
+    by_shape, stacks, members, out = {}, [], [], [None] * len(As)
+    for i, A in enumerate(As):
+        by_shape.setdefault(A.shape, []).append(i)
+    for ids in by_shape.values():
+        A = np.stack([As[i] for i in ids])
+        _, s, Vt = np.linalg.svd(A, full_matrices=False)
+        rank = np.sum(_significant(s), axis=-1)
+        for c in sorted(set(rank.tolist())):
+            sel = np.flatnonzero(rank == c)
+            stacks.append(A[sel] @ np.swapaxes(Vt[sel, :c], 1, 2))
+            members.append([ids[j] for j in sel.tolist()])
+            zero = np.argwhere(~np.any(stacks[-1] != 0.0, axis=-1))
+            if len(zero):
+                raise ValueError(f"row {zero[0, 1]} of arrangement {members[-1][zero[0, 0]]} "
+                                 "is zero in row-space coordinates: a zero normal cuts no cell")
+    for ids, (owner, signs) in zip(members, _cells(stacks)):
+        cut = np.searchsorted(owner, np.arange(len(ids) + 1)).tolist()
+        for i, lo, hi in zip(ids, cut, cut[1:]):
+            out[i] = signs[lo:hi]
+    return out
+
+
 def _vertex_signs(A: np.ndarray) -> np.ndarray:
     """Sorted sign vectors (rows of +-1.0) of the open cells of the central
     arrangement normal to A's rows: the vertices of the zonotope they
-    generate.  On A's row space, of dimension c, c rows cut all 2^c
-    orthants.  Otherwise every cell has an extreme ray r normal to a
-    (c-1)-span of rows (``_spans``): the rows off r take their sign at r
-    or at -r, and the rows in the span recurse in it."""
-    def cells(A: np.ndarray) -> np.ndarray:
-        N, c = A.shape
-        if N == c:
-            return np.array(list(product((-1.0, 1.0), repeat=c)))
-        out = []
-        for mask, V in _spans(A, c - 1):
-            inner = cells(A[mask] @ V[:c - 1].T)
-            off = np.where(A[~mask] @ V[c - 1] > 0.0, 1.0, -1.0)
-            block = np.empty((2, len(inner), N))
-            block[:, :, mask] = inner
-            block[:, :, ~mask] = np.array([off, -off])[:, None]
-            out.append(block.reshape(-1, N))
-        return _unique_rows(np.concatenate(out))[0]
-
-    A = np.asarray(A, dtype=np.float64)
-    return cells(A @ _orthonormal_rows(A).T)
+    generate (``_cells``, through ``_vertex_signs_many``)."""
+    return _vertex_signs_many([A])[0]
 
 
 def _canonicalize_float(K: Zonotope) -> Zonotope:

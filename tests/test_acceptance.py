@@ -261,7 +261,7 @@ def test_criterion_10_normal_angle_machinery():
         fd = zonotope_face_data(P)
         val, se = j_volume_polytope_mc(fd, 10**5, seed=100 + i)
         worst_dev = max(worst_dev, abs(val - exact) / se)
-        E = Subspace(4, _spans(P.generators, 2)[0][1][:2])
+        E = Subspace(4, _spans(P.generators[None], 2)[2][0][:2])
         total, var = 0.0, 0.0
         for eps in zonotope_faces_for_span(P, E):
             th, s = normal_angle_mc(P, (E, eps), 10**5, seed=200 + i)

@@ -48,7 +48,8 @@ from zonoidal.exterior import _ROW_BLOCK, blade_from_vectors, complex_blade_from
 from zonoidal.jvolume import _face_volume
 from zonoidal.sampling import CHUNK, SeedStream, _mc_mean_se
 from zonoidal.testkit import hull_area_brute, wedge_norm_brute
-from zonoidal.zonotope import _orthonormal_rows, _spans, _unique_rows
+from zonoidal.zonotope import (_orthonormal_rows, _spans, _unique_rows, _vertex_signs,
+                               _vertex_signs_many)
 
 
 def rng(seed=0):
@@ -275,7 +276,7 @@ def test_j_volume_counts_a_span_on_a_rounding_half_step_once():
     dual = length(complex_wedge_zonoids(P, P)) / 2.0
     assert math.isclose(dual, 11.23, rel_tol=1e-3)
     assert math.isclose(j_volume_zonotope(P), dual, rel_tol=1e-10)
-    assert len(_spans(P.generators, 2)) == 1 + 4 + 4 + 1
+    assert len(_spans(P.generators[None], 2)[0]) == 1 + 4 + 4 + 1
 
 
 def test_j_volume_of_near_dependent_generators_matches_dual_path():
@@ -528,7 +529,7 @@ def test_normal_angle_stderr_is_bessel_corrected():
 def test_normal_angles_partition_sphere():
     g = rng(10)
     P = random_complex_zonotope(g, n_gens=4)
-    spans = [Subspace(4, V[:2]) for _, V in _spans(P.generators, 2)]
+    spans = [Subspace(4, V[:2]) for V in _spans(P.generators[None], 2)[2]]
     for E in spans[:2]:
         eps_list = zonotope_faces_for_span(P, E)
         total, var = 0.0, 0.0
@@ -543,7 +544,7 @@ def test_faces_for_span_chamber_counts():
     g = rng(11)
     P = random_complex_zonotope(g, n_gens=4)
     P = __import__("zonoidal").canonicalize(P)
-    spans = [Subspace(4, V[:2]) for _, V in _spans(P.generators, 2)]
+    spans = [Subspace(4, V[:2]) for V in _spans(P.generators[None], 2)[2]]
     for E in spans:
         eps_list = zonotope_faces_for_span(P, E)
         n_out = P.n_generators - np.count_nonzero(E.members(P.generators))
@@ -628,7 +629,7 @@ def _faces_match_lp_oracle(P):
     n = P.ambient_dim // 2
     G = P.generators
     total = 0
-    for _, V in _spans(G, n):
+    for V in _spans(G[None], n)[2]:
         E = Subspace(P.ambient_dim, V[:n])
         eps = zonotope_faces_for_span(P, E)
         outside = G[~E.members(G)] @ E.complement().basis.T
@@ -637,7 +638,10 @@ def _faces_match_lp_oracle(P):
     return total
 
 
-def test_faces_for_span_match_lp_oracle():
+def _mixed_span_bodies():
+    """Bodies whose spans mix generic and degenerate shapes, with their
+    face counts where known: two disc sums, a near-parallel pair, a body
+    with flats of three and four generators, and the 14-cell body."""
     g = rng(27)
     near = g.standard_normal((4, 2)) + 1j * g.standard_normal((4, 2))
     near[1] = near[0] * np.exp(1e-4j) + 1e-4 * near[2]
@@ -647,9 +651,12 @@ def test_faces_for_span_match_lp_oracle():
                                [0.2, 0.1, 0.3, 1.0]]), cgrading=(2, 1))
     discs = [minkowski_sum(disc_zonotope([1.0, 0.3j], q),
                            disc_zonotope([0.2 - 0.5j, 1.0], q)) for q in (4, 6)]
-    bodies = [(discs[0], 80), (discs[1], 168), (complex_zonotope(near), None),
-              (flats, None), (_fourteen_cell_body(1e-3)[0], None)]
-    for P, want_total in bodies:
+    return [(discs[0], 80), (discs[1], 168), (complex_zonotope(near), None),
+            (flats, None), (_fourteen_cell_body(1e-3)[0], None)]
+
+
+def test_faces_for_span_match_lp_oracle():
+    for P, want_total in _mixed_span_bodies():
         total = _faces_match_lp_oracle(P)
         assert want_total is None or total == want_total
     fd = zonotope_face_data(minkowski_sum(disc_zonotope([1.0, 0.3j], 16),
@@ -657,6 +664,91 @@ def test_faces_for_span_match_lp_oracle():
     # The product of two 32-gons.
     assert len(fd.n_faces) == 1088
     assert fd.vertices.shape == (1024, 4)
+
+
+def _face_data_span_by_span(P):
+    """zonotope_face_data's vertices and faces with each span's two
+    arrangements enumerated on their own, one _vertex_signs call each."""
+    G, n = canonicalize(P).generators, P.ambient_dim // 2
+    signs, sizes = [], []
+    for mask, V in zip(*_spans(G[None], n)[1:]):
+        faces, inside = _vertex_signs(G[~mask] @ V[n:].T), _vertex_signs(G[mask] @ V[:n].T)
+        block = np.empty((len(faces), len(inside), len(G)))
+        block[:, :, ~mask] = faces[:, None, :]
+        block[:, :, mask] = inside
+        signs.append(block.reshape(-1, len(G)))
+        sizes += [len(inside)] * len(faces)
+    verts, index = _unique_rows(np.concatenate(signs))
+    return 0.5 * verts @ G, tuple(tuple(f.tolist()) for f in np.split(index, np.cumsum(sizes)[:-1]))
+
+
+def test_batched_face_data_equals_the_span_by_span_reference():
+    bodies = [P for P, _ in _mixed_span_bodies()]
+    bodies += [zonotope(_degenerate_rows(np.random.default_rng(s), n), cgrading=(n, 1))
+               for s, n in ((0, 2), (1, 3))]
+    for P in bodies:
+        fd = zonotope_face_data(P)
+        verts, faces = _face_data_span_by_span(P)
+        assert fd.vertices.tobytes() == verts.tobytes() and fd.vertices.shape == verts.shape
+        assert fd.n_faces == faces
+
+
+def _adversarial_arrangements(c):
+    """Arrangements of rank c: a direction repeated at several scales and
+    signs among generic rows; from c = 2, c + 1 rows whose hyperplanes
+    all contain the last axis, plus one more; integer rows from
+    {-1, 0, 1}^c with repeats and parallels; and rank-deficient copies in
+    R^(c + 1): the integer rows times an integer c x (c + 1) matrix, and
+    the first arrangement padded by a zero column."""
+    g = np.random.default_rng(40 + c)
+    u = g.standard_normal(c)
+    parallel = np.vstack([u, -2.0 * u, 0.5 * u, g.standard_normal((c, c))])
+    ray = np.vstack([np.c_[g.standard_normal((c + 1, c - 1)), np.zeros(c + 1)],
+                     g.standard_normal(c)])
+    rows = g.integers(-1, 2, size=(c + 4, c))
+    rows = rows[rows.any(axis=1)].astype(float)
+    M = g.integers(-2, 3, size=(c, c + 1)).astype(float)
+    while np.linalg.matrix_rank(M) < c:
+        M = g.integers(-2, 3, size=(c, c + 1)).astype(float)
+    return [parallel, rows, rows @ M, np.c_[parallel, np.zeros(len(parallel))]] + [ray] * (c > 1)
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4])
+def test_vertex_signs_match_lp_oracle_on_adversarial_arrangements(c):
+    for A in _adversarial_arrangements(c):
+        cells = _vertex_signs(A)
+        assert set(map(tuple, cells.tolist())) == _lp_cells(A)
+        assert np.array_equal(cells, np.unique(cells, axis=0))  # sorted and distinct
+
+
+def test_vertex_signs_many_equals_each_arrangement_alone():
+    # shapes repeat, one shape holds two ranks, and one arrangement is empty
+    g = np.random.default_rng(6)
+    As = [g.standard_normal((5, 3)), g.standard_normal((5, 2)) @ g.standard_normal((2, 3)),
+          np.zeros((0, 2)), [[1.0], [-3.0], [0.5]], g.standard_normal((3, 3)),
+          *_adversarial_arrangements(3), g.standard_normal((5, 3)), [[1, 2], [2, 4], [0, 1]]]
+    many = _vertex_signs_many(As)
+    assert len(many) == len(As)
+    for A, cells in zip(As, many):
+        alone = _vertex_signs(A)
+        assert cells.shape == alone.shape and np.array_equal(cells, alone)
+    assert many[2].shape == (1, 0)
+    assert _vertex_signs_many([]) == []
+
+
+def test_vertex_signs_refuses_a_zero_row():
+    A = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 2], [0, 0, 0], [2, 1, 1],
+                  [-1, 3, 1]])
+    with pytest.raises(ValueError, match="^row 5 of arrangement 0 is zero in row-space "
+                                         "coordinates: a zero normal cuts no cell$"):
+        _vertex_signs(A)
+    with pytest.raises(ValueError, match="^row 0 of arrangement 0 is zero"):
+        _vertex_signs(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="^row 5 of arrangement 1 is zero"):
+        _vertex_signs_many([A[:5], A])
+    # a nonzero row below the rank rule, orthogonal to the row space, is zero there
+    with pytest.raises(ValueError, match="^row 1 of arrangement 0 is zero"):
+        _vertex_signs([[1.0, 0.0], [0.0, 1e-20]])
 
 
 def test_polytope_mc_of_scaled_body_is_scale_invariant():
@@ -764,6 +856,19 @@ def test_face_data_index_validation():
         PolytopeFaceData(2, [[0.0, 0.0]], [[0, 5]])
 
 
+def test_face_data_takes_integer_arrays_and_refuses_bool_arrays():
+    verts = [[0.0, 0.0], [1.0, 0.0]]
+    for face in (np.array([0, 1]), np.array([0, 1], dtype=np.uint8), np.array([0.0, 1.0]), [0, 1]):
+        fd = PolytopeFaceData(2, verts, [face])
+        assert fd.n_faces == ((0, 1),) and all(type(i) is int for i in fd.n_faces[0])
+    with pytest.raises(KeyError, match="not an integer: False"):
+        PolytopeFaceData(2, verts, [np.array([False, True])])
+    with pytest.raises(KeyError, match="not an integer: 0.5"):
+        PolytopeFaceData(2, verts, [np.array([0.5, 1.0])])
+    with pytest.raises(ValueError, match="face refers to a missing vertex"):
+        PolytopeFaceData(2, verts, [np.array([0, 2])])
+
+
 @pytest.mark.parametrize("face", [[], [-1, 0, 1, 2], [0, 99]])
 def test_normal_angle_refuses_a_vertex_list_with_a_missing_vertex(face):
     fd = zonotope_face_data(random_complex_zonotope(rng(12), n_gens=3))
@@ -810,7 +915,7 @@ def test_cone_test_in_the_complement_equals_the_ambient_test(seed, n, n_gens):
 
 def test_zonotope_cone_test_in_the_complement_equals_the_ambient_test():
     P = random_complex_zonotope(rng(16), n_gens=5)
-    E = Subspace(4, _spans(P.generators, 2)[0][1][:2])
+    E = Subspace(4, _spans(P.generators[None], 2)[2][0][:2])
     faces = zonotope_faces_for_span(P, E)
     assert len(faces) == 6
     for k, eps in enumerate(faces):
