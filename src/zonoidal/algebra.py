@@ -72,6 +72,14 @@ def _as_degree_one(K: Zonotope) -> Zonotope:
     return replace(K, grading=K.grading or (K.ambient_dim, 1), cgrading=None)
 
 
+def _as_degree_one_each(zonotopes) -> list:
+    """``_as_degree_one`` of each body, one new object per distinct one, so
+    that ``_chain`` still sees a body passed twice as one repeated factor."""
+    zonotopes = list(zonotopes)
+    one = {id(K): _as_degree_one(K) for K in zonotopes}
+    return [one[id(K)] for K in zonotopes]
+
+
 def _pair_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All outer products a[i] (x) b[j], i in the outer order, flattened row-major."""
     return np.einsum("ia,jb->ijab", a, b).reshape(len(a) * len(b), a.shape[1] * b.shape[1])
@@ -137,6 +145,14 @@ def virtual_tensor(W1: VirtualZonotope, W2: VirtualZonotope) -> VirtualZonotope:
     return VirtualZonotope(plus, minus)
 
 
+def _graded(gens: np.ndarray, m: int, k: int, is_complex: bool) -> Zonotope:
+    """The degree-k body of wedge rows gens over R^m, or of complex wedge
+    rows over C^m, realified."""
+    if is_complex:
+        return Zonotope(2 * exterior_dim(m, k), realify_rows(gens), cgrading=(m, k))
+    return Zonotope(exterior_dim(m, k), gens, grading=(m, k))
+
+
 def _wedge_raw(K: Zonotope, L: Zonotope) -> Zonotope:
     """Wedge of graded zonotopes before canonicalization: one generator
     per pair, K's generators in the outer order.  Complex-graded bodies
@@ -151,11 +167,9 @@ def _wedge_raw(K: Zonotope, L: Zonotope) -> Zonotope:
     a, b = K.generators, L.generators
     if is_complex:
         a, b = unrealify_rows(a), unrealify_rows(b)
-    with np.errstate(over="ignore", invalid="ignore"):  # see _wedge_power_raw
+    with np.errstate(over="ignore", invalid="ignore"):  # see _subset_power
         gens = exterior.wedge_pairs(a, b, m, k, l)
-    if is_complex:
-        return Zonotope(2 * exterior_dim(m, k + l), realify_rows(gens), cgrading=(m, k + l))
-    return Zonotope(exterior_dim(m, k + l), gens, grading=(m, k + l))
+    return _graded(gens, m, k + l, is_complex)
 
 
 def wedge_product(K: Zonotope, L: Zonotope) -> Zonotope:
@@ -164,19 +178,29 @@ def wedge_product(K: Zonotope, L: Zonotope) -> Zonotope:
     return canonicalize(_wedge_raw(K, L))
 
 
-def _wedge_power_raw(K: Zonotope, d: int) -> Zonotope:
-    """d-fold wedge before canonicalization (see ``wedge_power``)."""
-    if d < 0:
-        raise ValueError("power must be nonnegative")
-    K = _as_degree_one(K)
-    m, _ = K.grading
-    if d == 0:
-        return zonotope(np.ones((1, 1), dtype=K.generators.dtype), grading=(m, 0))
+def _subset_power(K: Zonotope, d: int) -> Zonotope:
+    """K^(^d), d >= 1, of a degree-1 body with either tag, before
+    canonicalization: the blades of the d-subsets of the generators as
+    given, each scaled by d!, one row per subset.  A complex-tagged body
+    is wedged as complex rows over C^m and realified again."""
+    m, _, is_complex = _require_grading(K)
+    G = unrealify_rows(K.generators) if is_complex else K.generators
     # a product past float64 is an inf or nan row, which length and
     # canonicalize refuse with the ValueError of the exact route's norms
     with np.errstate(over="ignore", invalid="ignore"):
-        gens = exterior.subset_blades(K.generators, d, math.factorial(d))
-    return Zonotope(exterior_dim(m, d), gens, grading=(m, d))
+        gens = exterior.subset_blades(G, d, math.factorial(d))
+    return _graded(gens, m, d, is_complex)
+
+
+def _wedge_power_raw(K: Zonotope, d: int) -> Zonotope:
+    """d-fold wedge before canonicalization (see ``wedge_power``); a
+    complex tag is read as real."""
+    if d < 0:
+        raise ValueError("power must be nonnegative")
+    K = _as_degree_one(K)
+    if d == 0:
+        return zonotope(np.ones((1, 1), dtype=K.generators.dtype), grading=(K.grading[0], 0))
+    return _subset_power(K, d)
 
 
 def wedge_power(K: Zonotope, d: int) -> Zonotope:
@@ -221,18 +245,34 @@ def induced_map(f, zonotopes) -> Zonotope:
 
 
 def _chain(zonotopes) -> Zonotope:
-    """K_1 ^ ... ^ K_p, real or complex by the factors' tags.  The
-    intermediate products are canonicalized, so repeated factors do not
-    grow as N^p; the last one is not, so that callers reading only its
+    """K_1 ^ ... ^ K_p, real or complex by the factors' tags.
+
+    The product is commutative (up to generator signs, which a zonotope
+    ignores), so a degree-1 factor passed r >= 2 times enters once, as
+    its r-th power: the C(N, r) blades of the r-subsets of its
+    generators, scaled by r! (``_subset_power``), in place of N^r ordered
+    tuples.  A factor repeats when it is the same object (``is``); equal
+    generator arrays are not compared.  Higher degrees are not grouped,
+    since g ^ g need not vanish there.  The intermediate products are
+    canonicalized; the last one is not, so that callers reading only its
     length skip the merge, which keeps length.
     """
     if not zonotopes:
         raise ValueError("need at least one zonotope")
-    out = zonotopes[0]
-    for K in zonotopes[1:-1]:
+    same = {}
+    for K in zonotopes:
+        same.setdefault(id(K), []).append(K)
+    factors = []
+    for Ks in same.values():
+        if len(Ks) > 1 and _require_grading(Ks[0])[1] == 1:
+            factors.append(_subset_power(Ks[0], len(Ks)))
+        else:
+            factors.extend(Ks)
+    out = factors[0]
+    for K in factors[1:-1]:
         out = wedge_product(out, K)
-    if len(zonotopes) > 1:
-        out = _wedge_raw(out, zonotopes[-1])
+    if len(factors) > 1:
+        out = _wedge_raw(out, factors[-1])
     return out
 
 
@@ -247,9 +287,11 @@ def mixed_volume(zonotopes):
     """MV(K_1, ..., K_m) = length(K_1 ^ ... ^ K_m) / m!.
 
     Expects exactly m degree-1 zonotopes in R^m.  Exact-rational inputs
-    give an exact Fraction.
+    give an exact Fraction.  A body passed r times (the same object) is
+    wedged as its r-th power, the r-subsets of its generators
+    (``_chain``), so MV(K[r], ...) costs C(N, r) rows for K, not N^r.
     """
-    Ks = [_as_degree_one(K) for K in zonotopes]
+    Ks = _as_degree_one_each(zonotopes)
     m = Ks[0].grading[0]
     if len(Ks) != m:
         raise ValueError(f"mixed volume in R^{m} needs exactly {m} bodies")
@@ -301,12 +343,15 @@ def af_gap(K1: Zonotope, K2: Zonotope, companions=(), middle: Zonotope | None = 
         length(K1 ^ K2 ^ C)^2 >= length(K1 ^ K1 ^ C) length(K2 ^ K2 ^ C)
 
     where C is the wedge of the companions (or ``middle`` directly).
-    Nonnegative up to roundoff; tolerances belong to the caller.
+    Nonnegative up to roundoff; tolerances belong to the caller.  K1 ^ K1
+    and K2 ^ K2, and any body among the companions more than once, take
+    the wedge power route of ``_chain``.
     """
-    K1, K2 = _as_degree_one(K1), _as_degree_one(K2)
     if middle is not None and companions:
         raise ValueError("pass either companions or a prewedged middle factor")
-    C = [middle] if middle is not None else [_as_degree_one(K) for K in companions]
+    K1, K2, *C = _as_degree_one_each([K1, K2, *companions])
+    if middle is not None:
+        C = [middle]
 
     def term(A, B):
         return float(length(_chain([A, B] + C)))

@@ -323,6 +323,14 @@ def _significant(s: np.ndarray) -> np.ndarray:
     return s > FLAT_TOL * s[..., :1]
 
 
+def _unit_rows(A: np.ndarray) -> np.ndarray:
+    """A's rows scaled to unit norm, zero rows kept zero: the normals of
+    the same hyperplanes, so a rank read off them does not depend on the
+    rows' lengths."""
+    norms = np.linalg.norm(A, axis=-1, keepdims=True)
+    return np.divide(A, norms, out=np.zeros_like(A), where=norms > 0.0)
+
+
 def _in_flat(G: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Mask of the rows of G whose residual off the span of B's orthonormal
     rows is at most FLAT_TOL times their norm; G and B may be stacks that
@@ -348,11 +356,13 @@ def _spans(As: np.ndarray, d: int):
     mask of that arrangement's rows it contains, and orthonormal rows of
     R^c whose first d span it.  A span is keyed by (owner, mask) and read
     off its first d-subset in lexicographic order; spans are listed by
-    owner, then by that subset."""
+    owner, then by that subset.  Rank is read off the unit rows, so a
+    short row is not taken as dependent on long ones."""
     As = np.asarray(As, dtype=np.float64)
+    units = _unit_rows(As)
     found = []
     for idx in _subset_blocks(As.shape[1], d):
-        _, s, Vt = np.linalg.svd(As[:, idx], full_matrices=True)
+        _, s, Vt = np.linalg.svd(units[:, idx], full_matrices=True)
         owner, sub = np.nonzero(np.all(_significant(s), axis=-1))
         Vt = Vt[owner, sub]
         found.append((owner, _in_flat(As[owner], Vt[:, :d]), Vt))
@@ -433,16 +443,16 @@ def _cells(stacks: list) -> list:
 def _vertex_signs_many(As) -> list:
     """``_vertex_signs`` of each arrangement in As: one stacked SVD per shape
     gives each its rank c and its coordinates on its row space, R^c, and
-    ``_cells`` takes them all at once.  A row that is zero there (a zero
-    row, or one below the rank rule off the others' span) cuts no cell
-    and is a ValueError."""
+    ``_cells`` takes them all at once.  Rank is read off the unit rows,
+    whatever the rows' lengths.  A zero row cuts no cell and is a
+    ValueError."""
     As = [np.asarray(A, dtype=np.float64) for A in As]
     by_shape, stacks, members, out = {}, [], [], [None] * len(As)
     for i, A in enumerate(As):
         by_shape.setdefault(A.shape, []).append(i)
     for ids in by_shape.values():
         A = np.stack([As[i] for i in ids])
-        _, s, Vt = np.linalg.svd(A, full_matrices=False)
+        _, s, Vt = np.linalg.svd(_unit_rows(A), full_matrices=False)
         rank = np.sum(_significant(s), axis=-1)
         for c in sorted(set(rank.tolist())):
             sel = np.flatnonzero(rank == c)

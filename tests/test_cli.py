@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -941,3 +942,46 @@ def test_commands_take_only_the_shared_flags_they_read(tmp_path, capsys):
         code, out, err = run(argv)
         assert (code, out) == (2, ""), argv
         assert "unrecognized arguments" in json.loads(err)["error"]["message"]
+
+
+def _mv_bodies(tmp_path):
+    g = np.random.Generator(np.random.Philox(key=31))
+    return [write(tmp_path, f"{name}.json", {"ambient_dim": 3, "generators": rows})
+            for name, rows in zip("KLM", [(g.integers(-6, 7, size=(4, 3)) / 4).tolist(),
+                                         g.standard_normal((5, 3)).tolist(),
+                                         g.standard_normal((4, 3)).tolist()])]
+
+
+def test_mv_loads_a_repeated_path_once(tmp_path, monkeypatch):
+    K, L, M = _mv_bodies(tmp_path)
+    loads = []
+    load_zonotope = cli._load_zonotope
+    monkeypatch.setattr(cli, "_load_zonotope", lambda *a: loads.append(a) or load_zonotope(*a))
+    for flags in ([], ["--exact-rational"]):
+        exact = bool(flags)
+        Kb, Lb = (zonoidal.zonotope_from_dict(json.loads(Path(f).read_text()), exact)
+                  for f in (K, L))
+        want = zonoidal.mixed_volume([Kb, Kb, Lb])
+        code, out, _ = run(["mv", K, K, L] + flags)
+        assert code == 0 and out == cli.dumps({"value": want}) + "\n"
+        assert isinstance(want, Fraction) == exact
+        assert loads == [(K, exact), (L, exact)]
+        loads.clear()
+    # three distinct files: the pairwise chain, stdout as before
+    code, out, _ = run(["mv", K, L, M])
+    assert code == 0 and out == '{"value": 15.458455154903609}\n'
+
+
+def test_mvj_loads_a_repeated_path_once(tmp_path, monkeypatch):
+    g = np.random.Generator(np.random.Philox(key=32))
+    P = write(tmp_path, "P.json",
+              {"ambient_dim": 4, "generators": g.standard_normal((6, 4)).tolist()})
+    body = cli._require_cgrading_tag(cli._load_zonotope(P, False), P)
+    loads = []
+    load_zonotope = cli._load_zonotope
+    monkeypatch.setattr(cli, "_load_zonotope", lambda *a: loads.append(a) or load_zonotope(*a))
+    code, out, _ = run(["mvj", P, P])
+    assert code == 0 and json.loads(out)["value"] == zonoidal.mixed_J_volume(body, body)
+    code, out, _ = run(["mvj", P, P, "--wedge"])
+    assert code == 0 and len(json.loads(out)["generators"]) == math.comb(6, 2)
+    assert loads == [(P, False)] * 2

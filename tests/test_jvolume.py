@@ -265,6 +265,22 @@ def test_j_volume_equals_complex_wedge_length():
         assert math.isclose(j_volume_zonotope(P), dual, rel_tol=1e-10)
 
 
+@pytest.mark.parametrize("n_gens, n", [(10, 2), (12, 2), (8, 3), (5, 3), (2, 3)])
+def test_dual_j_volume_is_the_complex_wedge_power(n_gens, n):
+    """length(P ^_C ... ^_C P) / n! = vol^J(P): the n-fold power wedges the
+    C(N, n) n-subsets of P's generators (none when N < n), and has no
+    rows of rounding size from g ^ g = 0."""
+    z = np.random.default_rng(0).standard_normal((n_gens, n, 2)) @ [1.0, 1j]
+    P = complex_zonotope(z)
+    W = complex_wedge_zonoids(*[P] * n)
+    assert W.n_generators == math.comb(n_gens, n)
+    if n_gens >= n:
+        norms = np.linalg.norm(W.generators, axis=1)
+        assert norms.min() > 1e-8 * norms.max()
+    assert math.isclose(length(W) / math.factorial(n), j_volume_zonotope(P), rel_tol=1e-12)
+    assert math.isclose(mixed_J_volume(*[P] * n), j_volume_zonotope(P), rel_tol=1e-12)
+
+
 def test_j_volume_counts_a_span_on_a_rounding_half_step_once():
     # Four generators in one plane whose projector has an entry on a
     # rounding half-step at 8 decimals (cos^2 t = 0.123456785), plus two more.
@@ -746,9 +762,35 @@ def test_vertex_signs_refuses_a_zero_row():
         _vertex_signs(np.zeros((4, 3)))
     with pytest.raises(ValueError, match="^row 5 of arrangement 1 is zero"):
         _vertex_signs_many([A[:5], A])
-    # a nonzero row below the rank rule, orthogonal to the row space, is zero there
-    with pytest.raises(ValueError, match="^row 1 of arrangement 0 is zero"):
-        _vertex_signs([[1.0, 0.0], [0.0, 1e-20]])
+    # rank is read off the unit rows, so a short nonzero row is a normal like any other
+    assert len(_vertex_signs([[1.0, 0.0], [0.0, 1e-20]])) == 4
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4])
+def test_cells_and_spans_do_not_depend_on_row_lengths(c):
+    """A hyperplane does not depend on the length of its normal: each row
+    scaled by 10^e, e in [-16, 16], cuts the same cells, and the spans of
+    d-subsets contain the same rows."""
+    g = np.random.default_rng(60 + c)
+    for A in _adversarial_arrangements(c):
+        B = A * 10.0 ** g.integers(-16, 17, size=(len(A), 1))
+        assert np.array_equal(_vertex_signs(B), _vertex_signs(A))
+        for d in range(1, min(A.shape) + 1):
+            owner, mask, _ = _spans(A[None], d)
+            owner_b, mask_b, _ = _spans(B[None], d)
+            assert np.array_equal(owner_b, owner) and np.array_equal(mask_b, mask)
+
+
+def test_a_short_row_is_not_dependent_on_long_ones():
+    # the lines x = 0 and x = -y cut 4 cells, whatever the second normal's length
+    assert len(_vertex_signs([[1.0, 0.0], [1e-20, 1e-20]])) == 4
+    G = np.random.default_rng(3).standard_normal((5, 4))
+    assert len(zonotope_face_data(zonotope(G, cgrading=(2, 1))).n_faces) == 60
+    for s in (1e-12, 1e-14, 1e-16):
+        H = G.copy()
+        H[0] *= s
+        F = zonotope_face_data(zonotope(H, cgrading=(2, 1)))
+        assert len(F.n_faces) == 60 and len(F.vertices) == 30
 
 
 def test_polytope_mc_of_scaled_body_is_scale_invariant():

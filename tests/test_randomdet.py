@@ -149,6 +149,39 @@ def test_exact_iid_matches_brute_and_vitale():
         zonotope(K.generators, grading=(3, 1))), rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_exact_iid_abs_det_is_m_factorial_times_the_vitale_volume(m):
+    # Vitale 1991: E|det| of m iid columns X is m! vol(K(X))
+    d = random_discrete(rng(30 + m), m + 3, m)
+    want = math.factorial(m) * volume(zonotope(vitale_zonotope(d).generators, grading=(m, 1)))
+    assert math.isclose(expected_abs_det_exact(iid_column_model(d, m)), want, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+def test_exact_abs_det_shares_one_zonoid_per_distribution_and_width(complex_field, monkeypatch):
+    chains = []
+
+    def spy(zonoids):
+        chains.append(zonoids)
+        return chain(zonoids)
+
+    chain = randomdet._chain
+    monkeypatch.setattr(randomdet, "_chain", spy)
+    g = rng(35)
+    d, twin = random_discrete(g, 4, 4, complex_field), random_discrete(g, 4, 4, complex_field)
+    wide = DiscreteDistribution(g.standard_normal((3, 4, 2)), [0.2, 0.3, 0.5])
+    blocks = (MatrixBlock(1, dist=d), MatrixBlock(1, dist=twin), MatrixBlock(1, dist=d))
+    for model in (iid_column_model(d, 4),
+                  MatrixBlockModel(4, blocks + (MatrixBlock(1, dist=d),), complex_field),
+                  MatrixBlockModel(4, (MatrixBlock(2, dist=wide),) + blocks[:2], complex_field)):
+        assert math.isclose(expected_abs_det_exact(model), brute_force_expected_abs_det(model),
+                            rel_tol=1e-12)
+    iid, mixed, _ = chains
+    assert all(K is iid[0] for K in iid)
+    assert [len({id(K) for K in c}) for c in chains] == [1, 2, 3]
+    assert mixed[0] is mixed[2] is mixed[3] and mixed[1] is not mixed[0]
+
+
 def test_exact_block_widths():
     g = rng(4)
     wide = DiscreteDistribution(g.standard_normal((3, 3, 2)), [0.2, 0.3, 0.5])

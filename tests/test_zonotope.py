@@ -41,7 +41,7 @@ from zonoidal import (
     zonotope_from_dict,
     zonotope_to_dict,
 )
-from zonoidal.algebra import _chain
+from zonoidal.algebra import _chain, _wedge_raw
 from zonoidal.jvolume import disc_zonotope, j_volume_zonotope
 from zonoidal.sampling import CHUNK, SeedStream, _derive_key, _net_blocks, direction_net
 from zonoidal.testkit import length_brute, radius_brute, support_brute
@@ -386,7 +386,7 @@ def _dense_oracle_cases():
     g = rng(40)
     cases = {f"multi-run R^{d}": _multi_run_rows(g, d) for d in (2, 3, 5)}
     P = zonotope(g.standard_normal((8, 6)), cgrading=(3, 1))
-    cases["C^3 P ^ P"] = _chain([P, P]).generators
+    cases["C^3 P ^ P"] = _wedge_raw(P, P).generators  # all N^2 ordered pairs
     z1, z2 = g.standard_normal(2) + 1j * g.standard_normal(2), np.array([1.0, 1j])
     cases["disc wedge C^2"] = _chain([disc_zonotope(z1, 12), disc_zonotope(z2, 12)]).generators
     cases["disc wedge C^3"] = _chain([disc_zonotope(z, 6) for z in g.standard_normal((3, 3))
