@@ -19,7 +19,10 @@ Every product runs through one row-batched kernel, ``wedge_rows``,
 acting on (N, C(m, k)) arrays of any of these dtypes; ``blade_rows``
 folds it over the vectors of a batch of matrices, and the single-element
 functions (``wedge`` and the blades) are one-row calls; ``wedge_pairs``
-and ``subset_blades`` take whole generator lists.
+and ``subset_blades`` take whole generator lists, gathering one block of
+rows at a time.  ``subset_blades`` wedges each prefix once: the blades
+of the t-subsets that start a d-subset, level by level, each row the
+wedge of its parent with one more generator.
 
 Exact rows (int and Fraction entries) are split once into integer
 numerators over one denominator per row, the gather runs on the
@@ -34,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -222,30 +225,48 @@ def _int_arrays(bound: int, *nums):
     return [n.astype(dtype, copy=False) for n in nums]
 
 
-def _gather(a, b, m: int, k: int, l: int) -> np.ndarray:
-    """Rows a[r] ^ b[r], gathered _ROW_BLOCK rows at a time into one
-    output, which takes the first block's dtype and memory order, as a
-    concatenation of the blocks would (later row sums depend on it)."""
+def _row_blocks(count: int) -> list:
+    """Slices of at most _ROW_BLOCK rows that cover range(count) in
+    order; one empty slice when count is 0."""
+    return [slice(r, min(r + _ROW_BLOCK, count)) for r in range(0, max(count, 1), _ROW_BLOCK)]
+
+
+def _gather(a, b, m: int, k: int, l: int, count: int | None = None, pick=None) -> np.ndarray:
+    """Rows a[ia] ^ b[ib] for count output rows, gathered _ROW_BLOCK rows
+    at a time: pick(rows) gives (ia, ib) for a slice of output rows (by
+    default a[r] ^ b[r] for the len(a) rows of a), so no operand is
+    gathered for more than one block.  The output takes the first block's
+    dtype and memory order, as a concatenation of the blocks would (later
+    row sums depend on it)."""
     ii, jj, ss = _wedge_table(m, k, l)
+    count = len(a) if count is None else count
     out = None
-    for r in range(0, max(len(a), 1), _ROW_BLOCK):
-        rows = slice(r, r + _ROW_BLOCK)
-        block = (a[rows, ii] * b[rows, jj] * ss).sum(axis=2)
+    for rows in _row_blocks(count):
+        ia, ib = (rows, rows) if pick is None else pick(rows)
+        block = (a[ia][:, ii] * b[ib][:, jj] * ss).sum(axis=2)
         if out is None:
-            out = np.empty_like(block, shape=(len(a), block.shape[1]))
+            out = np.empty_like(block, shape=(count, block.shape[1]))
         out[rows] = block
     return out
 
 
-def _wedge(a, b, m: int, k: int, l: int, ia, ib) -> np.ndarray:
-    """Rows a[ia] ^ b[ib]; exact lists are split before the rows are
+def _wedge(a, b, m: int, k: int, l: int, pairs: bool) -> np.ndarray:
+    """Rows a[r] ^ b[r], or with pairs a[i] ^ b[j] for every i and j, i
+    in the outer order; exact lists are split before the rows are
     picked, so each generator is split once."""
+    count, pick = len(a), None
+    if pairs:
+        count = len(a) * len(b)
+
+        def pick(rows):  # output row i * len(b) + j is a[i] ^ b[j]
+            return np.divmod(np.arange(rows.start, rows.stop), max(len(b), 1))
     sa, sb = _split_exact(a), _split_exact(b)
     if sa is None or sb is None:
-        return _gather(a[ia], b[ib], m, k, l)
+        return _gather(a, b, m, k, l, count, pick)
     (na, da, top_a), (nb, db, top_b) = sa, sb
     na, nb = _int_arrays(math.comb(k + l, k) * max(top_a, 1) * max(top_b, 1), na, nb)
-    return _join_exact(_gather(na[ia], nb[ib], m, k, l), da[ia] * db[ib])
+    den = np.multiply.outer(da, db).ravel() if pairs else da * db
+    return _join_exact(_gather(na, nb, m, k, l, count, pick), den)
 
 
 def wedge_rows(a, b, m: int, k: int, l: int) -> np.ndarray:
@@ -256,16 +277,13 @@ def wedge_rows(a, b, m: int, k: int, l: int) -> np.ndarray:
     and object (Fraction) rows all run through the same gather, exact
     rows on their integer numerators.
     """
-    every = slice(None)
-    return _wedge(np.asarray(a), np.asarray(b), m, k, l, every, every)
+    return _wedge(np.asarray(a), np.asarray(b), m, k, l, pairs=False)
 
 
 def wedge_pairs(a, b, m: int, k: int, l: int) -> np.ndarray:
     """Exterior products a[i] ^ b[j] of every row of a with every row of
     b, i in the outer order: shape (len(a) * len(b), C(m, k+l))."""
-    a, b = np.asarray(a), np.asarray(b)
-    ia, ib = np.divmod(np.arange(len(a) * len(b)), max(len(b), 1))
-    return _wedge(a, b, m, k, l, ia, ib)
+    return _wedge(np.asarray(a), np.asarray(b), m, k, l, pairs=True)
 
 
 def _fold(V) -> np.ndarray:
@@ -290,31 +308,82 @@ def blade_rows(V) -> np.ndarray:
     return _join_exact(_fold(num), np.prod(den, axis=1))
 
 
+@lru_cache(maxsize=128)
+def _prefix_tables(count: int, d: int) -> tuple:
+    """The d-subsets of range(count) as a tree of their prefixes.  Level
+    t (t = 1..d) lists, in lexicographic order, the t-subsets that extend
+    to a d-subset: those whose largest index is at most count - d + t - 1.
+    Entry t-1 is the pair (parent, new) of index arrays: row r of level t
+    is row parent[r] of level t-1 (level 0 being the empty subset) and
+    the index new[r].  Level d lists the C(count, d) subsets."""
+    tables, new = [], np.array([-1])
+    for t in range(d):  # a level-t row extends by every index in (new, count - d + t]
+        width = np.maximum(count - d + t - new, 0)
+        parent = np.repeat(np.arange(len(new)), width)
+        first = np.cumsum(width) - width
+        new = new[parent] + 1 + np.arange(len(parent)) - first[parent]
+        parent.flags.writeable = new.flags.writeable = False
+        tables.append((parent, new))
+    return tuple(tables)
+
+
+def _subset_tables(count: int, d: int) -> tuple:
+    """``_prefix_tables``, kept for later calls only while C(count, d)
+    fits one _ROW_BLOCK: no level is longer than its last, so a kept
+    entry holds at most 2 d _ROW_BLOCK indices, whatever count is."""
+    if math.comb(count, d) <= _ROW_BLOCK:
+        return _prefix_tables(count, d)
+    return _prefix_tables.__wrapped__(count, d)
+
+
+def _prefix_fold(G, tables) -> np.ndarray:
+    """The blades of every level of ``tables`` in turn, each row of a
+    level the wedge of its parent's blade with G[new]: every prefix is
+    wedged once, through the same gathers a fold of the whole subset
+    would make."""
+    out = G[tables[0][1]]
+    for t, (parent, new) in enumerate(tables[1:], 1):
+        out = _gather(out, G, G.shape[1], t, 1, len(new), lambda rows: (parent[rows], new[rows]))
+    return out
+
+
 def subset_blades(G, d: int, factor: int = 1) -> np.ndarray:
     """factor * G[s_1] ^ ... ^ G[s_d] for the d-subsets s_1 < ... < s_d
-    of G's rows in lexicographic order: shape (C(N, d), C(m, d)).  Exact
-    rows are split once, before the subsets are gathered.  A float row
-    that ``_row_norms`` refuses is a ValueError, also with no d-subsets."""
+    of G's rows in lexicographic order, d >= 1: shape (C(N, d), C(m, d)).
+    Each t-subset that starts a d-subset is wedged once
+    (``_prefix_fold``), row for row through the gathers of ``blade_rows``.
+    Exact rows are split once, and each row's denominator is the product
+    of its generators'.  A float row that ``_row_norms`` refuses is a
+    ValueError, also with no d-subsets."""
     G = np.asarray(G)
-    blocks = _subset_blocks(len(G), d)
+    tables = _subset_tables(len(G), d)
     split = _split_exact(G)
     if split is None:
         _row_norms(G)
-        return np.concatenate([_fold(G[idx]) for idx in blocks]) * factor
+        out = _prefix_fold(G, tables)
+        out *= factor  # in place: the output is the largest array here
+        return out
     num, den, top = split
     (num,) = _int_arrays(factor * math.factorial(d) * max(top, 1) ** d, num)
-    return np.concatenate([_join_exact(_fold(num[idx]) * factor, np.prod(den[idx], axis=1))
-                           for idx in blocks])
+    rows_den = den[tables[0][1]]
+    for parent, new in tables[1:]:
+        rows_den = rows_den[parent] * den[new]
+    return _join_exact(_prefix_fold(num, tables) * factor, rows_den)
 
 
 def _subset_blocks(count: int, d: int):
     """The d-subsets of range(count) in lexicographic order, as index
-    arrays of shape (rows, d) with at most _ROW_BLOCK rows; one empty
-    block when there are no subsets."""
-    subsets = np.fromiter(chain.from_iterable(combinations(range(count), d)),
-                          dtype=np.intp).reshape(math.comb(count, d), d)
-    for r in range(0, max(len(subsets), 1), _ROW_BLOCK):
-        yield subsets[r:r + _ROW_BLOCK]
+    arrays of shape (rows, d) with at most _ROW_BLOCK rows, read off
+    ``_prefix_tables``; one empty block when there are no subsets."""
+    tables = _subset_tables(count, d)
+    for rows in _row_blocks(math.comb(count, d)):
+        at = np.arange(rows.start, rows.stop)
+        idx = np.empty((len(at), d), dtype=np.intp)
+        for t in reversed(range(d)):
+            parent, new = tables[t]
+            idx[:, t] = new[at]
+            at = parent[at]
+        yield idx
 
 
 def hodge_rows(a, m: int, k: int) -> np.ndarray:

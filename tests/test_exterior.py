@@ -26,7 +26,7 @@ from zonoidal import (
     wedge_pairs,
     wedge_rows,
 )
-from zonoidal.exterior import _int_arrays, _split_exact
+from zonoidal.exterior import _ROW_BLOCK, _int_arrays, _split_exact, _subset_blocks
 from zonoidal.testkit import wedge_norm_brute
 
 
@@ -446,6 +446,87 @@ def test_list_entry_points_match_the_row_kernels(kind):
         assert np.array_equal(wedge_pairs(a, b, m, 2, 1), want)
         assert np.array_equal(subset_blades(G, 3, 6), blades * 6)
     assert wedge_pairs(a, b[:0], m, 2, 1).shape == (0, exterior_dim(m, 3))
+
+
+def same_kind_rows(g, kind, shape):
+    """Float, complex or exact rows; "fraction" numerators stay in int64
+    through every product, "bigint" ones need Python ints."""
+    if kind == "bigint":
+        return fraction_rows(g, shape, 2 ** 40, 3, 2 ** 30)
+    return random_batch(g, kind, shape)
+
+
+def assert_same_array(got, want):
+    """Equal dtype, shape and memory order, and equal bytes; exact arrays
+    hold equal entries, every one a Fraction."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype == object:
+        assert all(type(x) is Fraction for x in got.flat)
+        assert got.tolist() == want.tolist()
+        return
+    assert got.flags.c_contiguous == want.flags.c_contiguous
+    assert got.flags.f_contiguous == want.flags.f_contiguous
+    assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
+def subset_batch(G, d):
+    """G's d-subsets, in ``combinations`` order, as one blade_rows batch."""
+    idx = np.array(list(combinations(range(len(G)), d)), dtype=np.intp).reshape(-1, d)
+    return G[idx]
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "fraction", "bigint"])
+@pytest.mark.parametrize("N, m, d", [
+    (7, 4, 1), (4, 5, 4), (6, 4, 3), (5, 4, 5),  # d = 1, d = N, and d = N > m
+    (3, 4, 4), (6, 3, 4), (0, 3, 2),  # d > N, d > m and no generators
+    (32, 4, 4),  # C(32, 4) = 35960 subsets, 4495 of them prefixes of length 3
+])
+def test_subset_blades_are_the_blades_of_each_subset(kind, N, m, d):
+    G = same_kind_rows(rng(37), kind, (N, m))
+    if (N, d) == (32, 4):
+        assert math.comb(N, d) > _ROW_BLOCK and math.comb(N - 1, d - 1) > _ROW_BLOCK
+    want = blade_rows(subset_batch(G, d))
+    assert want.shape == (math.comb(N, d), exterior_dim(m, d))
+    for factor in (1, math.factorial(d)):
+        assert_same_array(subset_blades(G, d, factor), want * factor)
+
+
+@pytest.mark.parametrize("N, d", [(0, 0), (3, 0), (0, 2), (5, 6), (9, 1), (9, 9), (9, 4), (40, 4)])
+def test_subset_blocks_list_combinations_in_blocks(N, d):
+    blocks = list(_subset_blocks(N, d))
+    assert all(len(b) <= _ROW_BLOCK for b in blocks)
+    assert [len(b) for b in blocks[:-1]] == [_ROW_BLOCK] * (len(blocks) - 1)
+    got = np.concatenate(blocks)
+    assert got.shape == (math.comb(N, d), d) and got.dtype == np.intp
+    assert list(map(tuple, got.tolist())) == list(combinations(range(N), d))
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "fraction"])
+def test_wedge_pairs_across_a_block_boundary(kind):
+    g = rng(38)
+    m, k, l = 4, 2, 1
+    a = random_batch(g, kind, (70, exterior_dim(m, k)))
+    b = random_batch(g, kind, (61, exterior_dim(m, l)))
+    assert len(a) * len(b) > _ROW_BLOCK and len(a) * len(b) % _ROW_BLOCK
+    want = wedge_rows(np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1)), m, k, l)
+    assert_same_array(wedge_pairs(a, b, m, k, l), want)
+
+
+def test_subset_blades_peak_memory_stays_near_the_output():
+    import tracemalloc
+
+    G = rng(39).standard_normal((40, 5))
+    subset_blades(G[:6], 5)  # the wedge tables of R^5, kept per process
+    tracemalloc.start()
+    try:
+        out = subset_blades(G, 5, 120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (658008, 1)
+    # the output, the prefix tables of its rows (two index arrays) and
+    # the prefixes of length 4: a refold of every subset took 6.8 times
+    assert peak < 5 * out.nbytes
 
 
 def test_multivector_wedge_keeps_fraction_coefficients():
