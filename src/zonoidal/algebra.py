@@ -72,14 +72,6 @@ def _as_degree_one(K: Zonotope) -> Zonotope:
     return replace(K, grading=K.grading or (K.ambient_dim, 1), cgrading=None)
 
 
-def _as_degree_one_each(zonotopes) -> list:
-    """``_as_degree_one`` of each body, one new object per distinct one, so
-    that ``_chain`` still sees a body passed twice as one repeated factor."""
-    zonotopes = list(zonotopes)
-    one = {id(K): _as_degree_one(K) for K in zonotopes}
-    return [one[id(K)] for K in zonotopes]
-
-
 def _pair_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All outer products a[i] (x) b[j], i in the outer order, flattened row-major."""
     return np.einsum("ia,jb->ijab", a, b).reshape(len(a) * len(b), a.shape[1] * b.shape[1])
@@ -179,7 +171,7 @@ def wedge_product(K: Zonotope, L: Zonotope) -> Zonotope:
 
 
 def _subset_power(K: Zonotope, d: int) -> Zonotope:
-    """K^(^d), d >= 1, of a degree-1 body with either tag, before
+    """K^(^d), d >= 0, of a degree-1 body with either tag, before
     canonicalization: the blades of the d-subsets of the generators as
     given, each scaled by d!, one row per subset.  A complex-tagged body
     is wedged as complex rows over C^m and realified again."""
@@ -197,10 +189,7 @@ def _wedge_power_raw(K: Zonotope, d: int) -> Zonotope:
     complex tag is read as real."""
     if d < 0:
         raise ValueError("power must be nonnegative")
-    K = _as_degree_one(K)
-    if d == 0:
-        return zonotope(np.ones((1, 1), dtype=K.generators.dtype), grading=(K.grading[0], 0))
-    return _subset_power(K, d)
+    return _subset_power(_as_degree_one(K), d)
 
 
 def wedge_power(K: Zonotope, d: int) -> Zonotope:
@@ -244,26 +233,43 @@ def induced_map(f, zonotopes) -> Zonotope:
     return linear_image(L, reduce(tensor_product, Ks))
 
 
+def _same_body(K: Zonotope, L: Zonotope) -> bool:
+    """Whether K and L hold the same generators under the same tags: equal
+    dtype, shape and entries (the bytes of a float array, the values of an
+    exact one)."""
+    g, h = K.generators, L.generators
+    if (K.grading, K.cgrading, g.dtype, g.shape) != (L.grading, L.cgrading, h.dtype, h.shape):
+        return False
+    if g is h:
+        return True
+    return g.tolist() == h.tolist() if g.dtype == object else g.tobytes() == h.tobytes()
+
+
 def _chain(zonotopes) -> Zonotope:
     """K_1 ^ ... ^ K_p, real or complex by the factors' tags.
 
     The product is commutative (up to generator signs, which a zonotope
-    ignores), so a degree-1 factor passed r >= 2 times enters once, as
-    its r-th power: the C(N, r) blades of the r-subsets of its
-    generators, scaled by r! (``_subset_power``), in place of N^r ordered
-    tuples.  A factor repeats when it is the same object (``is``); equal
-    generator arrays are not compared.  Higher degrees are not grouped,
-    since g ^ g need not vanish there.  The intermediate products are
-    canonicalized; the last one is not, so that callers reading only its
-    length skip the merge, which keeps length.
+    ignores), and K ^ K depends only on the body K, so a degree-1 factor
+    passed r >= 2 times, as one object or as equal ones (``_same_body``),
+    enters once, as its r-th power: the C(N, r) blades of the r-subsets
+    of its generators, scaled by r! (``_subset_power``), in place of N^r
+    ordered tuples.  Higher degrees are not grouped, since g ^ g need not
+    vanish there.  The intermediate products are canonicalized; the last
+    one is not, so that callers reading only its length skip the merge,
+    which keeps length.
     """
     if not zonotopes:
         raise ValueError("need at least one zonotope")
-    same = {}
+    groups = []
     for K in zonotopes:
-        same.setdefault(id(K), []).append(K)
+        for Ks in groups:
+            if _same_body(Ks[0], K):
+                Ks.append(K)
+                break
+        else:
+            groups.append([K])
     factors = []
-    for Ks in same.values():
+    for Ks in groups:
         if len(Ks) > 1 and _require_grading(Ks[0])[1] == 1:
             factors.append(_subset_power(Ks[0], len(Ks)))
         else:
@@ -287,11 +293,11 @@ def mixed_volume(zonotopes):
     """MV(K_1, ..., K_m) = length(K_1 ^ ... ^ K_m) / m!.
 
     Expects exactly m degree-1 zonotopes in R^m.  Exact-rational inputs
-    give an exact Fraction.  A body passed r times (the same object) is
-    wedged as its r-th power, the r-subsets of its generators
+    give an exact Fraction.  A body passed r times (or equal copies of it)
+    is wedged as its r-th power, the r-subsets of its generators
     (``_chain``), so MV(K[r], ...) costs C(N, r) rows for K, not N^r.
     """
-    Ks = _as_degree_one_each(zonotopes)
+    Ks = [_as_degree_one(K) for K in zonotopes]
     m = Ks[0].grading[0]
     if len(Ks) != m:
         raise ValueError(f"mixed volume in R^{m} needs exactly {m} bodies")
@@ -349,7 +355,7 @@ def af_gap(K1: Zonotope, K2: Zonotope, companions=(), middle: Zonotope | None = 
     """
     if middle is not None and companions:
         raise ValueError("pass either companions or a prewedged middle factor")
-    K1, K2, *C = _as_degree_one_each([K1, K2, *companions])
+    K1, K2, *C = [_as_degree_one(K) for K in (K1, K2, *companions)]
     if middle is not None:
         C = [middle]
 

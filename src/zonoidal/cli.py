@@ -167,13 +167,6 @@ def _load_zonotope(path: str, exact: bool) -> Zonotope:
     return K
 
 
-def _load_each(paths, load) -> list:
-    """load(path) for each path, each distinct path loaded once: a path
-    given twice is one body, which the wedge chain takes as a power."""
-    bodies = {f: load(f) for f in dict.fromkeys(paths)}
-    return [bodies[f] for f in paths]
-
-
 def _parse_vector(text: str, exact: bool = False) -> np.ndarray:
     try:
         if text.strip().startswith("["):
@@ -424,7 +417,7 @@ def _cmd_projbody(args):
           {"--af-gap": dict(action="store_true"), "--reverse-af": dict(action="store_true"),
            "--degrees": dict(help="comma-separated d_i")})
 def _cmd_mv(args):
-    Ks = _load_each(args.files, lambda f: _load_zonotope(f, args.exact_rational))
+    Ks = [_load_zonotope(f, args.exact_rational) for f in args.files]
     if args.af_gap:
         if len(Ks) < 2:
             raise SchemaError("--af-gap needs at least two zonotopes")
@@ -476,8 +469,8 @@ def _cmd_mvj(args):
         Z = _read(args.files[0], "complex vectors", _complex_vectors)
         bodies = [jvolume.disc_zonotope(z, args.q) for z in Z]
     else:
-        bodies = _load_each(args.files, lambda f: _require_cgrading_tag(
-            _load_zonotope(f, args.exact_rational), f))
+        bodies = [_require_cgrading_tag(_load_zonotope(f, args.exact_rational), f)
+                  for f in args.files]
     if args.wedge:
         return _body_dict(jvolume.complex_wedge_zonoids(*bodies))
     return {"value": jvolume.mixed_J_volume(*bodies)}

@@ -15,18 +15,21 @@ twice the length by interleaving (real, imaginary) parts, and
 ``unrealify_rows`` inverts it; every other module reads and writes that
 layout through these two functions.
 
-Every product runs through one row-batched kernel, ``wedge_rows``,
-acting on (N, C(m, k)) arrays of any of these dtypes; ``blade_rows``
-folds it over the vectors of a batch of matrices, and the single-element
-functions (``wedge`` and the blades) are one-row calls; ``wedge_pairs``
-and ``subset_blades`` take whole generator lists, gathering one block of
-rows at a time.  ``subset_blades`` wedges each prefix once: the blades
-of the t-subsets that start a d-subset, level by level, each row the
-wedge of its parent with one more generator.
+Every product is one fold, ``_product``: start rows a[ia], then steps,
+each wedging the rows so far with rows of one more operand that a pick
+of indices selects, one ``_gather`` of a block of rows at a time.  The
+row-batched kernels are thin calls of it on (N, C(m, k)) arrays of any
+of these dtypes: ``wedge_rows`` (row r with row r), ``wedge_pairs``
+(every row with every row), ``blade_rows`` (the vectors of a batch of
+matrices) and ``subset_blades`` (the d-subsets of a generator list, each
+prefix wedged once: the blades of the t-subsets that start a d-subset,
+level by level, each row the wedge of its parent with one more
+generator).  The single-element functions (``wedge`` and the blades)
+are one-row calls.
 
-Exact rows (int and Fraction entries) are split once into integer
-numerators over one denominator per row, the gather runs on the
-numerators (int64 while a bound on every partial sum stays below 2^62,
+Exact rows (int and Fraction entries) are split once per operand into
+integer numerators over one denominator per row, the gathers run on the
+numerators (int64 while one bound on every partial sum stays below 2^62,
 Python ints beyond), and each output entry becomes one Fraction.
 ``_split_exact`` and ``_join_exact`` alone read and write that layout.
 """
@@ -231,18 +234,16 @@ def _row_blocks(count: int) -> list:
     return [slice(r, min(r + _ROW_BLOCK, count)) for r in range(0, max(count, 1), _ROW_BLOCK)]
 
 
-def _gather(a, b, m: int, k: int, l: int, count: int | None = None, pick=None) -> np.ndarray:
+def _gather(a, b, m: int, k: int, l: int, count: int, pick) -> np.ndarray:
     """Rows a[ia] ^ b[ib] for count output rows, gathered _ROW_BLOCK rows
-    at a time: pick(rows) gives (ia, ib) for a slice of output rows (by
-    default a[r] ^ b[r] for the len(a) rows of a), so no operand is
-    gathered for more than one block.  The output takes the first block's
-    dtype and memory order, as a concatenation of the blocks would (later
-    row sums depend on it)."""
+    at a time: pick(rows) gives (ia, ib) for a slice of output rows, so no
+    operand is gathered for more than one block.  The output takes the
+    first block's dtype and memory order, as a concatenation of the
+    blocks would (later row sums depend on it)."""
     ii, jj, ss = _wedge_table(m, k, l)
-    count = len(a) if count is None else count
     out = None
     for rows in _row_blocks(count):
-        ia, ib = (rows, rows) if pick is None else pick(rows)
+        ia, ib = pick(rows)
         block = (a[ia][:, ii] * b[ib][:, jj] * ss).sum(axis=2)
         if out is None:
             out = np.empty_like(block, shape=(count, block.shape[1]))
@@ -250,23 +251,44 @@ def _gather(a, b, m: int, k: int, l: int, count: int | None = None, pick=None) -
     return out
 
 
-def _wedge(a, b, m: int, k: int, l: int, pairs: bool) -> np.ndarray:
-    """Rows a[r] ^ b[r], or with pairs a[i] ^ b[j] for every i and j, i
-    in the outer order; exact lists are split before the rows are
-    picked, so each generator is split once."""
-    count, pick = len(a), None
-    if pairs:
-        count = len(a) * len(b)
+def _product(a, ia, k: int, steps, m: int, factor: int = 1) -> np.ndarray:
+    """factor * (a[ia] ^ b_1 ^ ... ^ b_s): the degree-k rows a[ia] wedged in
+    turn with each step (b, l, count, pick), one ``_gather`` of count rows
+    out[i] ^ b[j] with b of degree l and (i, j) = pick(rows).
 
-        def pick(rows):  # output row i * len(b) + j is a[i] ^ b[j]
-            return np.divmod(np.arange(rows.start, rows.stop), max(len(b), 1))
-    sa, sb = _split_exact(a), _split_exact(b)
-    if sa is None or sb is None:
-        return _gather(a, b, m, k, l, count, pick)
-    (na, da, top_a), (nb, db, top_b) = sa, sb
-    na, nb = _int_arrays(math.comb(k + l, k) * max(top_a, 1) * max(top_b, 1), na, nb)
-    den = np.multiply.outer(da, db).ravel() if pairs else da * db
-    return _join_exact(_gather(na, nb, m, k, l, count, pick), den)
+    When every operand is exact (an object array of ints and Fractions),
+    each distinct one is split once, however often it enters; the gathers
+    run on the numerators, in int64 while factor times the multinomial
+    count of terms times each factor's largest numerator stays below
+    2^62, and each row's denominator is the product of its operands'
+    along the same picks."""
+    split = {}
+    if a.dtype == object:
+        split[id(a)] = _split_exact(a)
+        for b, _, _, _ in steps:
+            if id(b) not in split:
+                split[id(b)] = _split_exact(b)
+        if None in split.values():
+            split = {}
+    num = {}
+    if split:
+        bound = factor * max(split[id(a)][2], 1)
+        degree = k
+        for b, l, _, _ in steps:  # the multinomial count of terms, one binomial a step
+            degree += l
+            bound *= math.comb(degree, l) * max(split[id(b)][2], 1)
+        num = dict(zip(split, _int_arrays(bound, *(n for n, _, _ in split.values()))))
+        den = split[id(a)][1][ia]
+    out = num.get(id(a), a)[ia]
+    for b, l, count, pick in steps:
+        out = _gather(out, num.get(id(b), b), m, k, l, count, pick)
+        k += l
+        if split:
+            i, j = pick(slice(0, count))
+            den = den[i] * split[id(b)][1][j]
+    if factor != 1:
+        out *= factor  # in place: the output is the largest array here
+    return _join_exact(out, den) if split else out
 
 
 def wedge_rows(a, b, m: int, k: int, l: int) -> np.ndarray:
@@ -277,21 +299,18 @@ def wedge_rows(a, b, m: int, k: int, l: int) -> np.ndarray:
     and object (Fraction) rows all run through the same gather, exact
     rows on their integer numerators.
     """
-    return _wedge(np.asarray(a), np.asarray(b), m, k, l, pairs=False)
+    a, b = np.asarray(a), np.asarray(b)
+    return _product(a, slice(None), k, [(b, l, len(a), lambda rows: (rows, rows))], m)
 
 
 def wedge_pairs(a, b, m: int, k: int, l: int) -> np.ndarray:
     """Exterior products a[i] ^ b[j] of every row of a with every row of
     b, i in the outer order: shape (len(a) * len(b), C(m, k+l))."""
-    return _wedge(np.asarray(a), np.asarray(b), m, k, l, pairs=True)
+    a, b = np.asarray(a), np.asarray(b)
 
-
-def _fold(V) -> np.ndarray:
-    m = V.shape[2]
-    out = V[:, 0, :]
-    for t in range(1, V.shape[1]):
-        out = _gather(out, V[:, t, :], m, t, 1)
-    return out
+    def pick(rows):  # output row i * len(b) + j is a[i] ^ b[j]
+        return np.divmod(np.arange(rows.start, rows.stop), max(len(b), 1))
+    return _product(a, slice(None), k, [(b, l, len(a) * len(b), pick)], m)
 
 
 def blade_rows(V) -> np.ndarray:
@@ -300,12 +319,9 @@ def blade_rows(V) -> np.ndarray:
     Row r of the result holds the k x k minors of V[r], shape (N, C(m, k)).
     """
     V = np.asarray(V)
-    split = _split_exact(V)
-    if split is None:
-        return _fold(V)
-    num, den, top = split  # k! M^k bounds every minor the fold forms
-    (num,) = _int_arrays(math.factorial(V.shape[1]) * max(top, 1) ** V.shape[1], num)
-    return _join_exact(_fold(num), np.prod(den, axis=1))
+    n, k, m = V.shape
+    steps = [(V, 1, n, lambda rows, t=t: (rows, (rows, t))) for t in range(1, k)]
+    return _product(V, (slice(None), 0), 1, steps, m)
 
 
 @lru_cache(maxsize=128)
@@ -336,39 +352,23 @@ def _subset_tables(count: int, d: int) -> tuple:
     return _prefix_tables.__wrapped__(count, d)
 
 
-def _prefix_fold(G, tables) -> np.ndarray:
-    """The blades of every level of ``tables`` in turn, each row of a
-    level the wedge of its parent's blade with G[new]: every prefix is
-    wedged once, through the same gathers a fold of the whole subset
-    would make."""
-    out = G[tables[0][1]]
-    for t, (parent, new) in enumerate(tables[1:], 1):
-        out = _gather(out, G, G.shape[1], t, 1, len(new), lambda rows: (parent[rows], new[rows]))
-    return out
-
-
 def subset_blades(G, d: int, factor: int = 1) -> np.ndarray:
     """factor * G[s_1] ^ ... ^ G[s_d] for the d-subsets s_1 < ... < s_d
-    of G's rows in lexicographic order, d >= 1: shape (C(N, d), C(m, d)).
-    Each t-subset that starts a d-subset is wedged once
-    (``_prefix_fold``), row for row through the gathers of ``blade_rows``.
-    Exact rows are split once, and each row's denominator is the product
-    of its generators'.  A float row that ``_row_norms`` refuses is a
-    ValueError, also with no d-subsets."""
+    of G's rows in lexicographic order: shape (C(N, d), C(m, d)), the one
+    row factor of the empty subset when d = 0.  Each t-subset that starts
+    a d-subset is wedged once, level by level (``_prefix_tables``), each
+    row the wedge of its parent's blade with G[new], row for row through
+    the gathers of ``blade_rows``.  A float row that ``_row_norms``
+    refuses is a ValueError when d >= 1, also with no d-subsets."""
     G = np.asarray(G)
+    if d == 0:
+        return np.full((1, 1), factor, G.dtype)
     tables = _subset_tables(len(G), d)
-    split = _split_exact(G)
-    if split is None:
+    if G.dtype != object:
         _row_norms(G)
-        out = _prefix_fold(G, tables)
-        out *= factor  # in place: the output is the largest array here
-        return out
-    num, den, top = split
-    (num,) = _int_arrays(factor * math.factorial(d) * max(top, 1) ** d, num)
-    rows_den = den[tables[0][1]]
-    for parent, new in tables[1:]:
-        rows_den = rows_den[parent] * den[new]
-    return _join_exact(_prefix_fold(num, tables) * factor, rows_den)
+    steps = [(G, 1, len(new), lambda rows, p=parent, n=new: (p[rows], n[rows]))
+             for parent, new in tables[1:]]
+    return _product(G, tables[0][1], 1, steps, G.shape[1], factor)
 
 
 def _subset_blocks(count: int, d: int):

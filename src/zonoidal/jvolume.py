@@ -234,7 +234,7 @@ def complex_zonotope(vectors, n: int | None = None) -> Zonotope:
 def complex_wedge_zonoids(*zonotopes: Zonotope) -> Zonotope:
     """Pairwise complex wedges of generators, realified and canonical:
     ``algebra``'s wedge chain of complex-graded bodies.  A degree-1 body
-    passed r times (the same object) enters as its r-th power, the
+    passed r times (or equal copies of it) enters as its r-th power, the
     r-subsets of its generators, so P ^_C P has C(N, 2) generators before
     the merge, and no g ^ g = 0 rows."""
     if not all(_require_grading(K)[2] for K in zonotopes):
@@ -247,7 +247,7 @@ def mixed_J_volume(*zonotopes: Zonotope) -> float:
 
     The length is read from the uncanonicalized last product: merging
     sign-aligned collinear generators does not change it.  A body passed
-    r times (the same object) is wedged as its r-th power (``_chain``),
+    r times (or equal copies of it) is wedged as its r-th power (``_chain``),
     so the J-volume ``mixed_J_volume(*[P] * n)`` reads C(N, n) subset
     rows, not N^n ordered tuples.
     """

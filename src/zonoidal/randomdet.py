@@ -326,17 +326,15 @@ def expected_abs_det_exact(model: MatrixBlockModel) -> float:
     """E|det M| = length(K(Z_1) ^ ... ^ K(Z_p)) for all-discrete blocks,
     through the complex wedge when the model's field is complex.
 
-    Blocks holding the same ``dist`` object at the same width share one
-    zonoid, which ``_chain`` wedges as a power.  For m iid columns
-    (``iid_column_model``) that is m! times the blades of the m-subsets
-    of the atoms: E|det| = m! vol(K(X)) (Vitale 1991), C(k, m) rows for
-    k atoms, not k^m.
+    Blocks of one distribution at one width give equal zonoids, which
+    ``_chain`` wedges as a power.  For m iid columns (``iid_column_model``)
+    that is m! times the blades of the m-subsets of the atoms:
+    E|det| = m! vol(K(X)) (Vitale 1991), C(k, m) rows for k atoms, not k^m.
     """
     if not model.all_discrete():
         raise ValueError("exact path needs discrete blocks")
-    block = {(id(b.dist), b.width): b for b in model.blocks}
-    zonoid = {key: _block_zonoid(b, model.size, model.complex_field) for key, b in block.items()}
-    return float(length(_chain([zonoid[id(b.dist), b.width] for b in model.blocks])))
+    zonoids = [_block_zonoid(b, model.size, model.complex_field) for b in model.blocks]
+    return float(length(_chain(zonoids)))
 
 
 expected_abs_det_complex_exact = expected_abs_det_exact

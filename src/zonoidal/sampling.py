@@ -113,11 +113,12 @@ def _mc_mean_se(stream: SeedStream, n: int, draw) -> tuple[float, float]:
     return mean, math.sqrt(m2 / (n - 1) / n)
 
 
-def _unit_rows(g: np.ndarray) -> np.ndarray:
-    """The rows of g over their norms (a zero row stays zero)."""
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0] = 1.0
-    return g / norms[:, None]
+def _unit_rows(A: np.ndarray) -> np.ndarray:
+    """A's rows, along the last axis of a matrix or a stack of them, over
+    their norms; a zero row stays zero."""
+    norms = np.linalg.norm(A, axis=-1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return A / norms
 
 
 def _net_blocks(dim: int, count: int, seed: int = 0):

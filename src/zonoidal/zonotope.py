@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .exterior import _join_exact, _row_norms, _split_exact, _subset_blocks
-from .sampling import _covering_count, _net_blocks
+from .sampling import _covering_count, _net_blocks, _unit_rows
 
 __all__ = [
     "Zonotope",
@@ -321,14 +321,6 @@ def _collinear_labels(unit: np.ndarray) -> np.ndarray:
 def _significant(s: np.ndarray) -> np.ndarray:
     """The rank rule: singular values s (descending) above FLAT_TOL s_0."""
     return s > FLAT_TOL * s[..., :1]
-
-
-def _unit_rows(A: np.ndarray) -> np.ndarray:
-    """A's rows scaled to unit norm, zero rows kept zero: the normals of
-    the same hyperplanes, so a rank read off them does not depend on the
-    rows' lengths."""
-    norms = np.linalg.norm(A, axis=-1, keepdims=True)
-    return np.divide(A, norms, out=np.zeros_like(A), where=norms > 0.0)
 
 
 def _in_flat(G: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -758,13 +758,33 @@ def test_wedge_chain_power_of_fewer_generators_than_factors_is_the_zero_body():
         assert (P.grading or P.cgrading) == ((K.grading or K.cgrading)[0], r)
 
 
-def test_wedge_chain_groups_a_body_by_identity_only():
-    K = zonotope(rng(71).standard_normal((5, 3)), grading=(3, 1))
+def test_wedge_chain_groups_a_body_by_value():
+    g = rng(71)
+    K = zonotope(g.standard_normal((5, 3)), grading=(3, 1))
+    L = zonotope(g.standard_normal((4, 3)), grading=(3, 1))
     twin = zonotope(K.generators.copy(), grading=(3, 1))
-    # a power has C(5, 2) rows; an equal but distinct body pairs all 5^2
-    assert _chain([K, K]).n_generators == 10
-    assert _chain([K, twin]).n_generators == 25
-    assert math.isclose(length(_chain([K, K])), length(_chain([K, twin])), rel_tol=1e-13)
+    # an equal copy is the same body: one power of C(5, 2) rows, bit for bit
+    for got, want in ((_chain([K, twin]), _chain([K, K])),
+                      (_chain([K, L, twin]), _chain([K, L, K]))):
+        assert got.n_generators == want.n_generators
+        assert got.generators.tobytes() == want.generators.tobytes()
+    assert _chain([K, twin]).n_generators == 10
+    exact = zonotope(np.array([[Fraction(int(x), 3) for x in row]
+                               for row in g.integers(-5, 6, size=(5, 3))]), grading=(3, 1))
+    copy = zonotope(exact.generators.copy(), grading=(3, 1))
+    assert _chain([exact, copy]).generators.tolist() == _chain([exact, exact]).generators.tolist()
+    # one entry apart: all 5^2 pairs
+    off = K.generators.copy()
+    off[2, 1] = np.nextafter(off[2, 1], np.inf)
+    assert _chain([K, zonotope(off, grading=(3, 1))]).n_generators == 25
+    # a tag apart (degrees 1 and 3 of R^4, both in R^4): all 5^2 pairs
+    G = g.standard_normal((5, 4))
+    P = _chain([zonotope(G, grading=(4, 1)), zonotope(G, grading=(4, 3))])
+    assert P.grading == (4, 4) and P.n_generators == 25
+    # the field apart: not grouped, so the wedge refuses to mix them
+    as_float = zonotope(exact.generators.astype(float), grading=(3, 1))
+    with pytest.raises(ValueError, match="cannot mix exact and float"):
+        _chain([exact, as_float])
 
 
 def test_wedge_chain_leaves_a_repeated_degree_two_factor_ungrouped():

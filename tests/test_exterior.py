@@ -26,6 +26,7 @@ from zonoidal import (
     wedge_pairs,
     wedge_rows,
 )
+from zonoidal import exterior
 from zonoidal.exterior import _ROW_BLOCK, _int_arrays, _split_exact, _subset_blocks
 from zonoidal.testkit import wedge_norm_brute
 
@@ -489,6 +490,69 @@ def test_subset_blades_are_the_blades_of_each_subset(kind, N, m, d):
     assert want.shape == (math.comb(N, d), exterior_dim(m, d))
     for factor in (1, math.factorial(d)):
         assert_same_array(subset_blades(G, d, factor), want * factor)
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "fraction"])
+@pytest.mark.parametrize("N", [0, 4])
+def test_subset_blades_of_degree_zero_are_the_empty_subsets_row(kind, N):
+    G = random_batch(rng(40), kind, (N, 3))
+    for factor in (1, 6):
+        got = subset_blades(G, 0, factor)
+        assert got.shape == (1, 1) and got.dtype == G.dtype and got[0, 0] == factor
+
+
+def _tight_rows(M, m, k, l):
+    """Rows a (degree k) and b (degree l, k + l = m) of entries +-M whose
+    one wedge coordinate sums C(m, k) terms M^2 of one sign: the int64
+    bound C(m, k) M^2 of ``wedge_rows``, reached."""
+    ii, jj, ss = exterior._wedge_table(m, k, l)
+    a = np.full((1, exterior_dim(m, k)), Fraction(M), dtype=object)
+    b = np.empty((1, exterior_dim(m, l)), dtype=object)
+    b[0, jj[0]] = [Fraction(int(s) * M) for s in ss[0]]
+    return a, b
+
+
+def _numerator_dtypes(monkeypatch):
+    """The dtype of the operand each ``exterior._gather`` call reads."""
+    seen = []
+    gather = exterior._gather
+
+    def spy(a, b, *rest):
+        seen.append(b.dtype)
+        return gather(a, b, *rest)
+
+    monkeypatch.setattr(exterior, "_gather", spy)
+    return seen
+
+
+@pytest.mark.parametrize("route", ["rows", "pairs", "blades", "subsets"])
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_exact_products_at_the_int64_bound(route, side, monkeypatch):
+    """Just below the bound the gathers run in int64, whose overflow would
+    wrap without an error; just above they take Python ints.  Every input
+    reaches its bound (all terms of a sum share one sign), and the result
+    equals Fraction determinants summed by definition."""
+    terms = {"rows": 6, "pairs": 6, "blades": 2, "subsets": 2 * 2}  # multinomial (x factor)
+    M = math.isqrt((2 ** 62 - 1) // terms[route]) + (side == "above")
+    assert (terms[route] * M * M < 2 ** 62) == (side == "below")
+    seen = _numerator_dtypes(monkeypatch)
+    if route in ("rows", "pairs"):  # k = l = 2 in R^4: six terms
+        a, b = _tight_rows(M, 4, 2, 2)
+        if route == "rows":
+            got, want = wedge_rows(a, b, 4, 2, 2), [wedge_reference(a[0], b[0], 4, 2, 2)]
+        else:
+            b = np.concatenate([b, -b])
+            got = wedge_pairs(a, b, 4, 2, 2)
+            want = [wedge_reference(a[0], y, 4, 2, 2) for y in b]
+    else:  # two vectors of R^2 whose minor is 2 M^2, times factor 2 for subsets
+        V = np.array([[Fraction(M), Fraction(M)], [Fraction(-M), Fraction(M)]], dtype=object)
+        if route == "blades":
+            got, want = blade_rows(V[None]), [minors(list(V))]
+        else:
+            got, want = subset_blades(V, 2, 2), [[2 * x for x in minors(list(V))]]
+    assert_rows_equal(got, want, "fraction")
+    assert max(abs(x) for x in got.flat) == terms[route] * M * M
+    assert seen and set(seen) == {np.dtype(np.int64) if side == "below" else np.dtype(object)}
 
 
 @pytest.mark.parametrize("N, d", [(0, 0), (3, 0), (0, 2), (5, 6), (9, 1), (9, 9), (9, 4), (40, 4)])

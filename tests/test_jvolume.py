@@ -192,6 +192,17 @@ def test_mixed_j_volume_argument_checks():
         mixed_J_volume(zonotope(np.eye(2)), zonotope(np.eye(2)))  # no cgrading
 
 
+def test_complex_wedge_of_a_body_and_its_copy_is_its_square():
+    # regression: an equal copy took the pairwise route and kept a row of
+    # rounding size (norm 4.2e-17), 46 generators against 45
+    g = np.random.default_rng(0)
+    P = complex_zonotope(g.standard_normal((10, 2)) + 1j * g.standard_normal((10, 2)))
+    copy = zonotope(P.generators.copy(), cgrading=(2, 1))
+    got, want = complex_wedge_zonoids(P, copy), complex_wedge_zonoids(P, P)
+    assert got.cgrading == want.cgrading and want.n_generators == 45
+    assert got.generators.tobytes() == want.generators.tobytes()
+
+
 def test_mixed_j_volume_equals_length_of_canonical_complex_wedge():
     # Repeated, negated, complex-collinear and zero generators, not
     # canonicalized; z ^ w = (z + w) ^ w makes the product merge too.

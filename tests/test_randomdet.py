@@ -1,5 +1,6 @@
 """Tests for random matrix blocks, expected determinants and constants."""
 
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from zonoidal import (
     bm_concavity_probe,
     canonical_eq,
     complex_gaussian_abs_det,
+    distribution_to_dict,
     empirical_zonotope,
     expected_abs_det_complex_exact,
     expected_abs_det_complex_mc,
@@ -36,7 +38,7 @@ from zonoidal import (
     volume,
     zonotope,
 )
-from zonoidal import randomdet
+from zonoidal import algebra, randomdet
 from zonoidal.sampling import CHUNK, SeedStream, _mc_mean_se, chunk_sizes
 from zonoidal.testkit import brute_force_expected_abs_det
 
@@ -159,27 +161,38 @@ def test_exact_iid_abs_det_is_m_factorial_times_the_vitale_volume(m):
 
 @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
 def test_exact_abs_det_shares_one_zonoid_per_distribution_and_width(complex_field, monkeypatch):
-    chains = []
+    """Blocks of one distribution at one width, as one object or as equal
+    copies, are wedged as one power of their zonoid; other blocks are not."""
+    powers = []
 
-    def spy(zonoids):
-        chains.append(zonoids)
-        return chain(zonoids)
+    def spy(K, d):
+        powers.append((K.n_generators, d))
+        return subset_power(K, d)
 
-    chain = randomdet._chain
-    monkeypatch.setattr(randomdet, "_chain", spy)
+    subset_power = algebra._subset_power
+    monkeypatch.setattr(algebra, "_subset_power", spy)
     g = rng(35)
     d, twin = random_discrete(g, 4, 4, complex_field), random_discrete(g, 4, 4, complex_field)
+    copy = DiscreteDistribution(d.atoms.copy(), d.probs.copy())
     wide = DiscreteDistribution(g.standard_normal((3, 4, 2)), [0.2, 0.3, 0.5])
-    blocks = (MatrixBlock(1, dist=d), MatrixBlock(1, dist=twin), MatrixBlock(1, dist=d))
+    blocks = (MatrixBlock(1, dist=d), MatrixBlock(1, dist=twin), MatrixBlock(1, dist=copy))
     for model in (iid_column_model(d, 4),
                   MatrixBlockModel(4, blocks + (MatrixBlock(1, dist=d),), complex_field),
                   MatrixBlockModel(4, (MatrixBlock(2, dist=wide),) + blocks[:2], complex_field)):
         assert math.isclose(expected_abs_det_exact(model), brute_force_expected_abs_det(model),
                             rel_tol=1e-12)
-    iid, mixed, _ = chains
-    assert all(K is iid[0] for K in iid)
-    assert [len({id(K) for K in c}) for c in chains] == [1, 2, 3]
-    assert mixed[0] is mixed[2] is mixed[3] and mixed[1] is not mixed[0]
+    assert powers == [(4, 4), (4, 3)]
+
+
+def test_exact_abs_det_of_a_json_model_with_equal_blocks_is_the_iid_value():
+    # the pairwise route over 5^3 tuples reads 1.1e-16 less on these atoms
+    d = random_discrete(rng(38), 5, 3)
+    blocks = [{"width": 1, "dist": json.loads(json.dumps(distribution_to_dict(d)))}
+              for _ in range(3)]
+    model = model_from_dict({"size": 3, "blocks": blocks})
+    assert model.blocks[0].dist is not model.blocks[1].dist
+    iid = iid_column_model(model.blocks[0].dist, 3)
+    assert expected_abs_det_exact(model) == expected_abs_det_exact(iid)
 
 
 def test_exact_block_widths():
