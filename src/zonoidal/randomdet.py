@@ -76,6 +76,8 @@ class DiscreteDistribution:
             atoms = atoms.reshape(len(probs), -1)
         if probs.ndim != 1 or probs.shape[0] != atoms.shape[0]:
             raise ValueError("one probability per atom required")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("probabilities must be finite")
         if np.any(probs < 0):
             raise ValueError("negative probability")
         if abs(float(np.sum(probs)) - 1.0) > PROB_TOL:
@@ -372,9 +374,12 @@ def expected_abs_det_mc(model: MatrixBlockModel, n: int, seed: int = 0
             b.atom_matrices(model.size)[i] for b, i in zip(model.blocks, joint))))
 
         def draw(stream, size):
-            idx = [stream.derive("block", j).choice(size, b.dist.probs)
-                   for j, b in enumerate(model.blocks)]
-            return table[np.ravel_multi_index(idx, shape)]
+            joint = np.zeros(size, dtype=np.intp)  # C-order index by Horner
+            for j, (b, k) in enumerate(zip(model.blocks, shape)):
+                if k > 1:
+                    joint *= k
+                    joint += stream.derive("block", j).choice(size, b.dist.probs)
+            return table[joint]
     else:
         def draw(stream, size):
             return _abs_det(model.sample(size, stream))

@@ -531,7 +531,9 @@ def canonical_eq(K: Zonotope, L: Zonotope, tol: float = 1e-12) -> bool:
     Rows pair by position where they agree.  Rounding can order rows whose
     first entries tie within the tolerance either way, so a row that
     fails is paired by augmenting paths (Kuhn) over the other body's rows
-    whose first entries lie within the tolerance of its own.
+    whose first entries lie within the tolerance of its own.  There a row
+    also pairs with the negation of a row: a lead entry of rounding size
+    can decide the sign, and a segment is its own negation.
     """
     if K.ambient_dim != L.ambient_dim:
         return False
@@ -554,7 +556,8 @@ def canonical_eq(K: Zonotope, L: Zonotope, tol: float = 1e-12) -> bool:
 
     def pair(i: int, seen: set) -> bool:
         for j in range(lo[i], hi[i]):
-            if j not in seen and np.all(np.abs(ga[i] - gb[j]) <= tol):
+            if j not in seen and (np.all(np.abs(ga[i] - gb[j]) <= tol)
+                                  or np.all(np.abs(ga[i] + gb[j]) <= tol)):
                 seen.add(j)
                 if owner[j] < 0 or pair(owner[j], seen):
                     owner[j] = i

@@ -38,7 +38,7 @@ from zonoidal import (
     volume,
     zonotope,
 )
-from zonoidal import algebra, randomdet
+from zonoidal import algebra, randomdet, sampling
 from zonoidal.sampling import CHUNK, SeedStream, _mc_mean_se, chunk_sizes
 from zonoidal.testkit import brute_force_expected_abs_det
 
@@ -536,3 +536,121 @@ def test_exact_abs_det_of_repeated_and_zero_atoms_matches_brute_force(complex_fi
                              complex_field=complex_field)
     assert math.isclose(expected_abs_det_exact(model), brute_force_expected_abs_det(model),
                         rel_tol=1e-12)
+
+
+def _searchsorted_reference(u, probs):
+    """The atom index by binary search over the cumulative sums, the last
+    forced to 1."""
+    cum = np.cumsum(np.asarray(probs, dtype=np.float64))
+    cum[-1] = 1.0
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+
+
+def _laws(g, k):
+    """Laws of k atoms: generic, with zero atoms (repeated bounds), and with
+    a zero last atom after sums 1 +- PROB_TOL."""
+    generic = g.random(k) + 0.1
+    zeros = np.where(g.random(k) < 0.4, 0.0, g.random(k))
+    zeros[k // 2] = 1.0
+    laws = [generic / generic.sum(), zeros / zeros.sum()]
+    if k >= 2:
+        for excess in (randomdet.PROB_TOL, -randomdet.PROB_TOL):
+            p = np.append(generic[:-1] / generic[:-1].sum(), 0.0)
+            p[0] += excess
+            laws.append(p)
+    return laws
+
+
+def _atom_counts(n):
+    """k from 1 to twice the last k whose n draws are counted, on both sides
+    of the step from counting to the binary search (none counts at n = 2)."""
+    last = min(256, n // sampling._COUNT_MIN_DRAWS_PER_BOUND + 1)
+    return sorted({1, 2, 3, 5, 8, 16, last, last + 1, 2 * last, 512})
+
+
+@pytest.mark.parametrize("n", [2, 3392, 65536])
+def test_choice_is_the_binary_search_on_every_law(n):
+    g = np.random.default_rng(n)
+    for k in _atom_counts(n):
+        for i, p in enumerate(_laws(g, k)):
+            stream = SeedStream(n).derive("choice", k, i)
+            got = stream.choice(n, p)
+            want = _searchsorted_reference(stream.uniforms(n), p) if k > 1 else np.zeros(n)
+            assert got.dtype == (np.uint8 if k <= 256 else np.intp), (k, i)
+            assert np.array_equal(got, want), (k, i)
+
+
+@pytest.mark.parametrize("n", [2, 3392, 65536])
+def test_atom_index_on_the_bounds_themselves(n):
+    # uniforms exactly on each bound and one ulp either side, and both ends
+    # of [0, 1)
+    g = np.random.default_rng(3)
+    for k in _atom_counts(n)[1:]:
+        for i, p in enumerate(_laws(g, k)):
+            cum = np.cumsum(p)
+            edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
+                                    [0.0, np.nextafter(1.0, 0.0)]])
+            edges = edges[edges < 1.0]
+            u = g.random(n)
+            u[:len(edges)] = edges[:n]
+            got = sampling._atom_index(u, cum)
+            assert np.array_equal(got, _searchsorted_reference(u, p)), (k, i)
+
+
+def test_choice_rejects_probabilities_it_cannot_count():
+    stream = SeedStream(0)
+    for probs in ([0.5, np.nan], [np.inf, 0.0], [1.5, -0.5], [], [[0.5, 0.5]]):
+        with pytest.raises(ValueError):
+            stream.choice(10, probs)
+    with pytest.raises(ValueError):
+        DiscreteDistribution(np.eye(2), [np.nan, np.nan])
+    with pytest.raises(ValueError):
+        DiscreteDistribution(np.eye(2), [np.inf, 0.0])
+
+
+def test_one_atom_laws_draw_no_uniform(monkeypatch):
+    calls, uniforms = [], SeedStream.uniforms
+    monkeypatch.setattr(SeedStream, "uniforms",
+                        lambda self, n: calls.append(n) or uniforms(self, n))
+    one = DiscreteDistribution(np.array([[1.0, 2.0]]), [1.0])
+    got = SeedStream(1).choice(7, [1.0])
+    assert got.dtype == np.uint8 and np.array_equal(got, np.zeros(7))
+    assert np.array_equal(SeededSampler("discrete", 2, dist=one).sample(5),
+                          np.tile([1.0, 2.0], (5, 1)))
+    assert calls == []
+    # a one-atom block beside a two-atom one: one uniform draw per chunk,
+    # for the two-atom block, on the table and the direct routes alike
+    two = DiscreteDistribution(np.array([[0.0, 1.0], [0.0, 3.0]]), [0.5, 0.5])
+    model = MatrixBlockModel(2, (MatrixBlock(1, dist=one), MatrixBlock(1, dist=two)))
+    expected_abs_det_mc(model, 70_000, 4)
+    assert calls == chunk_sizes(70_000)
+    calls.clear()
+    model.sample(9, SeedStream(4))
+    assert calls == [9]
+
+
+@pytest.mark.parametrize("n", [100, 70_000])
+def test_mc_joint_index_is_ravel_multi_index(n, monkeypatch):
+    # mixed widths and atom counts with one-atom blocks between the others
+    g = np.random.default_rng(8)
+    specs = (((2, 3), (1, 1), (1, 4), (1, 1), (1, 2)) if n > 100
+             else ((1, 1), (2, 3), (1, 2), (1, 1)))
+    size = sum(w for w, _ in specs)
+    blocks = tuple(MatrixBlock(w, dist=DiscreteDistribution(
+        g.standard_normal((k, size, w)), _laws(g, k)[0])) for w, k in specs)
+    model = MatrixBlockModel(size, blocks)
+    shape = tuple(k for _, k in specs)
+    joint = np.indices(shape).reshape(len(shape), -1)
+    table = randomdet._abs_det(model._stack(joint.shape[1], (
+        b.atom_matrices(size)[i] for b, i in zip(blocks, joint))))
+    assert len(np.unique(table)) == table.size  # equal values mean equal indices
+    draws = []
+    monkeypatch.setattr(randomdet, "_mc_mean_se", lambda stream, n, draw: draws.extend(
+        (stream.derive(ci), draw(stream.derive(ci), size))
+        for ci, size in enumerate(chunk_sizes(n))))
+    expected_abs_det_mc(model, n, 6)
+    assert len(draws) == len(chunk_sizes(n))
+    for stream, got in draws:
+        idx = [stream.derive("block", j).choice(len(got), b.dist.probs)
+               for j, b in enumerate(blocks)]
+        assert np.array_equal(got, table[np.ravel_multi_index(idx, shape)])

@@ -946,3 +946,19 @@ def test_canonical_eq_needs_a_one_to_one_pairing():
     L = zonotope([[1.0, 0.0], [2.0, 1.0], [2.0, 1.01]])
     assert not canonical_eq(K, L, tol=0.05)
     assert canonical_eq(K, zonotope([[1.0, 0.02], [1.0, -0.01], [2.0, 1.0]]), tol=0.05)
+
+
+def test_canonical_eq_pairs_a_row_whose_sign_a_rounding_lead_entry_set():
+    # the sign of a row whose first entry is of rounding size flips with
+    # that entry; a segment is its own negation, so the bodies are equal
+    a, b = 80.0 / 3.0, 40.0 / 3.0
+    K = zonotope([[4.4e-16, -a, a, -b], [1.0, 2.0, 3.0, 4.0]])
+    L = zonotope([[0.0, a, -a, b], [1.0, 2.0, 3.0, 4.0]])
+    assert canonicalize(K).generators[0, 1] < 0 < canonicalize(L).generators[0, 1]
+    assert canonical_eq(K, L) and canonical_eq(L, K)
+    # neither the row nor its negation is within tol
+    M = zonotope([[0.0, a, a, b], [1.0, 2.0, 3.0, 4.0]])
+    assert not canonical_eq(K, M) and not canonical_eq(M, K)
+    # nor when the lead entry is beyond tol of zero
+    N = zonotope([[1e-6, -a, a, -b], [1.0, 2.0, 3.0, 4.0]])
+    assert not canonical_eq(N, L) and not canonical_eq(L, N)
