@@ -32,7 +32,6 @@ from .zonotope import (
     length,
     linear_image,
     minkowski_sum,
-    zonotope,
 )
 
 __all__ = [
@@ -72,15 +71,10 @@ def _as_degree_one(K: Zonotope) -> Zonotope:
     return replace(K, grading=K.grading or (K.ambient_dim, 1), cgrading=None)
 
 
-def _pair_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All outer products a[i] (x) b[j], i in the outer order, flattened row-major."""
-    return np.einsum("ia,jb->ijab", a, b).reshape(len(a) * len(b), a.shape[1] * b.shape[1])
-
-
-def _canonical_pair_rows(K: Zonotope, L: Zonotope) -> np.ndarray | None:
-    """The canonical rows of the float K (x) L from the canonical factors,
-    or None when a factor's canonical form or a product row may leave
-    the normal float64 range (see ``tensor_product``)."""
+def _canonical_factors(K: Zonotope, L: Zonotope) -> tuple | None:
+    """The canonical rows of the float K and L, or None when a factor's
+    canonical form or a product row may leave the normal float64 range
+    (see ``tensor_product``)."""
     try:
         a, b = canonicalize(K).generators, canonicalize(L).generators
     except ValueError:  # a factor row or merge past float64; the product may fit
@@ -91,17 +85,15 @@ def _canonical_pair_rows(K: Zonotope, L: Zonotope) -> np.ndarray | None:
             * float(np.abs(b[b != 0.0]).min(initial=np.inf)))
     huge = float(_row_norms(a).max(initial=0.0)) * float(_row_norms(b).max(initial=0.0))
     # half the float64 range: room for the rounding of each product's norm
-    if not (tiny >= sys.float_info.min and huge < 2.0 ** 1023):
-        return None
-    g = _pair_rows(a, b)
-    return g[_lex_order(g)]
+    return (a, b) if tiny >= sys.float_info.min and huge < 2.0 ** 1023 else None
 
 
 def tensor_product(K: Zonotope, L: Zonotope) -> Zonotope:
     """Zonotope of the tensor of independent representatives.
 
     Generators are all pairwise outer products, flattened row-major, in
-    canonical form.  A float product is formed from the canonical
+    canonical form, from ``exterior``'s tensor table (exact bodies on their
+    integer numerators).  A float product is formed from the canonical
     factors, and the products of canonical rows are canonical but for
     their order, so they need only ``_lex_order``:
     cos(a (x) b, a' (x) b') = cos(a, a') cos(b, b'), so the sine of two
@@ -118,12 +110,13 @@ def tensor_product(K: Zonotope, L: Zonotope) -> Zonotope:
     """
     K, L = _one_field(K, L)
     dim = K.ambient_dim * L.ambient_dim
-    if K.n_generators == 0 or L.n_generators == 0:
-        return zonotope([], ambient_dim=dim)
-    g = None if K.exact else _canonical_pair_rows(K, L)
-    if g is None:
-        return canonicalize(Zonotope(dim, _pair_rows(K.generators, L.generators)))
-    return Zonotope(dim, g)
+    factors = None if K.exact else _canonical_factors(K, L)
+    a, b = factors or (K.generators, L.generators)
+    with np.errstate(over="ignore", invalid="ignore"):  # see _subset_power
+        g = exterior._pairs(a, b, exterior._tensor_table(K.ambient_dim, L.ambient_dim))
+    if factors is None:  # C order, as np.einsum gave: row norms depend on it
+        return canonicalize(Zonotope(dim, np.ascontiguousarray(g)))
+    return Zonotope(dim, g[_lex_order(g)])
 
 
 def virtual_tensor(W1: VirtualZonotope, W2: VirtualZonotope) -> VirtualZonotope:

@@ -15,15 +15,18 @@ twice the length by interleaving (real, imaginary) parts, and
 ``unrealify_rows`` inverts it; every other module reads and writes that
 layout through these two functions.
 
-Every product is one fold, ``_product``: start rows a[ia], then steps,
-each wedging the rows so far with rows of one more operand that a pick
-of indices selects, one ``_gather`` of a block of rows at a time.  The
-row-batched kernels are thin calls of it on (N, C(m, k)) arrays of any
-of these dtypes: ``wedge_rows`` (row r with row r), ``wedge_pairs``
-(every row with every row), ``blade_rows`` (the vectors of a batch of
-matrices) and ``subset_blades`` (the d-subsets of a generator list, each
-prefix wedged once: the blades of the t-subsets that start a d-subset,
-level by level, each row the wedge of its parent with one more
+Every product is one fold over structure tables, ``_product``: start
+rows a[ia], then steps, each multiplying the rows so far with rows of
+one more operand under a table (ii, jj, ss), output slot S summing
+ss * x[ii] * y[jj] over its terms, one ``_gather`` of a block of rows at
+a time.  A wedge table has C(k+l, k) signed terms per slot, the tensor
+table (``algebra.tensor_product``) one.  The row-batched kernels are
+thin calls of it on (N, C(m, k)) arrays of any of these dtypes:
+``wedge_rows`` (row r with row r), ``wedge_pairs`` (every row with every
+row, as the tensor product pairs them), ``blade_rows`` (the vectors of a
+batch of matrices) and ``subset_blades`` (the d-subsets of a generator
+list, each prefix wedged once: the blades of the t-subsets that start a
+d-subset, level by level, each row the wedge of its parent with one more
 generator).  The single-element functions (``wedge`` and the blades)
 are one-row calls.
 
@@ -91,12 +94,6 @@ def _subset_rank(m: int, k: int) -> dict[tuple[int, ...], int]:
     return {s: i for i, s in enumerate(basis_subsets(m, k))}
 
 
-def _shuffle_sign(pos) -> int:
-    """Sign of the shuffle that moves the sorted positions ``pos`` of a
-    sorted tuple to its front, keeping the order within both parts."""
-    return (-1) ** sum(p - t for t, p in enumerate(pos))
-
-
 @lru_cache(maxsize=None)
 def _wedge_table(m: int, k: int, l: int):
     """Gather table for wedge: Λ^k x Λ^l -> Λ^{k+l}.
@@ -110,7 +107,7 @@ def _wedge_table(m: int, k: int, l: int):
         [
             (rank_k[tuple(S[p] for p in pos)],
              rank_l[tuple(s for p, s in enumerate(S) if p not in pos)],
-             _shuffle_sign(pos))
+             (-1) ** sum(p - t for t, p in enumerate(pos)))
             for pos in combinations(range(k + l), k)
         ]
         for S in basis_subsets(m, k + l)
@@ -120,16 +117,21 @@ def _wedge_table(m: int, k: int, l: int):
 
 
 @lru_cache(maxsize=None)
+def _tensor_table(da: int, db: int):
+    """Tensor table R^da x R^db -> R^(da db): slot i db + j sums the one
+    term a[i] b[j], so a product of zero is +0.0, as in np.einsum."""
+    ii, jj = np.indices((da, db)).reshape(2, da * db, 1)
+    return ii, jj, np.ones_like(ii)
+
+
+@lru_cache(maxsize=None)
 def _hodge_table(m: int, k: int):
     """Gather form of e_I -> sign * e_{I complement}: output slot C reads
-    the slot of its complement I, times the parity of (I, C)."""
-    rank_in = _subset_rank(m, k)
-    src, sign = [], []
-    for C in basis_subsets(m, m - k):
-        I = tuple(i for i in range(m) if i not in C)
-        src.append(rank_in[I])
-        sign.append(_shuffle_sign(I))
-    return np.asarray(src, dtype=np.intp), np.asarray(sign, dtype=np.intp)
+    the slot of its complement I, times the parity of (I, C), which is
+    the one slot of the wedge table Λ^k x Λ^{m-k} -> Λ^m reordered by C."""
+    ii, jj, ss = _wedge_table(m, k, m - k)
+    order = np.argsort(jj[0])
+    return ii[0, order], ss[0, order]
 
 
 def _coerce_coeffs(coeffs, n: int) -> np.ndarray:
@@ -234,34 +236,34 @@ def _row_blocks(count: int) -> list:
     return [slice(r, min(r + _ROW_BLOCK, count)) for r in range(0, max(count, 1), _ROW_BLOCK)]
 
 
-def _gather(a, b, m: int, k: int, l: int, count: int, pick) -> np.ndarray:
-    """Rows a[ia] ^ b[ib] for count output rows, gathered _ROW_BLOCK rows
-    at a time: pick(rows) gives (ia, ib) for a slice of output rows, so no
-    operand is gathered for more than one block.  The output takes the
-    first block's dtype and memory order, as a concatenation of the
-    blocks would (later row sums depend on it)."""
-    ii, jj, ss = _wedge_table(m, k, l)
+def _gather(a, b, table, count: int, blocks) -> np.ndarray:
+    """count rows of products of a[ia] and b[ib] under a structure table
+    (ii, jj, ss) of shape (slots, terms), per block (rows, ia, ib) of at
+    most _ROW_BLOCK output rows: a[ia] and b[ib] broadcast, flattened.
+    The output takes the first block's dtype and memory order, as a
+    concatenation of the blocks would (later row sums depend on it)."""
+    ii, jj, ss = table
     out = None
-    for rows in _row_blocks(count):
-        ia, ib = pick(rows)
-        block = (a[ia][:, ii] * b[ib][:, jj] * ss).sum(axis=2)
+    for rows, ia, ib in blocks:
+        block = (a[ia][..., ii] * b[ib][..., jj] * ss).sum(axis=-1)
+        block = block.reshape(rows.stop - rows.start, len(ii))
         if out is None:
-            out = np.empty_like(block, shape=(count, block.shape[1]))
+            out = np.empty_like(block, shape=(count, len(ii)))
         out[rows] = block
     return out
 
 
-def _product(a, ia, k: int, steps, m: int, factor: int = 1) -> np.ndarray:
-    """factor * (a[ia] ^ b_1 ^ ... ^ b_s): the degree-k rows a[ia] wedged in
-    turn with each step (b, l, count, pick), one ``_gather`` of count rows
-    out[i] ^ b[j] with b of degree l and (i, j) = pick(rows).
+def _product(a, ia, steps, factor: int = 1) -> np.ndarray:
+    """factor * a[ia] * b_1 * ... * b_s: the rows a[ia] multiplied in turn
+    by each step (b, table, count, blocks), one ``_gather`` of count rows
+    under the structure table, in the blocks that blocks() yields.
 
     When every operand is exact (an object array of ints and Fractions),
     each distinct one is split once, however often it enters; the gathers
-    run on the numerators, in int64 while factor times the multinomial
-    count of terms times each factor's largest numerator stays below
-    2^62, and each row's denominator is the product of its operands'
-    along the same picks."""
+    run on the numerators, in int64 while factor times each table's terms
+    per slot (for wedges, the multinomial count of terms) times each
+    factor's largest numerator stays below 2^62, and each row's
+    denominator is the product of its operands', paired as in the blocks."""
     split = {}
     if a.dtype == object:
         split[id(a)] = _split_exact(a)
@@ -273,19 +275,16 @@ def _product(a, ia, k: int, steps, m: int, factor: int = 1) -> np.ndarray:
     num = {}
     if split:
         bound = factor * max(split[id(a)][2], 1)
-        degree = k
-        for b, l, _, _ in steps:  # the multinomial count of terms, one binomial a step
-            degree += l
-            bound *= math.comb(degree, l) * max(split[id(b)][2], 1)
+        for b, (ii, _, _), _, _ in steps:
+            bound *= ii.shape[1] * max(split[id(b)][2], 1)
         num = dict(zip(split, _int_arrays(bound, *(n for n, _, _ in split.values()))))
         den = split[id(a)][1][ia]
     out = num.get(id(a), a)[ia]
-    for b, l, count, pick in steps:
-        out = _gather(out, num.get(id(b), b), m, k, l, count, pick)
-        k += l
+    for b, table, count, blocks in steps:
+        out = _gather(out, num.get(id(b), b), table, count, blocks())
         if split:
-            i, j = pick(slice(0, count))
-            den = den[i] * split[id(b)][1][j]
+            d = split[id(b)][1]
+            den = np.concatenate([(den[i] * d[j]).ravel() for _, i, j in blocks()])
     if factor != 1:
         out *= factor  # in place: the output is the largest array here
     return _join_exact(out, den) if split else out
@@ -300,17 +299,33 @@ def wedge_rows(a, b, m: int, k: int, l: int) -> np.ndarray:
     rows on their integer numerators.
     """
     a, b = np.asarray(a), np.asarray(b)
-    return _product(a, slice(None), k, [(b, l, len(a), lambda rows: (rows, rows))], m)
+    blocks = [(rows, rows, rows) for rows in _row_blocks(len(a))]
+    return _product(a, slice(None), [(b, _wedge_table(m, k, l), len(a), lambda: blocks)])
+
+
+def _pairs(a, b, table) -> np.ndarray:
+    """Row i len(b) + j is a[i] times b[j] under a structure table.  A block
+    broadcasts rows of a, indexed with shape (r, 1), against b, or, when b
+    fills more than one block, one row of a against each of near-equal
+    slices of b (a block of one row would be summed in another order)."""
+    a, b = np.asarray(a), np.asarray(b)
+    na, nb = len(a), len(b)
+    slices = -(-max(nb, 1) // _ROW_BLOCK)  # of at most _ROW_BLOCK rows each
+    width = -(-max(nb, 1) // slices)
+    step = _ROW_BLOCK // width  # rows of a per block
+
+    def blocks():
+        for i in range(0, max(na, 1), step):
+            for j in range(0, max(nb, 1), width):
+                ia, jb = np.arange(i, min(i + step, na))[:, None], slice(j, min(j + width, nb))
+                yield slice(i * nb + j, i * nb + j + len(ia) * (jb.stop - j)), ia, jb
+    return _product(a, slice(None), [(b, table, na * nb, blocks)])
 
 
 def wedge_pairs(a, b, m: int, k: int, l: int) -> np.ndarray:
     """Exterior products a[i] ^ b[j] of every row of a with every row of
     b, i in the outer order: shape (len(a) * len(b), C(m, k+l))."""
-    a, b = np.asarray(a), np.asarray(b)
-
-    def pick(rows):  # output row i * len(b) + j is a[i] ^ b[j]
-        return np.divmod(np.arange(rows.start, rows.stop), max(len(b), 1))
-    return _product(a, slice(None), k, [(b, l, len(a) * len(b), pick)], m)
+    return _pairs(a, b, _wedge_table(m, k, l))
 
 
 def blade_rows(V) -> np.ndarray:
@@ -320,8 +335,9 @@ def blade_rows(V) -> np.ndarray:
     """
     V = np.asarray(V)
     n, k, m = V.shape
-    steps = [(V, 1, n, lambda rows, t=t: (rows, (rows, t))) for t in range(1, k)]
-    return _product(V, (slice(None), 0), 1, steps, m)
+    steps = [(V, _wedge_table(m, t, 1), n, lambda t=t: ((r, r, (r, t)) for r in _row_blocks(n)))
+             for t in range(1, k)]
+    return _product(V, (slice(None), 0), steps)
 
 
 @lru_cache(maxsize=128)
@@ -366,9 +382,10 @@ def subset_blades(G, d: int, factor: int = 1) -> np.ndarray:
     tables = _subset_tables(len(G), d)
     if G.dtype != object:
         _row_norms(G)
-    steps = [(G, 1, len(new), lambda rows, p=parent, n=new: (p[rows], n[rows]))
-             for parent, new in tables[1:]]
-    return _product(G, tables[0][1], 1, steps, G.shape[1], factor)
+    steps = [(G, _wedge_table(G.shape[1], t, 1), len(n),
+              lambda p=p, n=n: ((r, p[r], n[r]) for r in _row_blocks(len(n))))
+             for t, (p, n) in enumerate(tables[1:], 1)]
+    return _product(G, tables[0][1], steps, factor)
 
 
 def _subset_blocks(count: int, d: int):

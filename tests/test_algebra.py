@@ -443,10 +443,16 @@ def test_products_refuse_to_mix_exact_and_float_bodies():
             op(E, F)
         with pytest.raises(ValueError):
             op(F, E)
-    # an empty body takes the other body's field
+    # an empty body takes the other body's field, in either argument order
     O = zonotope([], ambient_dim=2, grading=(2, 1))
     assert wedge_product(O, E).n_generators == 0
-    assert tensor_product(E, O).n_generators == 0
+    E1 = zonotope(np.array([[Fraction(3, 5)]], dtype=object))
+    O1 = zonotope([], ambient_dim=1)
+    for K, L in ((E, O), (E1, O1)):
+        for T in (tensor_product(K, L), tensor_product(L, K)):
+            assert T.n_generators == 0 and T.generators.dtype == object
+    for T in (tensor_product(E1, O1), tensor_product(O1, E1)):  # in R^1
+        assert type(length(T)) is Fraction
 
 
 def test_projection_body_support_is_shadow_area():

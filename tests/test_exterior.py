@@ -22,9 +22,11 @@ from zonoidal import (
     unrealify,
     unrealify_rows,
     subset_blades,
+    tensor_product,
     wedge,
     wedge_pairs,
     wedge_rows,
+    zonotope,
 )
 from zonoidal import exterior
 from zonoidal.exterior import _ROW_BLOCK, _int_arrays, _split_exact, _subset_blocks
@@ -525,14 +527,16 @@ def _numerator_dtypes(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("route", ["rows", "pairs", "blades", "subsets"])
+@pytest.mark.parametrize("route", ["rows", "pairs", "blades", "subsets", "tensor"])
 @pytest.mark.parametrize("side", ["below", "above"])
 def test_exact_products_at_the_int64_bound(route, side, monkeypatch):
     """Just below the bound the gathers run in int64, whose overflow would
     wrap without an error; just above they take Python ints.  Every input
     reaches its bound (all terms of a sum share one sign), and the result
-    equals Fraction determinants summed by definition."""
-    terms = {"rows": 6, "pairs": 6, "blades": 2, "subsets": 2 * 2}  # multinomial (x factor)
+    equals Fraction determinants summed by definition, or for the tensor
+    product, whose table has one term per slot, the Fraction products."""
+    # terms per slot: multinomial (x factor) for wedges, 1 for the tensor
+    terms = {"rows": 6, "pairs": 6, "blades": 2, "subsets": 2 * 2, "tensor": 1}
     M = math.isqrt((2 ** 62 - 1) // terms[route]) + (side == "above")
     assert (terms[route] * M * M < 2 ** 62) == (side == "below")
     seen = _numerator_dtypes(monkeypatch)
@@ -544,6 +548,11 @@ def test_exact_products_at_the_int64_bound(route, side, monkeypatch):
             b = np.concatenate([b, -b])
             got = wedge_pairs(a, b, 4, 2, 2)
             want = [wedge_reference(a[0], y, 4, 2, 2) for y in b]
+    elif route == "tensor":  # the canonical row (M^2, M^2, -M^2, -M^2)
+        K = zonotope(np.array([[Fraction(M), Fraction(-M)]], dtype=object))
+        L = zonotope(np.array([[Fraction(M), Fraction(M)]], dtype=object))
+        got = tensor_product(K, L).generators
+        want = [[x * y for x in K.generators[0] for y in L.generators[0]]]
     else:  # two vectors of R^2 whose minor is 2 M^2, times factor 2 for subsets
         V = np.array([[Fraction(M), Fraction(M)], [Fraction(-M), Fraction(M)]], dtype=object)
         if route == "blades":
@@ -565,15 +574,49 @@ def test_subset_blocks_list_combinations_in_blocks(N, d):
     assert list(map(tuple, got.tolist())) == list(combinations(range(N), d))
 
 
+def _block_rows(monkeypatch):
+    """The output rows of each block of every ``exterior._gather`` call."""
+    seen = []
+    gather = exterior._gather
+
+    def spy(a, b, table, count, blocks):
+        blocks = list(blocks)
+        seen.extend(rows.stop - rows.start for rows, _, _ in blocks)
+        return gather(a, b, table, count, blocks)
+
+    monkeypatch.setattr(exterior, "_gather", spy)
+    return seen
+
+
 @pytest.mark.parametrize("kind", ["float", "complex", "fraction"])
-def test_wedge_pairs_across_a_block_boundary(kind):
+def test_wedge_pairs_across_a_block_boundary(kind, monkeypatch):
+    """Every row of a with every row of b, in blocks of at most _ROW_BLOCK
+    output rows whatever len(a) and len(b) are (b can be longer than a
+    block: mixed_volume([K, L, L, L]) in R^4 with 60 generators in L
+    wedges K with the 34220 rows of L^3).  Wedges equal wedge_rows on
+    repeated rows.  The tensor table gives np.einsum's outer products, as
+    algebra's reference tensor product forms them, laid out as every
+    gather's output is, with a block's rows as its fastest axis; tensor
+    products are real, and np.einsum and the gather may round complex
+    products differently (numpy's multiply loops may fuse them)."""
     g = rng(38)
+    blocks = _block_rows(monkeypatch)
     m, k, l = 4, 2, 1
-    a = random_batch(g, kind, (70, exterior_dim(m, k)))
-    b = random_batch(g, kind, (61, exterior_dim(m, l)))
-    assert len(a) * len(b) > _ROW_BLOCK and len(a) * len(b) % _ROW_BLOCK
-    want = wedge_rows(np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1)), m, k, l)
-    assert_same_array(wedge_pairs(a, b, m, k, l), want)
+    assert 70 * 61 > _ROW_BLOCK and 70 * 61 % _ROW_BLOCK
+    for na, nb in ((70, 61), (2, _ROW_BLOCK + 4), (0, 61), (70, 0)):
+        a = random_batch(g, kind, (na, exterior_dim(m, k)))
+        b = random_batch(g, kind, (nb, exterior_dim(m, l)))
+        want = wedge_rows(np.repeat(a, nb, axis=0), np.tile(b, (na, 1)), m, k, l)
+        blocks.clear()
+        assert_same_array(wedge_pairs(a, b, m, k, l), want)
+        assert max(blocks) <= _ROW_BLOCK and sum(blocks) == na * nb
+        if kind == "complex":
+            continue
+        a, b = a[:, :3], b[:, :2]
+        want = np.asfortranarray(np.einsum("ia,jb->ijab", a, b).reshape(na * nb, 6))
+        blocks.clear()
+        assert_same_array(exterior._pairs(a, b, exterior._tensor_table(3, 2)), want)
+        assert max(blocks) <= _ROW_BLOCK and sum(blocks) == na * nb
 
 
 def test_subset_blades_peak_memory_stays_near_the_output():
