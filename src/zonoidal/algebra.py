@@ -2,9 +2,9 @@
 
 The tensor product takes all pairwise outer products of generators, the
 wedge product all pairwise exterior products, and a user-supplied
-multilinear map f = L o (x) induces the linear image under L of the
-tensor product.  Mixed, intrinsic and ordinary volumes then fall out of
-wedge-product lengths:
+multilinear map f its values at all generator tuples, contracting its
+structure tensor one factor at a time.  Mixed, intrinsic and ordinary
+volumes then fall out of wedge-product lengths:
 
     MV(K_1, ..., K_m) = length(K_1 ^ ... ^ K_m) / m!
     V_d(K)            = length(K^(^d)) / d!
@@ -17,7 +17,7 @@ import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
-from functools import reduce
+from itertools import product
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .zonotope import (
     _one_field,
     canonicalize,
     length,
-    linear_image,
     minkowski_sum,
 )
 
@@ -64,10 +63,12 @@ def _require_grading(K: Zonotope) -> tuple[int, int, bool]:
 
 
 def _as_degree_one(K: Zonotope) -> Zonotope:
-    """Interpret a zonotope in R^m as degree 1 in R^m.  A complex tag is
-    dropped: the wedge chain would read it as complex."""
+    """K read as degree 1 in R^m, itself if so tagged; a complex tag is
+    dropped, since the wedge chain would read it as complex."""
     if K.grading is not None and K.grading[1] != 1:
         raise ValueError("expected a degree-1 zonotope")
+    if K.grading is not None and K.cgrading is None:
+        return K
     return replace(K, grading=K.grading or (K.ambient_dim, 1), cgrading=None)
 
 
@@ -177,53 +178,49 @@ def _subset_power(K: Zonotope, d: int) -> Zonotope:
     return _graded(gens, m, d, is_complex)
 
 
-def _wedge_power_raw(K: Zonotope, d: int) -> Zonotope:
-    """d-fold wedge before canonicalization (see ``wedge_power``); a
-    complex tag is read as real."""
-    if d < 0:
-        raise ValueError("power must be nonnegative")
-    return _subset_power(_as_degree_one(K), d)
-
-
 def wedge_power(K: Zonotope, d: int) -> Zonotope:
     """d-fold wedge of K with itself.
 
     Antisymmetry kills tuples with repeats and merges the d! permutations
     of a subset, so the blades of the d-subsets of the generators as
-    given, each scaled by d!, are merged once.
+    given, each scaled by d!, are merged once; a complex tag reads as real.
     """
-    return canonicalize(_wedge_power_raw(K, d))
+    if d < 0:
+        raise ValueError("power must be nonnegative")
+    return canonicalize(_subset_power(_as_degree_one(K), d))
 
 
 def induced_map(f, zonotopes) -> Zonotope:
     """Zonotope of f(X_1, ..., X_p) for a multilinear callback f.
 
-    f takes p vectors and returns a vector.  By the universal property
-    f = L o (x), where L's column (a_1, ..., a_p), in the row-major order
-    of ``tensor_product``, is f(e_a1, ..., e_ap); the body is
-    L(K_1 (x) ... (x) K_p), generators read as float64.  f is called
-    prod_j d_j + 1 times: the last call checks f(x) = L(x_1 (x) ... (x) x_p)
-    at one random tuple, linearity in every slot at once (warning on
-    failure).  Expanding f over generator tuples would take prod_j N_j
-    calls, fewer only for many factors in a high dimension with few
-    generators.
+    f takes p vectors and returns a vector.  Its structure tensor T, entry
+    (S, a_1, ..., a_p) = f(e_a1, ..., e_ap)_S, is contracted with one
+    factor's float64 generators at a time, last axis first, by
+    ``exterior._pairs`` under the contraction table, so the rows are f at
+    every generator tuple and no body in R^(prod_j d_j) is formed.  The
+    last of f's prod_j d_j + 1 calls checks f(x) = T(x_1, ..., x_p), all
+    slots at once, at one random tuple by the same contraction, and warns.
     """
-    Ks = [Zonotope(K.ambient_dim, K.generators.astype(np.float64)) for K in zonotopes]
-    if not Ks:
+    Gs = [np.asarray(K.generators, dtype=np.float64) for K in zonotopes]
+    if not Gs:
         raise ValueError("need at least one zonotope")
-    dims = [K.ambient_dim for K in Ks]
-    bases = [np.eye(d) for d in dims]
-    L = np.column_stack([
-        np.asarray(f(*(e[a] for e, a in zip(bases, idx))), dtype=np.float64)
-        for idx in np.ndindex(*dims)
-    ])
+    dims = [G.shape[1] for G in Gs]
+    T = np.column_stack([np.asarray(f(*e), dtype=np.float64)
+                         for e in product(*(np.eye(d) for d in dims))])
+
+    def contract(rows):  # one row of T(g_1, ..., g_p) per tuple, g_p outermost
+        x = T.reshape(1, -1)
+        for G in reversed(rows):
+            x = exterior._pairs(x, G, exterior._contraction_table(x.shape[1], G.shape[1]))
+        return x
+
     rng = np.random.Generator(np.random.Philox(key=7))
     x = [rng.standard_normal(d) for d in dims]
-    Lx = L @ reduce(np.multiply.outer, x).ravel()
+    Tx = contract([v[None] for v in x])[0]
     fx = np.asarray(f(*x), dtype=np.float64)
-    if np.any(np.abs(fx - Lx) > 1e-8 * max(1.0, float(np.max(np.abs(Lx))))):
+    if np.any(np.abs(fx - Tx) > 1e-8 * max(1.0, float(np.max(np.abs(Tx), initial=0.0)))):
         warnings.warn("callback failed the multilinearity spot check", stacklevel=2)
-    return linear_image(L, reduce(tensor_product, Ks))
+    return canonicalize(Zonotope(len(T), contract(Gs)))
 
 
 def _same_body(K: Zonotope, L: Zonotope) -> bool:
@@ -291,6 +288,8 @@ def mixed_volume(zonotopes):
     (``_chain``), so MV(K[r], ...) costs C(N, r) rows for K, not N^r.
     """
     Ks = [_as_degree_one(K) for K in zonotopes]
+    if not Ks:
+        raise ValueError("need at least one zonotope")
     m = Ks[0].grading[0]
     if len(Ks) != m:
         raise ValueError(f"mixed volume in R^{m} needs exactly {m} bodies")
@@ -301,7 +300,8 @@ def mixed_volume(zonotopes):
 
 def volume(K: Zonotope):
     """vol_m(K) = V_m(K) = sum over m-subsets of |det|."""
-    return intrinsic_volume(K, _as_degree_one(K).grading[0])
+    K = _as_degree_one(K)
+    return intrinsic_volume(K, K.grading[0])
 
 
 def intrinsic_volume(K: Zonotope, d: int):
@@ -310,7 +310,7 @@ def intrinsic_volume(K: Zonotope, d: int):
     m = K.grading[0]
     if not 0 <= d <= m:
         raise ValueError("intrinsic volume degree out of range")
-    return _per_factorial(length(_wedge_power_raw(K, d)), d)
+    return _per_factorial(length(_subset_power(K, d)), d)
 
 
 def hodge_star_zonoid(K: Zonotope) -> Zonotope:
@@ -332,7 +332,7 @@ def projection_body(K: Zonotope) -> Zonotope:
     if m < 2:
         raise ValueError("projection body needs ambient dimension >= 2")
     lam = Fraction(2, math.factorial(m - 1))
-    gens = exterior.hodge_rows(_wedge_power_raw(K, m - 1).generators, m, m - 1)
+    gens = exterior.hodge_rows(_subset_power(K, m - 1).generators, m, m - 1)
     return canonicalize(Zonotope(m, gens * (lam if K.exact else float(lam)), grading=(m, 1)))
 
 
@@ -370,6 +370,8 @@ def reverse_af_gap(zonotopes, degrees):
     degrees = [int(d) for d in degrees]
     if len(Ks) != len(degrees):
         raise ValueError("need one multiplicity per body")
+    if not Ks:
+        raise ValueError("need at least one zonotope")
     m = Ks[0].grading[0]
     if sum(degrees) != m:
         raise ValueError("multiplicities must sum to the ambient dimension")

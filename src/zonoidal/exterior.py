@@ -20,7 +20,8 @@ rows a[ia], then steps, each multiplying the rows so far with rows of
 one more operand under a table (ii, jj, ss), output slot S summing
 ss * x[ii] * y[jj] over its terms, one ``_gather`` of a block of rows at
 a time.  A wedge table has C(k+l, k) signed terms per slot, the tensor
-table (``algebra.tensor_product``) one.  The row-batched kernels are
+table (``algebra.tensor_product``) one and the contraction table
+(``algebra.induced_map``) d.  The row-batched kernels are
 thin calls of it on (N, C(m, k)) arrays of any of these dtypes:
 ``wedge_rows`` (row r with row r), ``wedge_pairs`` (every row with every
 row, as the tensor product pairs them), ``blade_rows`` (the vectors of a
@@ -122,6 +123,13 @@ def _tensor_table(da: int, db: int):
     term a[i] b[j], so a product of zero is +0.0, as in np.einsum."""
     ii, jj = np.indices((da, db)).reshape(2, da * db, 1)
     return ii, jj, np.ones_like(ii)
+
+
+def _contraction_table(width: int, d: int):
+    """Contraction table R^width x R^d -> R^(width / d), d >= 1: slot S sums
+    the d terms x[S d + t] g[t], the last axis of x against g."""
+    ii = np.arange(width).reshape(width // d, d)
+    return ii, np.broadcast_to(np.arange(d), ii.shape), np.ones_like(ii)
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,10 @@
 """Tests for the graded zonoid algebra: tensor, wedge, volumes, duality."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from zonoidal import (
     af_gap,
     canonical_eq,
     canonicalize,
+    complex_wedge_zonoids,
     hodge_star_zonoid,
     induced_map,
     intrinsic_volume,
     length,
     linear_image,
     minkowski_sum,
+    mixed_J_volume,
     mixed_volume,
     projection_body,
     radius_bounds,
@@ -317,6 +320,86 @@ def test_induced_triple_determinant_is_six_mixed_volumes():
     D = induced_map(lambda u, v, w: np.array([np.linalg.det(np.array([u, v, w]))]), Ks)
     assert D.ambient_dim == 1
     assert math.isclose(length(D) / math.factorial(3), mixed_volume(Ks), rel_tol=1e-12)
+
+
+def _tuple_oracle(f, Ks, dim):
+    """f at every tuple of generators, canonicalized."""
+    rows = [f(*gs) for gs in product(*(K.generators for K in Ks))]
+    return canonicalize(zonotope(np.array(rows).reshape(-1, dim), ambient_dim=dim))
+
+
+def _induced_cases():
+    g = rng(41)
+    T = g.standard_normal((3, 2, 3, 2))
+    yield "dense R^2 x R^3 x R^2 -> R^3", 3, (
+        lambda u, v, w: np.einsum("sabc,a,b,c->s", T, u, v, w),
+        [zonotope(g.standard_normal((n, d))) for n, d in ((4, 2), (5, 3), (3, 2))])
+    assert 70 * 61 > _ROW_BLOCK  # the tuples fill more than one row block
+    yield "cross product of 70 and 61", 3, (
+        np.cross, [zonotope(g.standard_normal((n, 3))) for n in (70, 61)])
+    yield "empty middle factor", 2, (
+        lambda u, v, w: np.array([(u @ v) * w[0], u[1] * (v @ w)]),
+        [zonotope(g.standard_normal((3, 2))), zonotope([], ambient_dim=2),
+         zonotope(g.standard_normal((4, 2)))])
+
+
+@pytest.mark.parametrize("case", list(_induced_cases()), ids=lambda c: c[0])
+def test_induced_map_equals_f_at_every_generator_tuple(case):
+    _, dim, (f, Ks) = case
+    D = induced_map(f, Ks)
+    assert D.ambient_dim == dim
+    assert canonical_eq(D, _tuple_oracle(f, Ks, dim))
+
+
+def test_induced_map_of_one_factor_is_its_linear_image():
+    g = rng(42)
+    M, K = g.standard_normal((2, 3)), zonotope(g.standard_normal((6, 3)))
+    assert canonical_eq(induced_map(lambda v: M @ v, [K]), linear_image(M, K))
+
+
+def test_induced_determinant_in_r4_never_forms_the_tensor_body():
+    g = rng(43)
+    Ks = [zonotope(g.standard_normal((10, 4)), grading=(4, 1)) for _ in range(4)]
+    f = lambda *vs: np.array([np.linalg.det(np.array(vs))])
+    tracemalloc.start()
+    try:
+        D = induced_map(f, Ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the body in R^256 of the 10^4 generator tuples alone is 20 MB
+    assert peak < 5e6
+    assert math.isclose(length(D) / math.factorial(4), mixed_volume(Ks), rel_tol=1e-12)
+
+
+def test_induced_map_into_r0_is_the_zero_body():
+    K = zonotope(rng(44).standard_normal((3, 2)))
+    D = induced_map(lambda v, w: np.zeros(0), [K, K])
+    assert (D.ambient_dim, D.n_generators) == (0, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _chain([]),
+    lambda: mixed_volume([]),
+    lambda: reverse_af_gap([], []),
+    lambda: mixed_J_volume(),
+    lambda: complex_wedge_zonoids(),
+    lambda: induced_map(lambda: np.zeros(1), []),
+], ids=["chain", "mixed_volume", "reverse_af_gap", "mixed_J_volume",
+        "complex_wedge_zonoids", "induced_map"])
+def test_products_of_no_bodies_are_refused(call):
+    with pytest.raises(ValueError, match="need at least one zonotope"):
+        call()
+
+
+def test_a_degree_one_tag_is_kept_and_a_missing_or_complex_one_set():
+    G = rng(45).standard_normal((3, 4))
+    K = zonotope(G, grading=(4, 1))
+    assert _as_degree_one(K) is K
+    for L in (zonotope(G), zonotope(G, cgrading=(2, 1))):
+        D = _as_degree_one(L)
+        assert (D.grading, D.cgrading) == ((4, 1), None)
+        assert D.generators is L.generators
 
 
 def test_mixed_volume_of_segments():
