@@ -205,19 +205,21 @@ def induced_map(f, zonotopes) -> Zonotope:
     if not Gs:
         raise ValueError("need at least one zonotope")
     dims = [G.shape[1] for G in Gs]
-    T = np.column_stack([np.asarray(f(*e), dtype=np.float64)
-                         for e in product(*(np.eye(d) for d in dims))])
+    cols = [np.asarray(f(*e), dtype=np.float64) for e in product(*(np.eye(d) for d in dims))]
+    rng = np.random.Generator(np.random.Philox(key=7))
+    x = [rng.standard_normal(d) for d in dims]
+    fx = np.asarray(f(*x), dtype=np.float64)
+    T = np.column_stack(cols) if cols else np.zeros((fx.size, 0))
 
     def contract(rows):  # one row of T(g_1, ..., g_p) per tuple, g_p outermost
+        if not cols:  # a factor in R^0: f is zero, into R^s, s the size of f(x)
+            return np.zeros((math.prod(map(len, rows)), len(T)))
         x = T.reshape(1, -1)
         for G in reversed(rows):
             x = exterior._pairs(x, G, exterior._contraction_table(x.shape[1], G.shape[1]))
         return x
 
-    rng = np.random.Generator(np.random.Philox(key=7))
-    x = [rng.standard_normal(d) for d in dims]
     Tx = contract([v[None] for v in x])[0]
-    fx = np.asarray(f(*x), dtype=np.float64)
     if np.any(np.abs(fx - Tx) > 1e-8 * max(1.0, float(np.max(np.abs(Tx), initial=0.0)))):
         warnings.warn("callback failed the multilinearity spot check", stacklevel=2)
     return canonicalize(Zonotope(len(T), contract(Gs)))

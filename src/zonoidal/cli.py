@@ -182,10 +182,13 @@ def _parse_vector(text: str, exact: bool = False) -> np.ndarray:
         raise SchemaError(f"bad vector {text!r}: {e}") from e
 
 
-def _parse_matrix(text: str) -> np.ndarray:
+def _parse_matrix(text: str, exact: bool = False) -> np.ndarray:
     try:
-        rows = [r for r in text.split(";") if r.strip()]
-        return _finite_floats([[float(v) for v in r.split(",")] for r in rows])
+        rows = [[Fraction(v) if exact else float(v) for v in r.split(",")]
+                for r in text.split(";") if r.strip()]
+        if exact and len(set(map(len, rows))) > 1:
+            raise ValueError("rows of unequal length")
+        return np.array(rows, dtype=object) if exact else _finite_floats(rows)
     except (ValueError, KeyError) as e:
         raise SchemaError(f"bad matrix {text!r}: {e}") from e
 
@@ -326,7 +329,7 @@ def _cmd_scale(args):
         raise SchemaError("scale takes --factor or --matrix, not both")
     K = _load_body(args.files[0], args.exact_rational)
     if args.matrix is not None:
-        M = _parse_matrix(args.matrix)
+        M = _parse_matrix(args.matrix, args.exact_rational)
         if isinstance(K, VirtualZonotope):
             out = VirtualZonotope(
                 linear_image(M, K.plus), linear_image(M, K.minus)

@@ -31,10 +31,11 @@ d-subset, level by level, each row the wedge of its parent with one more
 generator).  The single-element functions (``wedge`` and the blades)
 are one-row calls.
 
-Exact rows (int and Fraction entries) are split once per operand into
-integer numerators over one denominator per row, the gathers run on the
-numerators (int64 while one bound on every partial sum stays below 2^62,
-Python ints beyond), and each output entry becomes one Fraction.
+Exact arrays (int and Fraction entries) are split once per operand into
+integer numerators over one denominator per array, the gathers run on
+the numerators (int64 while one bound on every partial sum stays below
+2^62, Python ints beyond), the output's denominator is the product of
+its operands', and each output entry becomes one Fraction.
 ``_split_exact`` and ``_join_exact`` alone read and write that layout.
 """
 
@@ -204,30 +205,28 @@ class Multivector:
 
 def _split_exact(x):
     """The integer layout of an exact array: (num, den, top) with
-    x == num / den[..., None], den holding one positive denominator per
-    row along the last axis (the lcm of the row's denominators) and top
-    the largest |num|.  num is int64 when top < 2^62, else an object
-    array of Python ints; den is an object array of Python ints.  None
-    unless x is an object array whose entries are all int or Fraction.
+    x == num / den, den the one positive denominator of the array (the
+    lcm of its denominators, a Python int) and top the largest |num|.
+    num is int64 when top < 2^62, else an object array of Python ints.
+    None unless x is an object array whose entries are all int or Fraction.
     """
     if x.dtype != object:
         return None
-    rows = x.reshape(math.prod(x.shape[:-1]), x.shape[-1]).tolist()
-    if not all(type(v) is Fraction or type(v) is int for row in rows for v in row):
+    flat = x.ravel().tolist()
+    if not all(type(v) is Fraction or type(v) is int for v in flat):
         return None
-    den = [math.lcm(*[v.denominator for v in row]) for row in rows]
-    num = [v.numerator * (d // v.denominator) for row, d in zip(rows, den) for v in row]
+    den = math.lcm(*[v.denominator for v in flat])
+    num = [v.numerator * (den // v.denominator) for v in flat]
     top = max(map(abs, num), default=0)
     num = np.array(num, dtype=np.int64 if top < _INT64_BOUND else object)
-    return num.reshape(x.shape), np.array(den, dtype=object).reshape(x.shape[:-1]), top
+    return num.reshape(x.shape), den, top
 
 
-def _join_exact(num, den) -> np.ndarray:
-    """Fraction(num[r, j], den[r]) for (N, C) integers num and N
-    denominators den: the inverse of ``_split_exact``."""
-    return np.fromiter(
-        (Fraction(n, d) for row, d in zip(num.tolist(), den.tolist()) for n in row),
-        dtype=object, count=num.size).reshape(num.shape)
+def _join_exact(num, den: int) -> np.ndarray:
+    """Fraction(n, den) for each entry n of the integer array num: the
+    inverse of ``_split_exact``."""
+    return np.fromiter((Fraction(n, den) for n in num.ravel().tolist()),
+                       dtype=object, count=num.size).reshape(num.shape)
 
 
 def _int_arrays(bound: int, *nums):
@@ -264,35 +263,28 @@ def _gather(a, b, table, count: int, blocks) -> np.ndarray:
 def _product(a, ia, steps, factor: int = 1) -> np.ndarray:
     """factor * a[ia] * b_1 * ... * b_s: the rows a[ia] multiplied in turn
     by each step (b, table, count, blocks), one ``_gather`` of count rows
-    under the structure table, in the blocks that blocks() yields.
+    under the structure table, in the blocks of the iterable blocks.
 
     When every operand is exact (an object array of ints and Fractions),
     each distinct one is split once, however often it enters; the gathers
     run on the numerators, in int64 while factor times each table's terms
     per slot (for wedges, the multinomial count of terms) times each
-    factor's largest numerator stays below 2^62, and each row's
-    denominator is the product of its operands', paired as in the blocks."""
-    split = {}
-    if a.dtype == object:
-        split[id(a)] = _split_exact(a)
-        for b, _, _, _ in steps:
-            if id(b) not in split:
-                split[id(b)] = _split_exact(b)
-        if None in split.values():
-            split = {}
+    factor's largest numerator stays below 2^62, and the denominator of
+    the output is the product of its operands', one per step."""
+    operands = {id(x): x for x in (a, *(b for b, _, _, _ in steps))} if a.dtype == object else {}
+    split = {key: _split_exact(x) for key, x in operands.items()}
+    if None in split.values():
+        split = {}
     num = {}
     if split:
-        bound = factor * max(split[id(a)][2], 1)
+        bound, den = factor * max(split[id(a)][2], 1), split[id(a)][1]
         for b, (ii, _, _), _, _ in steps:
             bound *= ii.shape[1] * max(split[id(b)][2], 1)
+            den *= split[id(b)][1]
         num = dict(zip(split, _int_arrays(bound, *(n for n, _, _ in split.values()))))
-        den = split[id(a)][1][ia]
     out = num.get(id(a), a)[ia]
     for b, table, count, blocks in steps:
-        out = _gather(out, num.get(id(b), b), table, count, blocks())
-        if split:
-            d = split[id(b)][1]
-            den = np.concatenate([(den[i] * d[j]).ravel() for _, i, j in blocks()])
+        out = _gather(out, num.get(id(b), b), table, count, blocks)
     if factor != 1:
         out *= factor  # in place: the output is the largest array here
     return _join_exact(out, den) if split else out
@@ -308,7 +300,7 @@ def wedge_rows(a, b, m: int, k: int, l: int) -> np.ndarray:
     """
     a, b = np.asarray(a), np.asarray(b)
     blocks = [(rows, rows, rows) for rows in _row_blocks(len(a))]
-    return _product(a, slice(None), [(b, _wedge_table(m, k, l), len(a), lambda: blocks)])
+    return _product(a, slice(None), [(b, _wedge_table(m, k, l), len(a), blocks)])
 
 
 def _pairs(a, b, table) -> np.ndarray:
@@ -327,7 +319,7 @@ def _pairs(a, b, table) -> np.ndarray:
             for j in range(0, max(nb, 1), width):
                 ia, jb = np.arange(i, min(i + step, na))[:, None], slice(j, min(j + width, nb))
                 yield slice(i * nb + j, i * nb + j + len(ia) * (jb.stop - j)), ia, jb
-    return _product(a, slice(None), [(b, table, na * nb, blocks)])
+    return _product(a, slice(None), [(b, table, na * nb, blocks())])
 
 
 def wedge_pairs(a, b, m: int, k: int, l: int) -> np.ndarray:
@@ -343,7 +335,7 @@ def blade_rows(V) -> np.ndarray:
     """
     V = np.asarray(V)
     n, k, m = V.shape
-    steps = [(V, _wedge_table(m, t, 1), n, lambda t=t: ((r, r, (r, t)) for r in _row_blocks(n)))
+    steps = [(V, _wedge_table(m, t, 1), n, [(r, r, (r, t)) for r in _row_blocks(n)])
              for t in range(1, k)]
     return _product(V, (slice(None), 0), steps)
 
@@ -391,7 +383,7 @@ def subset_blades(G, d: int, factor: int = 1) -> np.ndarray:
     if G.dtype != object:
         _row_norms(G)
     steps = [(G, _wedge_table(G.shape[1], t, 1), len(n),
-              lambda p=p, n=n: ((r, p[r], n[r]) for r in _row_blocks(len(n))))
+              [(r, p[r], n[r]) for r in _row_blocks(len(n))])
              for t, (p, n) in enumerate(tables[1:], 1)]
     return _product(G, tables[0][1], steps, factor)
 

@@ -417,6 +417,8 @@ def bm_concavity_probe(d1: DiscreteDistribution, d2: DiscreteDistribution,
     columns.  Discrete inputs use the exact wedge path (stderr 0); pass
     n > 0 to force Monte Carlo instead.
     """
+    if d < 1:
+        raise ValueError(f"need d >= 1 mixture columns, got d = {d}")
     if d1.atoms.ndim != 2 or d2.atoms.ndim != 2:
         raise ValueError("expected vector distributions")
     if d1.atoms.shape[1] != d2.atoms.shape[1]:

@@ -179,10 +179,8 @@ def length(K: Zonotope):
     if K.n_generators == 0:
         return Fraction(0) if (K.exact and K.ambient_dim == 1) else 0.0
     split = _split_exact(K.generators) if K.ambient_dim == 1 else None
-    if split is not None:  # sum_i |n_i| / d_i over the lcm of the d_i
-        num, den = split[0][:, 0].tolist(), split[1].tolist()
-        common = math.lcm(*den)
-        return Fraction(sum(abs(n) * (common // d) for n, d in zip(num, den)), common)
+    if split is not None:  # sum_i |n_i| over the one denominator
+        return Fraction(sum(map(abs, split[0].ravel().tolist())), split[1])
     return float(np.sum(_row_norms(K.generators)))
 
 
@@ -221,12 +219,17 @@ def scale(K: Zonotope, lam) -> Zonotope:
 
 
 def linear_image(M, K: Zonotope) -> Zonotope:
-    """Image zonotope M(K); h_{M K}(u) = h_K(M^T u)."""
+    """Image zonotope M(K); h_{M K}(u) = h_K(M^T u).  M is taken in K's
+    field, as ``scale`` takes its factor: Fraction(x) of each entry for
+    an exact body, else float64."""
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[1] != K.ambient_dim:
         raise ValueError("matrix shape does not match ambient dimension")
-    gens = K.generators @ M.T
-    return canonicalize(Zonotope(M.shape[0], gens))
+    if K.exact:
+        M = np.frompyfunc(Fraction, 1, 1)(M)
+    elif M.dtype == object:  # numeric dtypes promote to float64 in the product
+        M = M.astype(np.float64)
+    return canonicalize(Zonotope(M.shape[0], K.generators @ M.T))
 
 
 def _sign_normalize_float(g: np.ndarray) -> np.ndarray:
@@ -492,22 +495,20 @@ def _canonicalize_float(K: Zonotope) -> Zonotope:
 def _canonicalize_exact(K: Zonotope) -> Zonotope:
     """Rows keyed by their primitive integer direction (numerators over
     their gcd, first nonzero entry positive); a group merges into its
-    direction times the sum w of the rows' positive multipliers.  Over
-    the lcm of the w's denominators the merged rows are integers, which
-    sort like the rows themselves."""
+    direction times the sum of the rows' gcds, over the body's one
+    denominator, so the merged rows are integers, which sort like the
+    rows themselves."""
     num, den, _ = _split_exact(K.generators)
-    groups: dict[tuple, list[Fraction]] = {}
-    for row, d in zip(num.tolist(), den.tolist()):
+    groups: dict[tuple, int] = {}
+    for row in num.tolist():
         gcd = math.gcd(*row)
         if gcd:
             lead = gcd if next(x for x in row if x) > 0 else -gcd
-            groups.setdefault(tuple(x // lead for x in row), []).append(Fraction(gcd, d))
-    weights = [sum(ws[1:], ws[0]) for ws in groups.values()]
-    common = math.lcm(*(w.denominator for w in weights))
-    rows = sorted([w.numerator * (common // w.denominator) * x for x in direction]
-                  for direction, w in zip(groups, weights))
+            direction = tuple(x // lead for x in row)
+            groups[direction] = groups.get(direction, 0) + gcd
+    rows = sorted([w * x for x in direction] for direction, w in groups.items())
     rows = np.array(rows, dtype=object).reshape(len(rows), K.ambient_dim)
-    return replace(K, generators=_join_exact(rows, np.full(len(rows), common, dtype=object)))
+    return replace(K, generators=_join_exact(rows, den))
 
 
 def canonicalize(K: Zonotope) -> Zonotope:

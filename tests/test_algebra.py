@@ -294,6 +294,14 @@ def test_induced_map_warns_on_map_nonlinear_in_a_later_slot():
         induced_map(lambda v, w: np.array([v[0] * w[0] ** 2]), [K, K])
 
 
+def test_induced_map_with_a_factor_in_r0_is_the_zero_body():
+    K, Z = zonotope(np.eye(2)), zonotope(np.zeros((0, 0)), ambient_dim=0)
+    out = induced_map(lambda v, w: np.array([v.sum() * w.sum(), 0.0, 0.0]), [K, Z])
+    assert (out.ambient_dim, out.n_generators) == (3, 0)
+    with pytest.warns(UserWarning, match="multilinearity"):
+        induced_map(lambda v, w: np.ones(2), [Z, K])
+
+
 def test_induced_map_calls_f_once_per_basis_tuple_and_once_more():
     g = rng(5)
     calls = []

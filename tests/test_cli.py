@@ -253,6 +253,25 @@ def test_exact_rational_mode(tmp_path):
     assert json.loads(out)["value"] == "1/4"
 
 
+def test_exact_scale_reads_matrix_entries_as_rationals(tmp_path):
+    f = write(tmp_path, "e.json", {"ambient_dim": 2, "generators": [["1/3", 1]]})
+    for option in (["--matrix", "0.1,0;0,1"], ["--factor", "0.1"]):
+        code, out, _ = run(["scale", f, "--exact-rational", *option])
+        assert code == 0 and json.loads(out)["generators"][0][0] == "1/30"
+    code, out, _ = run(["scale", f, "--exact-rational", "--matrix", "1/3,0;0,1"])
+    assert code == 0 and json.loads(out)["generators"] == [["1/9", "1"]]
+    code, out, err = run(["scale", f, "--exact-rational", "--matrix", "1,0;1"])
+    assert (code, out) == (2, "") and "bad matrix '1,0;1'" in json.loads(err)["error"]["message"]
+
+
+def test_bm_probe_refuses_d_below_one(tmp_path):
+    d = write(tmp_path, "d.json", _DIST)
+    c = write(tmp_path, "c.json", {"columns": [[1.0, 0.0], [0.0, 1.0]]})
+    code, out, err = run(["bm-probe", d, d, "--d", "0", "--companions", c])
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == {"code": 3, "message": "need d >= 1 mixture columns, got d = 0"}
+
+
 def test_virtual_difference_flow(tmp_path):
     a = {"ambient_dim": 2, "generators": [[3.0, 1.0]]}
     b = {"ambient_dim": 2, "generators": [[3.0, 0.0]]}

@@ -17,12 +17,14 @@ from zonoidal import (
     exterior_dim,
     hodge_star,
     inner,
+    mixed_volume,
     realify,
     realify_rows,
     unrealify,
     unrealify_rows,
     subset_blades,
     tensor_product,
+    volume,
     wedge,
     wedge_pairs,
     wedge_rows,
@@ -30,7 +32,7 @@ from zonoidal import (
 )
 from zonoidal import exterior
 from zonoidal.exterior import _ROW_BLOCK, _int_arrays, _split_exact, _subset_blocks
-from zonoidal.testkit import wedge_norm_brute
+from zonoidal.testkit import mixed_volume_brute_exact, wedge_norm_brute
 
 
 def rng(seed=0):
@@ -412,7 +414,7 @@ def test_exact_rows_equal_a_plain_fraction_reference(num_hi, den_hi, scale):
 
 def test_exact_products_switch_to_python_ints_above_the_bound():
     num, den, top = _split_exact(np.array([[2 ** 40, Fraction(1, 3)]], dtype=object))
-    assert num.dtype == np.int64 and num.tolist() == [[3 * 2 ** 40, 1]] and den.tolist() == [3]
+    assert num.dtype == np.int64 and num.tolist() == [[3 * 2 ** 40, 1]] and den == 3
     assert _int_arrays(6 * top ** 3, num)[0].dtype == object
     assert _int_arrays(2 * top, num)[0].dtype == np.int64
     num, _, top = _split_exact(np.array([[2 ** 62, 1]], dtype=object))
@@ -562,6 +564,30 @@ def test_exact_products_at_the_int64_bound(route, side, monkeypatch):
     assert_rows_equal(got, want, "fraction")
     assert max(abs(x) for x in got.flat) == terms[route] * M * M
     assert seen and set(seen) == {np.dtype(np.int64) if side == "below" else np.dtype(object)}
+
+
+def test_exact_products_over_one_array_denominator_take_python_ints(monkeypatch):
+    """One distinct prime denominator near 1000 per row: each row alone
+    would split into small numerators, but the array's one denominator,
+    the product of eight primes, lifts them past 2^62, so every gather
+    runs on Python ints, and each result still equals its Fraction
+    reference."""
+    primes = [997, 1009, 1013, 1019, 1021, 1031, 1033, 1039]
+    nums = rng(36).integers(1, 10, size=(8, 3)) * rng(37).choice([-1, 1], size=(8, 3))
+    G = np.array([[Fraction(int(x), p) for x in row] for row, p in zip(nums, primes)],
+                 dtype=object)
+    assert _split_exact(G)[2] >= 2 ** 62
+    seen = _numerator_dtypes(monkeypatch)
+    got = volume(zonotope(G, grading=(3, 1)))
+    assert type(got) is Fraction and got == mixed_volume_brute_exact([G] * 3)
+    parts = [G[:6], G[2:], G[::2]]
+    got = mixed_volume([zonotope(H, grading=(3, 1)) for H in parts])
+    assert type(got) is Fraction and got == mixed_volume_brute_exact(parts)
+    T = tensor_product(zonotope(G[:4]), zonotope(G[4:])).generators
+    want = [[x * y for x in a for y in b] for a in G[:4] for b in G[4:]]
+    assert all(type(x) is Fraction for x in T.flat)
+    assert sorted(T.tolist()) == sorted(r if r[0] > 0 else [-x for x in r] for r in want)
+    assert seen and set(seen) == {np.dtype(object)}
 
 
 @pytest.mark.parametrize("N, d", [(0, 0), (3, 0), (0, 2), (5, 6), (9, 1), (9, 9), (9, 4), (40, 4)])

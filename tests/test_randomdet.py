@@ -326,6 +326,15 @@ def test_bm_probe_exact_concave_with_pure_endpoints():
     assert math.isclose(vals[0], pure2 ** 0.5, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_bm_probe_refuses_fewer_than_one_mixture_column(d):
+    g = rng(12)
+    d1, d2 = random_discrete(g, 3, 2), random_discrete(g, 3, 2)
+    companions = np.eye(2, 2 - d)  # d plus the fixed columns is m = 2
+    with pytest.raises(ValueError, match=f"got d = {d}"):
+        bm_concavity_probe(d1, d2, d, companions=companions)
+
+
 def test_bm_probe_with_companions_and_mc():
     g = rng(11)
     d1 = random_discrete(g, 2, 3)

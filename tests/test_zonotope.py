@@ -197,6 +197,20 @@ def test_linear_image():
     assert math.isclose(length(linear_image(R, K)), length(K), rel_tol=1e-12)
 
 
+def test_linear_image_of_an_exact_body_takes_float_entries_exactly():
+    K = frac_zonotope([[Fraction(1, 3), 1]])
+    got = linear_image([[0.1, 0.0], [0.0, 1.0]], K).generators
+    assert all(type(x) is Fraction for x in got.flat)
+    assert got.tolist() == [[Fraction(1, 3) * Fraction(0.1), 1]]
+
+
+def test_linear_image_of_a_float_body_takes_fraction_entries_as_floats():
+    M = np.array([[Fraction(1, 10), 0], [0, 1]], dtype=object)
+    F = linear_image(M, zonotope([[1 / 3, 1.0]]))
+    assert not F.exact and F.generators.dtype == np.float64
+    assert F.generators.tolist() == [[(1 / 3) * 0.1, 1.0]]
+
+
 def test_canonicalize_rules():
     K = zonotope([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
     C = canonicalize(K)
@@ -524,6 +538,22 @@ def test_length_of_exact_segments_over_mixed_denominators():
                           dtype=object))
     val = length(K)
     assert type(val) is Fraction and val == Fraction(1, 6) + Fraction(3, 4) + 2 + Fraction(5, 9)
+
+
+def test_canonicalize_exact_merges_over_the_body_denominator():
+    C = canonicalize(frac_zonotope([[Fraction(1, 2), Fraction(1, 3)],
+                                    [Fraction(3, 4), Fraction(1, 2)]]))
+    assert C.generators.tolist() == [[Fraction(5, 4), Fraction(5, 6)]]
+    assert all(type(x) is Fraction for x in C.generators.flat)
+
+
+def test_exact_length_over_distinct_prime_denominators():
+    # the body's one denominator, a product of primes, passes 2^62
+    g = rng(81)
+    rows = [[Fraction(int(g.integers(-9, 10)), p)]
+            for p in (997, 1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051)]
+    val = length(zonotope(np.array(rows, dtype=object)))
+    assert type(val) is Fraction and val == sum(abs(r[0]) for r in rows)
 
 
 def test_radius_examples():
