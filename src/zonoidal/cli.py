@@ -178,7 +178,7 @@ def _parse_vector(text: str, exact: bool = False) -> np.ndarray:
             out[:] = [Fraction(str(v)) for v in vals]
             return out
         return _finite_floats([float(v) for v in vals])
-    except (ValueError, TypeError, KeyError) as e:  # JSONDecodeError is a ValueError
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as e:  # with JSONDecodeError
         raise SchemaError(f"bad vector {text!r}: {e}") from e
 
 
@@ -189,7 +189,7 @@ def _parse_matrix(text: str, exact: bool = False) -> np.ndarray:
         if exact and len(set(map(len, rows))) > 1:
             raise ValueError("rows of unequal length")
         return np.array(rows, dtype=object) if exact else _finite_floats(rows)
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, ZeroDivisionError) as e:
         raise SchemaError(f"bad matrix {text!r}: {e}") from e
 
 

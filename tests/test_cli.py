@@ -260,8 +260,12 @@ def test_exact_scale_reads_matrix_entries_as_rationals(tmp_path):
         assert code == 0 and json.loads(out)["generators"][0][0] == "1/30"
     code, out, _ = run(["scale", f, "--exact-rational", "--matrix", "1/3,0;0,1"])
     assert code == 0 and json.loads(out)["generators"] == [["1/9", "1"]]
-    code, out, err = run(["scale", f, "--exact-rational", "--matrix", "1,0;1"])
-    assert (code, out) == (2, "") and "bad matrix '1,0;1'" in json.loads(err)["error"]["message"]
+    for argv, needle in ((["scale", f, "--matrix", "1,0;1"], "bad matrix '1,0;1'"),
+                         (["scale", f, "--matrix", "1/0,0;0,1"], "bad matrix '1/0,0;0,1'"),
+                         (["support", f, "--dir", "1/0,1"], "bad vector '1/0,1'")):
+        code, out, err = run([*argv, "--exact-rational"])
+        assert (code, out) == (2, ""), argv
+        assert needle in json.loads(err)["error"]["message"]
 
 
 def test_bm_probe_refuses_d_below_one(tmp_path):
