@@ -329,14 +329,13 @@ def _cmd_scale(args):
         raise SchemaError("scale takes --factor or --matrix, not both")
     K = _load_body(args.files[0], args.exact_rational)
     if args.matrix is not None:
-        M = _parse_matrix(args.matrix, args.exact_rational)
-        if isinstance(K, VirtualZonotope):
-            out = VirtualZonotope(
-                linear_image(M, K.plus), linear_image(M, K.minus)
-            )
-        else:
-            out = linear_image(M, K)
-        return _body_dict(out)
+        # read exactly for an exact body, as --factor is; each part takes
+        # M in its own field (``linear_image``)
+        parts = (K.plus, K.minus) if isinstance(K, VirtualZonotope) else (K,)
+        M = _parse_matrix(args.matrix, any(Z.exact for Z in parts))
+        images = [linear_image(M, Z) for Z in parts]
+        return _body_dict(VirtualZonotope(*images) if isinstance(K, VirtualZonotope)
+                          else images[0])
     if args.factor is None:
         raise SchemaError("scale needs --factor or --matrix")
     lam = args.factor

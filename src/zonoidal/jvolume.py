@@ -380,15 +380,46 @@ def _cone_angle_mc(C, W, tie, samples: int, seed: int) -> tuple[float, float]:
 
 
 def _face_volume(chart: np.ndarray, n: int) -> float:
+    """The n-volume of the convex hull of chart's rows in R^n: their
+    extent for n = 1, ``_polygon_area`` for n = 2, and Qhull's volume,
+    which imports scipy, for n >= 3."""
     if n == 1:
         lo, hi = float(np.min(chart)), float(np.max(chart))
         return hi - lo
+    if n == 2:
+        return _polygon_area(chart)
     from scipy.spatial import ConvexHull, QhullError
 
     try:
         return float(ConvexHull(chart).volume)
     except QhullError:
         return 0.0
+
+
+def _polygon_area(chart: np.ndarray) -> float:
+    """Area of the convex hull of planar points: Andrew's monotone chain,
+    then the shoelace sum about its first vertex.  Both run on the points
+    scaled by 2^-e, which puts the largest |entry| in [1/2, 1), so no
+    cross product overflows or underflows; the area is scaled back by
+    4^e, exactly, and the same points at any power-of-two scale give the
+    same bits scaled."""
+    e = math.frexp(float(np.max(np.abs(chart), initial=0.0)))[1]
+    pts = sorted(set(map(tuple, np.ldexp(chart, -e).tolist())))
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(points):
+        hull = []
+        for p in points:
+            while len(hull) >= 2 and cross(hull[-2], hull[-1], p) <= 0.0:
+                hull.pop()
+            hull.append(p)
+        return hull[:-1]
+
+    hull = chain(pts) + chain(pts[::-1])
+    twice = math.fsum(cross(hull[0], a, b) for a, b in zip(hull[1:], hull[2:]))
+    return math.ldexp(0.5 * twice, 2 * e)
 
 
 def _polytope_mc_sum(P: PolytopeFaceData, samples, seed, J, power: int):

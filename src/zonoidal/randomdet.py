@@ -206,14 +206,19 @@ class MatrixBlockModel:
     def _stack(self, n: int, parts) -> np.ndarray:
         """The n matrices whose column blocks are parts, one (n, size, w_j)
         stack per block: the swapaxes view of one (n, size, size) buffer in
-        which each matrix's columns are contiguous rows."""
+        which each matrix's columns are contiguous rows.  Each part is
+        dropped before the next is drawn (zip's result tuple would hold
+        it), so the buffer and one block's draw are alive at a time."""
         cols = np.empty((n, self.size, self.size),
                         np.complex128 if self.complex_field else np.float64)
+        parts = iter(parts)
         start = 0
-        for b, part in zip(self.blocks, parts):
+        for b in self.blocks:
+            part = next(parts)
             if np.iscomplexobj(part) and not self.complex_field:
                 raise ValueError("complex blocks need complex_field=True")
             cols[:, start:start + b.width] = np.swapaxes(part, 1, 2)
+            del part
             start += b.width
         return np.swapaxes(cols, 1, 2)
 

@@ -129,48 +129,27 @@ def wedge_norm_brute(vectors) -> float:
 
 
 def hull_area_brute(points) -> float:
-    """Convex hull area of a 2D point cloud by angular sort + shoelace."""
-    P = np.asarray(points, dtype=np.float64)
-    P = np.unique(np.round(P, 12), axis=0)
-    if P.shape[0] < 3:
-        return 0.0
-    c = P.mean(axis=0)
-    rel = P - c
-    order = np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))
-    ring = P[order]
-    # Peel interior points: keep only points on the hull by rebuilding
-    # with the gift-wrapping test against every other point.
-    keep = []
-    for i in range(len(ring)):
-        p = ring[i]
-        others = np.delete(ring, i, axis=0)
-        inside = False
-        for a, b, cc in combinations(range(len(others)), 3):
-            if _in_triangle(p, others[a], others[b], others[cc]):
-                inside = True
-                break
-        if not inside:
-            keep.append(p)
-    ring = np.asarray(keep)
-    c = ring.mean(axis=0)
-    rel = ring - c
-    order = np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))
-    ring = ring[order]
-    area = 0.0
-    for i in range(len(ring)):
-        x1, y1 = ring[i]
-        x2, y2 = ring[(i + 1) % len(ring)]
-        area += x1 * y2 - x2 * y1
-    return 0.5 * abs(area)
+    """Convex hull area of a 2D point cloud, exactly, then rounded once.
 
+    The directed segment p -> q is a counterclockwise hull edge when
+    every other point lies strictly to its left or on the closed segment,
+    by exact ``Fraction`` orientation tests on the float inputs; the area
+    is half the sum of x_p y_q - x_q y_p over those edges.  Only exact
+    duplicates are merged, so no scale is special.  A flat cloud has
+    both directions of its extreme segment as edges, which cancel.
+    """
+    P = [tuple(map(Fraction, p)) for p in
+         {tuple(p) for p in np.asarray(points, dtype=np.float64).reshape(-1, 2).tolist()}]
 
-def _in_triangle(p, a, b, c, tol=1e-12) -> bool:
-    def cross(o, x, y):
-        return (x[0] - o[0]) * (y[1] - o[1]) - (x[1] - o[1]) * (y[0] - o[0])
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    d1, d2, d3 = cross(a, b, p), cross(b, c, p), cross(c, a, p)
-    area2 = abs(cross(a, b, c))
-    if area2 < tol:
-        return False
-    lo = min(d1, d2, d3), max(d1, d2, d3)
-    return (lo[0] > tol * area2) or (lo[1] < -tol * area2)
+    def on_segment(p, q, r):
+        return all(min(p[i], q[i]) <= r[i] <= max(p[i], q[i]) for i in range(2))
+
+    twice = Fraction(0)
+    for p, q in product(P, repeat=2):
+        if p != q and all(cross(p, q, r) > 0 or (cross(p, q, r) == 0 and on_segment(p, q, r))
+                          for r in P if r not in (p, q)):
+            twice += p[0] * q[1] - q[0] * p[1]
+    return float(twice / 2)

@@ -255,9 +255,18 @@ def test_exact_rational_mode(tmp_path):
 
 def test_exact_scale_reads_matrix_entries_as_rationals(tmp_path):
     f = write(tmp_path, "e.json", {"ambient_dim": 2, "generators": [["1/3", 1]]})
-    for option in (["--matrix", "0.1,0;0,1"], ["--factor", "0.1"]):
-        code, out, _ = run(["scale", f, "--exact-rational", *option])
-        assert code == 0 and json.loads(out)["generators"][0][0] == "1/30"
+    # a body file with a string entry is exact without the flag too
+    for flag in ([], ["--exact-rational"]):
+        for option in (["--matrix", "0.1,0;0,1"], ["--factor", "0.1"]):
+            code, out, _ = run(["scale", f, *flag, *option])
+            assert code == 0 and json.loads(out)["generators"][0][0] == "1/30"
+    # each part of a virtual body takes the matrix in its own field
+    v = write(tmp_path, "v.json", {"plus": {"ambient_dim": 2, "generators": [["1/3", 1]]},
+                                   "minus": {"ambient_dim": 2, "generators": [[0.5, 1.0]]}})
+    code, out, _ = run(["scale", v, "--matrix", "0.1,0;0,1"])
+    assert code == 0 and json.loads(out) == {
+        "plus": {"ambient_dim": 2, "grading": None, "generators": [["1/30", "1"]]},
+        "minus": {"ambient_dim": 2, "grading": None, "generators": [[0.05, 1.0]]}}
     code, out, _ = run(["scale", f, "--exact-rational", "--matrix", "1/3,0;0,1"])
     assert code == 0 and json.loads(out)["generators"] == [["1/9", "1"]]
     for argv, needle in ((["scale", f, "--matrix", "1,0;1"], "bad matrix '1,0;1'"),

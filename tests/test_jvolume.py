@@ -1,10 +1,14 @@
 """Tests for complex structures, sigma weights and J-volumes."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +49,7 @@ from zonoidal import (
     zonotope_faces_for_span,
 )
 from zonoidal.exterior import _ROW_BLOCK, blade_from_vectors, complex_blade_from_vectors
-from zonoidal.jvolume import _face_volume
+from zonoidal.jvolume import _face_frame, _face_volume
 from zonoidal.sampling import CHUNK, SeedStream, _mc_mean_se
 from zonoidal.testkit import hull_area_brute, wedge_norm_brute
 from zonoidal.zonotope import (_orthonormal_rows, _spans, _unique_rows, _vertex_signs,
@@ -858,12 +862,50 @@ def test_unique_rows_matches_np_unique_on_sign_rows(shape):
 
 
 def test_face_volume_of_a_polygon():
-    pts = rng(26).standard_normal((12, 2))
-    area = _face_volume(pts, 2)
-    assert math.isclose(area, hull_area_brute(pts), rel_tol=1e-10)
-    assert math.isclose(_face_volume(1e-9 * pts, 2), 1e-18 * area, rel_tol=1e-12)
+    # The monotone-chain area against the exact brute force, on clouds with
+    # interior points, repeated vertices and points inside an edge, and on
+    # the parallelogram charts of a C^2 body's faces; the chart is scaled
+    # by a power of two, so 2^k times the points gives 4^k times the area.
+    square = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
+    fd = zonotope_face_data(random_complex_zonotope(rng(12), n_gens=3))
+    cases = [(rng(26).standard_normal((12, 2)), None),
+             (np.vstack([square, square[::-1], [[1.0, 1.0], [1.0, 0.0], [2.0, 0.5],
+                                                [0.5, 1.5], [0.0, 0.25]]]), 4.0),
+             (np.array([[0.0, 0.0], [3.0, 0.0], [1.0, 2.0], [3.0, 0.0]]), 3.0)]
+    cases += [(_face_frame(fd, face)[1], None) for face in fd.n_faces]
+    assert len(cases) == 3 + 6
+    for pts, want in cases:
+        area = _face_volume(pts, 2)
+        assert want is None or area == want
+        for k in (500, -500):
+            assert _face_volume(2.0 ** k * pts, 2) == 4.0 ** k * area
+        for s in 10.0 ** np.arange(-9, 10, 3):
+            assert math.isclose(_face_volume(s * pts, 2), hull_area_brute(s * pts),
+                                rel_tol=1e-13)
     assert _face_volume(np.outer(np.arange(5.0), [1.0, 2.0]), 2) == 0.0
-    assert _face_volume(pts[:2], 2) == 0.0
+    assert _face_volume(cases[0][0][:2], 2) == 0.0
+
+
+def test_polygon_areas_import_no_scipy():
+    # Only faces of dimension >= 3 go to Qhull; the polytope Monte Carlo
+    # sums of a C^2 body measure 2-faces, so they load no scipy module.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from zonoidal import (complex_zonotope, j_volume_polytope_mc,\n"
+        "                      kazarnovskii_polytope_mc, zonotope_face_data)\n"
+        "g = np.random.default_rng(5)\n"
+        "fd = zonotope_face_data(complex_zonotope(g.standard_normal((4, 2))\n"
+        "                                         + 1j * g.standard_normal((4, 2))))\n"
+        "assert j_volume_polytope_mc(fd, 200, 1)[0] > 0.0\n"
+        "assert kazarnovskii_polytope_mc(fd, 200, 1)[0] > 0.0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_face_data_dict_roundtrip():

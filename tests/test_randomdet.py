@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -462,6 +463,24 @@ def test_gaussian_stream_is_pinned():
     assert abs(x.mean()) <= 5e-3
     assert abs(x.var() - 1.0) <= 5e-3
     assert abs(np.mean(x**4) - 3.0) <= 3e-2
+
+
+def test_a_sampled_chunk_holds_its_buffer_and_one_block_draw():
+    # MatrixBlockModel._stack drops each block's draw before the next one
+    size, width, n = 6, 2, CHUNK
+    model = MatrixBlockModel(size, tuple(
+        MatrixBlock(width, sampler=SeededSampler("gaussian", size, seed=3))
+        for _ in range(size // width)))
+    model.sample(8, SeedStream(1))  # one-time allocations outside the trace
+    tracemalloc.start()
+    try:
+        A = model.sample(n, SeedStream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer, block = n * size * size * 8, n * size * width * 8
+    assert A.nbytes == buffer
+    assert peak < buffer + block + 2**20
 
 
 @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
