@@ -577,7 +577,8 @@ _command("edet-complex", 1, "complex expected |det|",
          _mode("exact", "mc"))(_edet_model)
 
 
-@_command("edet-sq-complex", 1, "exact E|det|^2 for complex columns",
+@_command("edet-sq-complex", 1,
+          "exact E|det|^2 from second moments: any discrete model, either field, any widths",
           ["expected_sq_abs_det_complex"])
 def _cmd_edet_sq_complex(args):
     model = _load_model(args.files[0])

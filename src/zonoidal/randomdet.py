@@ -125,6 +125,12 @@ class SeededSampler:
     seed: int = 0
     dist: DiscreteDistribution | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("gaussian", "uniform_sphere", "complex_gaussian", "discrete"):
+            raise ValueError(f"unknown sampler kind: {self.kind}")
+        if self.kind == "discrete" and self.dist is None:
+            raise ValueError("discrete sampler needs a distribution")
+
     def sample(self, n: int, stream: SeedStream | None = None) -> np.ndarray:
         if stream is None:
             stream = SeedStream(self.seed).derive("sampler", self.kind)
@@ -136,12 +142,7 @@ class SeededSampler:
         if self.kind == "complex_gaussian":
             g = stream.gaussians(2 * n * self.dimension)
             return g.view(np.complex128).reshape(n, self.dimension) / math.sqrt(2.0)
-        if self.kind == "discrete":
-            if self.dist is None:
-                raise ValueError("discrete sampler needs a distribution")
-            idx = stream.choice(n, self.dist.probs)
-            return self.dist.atoms[idx]
-        raise ValueError(f"unknown sampler kind: {self.kind}")
+        return self.dist.atoms[stream.choice(n, self.dist.probs)]
 
 
 @dataclass(frozen=True)
@@ -157,6 +158,8 @@ class MatrixBlock:
     sampler: SeededSampler | None = None
 
     def __post_init__(self):
+        if self.width < 1:
+            raise ValueError(f"block width must be at least 1, got {self.width}")
         if (self.dist is None) == (self.sampler is None):
             raise ValueError("block needs exactly one of dist or sampler")
 
@@ -191,6 +194,8 @@ class MatrixBlockModel:
     complex_field: bool = False
 
     def __post_init__(self):
+        if self.size < 1:
+            raise ValueError(f"matrix size must be at least 1, got {self.size}")
         blocks = tuple(self.blocks)
         if sum(b.width for b in blocks) != self.size:
             raise ValueError("block widths must sum to the matrix size")
@@ -396,20 +401,20 @@ expected_abs_det_complex_mc = expected_abs_det_mc
 
 
 def expected_sq_abs_det_complex(model: MatrixBlockModel) -> float:
-    """E|det L|^2 for discrete complex columns, by the real wedge of
-    Q_j = realify(z_j) ^ realify(i z_j) in the second exterior power.
-    """
+    """E|det M|^2 of any discrete model, real or complex, at any widths, from
+    second moments through the product fold: from A = [[1]], each block's
+    M = E[b b^*] over its blades b gives P (A x M) P^T, P the wedge map."""
     if not model.all_discrete():
         raise ValueError("exact path needs discrete blocks")
-    if any(b.width != 1 for b in model.blocks):
-        raise ValueError("squared-determinant path expects width-1 blocks")
-    n = model.size
-    blocks = []
+    n, s, A = model.size, 0, np.ones((1, 1))
     for b in model.blocks:
-        z = b.atom_matrices(n)[:, :, 0]
-        atoms = np.stack([realify_rows(z), realify_rows(1j * z)], axis=2)
-        blocks.append(MatrixBlock(2, dist=DiscreteDistribution(atoms, b.dist.probs)))
-    return expected_abs_det_exact(MatrixBlockModel(2 * n, blocks))
+        B = exterior.blade_rows(np.swapaxes(b.atom_matrices(n), 1, 2))
+        M = B.T @ (b.dist.probs[:, None] * B.conj())
+        ii, jj, ss = exterior._wedge_table(n, s, b.width)
+        rows = exterior._pairs(A.T, M.T, (ii, jj, ss))  # P(A[:, c] x M[:, d])
+        A = exterior._pairs(rows.T, np.ones((1, 1)), (ii * len(M) + jj, 0 * jj, ss))
+        s += b.width
+    return float(A[0, 0].real)
 
 
 def bm_concavity_probe(d1: DiscreteDistribution, d2: DiscreteDistribution,

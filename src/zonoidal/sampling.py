@@ -133,7 +133,9 @@ def _mc_mean_se(stream: SeedStream, n: int, draw) -> tuple[float, float]:
     Each chunk contributes (count, mean, M2), the sum of squared
     deviations from its own mean; chunks combine by the pairwise update
     of Chan, Golub and LeVeque (1983).  Unlike sum(x^2) - n mean^2 this
-    does not cancel when the mean dwarfs the spread.
+    does not cancel when the mean dwarfs the spread.  M2 is np.sum's
+    pairwise sum, as np.mean's is, not a BLAS dot, which splits long
+    vectors across threads: the bits do not depend on the thread count.
     """
     if n < 2:
         raise ValueError("need at least two samples")
@@ -145,7 +147,7 @@ def _mc_mean_se(stream: SeedStream, n: int, draw) -> tuple[float, float]:
         delta = c_mean - mean
         total = count + size
         mean += delta * size / total
-        m2 += float(dev @ dev) + delta * delta * count * size / total
+        m2 += float(np.sum(dev * dev)) + delta * delta * count * size / total
         count = total
     return mean, math.sqrt(m2 / (n - 1) / n)
 

@@ -430,6 +430,12 @@ def test_edet_complex_commands(tmp_path):
     code, out, _ = run(["edet-sq-complex", f])
     assert code == 0
     assert math.isclose(json.loads(out)["value"], 0.5)
+    # a real model with one width-2 block: det^2 is 1 or 36, each with prob 1/2
+    wide = {"atoms": [[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 3.0]]], "probs": [0.5, 0.5]}
+    f = write(tmp_path, "wide.json", {"size": 2, "blocks": [{"width": 2, "dist": wide}]})
+    code, out, _ = run(["edet-sq-complex", f])
+    assert code == 0
+    assert math.isclose(json.loads(out)["value"], 18.5)
 
 
 def test_bm_probe_command(tmp_path):
@@ -574,7 +580,7 @@ PINNED_STDOUT = [
     (['edet', 'cmodel.json'],
      '{"value": 1.5192489038306873}\n'),
     (['edet', '--mode', 'mc', '--samples', '5000', '--seed', '3', 'cmodel.json'],
-     '{"value": 1.5178120546958147, "stderr": 0.0097762890960584777}\n'),
+     '{"value": 1.5178120546958147, "stderr": 0.0097762890960584794}\n'),
 ]
 
 
@@ -604,6 +610,15 @@ def test_pinned_stdout(tmp_path, monkeypatch, argv, stdout):
         {"width": 1, "dist": {"atoms": [[[1, 0]], [[1, 0, 5]]], "probs": [0.5, 0.5]}}]},
      "regular array"),
     (["sum"], {"ambient_dim": 2, "generators": [["1/0", "0"]]}, "Fraction(1, 0)"),
+    # block models and samplers the estimators cannot compute, refused on reading
+    (["edet", "--mode", "mc"], {"size": 0, "blocks": []}, "size must be at least 1"),
+    (["edet"], {"size": 1, "blocks": [{"width": w, "dist": {"atoms": [[1.0]], "probs": [1.0]}}
+                                      for w in (0, 1)]}, "width must be at least 1"),
+    (["edet"], {"size": 1, "blocks": [{"width": w, "dist": {"atoms": [[1.0]], "probs": [1.0]}}
+                                      for w in (-1, 2)]}, "width must be at least 1"),
+    (["edet", "--mode", "mc"], {"size": 2, "blocks": [{"width": 2, "sampler": {"kind": "cauchy"}}]},
+     "unknown sampler kind: cauchy"),
+    (["edet", "--empirical"], {"kind": "cauchy", "dimension": 2}, "unknown sampler kind: cauchy"),
 ])
 def test_malformed_rows_and_pairs_exit_2(tmp_path, command, obj, needle):
     code, out, err = run([*command, write(tmp_path, "in.json", obj)])

@@ -886,6 +886,16 @@ def test_face_volume_of_a_polygon():
     assert _face_volume(cases[0][0][:2], 2) == 0.0
 
 
+def test_face_volume_of_a_3d_chart():
+    # faces of dimension >= 3 go to Qhull; a flat chart is a QhullError, 0.0
+    cube = np.array([[float(b) for b in f"{i:03b}"] for i in range(8)])
+    assert math.isclose(_face_volume(cube, 3), 1.0, rel_tol=1e-13)
+    simplex = np.vstack([np.zeros(3), np.eye(3)])
+    assert math.isclose(_face_volume(simplex, 3), 1.0 / 6.0, rel_tol=1e-13)
+    coplanar = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    assert _face_volume(coplanar, 3) == 0.0
+
+
 def test_polygon_areas_import_no_scipy():
     # Only faces of dimension >= 3 go to Qhull; the polytope Monte Carlo
     # sums of a C^2 body measure 2-faces, so they load no scipy module.
@@ -926,15 +936,16 @@ def test_polytope_mc_square_deterministic():
 
 
 def test_polytope_mc_matches_exact():
-    g = rng(13)
-    P = random_complex_zonotope(g, n_gens=4)
-    exact = j_volume_zonotope(P)
-    fd = zonotope_face_data(P)
-    val, se = j_volume_polytope_mc(fd, 20000, seed=5)
-    assert se > 0.0
-    assert abs(val - exact) <= 3.0 * se
-    kval, kse = kazarnovskii_polytope_mc(fd, 20000, seed=5)
-    assert abs(kval - kazarnovskii_zonotope(P)) <= 3.0 * kse
+    # in C^3 the n-faces are 3-dimensional: their volumes come from Qhull
+    for seed, n, n_gens in [(13, 2, 4), (27, 3, 5)]:
+        P = random_complex_zonotope(rng(seed), n=n, n_gens=n_gens)
+        exact = j_volume_zonotope(P)
+        fd = zonotope_face_data(P)
+        val, se = j_volume_polytope_mc(fd, 20000, seed=5)
+        assert se > 0.0
+        assert abs(val - exact) <= 3.0 * se
+        kval, kse = kazarnovskii_polytope_mc(fd, 20000, seed=5)
+        assert abs(kval - kazarnovskii_zonotope(P)) <= 3.0 * kse
 
 
 def test_polytope_mc_point_and_rank_checks():

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,6 +305,41 @@ def test_expected_sq_abs_det_complex():
                              complex_field=True)
     want = brute_force_expected_abs_det(model, power=2)
     assert math.isclose(expected_sq_abs_det_complex(model), want, rel_tol=1e-12)
+    # blocks wider than 1 and real models take the same second-moment chain;
+    # Jensen: E|det| <= sqrt(E|det|^2)
+    for model in _block_models([(40, (2, 2), False), (41, (2, 1, 2), False),
+                                (42, (3, 3), False), (43, (2, 1, 1), True),
+                                (44, (1,) * 6, True)]):
+        sq = expected_sq_abs_det_complex(model)
+        assert math.isclose(sq, brute_force_expected_abs_det(model, power=2), rel_tol=1e-12)
+        assert expected_abs_det_exact(model) <= math.sqrt(sq)
+
+
+def _block_models(specs, n_atoms=3):
+    """One model per (seed, widths, complex_field): each block n_atoms
+    random atom matrices of its width, with random probabilities."""
+    for seed, widths, complex_field in specs:
+        g, size, blocks = rng(seed), sum(widths), []
+        for w in widths:
+            atoms = g.standard_normal((n_atoms, size, w))
+            if complex_field:
+                atoms = atoms + 1j * g.standard_normal((n_atoms, size, w))
+            probs = g.random(n_atoms) + 0.1
+            blocks.append(MatrixBlock(w, dist=DiscreteDistribution(atoms, probs / probs.sum())))
+        yield MatrixBlockModel(size, tuple(blocks), complex_field)
+
+
+def test_var_abs_det_is_exact_and_matches_the_mc_stderr():
+    # Var|det| = E|det|^2 - (E|det|)^2, both exact: the seeded Monte Carlo
+    # stderr of n draws estimates sqrt(Var / n)
+    n = 200_000
+    for model in _block_models([(50, (1, 1, 1), False), (51, (2, 1), True),
+                                (52, (2, 2), False)]):
+        mean = expected_abs_det_exact(model)
+        var = expected_sq_abs_det_complex(model) - mean ** 2
+        val, se = expected_abs_det_mc(model, n, seed=4)
+        assert abs(se / math.sqrt(var / n) - 1.0) <= 0.05
+        assert abs(val - mean) <= 4.0 * se
 
 
 def test_bernoulli_mixture_zonoid_is_minkowski_sum():
@@ -408,10 +447,31 @@ def test_mc_estimate_is_pinned_across_chunks():
     d = DiscreteDistribution(np.array([[1.0, 0.2, -0.3], [0.1, -1.0, 0.5], [0.4, 0.4, 2.0]]),
                              np.array([0.2, 0.3, 0.5]))
     model = iid_column_model(d, 3)
-    assert expected_abs_det_mc(model, 70_000, 9) == (0.41013217142857145, 0.003355658517819053)
+    assert expected_abs_det_mc(model, 70_000, 9) == (0.41013217142857145, 0.003355658517819037)
     assert expected_abs_det_mc(model, 500, 9) == (0.44774400000000003, 0.04111824481956987)
     with pytest.raises(ValueError):
         expected_abs_det_mc(model, 1, 9)
+
+
+def test_mc_estimate_bits_do_not_depend_on_blas_threads():
+    # a BLAS dot splits long vectors across threads; the chunk sums of
+    # squared deviations must not, so one and two threads agree bit for bit
+    code = (
+        "import numpy as np\n"
+        "from zonoidal import DiscreteDistribution, expected_abs_det_mc, iid_column_model\n"
+        "d = DiscreteDistribution(np.array([[1.0, 0.2, -0.3], [0.1, -1.0, 0.5],\n"
+        "                                   [0.4, 0.4, 2.0]]), np.array([0.2, 0.3, 0.5]))\n"
+        "print(repr(expected_abs_det_mc(iid_column_model(d, 3), 70_000, 9)))\n"
+    )
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs == ["(0.41013217142857145, 0.003355658517819037)\n"] * 2
 
 
 def _table_models():
