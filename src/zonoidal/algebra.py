@@ -132,8 +132,8 @@ def virtual_tensor(W1: VirtualZonotope, W2: VirtualZonotope) -> VirtualZonotope:
 
 
 def _graded(gens: np.ndarray, m: int, k: int, is_complex: bool) -> Zonotope:
-    """The degree-k body of wedge rows gens over R^m, or of complex wedge
-    rows over C^m, realified."""
+    """The degree-k body of wedge rows gens over R^m, or of complex wedge rows
+    over C^m, realified: every tagged body derived from computed rows."""
     if is_complex:
         return Zonotope(2 * exterior_dim(m, k), realify_rows(gens), cgrading=(m, k))
     return Zonotope(exterior_dim(m, k), gens, grading=(m, k))
@@ -274,13 +274,6 @@ def _chain(zonotopes) -> Zonotope:
     return out
 
 
-def _per_factorial(ell, d: int):
-    """ell / d!, exact for a Fraction length and float otherwise."""
-    if isinstance(ell, Fraction):
-        return ell / math.factorial(d)
-    return float(ell) / math.factorial(d)
-
-
 def mixed_volume(zonotopes):
     """MV(K_1, ..., K_m) = length(K_1 ^ ... ^ K_m) / m!.
 
@@ -297,7 +290,7 @@ def mixed_volume(zonotopes):
         raise ValueError(f"mixed volume in R^{m} needs exactly {m} bodies")
     if any(K.grading != (m, 1) for K in Ks):
         raise ValueError("all bodies must be degree 1 in the same space")
-    return _per_factorial(length(_chain(Ks)), m)
+    return length(_chain(Ks)) / math.factorial(m)
 
 
 def volume(K: Zonotope):
@@ -312,7 +305,7 @@ def intrinsic_volume(K: Zonotope, d: int):
     m = K.grading[0]
     if not 0 <= d <= m:
         raise ValueError("intrinsic volume degree out of range")
-    return _per_factorial(length(_subset_power(K, d)), d)
+    return length(_subset_power(K, d)) / math.factorial(d)
 
 
 def hodge_star_zonoid(K: Zonotope) -> Zonotope:
@@ -320,8 +313,7 @@ def hodge_star_zonoid(K: Zonotope) -> Zonotope:
     m, k, is_complex = _require_grading(K)
     if is_complex:
         raise ValueError("Hodge star needs a real-graded zonotope")
-    gens = exterior.hodge_rows(K.generators, m, k)
-    return canonicalize(Zonotope(exterior_dim(m, m - k), gens, grading=(m, m - k)))
+    return canonicalize(_graded(exterior.hodge_rows(K.generators, m, k), m, m - k, False))
 
 
 def projection_body(K: Zonotope) -> Zonotope:
@@ -335,7 +327,7 @@ def projection_body(K: Zonotope) -> Zonotope:
         raise ValueError("projection body needs ambient dimension >= 2")
     lam = Fraction(2, math.factorial(m - 1))
     gens = exterior.hodge_rows(_subset_power(K, m - 1).generators, m, m - 1)
-    return canonicalize(Zonotope(m, gens * (lam if K.exact else float(lam)), grading=(m, 1)))
+    return canonicalize(_graded(gens * (lam if K.exact else float(lam)), m, 1, False))
 
 
 def af_gap(K1: Zonotope, K2: Zonotope, companions=(), middle: Zonotope | None = None):

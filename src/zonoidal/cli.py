@@ -211,10 +211,10 @@ def _complex_vectors(d: dict) -> np.ndarray:
 
 
 def _sampler(d: dict, seed: int) -> randomdet.SeededSampler:
-    """Sampler file {"kind", "dimension", "seed"?, "dist"?}; seed if it has none."""
+    """Real sampler file {"kind", "dimension", "seed"?, "dist"?}; seed if it has none."""
     dist = randomdet.distribution_from_dict(d["dist"]) if "dist" in d else None
-    return randomdet.SeededSampler(kind=d["kind"], dimension=_integer(d["dimension"]),
-                                   seed=_integer(d.get("seed", seed)), dist=dist)
+    return randomdet._real_sampler(randomdet.SeededSampler(
+        d["kind"], _integer(d["dimension"]), _integer(d.get("seed", seed)), dist))
 
 
 def _companions(d: dict) -> np.ndarray:

@@ -11,9 +11,9 @@ operations are the real ones applied to complex coefficients.
 and ``blade_from_vectors``.
 
 ``realify_rows`` maps complex rows isometrically onto real rows of
-twice the length by interleaving (real, imaginary) parts, and
-``unrealify_rows`` inverts it; every other module reads and writes that
-layout through these two functions.
+twice the length, the float64 view of numpy's complex128 layout, and
+``unrealify_rows`` is the inverse view; every other module reads and
+writes that layout through these two, and none writes into their results.
 
 Every product is one fold over structure tables, ``_product``: start
 rows a[ia], then steps, each multiplying the rows so far with rows of
@@ -507,20 +507,15 @@ def inner(a: Multivector, b: Multivector):
 
 
 def realify_rows(z) -> np.ndarray:
-    """Norm-preserving real coordinates of complex rows: (re, im)
-    interleaved along the last axis."""
-    z = np.asarray(z)
-    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
-    out[..., 0::2] = z.real
-    out[..., 1::2] = z.imag
-    return out
+    """Norm-preserving real rows of complex rows, (re, im) interleaved: the
+    float64 view of z's complex128 memory, which it may share with z."""
+    return np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)
 
 
 def unrealify_rows(v) -> np.ndarray:
-    """Inverse of :func:`realify_rows`: complex rows from (re, im)
-    interleaved real coordinates along the last axis."""
-    v = np.asarray(v, dtype=np.float64)
-    return v[..., 0::2] + 1j * v[..., 1::2]
+    """Inverse of :func:`realify_rows`, bit for bit: the complex128 view
+    of v's float64 memory, which it may share with v."""
+    return np.ascontiguousarray(v, dtype=np.float64).view(np.complex128)
 
 
 def realify(a: Multivector) -> np.ndarray:
@@ -530,7 +525,6 @@ def realify(a: Multivector) -> np.ndarray:
 
 def unrealify(v, n: int, k: int) -> Multivector:
     """Inverse of :func:`realify` for given complex shape (n, k)."""
-    v = np.asarray(v, dtype=np.float64)
     if len(v) != 2 * exterior_dim(n, k):
         raise ValueError("realified length does not match (n, k)")
     return Multivector(n, k, unrealify_rows(v))

@@ -18,7 +18,7 @@ Kazarnovskii pseudovolume sums |det_C S|^2 / ||wedge S||, which is
 subset adds 0 by itself, so no span or tolerance is involved.  J must be
 orthogonal.  For general polytopes the same weights multiply the supplied
 n-faces' volumes and Monte Carlo normal angles, each normal cone given as
-(C, W, tie) in its face's complement and sampled there (``_face_cone``).
+(C, W) in its face's complement and sampled there (``_face_cone``).
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import exterior
-from .algebra import _chain, _require_grading
+from .algebra import _chain, _graded, _require_grading
 from .exterior import _row_norms, realify_rows, unrealify_rows
 from .sampling import SeedStream, _mc_mean_se, derive_seed
 from .zonotope import (Zonotope, _finite_floats, _in_flat, _integer, _orthonormal_rows, _spans,
-                       _unique_rows, _vertex_signs, _vertex_signs_many, canonicalize, length,
-                       zonotope)
+                       _unique_rows, _vertex_signs, _vertex_signs_many, canonicalize, length)
 
 __all__ = [
     "ComplexStructure",
@@ -159,7 +158,7 @@ def subspace_from_vectors(vectors, ambient_dim: int | None = None) -> Subspace:
 
 @dataclass(frozen=True)
 class PolytopeFaceData:
-    """Vertices of a polytope in R^(2n) plus its n-faces as index lists."""
+    """Vertices of a polytope in R^(2n), no two equal, plus its n-faces as index lists."""
 
     ambient_dim: int
     vertices: np.ndarray
@@ -175,6 +174,8 @@ class PolytopeFaceData:
         for f in faces:
             if not f or max(f) >= V.shape[0] or min(f) < 0:
                 raise ValueError("face refers to a missing vertex")
+        if len(_unique_rows(V)[0]) < len(V):
+            raise ValueError("two vertex rows are equal")
         object.__setattr__(self, "vertices", V)
         object.__setattr__(self, "n_faces", faces)
 
@@ -216,19 +217,13 @@ def sigma_J(E: Subspace, J=None) -> float:
 
 def embed_real_zonotope(K: Zonotope) -> Zonotope:
     """Embed a real zonotope in R^n into C^n (zero imaginary parts)."""
-    out = realify_rows(K.generators.astype(np.float64))
-    return canonicalize(zonotope(out, ambient_dim=2 * K.ambient_dim,
-                                 cgrading=(K.ambient_dim, 1)))
+    return complex_zonotope(K.generators.astype(np.float64), K.ambient_dim)
 
 
 def complex_zonotope(vectors, n: int | None = None) -> Zonotope:
     """Zonotope in C^n from complex generator rows (realified storage)."""
-    Z = np.asarray(vectors, dtype=np.complex128)
-    if Z.ndim == 1:
-        Z = Z[None, :]
-    if n is None:
-        n = Z.shape[1]
-    return canonicalize(zonotope(realify_rows(Z), ambient_dim=2 * n, cgrading=(n, 1)))
+    Z = np.atleast_2d(np.asarray(vectors, dtype=np.complex128))
+    return canonicalize(_graded(Z, Z.shape[1] if n is None else n, 1, True))
 
 
 def complex_wedge_zonoids(*zonotopes: Zonotope) -> Zonotope:
@@ -297,13 +292,10 @@ def disc_zonotope(z, q: int) -> Zonotope:
     if q < 2:
         raise ValueError("q must be at least 2")
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
-    n = z.shape[0]
-    if not np.any(z != 0):
+    if not np.any(z != 0):  # its zero rows merge away
         warnings.warn("disc of the zero vector is {0}", stacklevel=2)
-        return zonotope([], ambient_dim=2 * n, cgrading=(n, 1))
     thetas = np.pi * np.arange(q) / q
-    rows = (np.pi / q) * np.exp(1j * thetas)[:, None] * z[None, :]
-    return canonicalize(zonotope(realify_rows(rows), ambient_dim=2 * n, cgrading=(n, 1)))
+    return complex_zonotope((np.pi / q) * np.exp(1j * thetas)[:, None] * z[None, :], len(z))
 
 
 def _outside(P: Zonotope, E: Subspace):
@@ -316,20 +308,20 @@ def _outside(P: Zonotope, E: Subspace):
 def _face_frame(P: PolytopeFaceData, face: tuple):
     """A face of face data as orthonormal rows B spanning its direction
     span, its vertices about their centroid in B's coordinates, and its
-    normal cone (C, W, tie) (``_face_cone``)."""
+    normal cone (C, W) (``_face_cone``), W from the vertices outside it."""
     fverts = P.vertices[list(face)]
     centroid = fverts.mean(axis=0)
     B = _orthonormal_rows(fverts - centroid)
     C = Subspace(P.ambient_dim, B).complement().basis
-    # s @ C has unit length, so no |<s @ C, v>| exceeds the largest vertex norm.
-    tie = 1e-12 * float(np.max(np.linalg.norm(P.vertices, axis=1)))
-    return B, (fverts - centroid) @ B.T, (C, (centroid - P.vertices) @ C.T, tie)
+    return B, (fverts - centroid) @ B.T, (C, (centroid - np.delete(P.vertices, face, 0)) @ C.T)
 
 
 def _face_cone(P, face):
-    """The normal cone of a face of P as (C, W, tie): C's orthonormal rows
-    span the complement of the face's direction span, and s @ C, for s in
-    R^c, is in the cone when s @ W.T >= -tie throughout."""
+    """The normal cone of a face of P as (C, W): C's orthonormal rows span
+    the complement of the face's direction span, W's rows are the signed
+    generators outside a zonotope face's span, or the centroid minus each
+    vertex outside a face of face data, in C's coordinates, and s @ C, for
+    s in R^c, is in the cone when s @ W.T >= 0 throughout, with no tie."""
     if isinstance(P, Zonotope):
         E, signs = face
         if not isinstance(E, Subspace):
@@ -339,7 +331,7 @@ def _face_cone(P, face):
         if signs.shape != (outside.shape[0],):
             raise ValueError("sign vector must match the generators outside the span, "
                              "in canonical order")
-        return C, (signs[:, None] * outside) @ C.T, 0.0
+        return C, (signs[:, None] * outside) @ C.T
     if not isinstance(P, PolytopeFaceData):
         raise TypeError("P must be a Zonotope or PolytopeFaceData")
     if isinstance(face, (int, np.integer)):
@@ -364,14 +356,14 @@ def normal_angle_mc(P, face, samples: int, seed: int = 0) -> tuple[float, float]
     return _cone_angle_mc(*_face_cone(P, face), samples, seed)
 
 
-def _cone_angle_mc(C, W, tie, samples: int, seed: int) -> tuple[float, float]:
-    """``normal_angle_mc`` of the normal cone (C, W, tie)."""
+def _cone_angle_mc(C, W, samples: int, seed: int) -> tuple[float, float]:
+    """``normal_angle_mc`` of the normal cone (C, W) (``_face_cone``)."""
     c = len(C)
     if c == 0:
         raise ValueError("degenerate complement: the face spans the ambient space")
 
     def hits(S: np.ndarray) -> np.ndarray:
-        return np.all(S @ W.T >= -tie, axis=1)
+        return np.all(S @ W.T >= 0.0, axis=1)
 
     if c == 1:
         return float(np.count_nonzero(hits(np.array([[1.0], [-1.0]])))) / 2.0, 0.0

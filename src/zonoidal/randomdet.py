@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exterior
-from .algebra import _chain
+from .algebra import _chain, _graded
 from .exterior import realify_rows, unrealify_rows
 from .sampling import CHUNK, SeedStream, _mc_mean_se
 from .zonotope import Zonotope, _finite_floats, _integer, canonicalize, length, zonotope
@@ -130,6 +130,8 @@ class SeededSampler:
             raise ValueError(f"unknown sampler kind: {self.kind}")
         if self.kind == "discrete" and self.dist is None:
             raise ValueError("discrete sampler needs a distribution")
+        if self.dimension < 1:
+            raise ValueError(f"sampler dimension must be at least 1, got {self.dimension}")
 
     def sample(self, n: int, stream: SeedStream | None = None) -> np.ndarray:
         if stream is None:
@@ -248,13 +250,18 @@ def vitale_zonotope(dist: DiscreteDistribution) -> Zonotope:
     )
 
 
+def _real_sampler(s: SeededSampler) -> SeededSampler:
+    """s, refused by a ValueError when it draws complex vectors."""
+    if s.kind == "complex_gaussian" or s.kind == "discrete" and s.dist.is_complex:
+        raise ValueError("empirical_zonotope expects a real sampler")
+    return s
+
+
 def empirical_zonotope(sampler: SeededSampler, n: int) -> Zonotope:
-    """Zonotope of the empirical law of n draws: generators X_k / n."""
+    """Zonotope of the empirical law of n draws of a real sampler: X_k / n."""
     if n < 1:
         raise ValueError("need at least one sample")
-    X = sampler.sample(n)
-    if np.iscomplexobj(X):
-        raise ValueError("empirical_zonotope expects a real sampler")
+    X = _real_sampler(sampler).sample(n)
     return canonicalize(zonotope(X / float(n), ambient_dim=X.shape[1]))
 
 
@@ -329,9 +336,7 @@ def _block_zonoid(block: MatrixBlock, size: int, complex_field: bool) -> Zonotop
     """K(Z_j) for a discrete block: pushforward of its atoms through the
     blade, realified in the complex exterior power when complex_field; unmerged."""
     rows = exterior.blade_rows(np.swapaxes(block.atom_matrices(size), 1, 2))
-    gens = block.dist.probs[:, None] * (realify_rows(rows) if complex_field else rows)
-    tag = {"cgrading" if complex_field else "grading": (size, block.width)}
-    return Zonotope(gens.shape[1], gens, **tag)
+    return _graded(block.dist.probs[:, None] * rows, size, block.width, complex_field)
 
 
 def expected_abs_det_exact(model: MatrixBlockModel) -> float:

@@ -137,7 +137,7 @@ def zonotope(generators, ambient_dim=None, grading=None, cgrading=None) -> Zonot
         ambient_dim = g.shape[1]
     return Zonotope(ambient_dim, g, grading, cgrading)
 def support(K: Zonotope, u) -> float:
-    """Support function h_K(u) = 1/2 sum_i |<v_i, u>|."""
+    """Support function h_K(u) = 1/2 sum_i |<v_i, u>|, a Fraction when exact."""
     u = np.asarray(u)
     if u.shape != (K.ambient_dim,):
         raise ValueError("direction dimension mismatch")
@@ -145,15 +145,13 @@ def support(K: Zonotope, u) -> float:
         return Fraction(0) if (K.exact and u.dtype == object) else 0.0
     dots = K.generators @ u
     if K.exact or u.dtype == object:
-        return sum(abs(d) for d in dots) / 2
+        return sum(abs(d) for d in dots) / Fraction(2)
     return float(np.sum(np.abs(dots))) / 2.0
 
 
 def support_many(K: Zonotope, U: np.ndarray) -> np.ndarray:
     """Support values along each row of U."""
     U = np.asarray(U, dtype=np.float64)
-    if K.n_generators == 0:
-        return np.zeros(len(U))
     g = K.generators.astype(np.float64) if K.exact else K.generators
     return 0.5 * np.abs(U @ g.T).sum(axis=1)
 
@@ -176,8 +174,6 @@ def length(K: Zonotope):
 
     In exact mode with ambient_dim 1 the result is an exact Fraction.
     """
-    if K.n_generators == 0:
-        return Fraction(0) if (K.exact and K.ambient_dim == 1) else 0.0
     split = _split_exact(K.generators) if K.ambient_dim == 1 else None
     if split is not None:  # sum_i |n_i| over the one denominator
         return Fraction(sum(map(abs, split[0].ravel().tolist())), split[1])

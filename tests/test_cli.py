@@ -619,11 +619,19 @@ def test_pinned_stdout(tmp_path, monkeypatch, argv, stdout):
     (["edet", "--mode", "mc"], {"size": 2, "blocks": [{"width": 2, "sampler": {"kind": "cauchy"}}]},
      "unknown sampler kind: cauchy"),
     (["edet", "--empirical"], {"kind": "cauchy", "dimension": 2}, "unknown sampler kind: cauchy"),
+    (["edet", "--empirical"], {"kind": "gaussian", "dimension": -2}, "dimension must be at least 1"),
+    (["edet", "--empirical"], {"kind": "gaussian", "dimension": 0}, "dimension must be at least 1"),
+    (["edet", "--empirical"], {"kind": "complex_gaussian", "dimension": 2},
+     "expects a real sampler"),
+    # a face's normal cone is read off the vertices outside it
+    (["jvol", "--faces"], {"ambient_dim": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+                           "n_faces": [[0, 1]]}, "two vertex rows are equal"),
 ])
 def test_malformed_rows_and_pairs_exit_2(tmp_path, command, obj, needle):
     code, out, err = run([*command, write(tmp_path, "in.json", obj)])
     assert (code, out) == (2, "")
-    assert needle in json.loads(err)["error"]["message"]
+    message = json.loads(err)["error"]["message"]
+    assert needle in message and "in.json" in message
 
 
 def test_complex_distribution_round_trips_through_pairs():

@@ -1,6 +1,7 @@
 """Tests for the exterior algebra layer."""
 
 import math
+import warnings
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -231,6 +232,26 @@ def test_unrealify_rows_inverts_realify_rows():
     R = realify_rows(Z)
     assert R.shape == (7, 6)
     assert np.array_equal(unrealify_rows(R), Z)
+
+
+def test_realified_rows_are_views_of_complex128_memory():
+    # signed zeros, infinities and NaN survive the round trip bit for bit,
+    # with no invalid-value warning from a multiply by 1j
+    v = np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, -1.5, 1.0, np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = unrealify_rows(v)
+        back = realify_rows(z)
+    assert z.shape == (1, 4) and z[0, 3] == complex(1.0, np.inf)
+    assert back.tobytes() == v.tobytes()
+    assert np.shares_memory(z, v) and np.shares_memory(back, v)
+    Z = rng(15).standard_normal((3, 4)) + 1j
+    assert np.shares_memory(realify_rows(Z), Z)
+    # other dtypes and strided rows are copied, in the same layout
+    assert np.array_equal(realify_rows(np.array([[1, -2]])), [[1.0, 0.0, -2.0, 0.0]])
+    strided = v[:, ::2]
+    z = unrealify_rows(strided)
+    assert not np.shares_memory(z, v) and realify_rows(z).tobytes() == strided.tobytes()
 
 
 def test_inner_of_fraction_multivectors_is_exact():

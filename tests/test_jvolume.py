@@ -49,7 +49,7 @@ from zonoidal import (
     zonotope_faces_for_span,
 )
 from zonoidal.exterior import _ROW_BLOCK, blade_from_vectors, complex_blade_from_vectors
-from zonoidal.jvolume import _face_frame, _face_volume
+from zonoidal.jvolume import _face_cone, _face_frame, _face_volume
 from zonoidal.sampling import CHUNK, SeedStream, _mc_mean_se
 from zonoidal.testkit import hull_area_brute, wedge_norm_brute
 from zonoidal.zonotope import (_orthonormal_rows, _spans, _unique_rows, _vertex_signs,
@@ -960,6 +960,25 @@ def test_polytope_mc_point_and_rank_checks():
 def test_face_data_index_validation():
     with pytest.raises(ValueError):
         PolytopeFaceData(2, [[0.0, 0.0]], [[0, 5]])
+
+
+def test_face_data_refuses_equal_vertex_rows():
+    # -0.0 == 0.0: the two rows are one point, which the face's own index
+    # list could not tell from a vertex outside it
+    with pytest.raises(ValueError, match="two vertex rows are equal"):
+        PolytopeFaceData(2, [[0.0, 1.0], [1.0, 0.0], [-0.0, 1.0]], [[0, 1]])
+
+
+def test_face_cone_of_face_data_holds_the_vertices_outside_the_face():
+    fd = zonotope_face_data(random_complex_zonotope(rng(12), n_gens=4))
+    for fi, face in enumerate(fd.n_faces):
+        cone = _face_cone(fd, fi)
+        assert len(cone) == 2
+        C, W = cone
+        assert W.shape == (len(fd.vertices) - len(face), len(C))
+        # the outside vertices lie strictly on the far side of the face's
+        # supporting hyperplanes, so no row of W is a rounding-size zero
+        assert np.all(np.linalg.norm(W, axis=1) > 1e-6)
 
 
 def test_face_data_takes_integer_arrays_and_refuses_bool_arrays():

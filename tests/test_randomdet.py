@@ -93,6 +93,20 @@ def test_empirical_zonotope_law_of_large_numbers():
     assert abs(support(K, [1.0, 0.0]) - target) <= 4 * se_sup
 
 
+def test_samplers_that_cannot_be_drawn_empirically_are_refused(monkeypatch):
+    for dim in (0, -2):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            SeededSampler("gaussian", dim)
+    drawn = []
+    monkeypatch.setattr(SeededSampler, "sample", lambda self, n: drawn.append(n))
+    complex_dist = DiscreteDistribution(np.array([[1j, 0.0]]), np.array([1.0]))
+    for sampler in (SeededSampler("complex_gaussian", 2),
+                    SeededSampler("discrete", 2, dist=complex_dist)):
+        with pytest.raises(ValueError, match="expects a real sampler"):
+            empirical_zonotope(sampler, 10)
+    assert drawn == []  # refused before a draw
+
+
 def test_empirical_recovers_discrete_in_hausdorff():
     g = rng(2)
     d = random_discrete(g, 3, 2)

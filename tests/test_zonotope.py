@@ -102,6 +102,29 @@ def test_support_exact_rational():
     assert val == expected
 
 
+def test_support_of_int_entries_is_exact():
+    K = zonotope(np.array([[1, 2], [3, -1]], dtype=object))
+    got = support(K, np.array([1, 0], dtype=object))
+    assert type(got) is Fraction and got == 2
+    big = zonotope(np.array([[2 ** 60 + 1]], dtype=object))
+    got = support(big, np.array([1], dtype=object))
+    assert type(got) is Fraction and got == Fraction(2 ** 60 + 1, 2)
+    # a float direction still gives a float
+    got = support(K, np.array([1.0, 0.0]))
+    assert type(got) is float and got == 2.0
+
+
+def test_empty_bodies_keep_length_and_support_values_and_types():
+    exact_line = Zonotope(1, np.zeros((0, 1), dtype=object))
+    assert type(length(exact_line)) is Fraction and length(exact_line) == 0
+    for K in (zonotope([], ambient_dim=1), zonotope([], ambient_dim=3),
+              Zonotope(3, np.zeros((0, 3), dtype=object))):
+        assert type(length(K)) is float and length(K) == 0.0
+        h = support_many(K, np.ones((4, K.ambient_dim)))
+        assert h.dtype == np.float64 and h.shape == (4,) and not h.any()
+        assert support_many(K, np.ones((0, K.ambient_dim))).shape == (0,)
+
+
 def test_support_many_matches_support():
     g = rng(3)
     K = random_zonotope(g, dim=3)
