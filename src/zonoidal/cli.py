@@ -43,10 +43,8 @@ from .zonotope import (
     radius_bounds,
     scale,
     support,
-    support_many,
     virtual_add,
     virtual_length,
-    virtual_negate,
     virtual_support,
     zonotope,
     zonotope_from_dict,
@@ -298,14 +296,8 @@ def _refuse(args, context: str, *flags) -> None:
                          help="direction, comma-separated or JSON")})
 def _cmd_support(args):
     K = _load_body(args.files[0], args.exact_rational)
-    dirs = [_parse_vector(t, args.exact_rational and not isinstance(K, VirtualZonotope))
-            for t in args.dir]
-    if isinstance(K, VirtualZonotope):
-        vals = [virtual_support(K, u) for u in dirs]
-    elif len(dirs) > 1 and not K.exact:
-        vals = list(support_many(K, np.asarray(dirs)))
-    else:
-        vals = [support(K, u) for u in dirs]
+    h = virtual_support if isinstance(K, VirtualZonotope) else support
+    vals = [h(K, _parse_vector(t, args.exact_rational)) for t in args.dir]
     return {"value": vals[0] if len(vals) == 1 else vals}
 
 
@@ -328,26 +320,21 @@ def _cmd_scale(args):
     if args.factor is not None and args.matrix is not None:
         raise SchemaError("scale takes --factor or --matrix, not both")
     K = _load_body(args.files[0], args.exact_rational)
+    virtual = isinstance(K, VirtualZonotope)
+    parts = (K.plus, K.minus) if virtual else (K,)
     if args.matrix is not None:
         # read exactly for an exact body, as --factor is; each part takes
         # M in its own field (``linear_image``)
-        parts = (K.plus, K.minus) if isinstance(K, VirtualZonotope) else (K,)
         M = _parse_matrix(args.matrix, any(Z.exact for Z in parts))
         images = [linear_image(M, Z) for Z in parts]
-        return _body_dict(VirtualZonotope(*images) if isinstance(K, VirtualZonotope)
-                          else images[0])
-    if args.factor is None:
+    elif args.factor is None:
         raise SchemaError("scale needs --factor or --matrix")
-    lam = args.factor
-    if isinstance(K, VirtualZonotope):
-        if lam < 0:
-            out = virtual_negate(
-                VirtualZonotope(scale(K.plus, -lam), scale(K.minus, -lam))
-            )
-        else:
-            out = VirtualZonotope(scale(K.plus, lam), scale(K.minus, lam))
-        return _body_dict(out)
-    return _body_dict(scale(K, lam))
+    else:
+        lam = args.factor
+        if virtual and lam < 0:  # -t(P - Q) = tQ - tP
+            parts, lam = parts[::-1], -lam
+        images = [scale(Z, lam) for Z in parts]
+    return _body_dict(VirtualZonotope(*images) if virtual else images[0])
 
 
 @_command("length", 1, "length (first intrinsic volume)", ["length", "virtual_length"], _EXACT)

@@ -237,10 +237,12 @@ def _int_arrays(bound: int, *nums):
     return [n.astype(dtype, copy=False) for n in nums]
 
 
-def _row_blocks(count: int) -> list:
-    """Slices of at most _ROW_BLOCK rows that cover range(count) in
-    order; one empty slice when count is 0."""
-    return [slice(r, min(r + _ROW_BLOCK, count)) for r in range(0, max(count, 1), _ROW_BLOCK)]
+def _row_blocks(count: int, size: int = _ROW_BLOCK) -> list:
+    """The fewest near-equal slices (lengths differ by at most one) of at
+    most size rows that cover range(count) in order: no one-row block, whose
+    terms numpy sums in another order, unless count is 1; one empty slice at 0."""
+    n = -(-max(count, 1) // size)
+    return [slice(i * count // n, (i + 1) * count // n) for i in range(n)]
 
 
 def _gather(a, b, table, count: int, blocks) -> np.ndarray:
@@ -305,20 +307,20 @@ def wedge_rows(a, b, m: int, k: int, l: int) -> np.ndarray:
 
 def _pairs(a, b, table) -> np.ndarray:
     """Row i len(b) + j is a[i] times b[j] under a structure table.  A block
-    broadcasts rows of a, indexed with shape (r, 1), against b, or, when b
-    fills more than one block, one row of a against each of near-equal
-    slices of b (a block of one row would be summed in another order)."""
+    broadcasts one of the ``_row_blocks`` of a, indexed with shape (r, 1),
+    against one of b's: all of b, or, when b fills more than one block, a
+    near-equal slice of b against one row of a."""
     a, b = np.asarray(a), np.asarray(b)
     na, nb = len(a), len(b)
-    slices = -(-max(nb, 1) // _ROW_BLOCK)  # of at most _ROW_BLOCK rows each
-    width = -(-max(nb, 1) // slices)
-    step = _ROW_BLOCK // width  # rows of a per block
+    cols = _row_blocks(nb)
+    rows = _row_blocks(na, _ROW_BLOCK // max(cols[-1].stop - cols[-1].start, 1))
 
     def blocks():
-        for i in range(0, max(na, 1), step):
-            for j in range(0, max(nb, 1), width):
-                ia, jb = np.arange(i, min(i + step, na))[:, None], slice(j, min(j + width, nb))
-                yield slice(i * nb + j, i * nb + j + len(ia) * (jb.stop - j)), ia, jb
+        for i in rows:
+            for j in cols:
+                start = i.start * nb + j.start
+                yield (slice(start, start + (i.stop - i.start) * (j.stop - j.start)),
+                       np.arange(i.start, i.stop)[:, None], j)
     return _product(a, slice(None), [(b, table, na * nb, blocks())])
 
 

@@ -473,10 +473,10 @@ def zonotope_face_data(P: Zonotope) -> PolytopeFaceData:
     generators, are the cells cut by the outside generators in E's
     complement; their vertices are the cells cut by the in-E generators
     in E.  The arrangements of all spans go to one ``_vertex_signs_many``
-    call, which takes each level of all of them at once.  Vertices are
-    keyed by sign vector over the canonical generators, so no scale merges
-    or splits them; they, and the faces of each span, are sorted by sign
-    vector.  The faces do not depend on a complex structure, only on n.
+    call, which takes each level of all of them at once.  Vertices and
+    the faces of each span are sorted by sign vector over the canonical
+    generators; vertex rows that round together merge into the first, and
+    faces that then coincide are listed once.  No complex structure enters.
     """
     if P.ambient_dim % 2:
         raise ValueError("n-faces need an even ambient dimension 2n")
@@ -495,9 +495,14 @@ def zonotope_face_data(P: Zonotope) -> PolytopeFaceData:
     if not signs:
         return PolytopeFaceData(P.ambient_dim, np.zeros((0, P.ambient_dim)), ())
     verts, index = _unique_rows(np.concatenate(signs))
+    V = 0.5 * verts @ G
+    key = _unique_rows(V)[1]  # equal for vertex rows that round together
+    first = np.unique(key, return_index=True)[1]
+    keep = np.sort(first)  # each merged vertex at its first row, in order
+    index = np.searchsorted(keep, first[key])[index]
     cut = np.cumsum([0] + sizes).tolist()
-    faces = [index[lo:hi] for lo, hi in zip(cut, cut[1:])]
-    return PolytopeFaceData(P.ambient_dim, 0.5 * verts @ G, faces)
+    faces = {tuple(index[lo:hi].tolist()): index[lo:hi] for lo, hi in zip(cut, cut[1:])}
+    return PolytopeFaceData(P.ambient_dim, V[keep], list(faces.values()))
 
 
 def face_data_to_dict(P: PolytopeFaceData) -> dict:

@@ -67,10 +67,7 @@ class DiscreteDistribution:
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms)
-        if atoms.dtype not in (np.complex128, np.complex64):
-            atoms = atoms.astype(np.float64)
-        else:
-            atoms = atoms.astype(np.complex128)
+        atoms = atoms.astype(np.complex128 if np.iscomplexobj(atoms) else np.float64)
         probs = np.asarray(self.probs, dtype=np.float64)
         if atoms.ndim < 2:
             atoms = atoms.reshape(len(probs), -1)

@@ -137,14 +137,13 @@ def zonotope(generators, ambient_dim=None, grading=None, cgrading=None) -> Zonot
         ambient_dim = g.shape[1]
     return Zonotope(ambient_dim, g, grading, cgrading)
 def support(K: Zonotope, u) -> float:
-    """Support function h_K(u) = 1/2 sum_i |<v_i, u>|, a Fraction when exact."""
+    """Support function h_K(u) = 1/2 sum_i |<v_i, u>|: a Fraction when both
+    K and u are exact (object arrays), else a float, also for no generators."""
     u = np.asarray(u)
     if u.shape != (K.ambient_dim,):
         raise ValueError("direction dimension mismatch")
-    if K.n_generators == 0:
-        return Fraction(0) if (K.exact and u.dtype == object) else 0.0
     dots = K.generators @ u
-    if K.exact or u.dtype == object:
+    if K.exact and u.dtype == object:
         return sum(abs(d) for d in dots) / Fraction(2)
     return float(np.sum(np.abs(dots))) / 2.0
 
@@ -601,8 +600,6 @@ def radius_bounds(K: Zonotope, net_count: int = 4096, seed: int = 0) -> tuple[fl
     """
     from .randomdet import tau  # local import to avoid a cycle
 
-    if K.n_generators == 0:
-        return (0.0, 0.0)
     ell = float(length(K))
     lo = _net_max(_net_blocks(K.ambient_dim, net_count, seed), K)
     lo = max(lo, ell / tau(K.ambient_dim))

@@ -1031,3 +1031,61 @@ def test_mvj_with_a_repeated_path_matches_the_library(tmp_path):
     assert code == 0 and json.loads(out)["value"] == zonoidal.mixed_J_volume(body, body)
     code, out, _ = run(["mvj", P, P, "--wedge"])
     assert code == 0 and len(json.loads(out)["generators"]) == math.comb(6, 2)
+
+
+_K3 = {"ambient_dim": 3, "grading": None,
+       "generators": [[0.5, -6.3, 8.4], [-1.8, -3.7, 6.2], [-6.8, 4.2, -5.6], [-1.9, -4.8, 6.1],
+                      [-2.0, 8.5, 2.3], [3.5, 0.4, -3.4], [-1.9, 7.9, -5.4], [8.8, 4.6, -2.5]]}
+
+
+def test_support_of_a_direction_does_not_depend_on_the_other_directions(tmp_path):
+    f = write(tmp_path, "K.json", _K3)
+    u, v = "[2.5,-2.1,-2.1]", "[0.1,-8.7,-0.1]"
+    one = json.loads(run(["support", f, "--dir", u])[1])["value"]
+    code, out, _ = run(["support", f, "--dir", u, "--dir", v])
+    assert code == 0 and json.loads(out)["value"] == [one, json.loads(run(
+        ["support", f, "--dir", v])[1])["value"]]
+    K = zonoidal.zonotope_from_dict(_K3)
+    assert one == zonoidal.support(K, np.array([2.5, -2.1, -2.1]))
+
+
+def test_exact_rational_reads_directions_exactly_for_virtual_bodies(tmp_path):
+    v = write(tmp_path, "v.json", {"plus": {"ambient_dim": 2, "generators": [[1, 2], [3, "1/3"]]},
+                                   "minus": {"ambient_dim": 2, "generators": [[0.5, 1]]}})
+    assert run(["support", v, "--exact-rational", "--dir", "1,0"]) == (0, '{"value": "7/4"}\n', "")
+    assert run(["support", v, "--exact-rational", "--dir", "1,0", "--dir", "0,1/3"]) == printed(
+        {"value": [Fraction(7, 4), Fraction(2, 9)]})
+    assert run(["support", v, "--dir", "1,0"]) == (0, '{"value": 1.75}\n', "")
+
+
+def test_a_virtual_body_where_a_plain_one_is_needed_exits_2(tmp_path):
+    v = write(tmp_path, "v.json", _VIRTUAL)
+    for argv in (["vol", v], ["radius", v], ["wedge", v, v]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == f"{v}: expected a plain zonotope, got a virtual one"
+
+
+def test_sum_and_tensor_of_a_virtual_and_a_plain_body(tmp_path):
+    v, k = write(tmp_path, "v.json", _VIRTUAL), write(tmp_path, "k.json", _PLAIN)
+    W = zonoidal.VirtualZonotope(zonoidal.zonotope_from_dict(_VIRTUAL["plus"]),
+                                 zonoidal.zonotope_from_dict(_VIRTUAL["minus"]))
+    K = zonoidal.zonotope_from_dict(_PLAIN)
+    as_virtual = zonoidal.VirtualZonotope(K, zonoidal.zonotope([], ambient_dim=2))
+    assert run(["sum", k, v]) == printed(virtual_dict(zonoidal.virtual_add(as_virtual, W)))
+    assert run(["tensor", v, k]) == printed(virtual_dict(zonoidal.virtual_tensor(W, as_virtual)))
+
+
+def test_mvj_keeps_the_cgrading_a_body_carries(tmp_path):
+    tagged = [{**K, "cgrading": {"complex_dim": 2, "degree": 1}} for K in _C2]
+    files = [write(tmp_path, f"K{i}.json", K) for i, K in enumerate(tagged)]
+    bodies = [zonoidal.zonotope_from_dict(K) for K in tagged]
+    assert run(["mvj", *files]) == printed({"value": zonoidal.mixed_J_volume(*bodies)})
+
+
+def test_make_faces_of_generators_apart_in_scale(tmp_path):
+    G = np.vstack([np.eye(4), 1e-20 * np.array([1.0, 2.0, 3.0, 5.0])])
+    f = write(tmp_path, "P.json", {"ambient_dim": 4, "generators": G.tolist()})
+    faces = zonoidal.face_data_to_dict(zonoidal.zonotope_face_data(zonoidal.zonotope(G)))
+    assert run(["jvol", f, "--make-faces"]) == printed(faces)
+    assert len(faces["vertices"]) == 16

@@ -614,8 +614,8 @@ def test_exact_products_over_one_array_denominator_take_python_ints(monkeypatch)
 @pytest.mark.parametrize("N, d", [(0, 0), (3, 0), (0, 2), (5, 6), (9, 1), (9, 9), (9, 4), (40, 4)])
 def test_subset_blocks_list_combinations_in_blocks(N, d):
     blocks = list(_subset_blocks(N, d))
-    assert all(len(b) <= _ROW_BLOCK for b in blocks)
-    assert [len(b) for b in blocks[:-1]] == [_ROW_BLOCK] * (len(blocks) - 1)
+    sizes = [len(b) for b in blocks]
+    assert max(sizes) <= _ROW_BLOCK and max(sizes) - min(sizes) <= 1
     got = np.concatenate(blocks)
     assert got.shape == (math.comb(N, d), d) and got.dtype == np.intp
     assert list(map(tuple, got.tolist())) == list(combinations(range(N), d))
@@ -694,3 +694,35 @@ def test_multivector_wedge_keeps_fraction_coefficients():
     assert np.allclose(w.coeffs.astype(float),
                        wedge(Multivector(3, 1, u.coeffs.astype(float)),
                              Multivector(3, 1, v.coeffs.astype(float))).coeffs)
+
+
+def test_row_blocks_are_the_fewest_near_equal_slices():
+    for count in (0, 1, 2, 3, 4095, 4096, 4097, 8191, 8193, 12289):
+        for size in (1, 2, 3, 1000, _ROW_BLOCK):
+            blocks = exterior._row_blocks(count, size)
+            sizes = [b.stop - b.start for b in blocks]
+            assert blocks[0].start == 0 and blocks[-1].stop == count
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert len(blocks) == max(1, -(-count // size))
+            assert max(sizes) <= size and max(sizes) - min(sizes) <= 1
+    assert exterior._row_blocks(4097) == [slice(0, 2048), slice(2048, 4097)]
+
+
+def test_a_row_has_the_bits_it_has_in_a_two_row_call(monkeypatch):
+    """The last of 4097 rows (R^5, k = 2, l = 3) equals the same row of a
+    2-row call, of wedge_rows and of wedge_pairs: no gather block of a call
+    of two or more output rows holds one row, whose terms numpy would sum
+    in another order.  A one-row call, such as ``wedge``, is the exception."""
+    g = np.random.default_rng(0)
+    m, k, l = 5, 2, 3
+    for _ in range(100):
+        a = g.standard_normal((4097, exterior_dim(m, k)))
+        b = g.standard_normal((4097, exterior_dim(m, l)))
+        assert np.array_equal(wedge_rows(a, b, m, k, l)[-1], wedge_rows(a[-2:], b[-2:], m, k, l)[-1])
+        assert np.array_equal(wedge_pairs(a, b[:1], m, k, l)[-1],
+                              wedge_pairs(a[-2:], b[:1], m, k, l)[-1])
+    blocks = _block_rows(monkeypatch)
+    for na, nb in ((4097, 1), (1, 4097), (3, _ROW_BLOCK + 4), (2, 2 * _ROW_BLOCK + 1), (70, 61)):
+        blocks.clear()
+        wedge_pairs(g.standard_normal((na, 10)), g.standard_normal((nb, 5)), 5, 2, 1)
+        assert sum(blocks) == na * nb and 2 <= min(blocks) and max(blocks) <= _ROW_BLOCK

@@ -7,7 +7,7 @@ import sys
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -1170,3 +1170,60 @@ def test_kazarnovskii_scales_as_the_square_at_extreme_scales(s):
                         rel_tol=1e-15)
     assert math.isclose(j_volume_zonotope(complex_zonotope(Z * s)) / (s * s),
                         j_volume_zonotope(complex_zonotope(Z)), rel_tol=1e-15)
+
+
+def test_subspace_orthonormalizes_a_basis_that_is_not():
+    B = np.array([[1.0, 0.0, 1.0, 0.0], [1.0, 2.0, 0.0, 3.0]])
+    E = Subspace(4, B)
+    assert np.allclose(E.basis @ E.basis.T, np.eye(2), atol=1e-12)
+    Q = np.linalg.qr(B.T)[0]  # orthonormal columns with B's span
+    assert np.allclose(E.basis.T @ E.basis, Q @ Q.T, atol=1e-12)
+    assert math.isclose(sigma_J(E), sigma_J(Subspace(4, Q.T)), rel_tol=1e-12)
+
+
+def test_normal_angle_of_a_span_given_as_vectors_equals_the_subspace_form():
+    P = canonicalize(random_complex_zonotope(rng(17), n_gens=4))
+    V = P.generators[:2]
+    E = subspace_from_vectors(V)
+    faces = zonotope_faces_for_span(P, E)
+    assert len(faces) == 4
+    for k, eps in enumerate(faces):
+        assert normal_angle_mc(P, (V, eps), 2000, seed=k) == normal_angle_mc(P, (E, eps), 2000,
+                                                                            seed=k)
+
+
+def test_faces_of_zero_j_weight_are_skipped(monkeypatch):
+    """Of the 24 2-faces of the unit cube in C^2, the 8 spanned by e1, Je1
+    or by e3, Je3 are complex lines, of J-weight 0 up to the rounding of
+    their frames: the polytope sums sample no normal angle for a face
+    whose weight is 0.0, and J-volume and Kazarnovskii read 4, 16 faces of
+    weight 1 and angle 1/4."""
+    from zonoidal import jvolume
+
+    fd = zonotope_face_data(zonotope(np.eye(4)))
+    weights = [jvolume._minors_and_norms(_face_frame(fd, f)[0], standard_structure(2))[0][0]
+               for f in fd.n_faces]
+    zero = sum(w == 0.0 for w in weights)
+    assert len(weights) == 24 and 1 <= zero and sum(w < 1e-15 for w in weights) == 8
+    calls = []
+    angle = jvolume._cone_angle_mc
+    monkeypatch.setattr(jvolume, "_cone_angle_mc", lambda *a: calls.append(a) or angle(*a))
+    for estimate in (j_volume_polytope_mc, kazarnovskii_polytope_mc):
+        calls.clear()
+        val, se = estimate(fd, 4000, seed=2)
+        assert len(calls) == 24 - zero
+        assert abs(val - 4.0) <= 4.0 * se
+
+
+def test_face_data_merges_vertices_that_round_together():
+    """Generators that differ in scale past float resolution: the tiny one
+    moves no vertex row, so rows that round together merge (16 cube
+    vertices) and faces that then coincide are listed once."""
+    P = zonotope(np.vstack([np.eye(4), 1e-20 * np.array([1.0, 2.0, 3.0, 5.0])]))
+    fd = zonotope_face_data(P)
+    corners = sorted(product((-0.5, 0.5), repeat=4))
+    assert sorted(map(tuple, fd.vertices.tolist())) == corners
+    assert len(fd.n_faces) == 48 and len(set(fd.n_faces)) == 48
+    val, se = j_volume_polytope_mc(fd, 20000, seed=0)
+    assert j_volume_zonotope(P) == 4.0
+    assert abs(val - 4.0) <= 4.0 * se

@@ -756,3 +756,32 @@ def test_mc_joint_index_is_ravel_multi_index(n, monkeypatch):
         idx = [stream.derive("block", j).choice(len(got), b.dist.probs)
                for j, b in enumerate(blocks)]
         assert np.array_equal(got, table[np.ravel_multi_index(idx, shape)])
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128, np.clongdouble])
+def test_complex_atoms_of_any_precision_stay_complex(dtype):
+    atoms = np.array([[1.0 + 2.0j, 0.5], [-1.0j, 3.0]], dtype=dtype)
+    d = DiscreteDistribution(atoms, [0.25, 0.75])
+    assert d.atoms.dtype == np.complex128 and d.is_complex
+    assert np.array_equal(d.atoms, atoms.astype(np.complex128))
+
+
+def test_a_gaussian_sampler_block_of_a_complex_model_draws_complex_gaussians():
+    model = model_from_dict({"size": 2, "complex": True,
+                             "blocks": [{"width": 2, "sampler": {"kind": "gaussian"}}]})
+    assert model.blocks[0].sampler.kind == "complex_gaussian"
+    val, se = expected_abs_det_complex_mc(model, 40_000, seed=6)
+    assert abs(val - complex_gaussian_abs_det(2)) <= 4 * se
+
+
+def test_bm_probe_takes_one_companion_as_a_vector_and_none_as_empty():
+    g = rng(14)
+    d1, d2 = random_discrete(g, 3, 3), random_discrete(g, 3, 3)
+    c = g.standard_normal(3)
+    grid = [0.0, 0.5, 1.0]
+    assert (bm_concavity_probe(d1, d2, 2, companions=c, t_grid=grid)
+            == bm_concavity_probe(d1, d2, 2, companions=c[:, None], t_grid=grid))
+    d1, d2 = random_discrete(g, 3, 2), random_discrete(g, 3, 2)
+    assert (bm_concavity_probe(d1, d2, 2, companions=np.zeros((2, 0)), t_grid=grid)
+            == bm_concavity_probe(d1, d2, 2, companions=[], t_grid=grid)
+            == bm_concavity_probe(d1, d2, 2, t_grid=grid))

@@ -43,7 +43,8 @@ from zonoidal import (
 )
 from zonoidal.algebra import _chain, _wedge_raw
 from zonoidal.jvolume import disc_zonotope, j_volume_zonotope
-from zonoidal.sampling import CHUNK, SeedStream, _derive_key, _net_blocks, direction_net
+from zonoidal.sampling import (CHUNK, SeedStream, _derive_key, _net_blocks, covering_net,
+                               direction_net)
 from zonoidal.testkit import length_brute, radius_brute, support_brute
 from zonoidal.zonotope import (COLLINEAR_SINE_TOL, _collinear_labels, _integer, _lex_order,
                                _net_max)
@@ -123,6 +124,20 @@ def test_empty_bodies_keep_length_and_support_values_and_types():
         h = support_many(K, np.ones((4, K.ambient_dim)))
         assert h.dtype == np.float64 and h.shape == (4,) and not h.any()
         assert support_many(K, np.ones((0, K.ambient_dim))).shape == (0,)
+
+
+def test_empty_bodies_take_the_general_support_and_radius_routes():
+    """support is a Fraction only when body and direction are exact, and
+    radius_bounds is (0.0, 0.0), with no branch for a body without
+    generators."""
+    for d in (1, 2, 3, 5):
+        exact_u = np.array([Fraction(1, 3)] * d, dtype=object)
+        for K in (zonotope([], ambient_dim=d), Zonotope(d, np.zeros((0, d), dtype=object))):
+            for u, want in ((np.ones(d), float), (exact_u, Fraction if K.exact else float)):
+                h = support(K, u)
+                assert type(h) is want and h == 0
+            bounds = radius_bounds(K, net_count=64)
+            assert bounds == (0.0, 0.0) and {type(x) for x in bounds} == {float}
 
 
 def test_support_many_matches_support():
@@ -1015,3 +1030,20 @@ def test_canonical_eq_pairs_a_row_whose_sign_a_rounding_lead_entry_set():
     # nor when the lead entry is beyond tol of zero
     N = zonotope([[1e-6, -a, a, -b], [1.0, 2.0, 3.0, 4.0]])
     assert not canonical_eq(N, L) and not canonical_eq(L, N)
+
+
+def test_canonical_eq_of_bodies_of_other_dimension_or_generator_count():
+    K = zonotope([[1.0, 0.0], [0.0, 1.0]])
+    assert not canonical_eq(K, zonotope([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    assert not canonical_eq(K, zonotope([[1.0, 0.0]]))
+    assert not canonical_eq(K, zonotope([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    assert canonical_eq(K, zonotope([[0.0, 0.5], [1.0, 0.0], [0.0, -0.5]]))
+
+
+def test_nets_and_sphere_draws_in_dimension_one():
+    assert np.array_equal(direction_net(1, 1), [[1.0]])
+    assert np.array_equal(direction_net(1, 2, seed=3), [[1.0], [-1.0]])
+    assert np.array_equal(covering_net(1, 0.5), [[1.0], [-1.0]])
+    S = SeedStream(5).sphere(1000, 1)
+    assert S.shape == (1000, 1) and set(S.ravel().tolist()) == {-1.0, 1.0}
+    assert np.array_equal(S[:, 0], np.where(SeedStream(5).uniforms(1000) < 0.5, -1.0, 1.0))
