@@ -24,7 +24,7 @@ import numpy as np
 from . import exterior
 from .algebra import _chain, _graded
 from .exterior import realify_rows, unrealify_rows
-from .sampling import CHUNK, SeedStream, _mc_mean_se
+from .sampling import CHUNK, SLICE, SeedStream, _Continued, _mc_mean_se
 from .zonotope import Zonotope, _finite_floats, _integer, canonicalize, length, zonotope
 
 __all__ = [
@@ -204,17 +204,36 @@ class MatrixBlockModel:
         return all(b.dist is not None for b in self.blocks)
 
     def sample(self, n: int, stream: SeedStream) -> np.ndarray:
-        return self._stack(n, (b.sample_matrices(n, self.size, stream.derive("block", j))
-                               for j, b in enumerate(self.blocks)))
+        """n matrices, block j's columns drawn from stream.derive("block", j):
+        the one slice of ``_slices``."""
+        return next(self._slices(n, stream, max(n, 1)))[1]
 
-    def _stack(self, n: int, parts) -> np.ndarray:
-        """The n matrices whose column blocks are parts, one (n, size, w_j)
-        stack per block: the swapaxes view of one (n, size, size) buffer in
-        which each matrix's columns are contiguous rows.  Each part is
-        dropped before the next is drawn (zip's result tuple would hold
-        it), so the buffer and one block's draw are alive at a time."""
-        cols = np.empty((n, self.size, self.size),
+    def _slices(self, n: int, stream: SeedStream, rows: int = SLICE):
+        """(slice, matrices) for the rows of ``sample(n, stream)``, in the
+        fewest near-equal slices of at most rows rows (``_row_blocks``: no
+        slice holds one row unless n is 1, as the m <= 4 |det| kernel sums
+        a lone row's terms in another order).  Each block draws every slice
+        from one ``_Continued`` stream, so the slices repeat one whole draw;
+        the matrices are views of one buffer that the next slice overwrites."""
+        streams = [_Continued(stream.derive("block", j)) for j in range(len(self.blocks))]
+        cols = self._buffer(min(n, rows))
+        for part in exterior._row_blocks(n, rows):
+            r = part.stop - part.start
+            yield part, self._stack(r, (b.sample_matrices(r, self.size, s)
+                                        for b, s in zip(self.blocks, streams)), cols)
+
+    def _buffer(self, n: int) -> np.ndarray:
+        return np.empty((n, self.size, self.size),
                         np.complex128 if self.complex_field else np.float64)
+
+    def _stack(self, n: int, parts, cols=None) -> np.ndarray:
+        """The n matrices whose column blocks are parts, one (n, size, w_j)
+        stack per block: the swapaxes view of the first n matrices of cols,
+        an (at least n, size, size) buffer (a new one when None), in which
+        each matrix's columns are contiguous rows.  Each part is dropped
+        before the next is drawn (zip's result tuple would hold it), so the
+        buffer and one block's draw are alive at a time."""
+        cols = self._buffer(n) if cols is None else cols[:n]
         parts = iter(parts)
         start = 0
         for b in self.blocks:
@@ -378,7 +397,10 @@ def expected_abs_det_mc(model: MatrixBlockModel, n: int, seed: int = 0
     complex entries alike.  When every block is discrete and the joint atom
     support has at most min(n, CHUNK) matrices, each sample looks |det| up
     in a table over that support, at the atoms model.sample would draw: the
-    same determinants, so the same estimate bit for bit."""
+    same determinants, so the same estimate bit for bit.  Otherwise each
+    chunk is drawn in the slices of ``MatrixBlockModel._slices``, whose
+    |det| fill the chunk's values: the draws and determinants of
+    model.sample over the whole chunk, with one slice of matrices alive."""
     shape = tuple(b.dist.n_atoms for b in model.blocks) if model.all_discrete() else ()
     if shape and math.prod(shape) <= min(n, CHUNK):
         joint = np.indices(shape).reshape(len(shape), -1)
@@ -394,7 +416,10 @@ def expected_abs_det_mc(model: MatrixBlockModel, n: int, seed: int = 0
             return table[joint]
     else:
         def draw(stream, size):
-            return _abs_det(model.sample(size, stream))
+            vals = np.empty(size)
+            for part, M in model._slices(size, stream):
+                vals[part] = _abs_det(M)
+            return vals
 
     return _mc_mean_se(SeedStream(seed).derive("edet"), n, draw)
 

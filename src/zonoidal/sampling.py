@@ -6,7 +6,11 @@ into fixed-size chunks with per-chunk derived keys, so an estimate for
 a given (seed, N) is bit-identical no matter how the chunks are
 scheduled.  Uniforms, indices and Gaussians (numpy's ziggurat sampler)
 all come from the generator of one such key, so a rerun with the same
-numpy repeats every draw bit for bit.
+numpy repeats every draw bit for bit.  A chunk, and a direction net, is
+drawn in row slices of at most SLICE rows, so that no array holds a
+whole chunk of matrices or a whole net; a generator continues its
+stream exactly from one draw to the next, so the slices repeat the
+rows of one whole draw.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 __all__ = [
     "SeedStream",
     "CHUNK",
+    "SLICE",
     "direction_net",
     "covering_net",
     "chunk_sizes",
@@ -26,6 +31,7 @@ __all__ = [
 ]
 
 CHUNK = 1 << 16  # samples per derived chunk key
+SLICE = 1 << 14  # rows drawn at a time within a chunk or a net
 
 
 def _derive_key(seed, labels: tuple) -> int:
@@ -81,6 +87,20 @@ class SeedStream:
         if len(p) == 1:
             return np.zeros(int(n), dtype=np.uint8)
         return _atom_index(self.uniforms(n), np.cumsum(p))
+
+
+class _Continued(SeedStream):
+    """A stream with one generator for all its draws: each draw continues
+    where the last stopped, so draws of n_1, n_2, ... values are the
+    values of one draw of n_1 + n_2 + ...  A SeedStream starts each draw
+    afresh."""
+
+    def __init__(self, stream: SeedStream):
+        super().__init__(stream.seed, stream._labels)
+        self._held = stream._generator()
+
+    def _generator(self) -> np.random.Generator:
+        return self._held
 
 
 # Counting costs about 2 us a bound plus 0.3 ns a bound and draw;
@@ -161,24 +181,23 @@ def _unit_rows(A: np.ndarray) -> np.ndarray:
 
 
 def _net_blocks(dim: int, count: int, seed: int = 0):
-    """The rows of ``direction_net(dim, count, seed)``, CHUNK at a time.
+    """The rows of ``direction_net(dim, count, seed)``, SLICE at a time.
 
-    The angular grid and the Fibonacci sphere are closed forms in the
-    row index, computed per index range; from dimension 4 the Gaussian
-    cloud is drawn from one SFC64 generator a block at a time, which
-    repeats one large draw.
+    In R^1 the rows alternate +1 and -1; the angular grid and the
+    Fibonacci sphere are closed forms in the row index, computed per
+    index range; from dimension 4 the Gaussian cloud is drawn from one
+    SFC64 generator a block at a time, which repeats one large draw.
     """
     if dim < 1 or count < 1:
         raise ValueError("need dim >= 1 and count >= 1")
-    if dim == 1:
-        yield np.array([[1.0], [-1.0]])[:count]
-        return
     phase = (_derive_key(seed, ("net2",)) % (1 << 32)) / (1 << 32)
     draw = SeedStream(seed).derive("net", dim, count)._generator()
     golden = (1.0 + math.sqrt(5.0)) / 2.0
-    for start in range(0, count, CHUNK):
-        i = np.arange(start, min(start + CHUNK, count))
-        if dim == 2:
+    for start in range(0, count, SLICE):
+        i = np.arange(start, min(start + SLICE, count))
+        if dim == 1:
+            yield (1.0 - 2.0 * (i % 2))[:, None]
+        elif dim == 2:
             theta = 2.0 * np.pi * (i + phase) / count
             yield np.column_stack([np.cos(theta), np.sin(theta)])
         elif dim == 3:  # Fibonacci sphere
@@ -193,9 +212,10 @@ def _net_blocks(dim: int, count: int, seed: int = 0):
 def direction_net(dim: int, count: int, seed: int = 0) -> np.ndarray:
     """Deterministic quasi-uniform unit directions, rows of shape (count, dim).
 
-    dim 2 uses an evenly spaced angular grid with a seeded phase, dim 3 a
-    Fibonacci sphere, higher dimensions a seeded Gaussian cloud.  The same
-    (dim, count, seed) always yields the same net.
+    dim 1 alternates +1 and -1, dim 2 uses an evenly spaced angular grid
+    with a seeded phase, dim 3 a Fibonacci sphere, higher dimensions a
+    seeded Gaussian cloud.  The same (dim, count, seed) always yields the
+    same net.
     """
     return np.concatenate(list(_net_blocks(dim, count, seed)))
 

@@ -44,7 +44,8 @@ from zonoidal import (
     zonotope,
 )
 from zonoidal import algebra, randomdet, sampling
-from zonoidal.sampling import CHUNK, SeedStream, _mc_mean_se, chunk_sizes
+from zonoidal.exterior import _row_blocks
+from zonoidal.sampling import CHUNK, SLICE, SeedStream, _mc_mean_se, chunk_sizes
 from zonoidal.testkit import brute_force_expected_abs_det
 
 
@@ -506,19 +507,57 @@ def _table_models():
     }
 
 
-@pytest.mark.parametrize("n", [2, 100, 70_000, 200_000])
-@pytest.mark.parametrize("name", list(_table_models()))
+def _sampler_models():
+    rng = np.random.default_rng(15)
+
+    def gaussian(size, width, kind="gaussian"):
+        return MatrixBlockModel(size, tuple(
+            MatrixBlock(width, sampler=SeededSampler(kind, size)) for _ in range(size // width)),
+            complex_field=kind == "complex_gaussian")
+
+    beside = MatrixBlock(2, dist=DiscreteDistribution(rng.normal(size=(3, 4, 2)),
+                                                      np.array([0.5, 0.3, 0.2])))
+    return {
+        "gaussian width 1": gaussian(4, 1),
+        "gaussian width 2": gaussian(6, 2),
+        "uniform sphere": gaussian(3, 1, "uniform_sphere"),
+        "complex gaussian": gaussian(4, 1, "complex_gaussian"),
+        "sampler beside discrete": MatrixBlockModel(4, (
+            MatrixBlock(2, sampler=SeededSampler("gaussian", 4)), beside)),
+    }
+
+
+# the sampler models' counts end in a one-sample chunk, a one-slice chunk
+# and a chunk of two near-equal slices, or take one slice in all
+@pytest.mark.parametrize("name, n", [
+    *((name, n) for name in _table_models() for n in (2, 100, 70_000, 200_000)),
+    *((name, n) for name in _sampler_models()
+      for n in (CHUNK + 1, 2 * CHUNK + 3392, CHUNK + SLICE + 1, 5000))])
 def test_mc_table_route_is_the_direct_route_bit_for_bit(name, n, monkeypatch):
-    model = _table_models()[name]
-    support = math.prod(b.dist.n_atoms for b in model.blocks)
+    model = {**_table_models(), **_sampler_models()}[name]
+    support = (math.prod(b.dist.n_atoms for b in model.blocks) if model.all_discrete()
+               else math.inf)
     stream = SeedStream(5).derive("edet")
     ref = _mc_mean_se(stream, n, lambda s, size: randomdet._abs_det(model.sample(size, s)))
     stacks, abs_det = [], randomdet._abs_det
     monkeypatch.setattr(randomdet, "_abs_det", lambda a: stacks.append(len(a)) or abs_det(a))
     assert expected_abs_det_mc(model, n, 5) == ref
     # one |det| kernel call over the support matrices when there are at most
-    # min(n, CHUNK) of them, else one per chunk of samples
-    assert stacks == ([support] if support <= min(n, CHUNK) else chunk_sizes(n))
+    # min(n, CHUNK) of them, else one per slice of each chunk of samples
+    slices = [p.stop - p.start for size in chunk_sizes(n) for p in _row_blocks(size, SLICE)]
+    assert stacks == ([support] if support <= min(n, CHUNK) else slices)
+
+
+@pytest.mark.parametrize("name", list(_sampler_models()))
+def test_a_chunk_drawn_in_slices_repeats_the_whole_chunk(name, monkeypatch):
+    # every |det| of the chunk, not only their mean: a one-row last slice
+    # would sum the 4 x 4 complex kernel's terms in another order
+    model, n, draws = _sampler_models()[name], SLICE + 1, []
+    monkeypatch.setattr(randomdet, "_mc_mean_se", lambda stream, n, draw: draws.append(
+        (stream.derive(0), draw(stream.derive(0), n))))
+    expected_abs_det_mc(model, n, 3)
+    [(stream, got)] = draws
+    assert np.array_equal(got, randomdet._abs_det(model.sample(n, stream)))
 
 
 def test_gaussian_stream_is_pinned():
@@ -555,6 +594,23 @@ def test_a_sampled_chunk_holds_its_buffer_and_one_block_draw():
     buffer, block = n * size * size * 8, n * size * width * 8
     assert A.nbytes == buffer
     assert peak < buffer + block + 2**20
+
+
+def test_a_monte_carlo_chunk_holds_one_slice_of_matrices():
+    # a chunk of 6 x 6 matrices is drawn in slices into one reused buffer,
+    # not into a buffer of the whole chunk's matrices
+    size, width, n = 6, 2, CHUNK
+    model = MatrixBlockModel(size, tuple(
+        MatrixBlock(width, sampler=SeededSampler("gaussian", size, seed=3))
+        for _ in range(size // width)))
+    expected_abs_det_mc(model, 8, 1)  # one-time allocations outside the trace
+    tracemalloc.start()
+    try:
+        expected_abs_det_mc(model, n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * size * size * 8 / 2
 
 
 @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])

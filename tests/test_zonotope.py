@@ -43,7 +43,7 @@ from zonoidal import (
 )
 from zonoidal.algebra import _chain, _wedge_raw
 from zonoidal.jvolume import disc_zonotope, j_volume_zonotope
-from zonoidal.sampling import (CHUNK, SeedStream, _derive_key, _net_blocks, covering_net,
+from zonoidal.sampling import (CHUNK, SLICE, SeedStream, _derive_key, _net_blocks, covering_net,
                                direction_net)
 from zonoidal.testkit import length_brute, radius_brute, support_brute
 from zonoidal.zonotope import (COLLINEAR_SINE_TOL, _collinear_labels, _integer, _lex_order,
@@ -928,7 +928,7 @@ def _whole_net(dim, count, seed):
                                         (5, 11)])
 def test_net_blocks_repeat_the_whole_net(dim, count):
     blocks = list(_net_blocks(dim, count, seed=4))
-    assert [len(b) for b in blocks[:-1]] == [CHUNK] * (len(blocks) - 1)
+    assert [len(b) for b in blocks[:-1]] == [SLICE] * (len(blocks) - 1)
     want = _whole_net(dim, count, seed=4)
     assert np.array_equal(np.concatenate(blocks), want)
     assert np.array_equal(direction_net(dim, count, seed=4), want)
@@ -948,6 +948,36 @@ def test_hausdorff_net_is_never_held_whole():
     count = math.ceil((3.6 / 3e-3) ** 2)  # the covering net's 1.44M directions
     assert peak < count * 3 * 8  # the whole net's 35 MB
     assert 0.0 < lo <= hi and lo <= length(K) / 2.0 + 1e-12
+
+
+def test_hausdorff_net_blocks_are_slices():
+    import tracemalloc
+
+    K = zonotope(np.random.default_rng(0).standard_normal((12, 3)))
+    L = scale(K, 2.0)
+    hausdorff_estimate(K, L, delta=0.5)  # one-time allocations outside the trace
+    tracemalloc.start()
+    try:
+        hausdorff_estimate(K, L, delta=3e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6  # blocks of SLICE directions, not CHUNK
+
+
+def test_net_in_dimension_one_alternates_signs():
+    net = direction_net(1, 5)
+    assert net.shape == (5, 1) and net[:, 0].tolist() == [1.0, -1.0, 1.0, -1.0, 1.0]
+    count = SLICE + 3
+    blocks = list(_net_blocks(1, count))
+    assert [len(b) for b in blocks] == [SLICE, 3]
+    assert np.array_equal(np.concatenate(blocks), direction_net(1, count))
+    assert np.array_equal(direction_net(1, count)[:, 0], np.where(np.arange(count) % 2, -1.0, 1.0))
+    # the bounds take their maxima over the same two directions as before
+    K, L = zonotope([[2.0], [-0.5]]), zonotope([[1.0]])
+    assert _net_max(_net_blocks(1, 7), K) == _net_max(_net_blocks(1, 2), K) == 1.25
+    assert radius_bounds(K, net_count=7) == radius_bounds(K, net_count=2)
+    assert hausdorff_estimate(K, L, delta=0.1) == (0.75, 0.75 + 1.75 * 0.1)
 
 
 def test_minkowski_sum_of_several_bodies_merges_once(monkeypatch):
