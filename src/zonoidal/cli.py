@@ -590,7 +590,7 @@ def _cmd_bm_probe(args):
         t_grid = _parse_vector(args.t_grid)
     curve = randomdet.bm_concavity_probe(
         d1, d2, args.d, companions=companions, t_grid=t_grid,
-        n=args.samples if args.mc else 0, seed=args.seed,
+        n=args.samples if args.mc else None, seed=args.seed,
     )
     return {"curve": [[t, v, se] for (t, v, se) in curve]}
 

@@ -18,7 +18,9 @@ Kazarnovskii pseudovolume sums |det_C S|^2 / ||wedge S||, which is
 subset adds 0 by itself, so no span or tolerance is involved.  J must be
 orthogonal.  For general polytopes the same weights multiply the supplied
 n-faces' volumes and Monte Carlo normal angles, each normal cone given as
-(C, W) in its face's complement and sampled there (``_face_cone``).
+(C, W) in its face's complement and sampled there (``_face_cone``); a
+face whose span holds a complex line, by the flat rank rule, has weight 0
+and samples no angle.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from . import exterior
 from .algebra import _chain, _graded, _require_grading
 from .exterior import _row_norms, realify_rows, unrealify_rows
 from .sampling import SeedStream, _mc_mean_se, derive_seed
-from .zonotope import (Zonotope, _finite_floats, _in_flat, _integer, _orthonormal_rows, _spans,
-                       _unique_rows, _vertex_signs, _vertex_signs_many, canonicalize, length)
+from .zonotope import (Zonotope, _finite_floats, _in_flat, _integer, _orthonormal_rows,
+                       _significant, _spans, _unique_rows, _vertex_signs, _vertex_signs_many,
+                       canonicalize, length)
 
 __all__ = [
     "ComplexStructure",
@@ -357,18 +360,23 @@ def normal_angle_mc(P, face, samples: int, seed: int = 0) -> tuple[float, float]
 
 
 def _cone_angle_mc(C, W, samples: int, seed: int) -> tuple[float, float]:
-    """``normal_angle_mc`` of the normal cone (C, W) (``_face_cone``)."""
+    """``normal_angle_mc`` of the normal cone (C, W) (``_face_cone``).
+
+    The cone test is positively homogeneous, and a Gaussian row's
+    direction is uniform on the sphere (Muller 1959), so it reads the raw
+    Gaussian rows whose unit rows ``SeedStream.sphere`` would give: the
+    same hits without forming the unit rows."""
     c = len(C)
     if c == 0:
         raise ValueError("degenerate complement: the face spans the ambient space")
 
     def hits(S: np.ndarray) -> np.ndarray:
-        return np.all(S @ W.T >= 0.0, axis=1)
+        return np.all(W @ S.T >= 0.0, axis=0)
 
     if c == 1:
         return float(np.count_nonzero(hits(np.array([[1.0], [-1.0]])))) / 2.0, 0.0
     return _mc_mean_se(SeedStream(seed).derive("normal_angle"), samples,
-                       lambda stream, size: hits(stream.sphere(size, c)).astype(np.float64))
+                       lambda stream, size: hits(stream.gaussian_matrix(size, c)))
 
 
 def _face_volume(chart: np.ndarray, n: int) -> float:
@@ -426,13 +434,16 @@ def _polytope_mc_sum(P: PolytopeFaceData, samples, seed, J, power: int):
             raise ValueError(f"face {fi} spans more than {n} dimensions")
         if B.shape[0] < n:
             continue
+        # the flat rank rule: a complex line in the face's span, weight 0,
+        # leaves [B; B J^T] a rank below 2n
+        s = np.linalg.svd(np.vstack([B, B @ struct.J.T]), compute_uv=False)
+        if np.count_nonzero(_significant(s)) < 2 * n:
+            continue
         vol = _face_volume(chart, n)
         if vol == 0.0:
             continue
         dets, norms = _minors_and_norms(B, struct)
         w = float(dets[0] / norms[0]) ** power
-        if w == 0.0:
-            continue
         theta, se = _cone_angle_mc(*cone, samples, derive_seed(seed, "face", fi))
         total += vol * w * theta
         var += (vol * w * se) ** 2

@@ -394,34 +394,50 @@ def _abs_det(M) -> np.ndarray:
 def expected_abs_det_mc(model: MatrixBlockModel, n: int, seed: int = 0
                         ) -> tuple[float, float]:
     """Monte Carlo E|det M| with Bessel-corrected standard error; real or
-    complex entries alike.  When every block is discrete and the joint atom
-    support has at most min(n, CHUNK) matrices, each sample looks |det| up
-    in a table over that support, at the atoms model.sample would draw: the
-    same determinants, so the same estimate bit for bit.  Otherwise each
-    chunk is drawn in the slices of ``MatrixBlockModel._slices``, whose
-    |det| fill the chunk's values: the draws and determinants of
-    model.sample over the whole chunk, with one slice of matrices alive."""
-    shape = tuple(b.dist.n_atoms for b in model.blocks) if model.all_discrete() else ()
+    complex entries alike: ``_abs_det_draw`` of the one model."""
+    draw = _abs_det_draw((model,), n)
+    return _mc_mean_se(SeedStream(seed).derive("edet"), n, lambda s, size: draw(s, size)[0])
+
+
+def _abs_det_draw(models, n: int):
+    """draw(stream, size) for ``_mc_mean_se``: the (T, size) |det| of the T
+    models' chunk of samples, each row the |det| of model.sample(size,
+    stream).  When every block is discrete and the joint atom support
+    has at most min(n, CHUNK) matrices, the models must share their field,
+    their blocks' widths and their laws' probabilities, which makes their
+    atom indices the same: each chunk draws the joint indices once, from the
+    first model's laws, and reads every model's |det| table there, the
+    tables one ``_abs_det`` call over the models' stacked supports: the
+    same determinants, so the same estimates bit for bit.  Otherwise each
+    model's chunk is drawn in the slices of ``MatrixBlockModel._slices``,
+    whose |det| fill its row: the draws and determinants of model.sample
+    over the whole chunk, with one slice of matrices alive."""
+    discrete = all(m.all_discrete() for m in models)
+    shape = tuple(b.dist.n_atoms for m in models[:1] for b in m.blocks) if discrete else ()
     if shape and math.prod(shape) <= min(n, CHUNK):
         joint = np.indices(shape).reshape(len(shape), -1)
-        table = _abs_det(model._stack(joint.shape[1], (
-            b.atom_matrices(model.size)[i] for b, i in zip(model.blocks, joint))))
+        support = joint.shape[1]
+        cols = models[0]._buffer(len(models) * support)
+        for t, m in enumerate(models):
+            m._stack(support, (b.atom_matrices(m.size)[i] for b, i in zip(m.blocks, joint)),
+                     cols[t * support:])
+        tables = _abs_det(np.swapaxes(cols, 1, 2)).reshape(len(models), support)
 
         def draw(stream, size):
             joint = np.zeros(size, dtype=np.intp)  # C-order index by Horner
-            for j, (b, k) in enumerate(zip(model.blocks, shape)):
+            for j, (b, k) in enumerate(zip(models[0].blocks, shape)):
                 if k > 1:
                     joint *= k
                     joint += stream.derive("block", j).choice(size, b.dist.probs)
-            return table[joint]
+            return np.take(tables, joint, axis=1)  # C-contiguous rows
     else:
         def draw(stream, size):
-            vals = np.empty(size)
-            for part, M in model._slices(size, stream):
-                vals[part] = _abs_det(M)
+            vals = np.empty((len(models), size))
+            for row, m in zip(vals, models):
+                for part, M in m._slices(size, stream):
+                    row[part] = _abs_det(M)
             return vals
-
-    return _mc_mean_se(SeedStream(seed).derive("edet"), n, draw)
+    return draw
 
 
 expected_abs_det_complex_mc = expected_abs_det_mc
@@ -446,13 +462,17 @@ def expected_sq_abs_det_complex(model: MatrixBlockModel) -> float:
 
 def bm_concavity_probe(d1: DiscreteDistribution, d2: DiscreteDistribution,
                        d: int, companions=None, t_grid=None,
-                       n: int = 0, seed: int = 0):
+                       n: int | None = None, seed: int = 0):
     """Concavity probe for t -> E|det[X_t ... X_t, companions]|^(1/d).
 
     X_t is the fair Bernoulli mixture of 2t X_1 and 2(1-t) X_2, drawn
     i.i.d. for the d leading columns; companions are fixed trailing
-    columns.  Discrete inputs use the exact wedge path (stderr 0); pass
-    n > 0 to force Monte Carlo instead.
+    columns.  Discrete inputs use the exact wedge path (stderr 0); pass a
+    sample count n to force Monte Carlo instead (at least two samples).
+    Every t's mixture has the same atom probabilities, so the Monte Carlo
+    curve draws each chunk's atom indices once for the whole grid
+    (``_abs_det_draw``); each point equals ``expected_abs_det_mc`` of its
+    t's model at (n, seed) bit for bit.
     """
     if d < 1:
         raise ValueError(f"need d >= 1 mixture columns, got d = {d}")
@@ -476,24 +496,23 @@ def bm_concavity_probe(d1: DiscreteDistribution, d2: DiscreteDistribution,
         raise ValueError("d plus the number of fixed columns must equal m")
     if t_grid is None:
         t_grid = np.linspace(0.0, 1.0, 11)
-    out = []
-    for t in np.asarray(t_grid, dtype=np.float64):
-        mix = bernoulli_mixture(
-            scale_distribution(d1, float(t)), scale_distribution(d2, float(1.0 - t))
-        )
+    ts = [float(t) for t in np.asarray(t_grid, dtype=np.float64)]
+    models = []
+    for t in ts:
+        mix = bernoulli_mixture(scale_distribution(d1, t), scale_distribution(d2, 1.0 - t))
         blocks = [MatrixBlock(1, dist=mix) for _ in range(d)]
         if comp is not None:
             blocks.append(MatrixBlock(fixed, dist=DiscreteDistribution(
                 comp[None, :, :], np.array([1.0]))))
-        model = MatrixBlockModel(m, tuple(blocks))
-        if n and n > 0:
-            val, se = expected_abs_det_mc(model, n, seed=seed)
-            root = val ** (1.0 / d)
-            root_se = se / (d * val ** (1.0 - 1.0 / d)) if val > 0 else float("nan")
-            out.append((float(t), root, root_se))
-        else:
-            val = expected_abs_det_exact(model)
-            out.append((float(t), val ** (1.0 / d), 0.0))
+        models.append(MatrixBlockModel(m, tuple(blocks)))
+    if n is None:
+        return [(t, expected_abs_det_exact(model) ** (1.0 / d), 0.0)
+                for t, model in zip(ts, models)]
+    vals, ses = _mc_mean_se(SeedStream(seed).derive("edet"), n, _abs_det_draw(models, n))
+    out = []
+    for t, val, se in zip(ts, vals.tolist(), ses.tolist()):
+        root_se = se / (d * val ** (1.0 - 1.0 / d)) if val > 0 else float("nan")
+        out.append((t, val ** (1.0 / d), root_se))
     return out
 
 

@@ -146,9 +146,16 @@ def chunk_sizes(n: int, chunk: int = CHUNK) -> list[int]:
     return [chunk] * full + ([rest] if rest else [])
 
 
-def _mc_mean_se(stream: SeedStream, n: int, draw) -> tuple[float, float]:
+def _mc_mean_se(stream: SeedStream, n: int, draw):
     """Mean and Bessel-corrected standard error of n values over the fixed
     chunk schedule; draw(stream.derive(ci), size) gives chunk ci's values.
+
+    The values are a vector of size, or a (T, size) array of T quantities
+    read off the same samples, whose means and errors come back as
+    vectors of T in one pass over the chunks.  Each row is reduced as a
+    contiguous vector, so its bits are those of a call that draws that
+    row alone.  The draw's array is scratch: each chunk's deviations from
+    its mean, and their squares, are formed in place in it.
 
     Each chunk contributes (count, mean, M2), the sum of squared
     deviations from its own mean; chunks combine by the pairwise update
@@ -161,32 +168,45 @@ def _mc_mean_se(stream: SeedStream, n: int, draw) -> tuple[float, float]:
         raise ValueError("need at least two samples")
     count, mean, m2 = 0, 0.0, 0.0
     for ci, size in enumerate(chunk_sizes(n)):
-        vals = draw(stream.derive(ci), size)
-        c_mean = float(np.mean(vals))
-        dev = vals - c_mean
+        vals = np.ascontiguousarray(draw(stream.derive(ci), size), dtype=np.float64)
+        c_mean = np.mean(vals, axis=-1)
+        vals -= c_mean[..., None]
+        vals *= vals
         delta = c_mean - mean
         total = count + size
         mean += delta * size / total
-        m2 += float(np.sum(dev * dev)) + delta * delta * count * size / total
+        m2 += np.sum(vals, axis=-1) + delta * delta * count * size / total
         count = total
-    return mean, math.sqrt(m2 / (n - 1) / n)
+    se = np.sqrt(m2 / (n - 1) / n)
+    return (float(mean), float(se)) if np.ndim(mean) == 0 else (mean, se)
+
+
+def _row_scale(A: np.ndarray) -> np.ndarray:
+    """The norms of A's rows, along the last axis of a matrix or a stack
+    of them, with a zero norm read as 1."""
+    norms = np.linalg.norm(A, axis=-1)
+    norms[norms == 0.0] = 1.0
+    return norms
 
 
 def _unit_rows(A: np.ndarray) -> np.ndarray:
     """A's rows, along the last axis of a matrix or a stack of them, over
     their norms; a zero row stays zero."""
-    norms = np.linalg.norm(A, axis=-1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return A / norms
+    return A / _row_scale(A)[..., None]
 
 
 def _net_blocks(dim: int, count: int, seed: int = 0):
-    """The rows of ``direction_net(dim, count, seed)``, SLICE at a time.
+    """The rows of ``direction_net(dim, count, seed)``, SLICE at a time, as
+    pairs (U, w): the net's rows are U's rows over the norms w, or U's
+    rows themselves when w is None.
 
     In R^1 the rows alternate +1 and -1; the angular grid and the
     Fibonacci sphere are closed forms in the row index, computed per
-    index range; from dimension 4 the Gaussian cloud is drawn from one
-    SFC64 generator a block at a time, which repeats one large draw.
+    index range, and their rows are unit (w None).  From dimension 4 U
+    holds raw Gaussian rows, drawn from one SFC64 generator a block at a
+    time, which repeats one large draw; a Gaussian row's direction is
+    uniform on the sphere (Muller 1959), so a positively homogeneous test
+    reads U and divides by w only where it needs unit rows.
     """
     if dim < 1 or count < 1:
         raise ValueError("need dim >= 1 and count >= 1")
@@ -196,17 +216,18 @@ def _net_blocks(dim: int, count: int, seed: int = 0):
     for start in range(0, count, SLICE):
         i = np.arange(start, min(start + SLICE, count))
         if dim == 1:
-            yield (1.0 - 2.0 * (i % 2))[:, None]
+            yield (1.0 - 2.0 * (i % 2))[:, None], None
         elif dim == 2:
             theta = 2.0 * np.pi * (i + phase) / count
-            yield np.column_stack([np.cos(theta), np.sin(theta)])
+            yield np.column_stack([np.cos(theta), np.sin(theta)]), None
         elif dim == 3:  # Fibonacci sphere
             z = 1.0 - 2.0 * (i + 0.5) / count
             r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
             phi = 2.0 * np.pi * (i + 0.5) / golden
-            yield np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+            yield np.column_stack([r * np.cos(phi), r * np.sin(phi), z]), None
         else:
-            yield _unit_rows(draw.standard_normal(len(i) * dim).reshape(len(i), dim))
+            G = draw.standard_normal(len(i) * dim).reshape(len(i), dim)
+            yield G, _row_scale(G)
 
 
 def direction_net(dim: int, count: int, seed: int = 0) -> np.ndarray:
@@ -217,7 +238,8 @@ def direction_net(dim: int, count: int, seed: int = 0) -> np.ndarray:
     seeded Gaussian cloud.  The same (dim, count, seed) always yields the
     same net.
     """
-    return np.concatenate(list(_net_blocks(dim, count, seed)))
+    return np.concatenate([U if w is None else U / w[:, None]
+                           for U, w in _net_blocks(dim, count, seed)])
 
 
 def _covering_count(dim: int, delta: float) -> int:

@@ -156,14 +156,18 @@ def support_many(K: Zonotope, U: np.ndarray) -> np.ndarray:
 
 
 def _net_max(blocks, K: Zonotope, L: Zonotope | None = None) -> float:
-    """The largest h_K(u), or |h_K(u) - h_L(u)| given L, over the rows u
-    of the net's blocks (0.0 for none), so that neither the net nor a
-    (directions x generators) matrix is formed whole."""
+    """The largest h_K(u), or |h_K(u) - h_L(u)| given L, over the unit
+    rows u of the net's blocks (``_net_blocks``; 0.0 for none), so that
+    neither the net nor a (directions x generators) matrix is formed
+    whole.  Both are positively homogeneous in u, so a block of raw rows
+    U with norms w gives its values at U's rows over w."""
     best = 0.0
-    for U in blocks:
+    for U, w in blocks:
         h = support_many(K, U)
         if L is not None:
             h = np.abs(h - support_many(L, U))
+        if w is not None:
+            h /= w
         best = max(best, float(np.max(h)))
     return best
 
@@ -596,7 +600,10 @@ def radius_bounds(K: Zonotope, net_count: int = 4096, seed: int = 0) -> tuple[fl
     """Certified enclosure [lo, hi] of the radius.
 
     lo = max(sampled support, length / tau_D); hi = length / 2.  Both
-    bounds follow from 2 ||K|| <= l(K) <= tau_D ||K||.
+    bounds follow from 2 ||K|| <= l(K) <= tau_D ||K||.  The sampled
+    support is the largest over ``direction_net(dim, net_count, seed)``;
+    from dimension 4 each h_K(g) / ||g|| is read at the net's raw Gaussian
+    row g, not at g / ||g||, which can move it in the last bit.
     """
     from .randomdet import tau  # local import to avoid a cycle
 
@@ -615,6 +622,9 @@ def hausdorff_estimate(
     Lipschitz constant (l(K) + l(L)) / 2 turns the net's covering radius
     delta into the upper end.  From dimension 4 the net certifies no
     radius; as h_K, h_L >= 0, d_H <= max(||K||, ||L||) <= max(l(K), l(L)) / 2.
+    There the net is a Gaussian cloud, and each |h_K(g) - h_L(g)| / ||g||
+    is read at a raw row g, not at g / ||g||, which can move the lower
+    end in the last bit.
     """
     if K.ambient_dim != L.ambient_dim:
         raise ValueError("ambient dimension mismatch in Hausdorff estimate")

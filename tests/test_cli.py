@@ -285,6 +285,15 @@ def test_bm_probe_refuses_d_below_one(tmp_path):
     assert json.loads(err)["error"] == {"code": 3, "message": "need d >= 1 mixture columns, got d = 0"}
 
 
+@pytest.mark.parametrize("samples", ["0", "-5", "1"])
+def test_bm_probe_mc_refuses_fewer_than_two_samples(tmp_path, samples):
+    # --samples 0 and -5 once printed the exact curve with stderr 0.0
+    d = write(tmp_path, "d.json", _DIST)
+    code, out, err = run(["bm-probe", d, d, "--d", "2", "--mc", "--samples", samples])
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == {"code": 3, "message": "need at least two samples"}
+
+
 def test_virtual_difference_flow(tmp_path):
     a = {"ambient_dim": 2, "generators": [[3.0, 1.0]]}
     b = {"ambient_dim": 2, "generators": [[3.0, 0.0]]}

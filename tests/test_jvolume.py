@@ -1049,6 +1049,27 @@ def test_zonotope_cone_test_in_the_complement_equals_the_ambient_test():
         assert normal_angle_mc(P, (E, eps), samples, seed=k) == want
 
 
+@pytest.mark.parametrize("c, k, samples", [(2, 2, 5000), (3, 4, CHUNK + 1000), (4, 3, 5000),
+                                            (4, 6, 20_000)])
+def test_cone_angle_reads_raw_gaussian_rows_as_unit_rows(c, k, samples):
+    # the cone test is positively homogeneous: raw Gaussian rows give the
+    # hits, so the estimate, of the unit rows SeedStream.sphere draws
+    from zonoidal import jvolume
+
+    g = rng(30 + c + k)
+    W = g.standard_normal((k, c))
+    want = _mc_mean_se(SeedStream(7).derive("normal_angle"), samples, lambda stream, size:
+                       np.all(stream.sphere(size, c) @ W.T >= 0.0, axis=1).astype(np.float64))
+    assert jvolume._cone_angle_mc(np.eye(c), W, samples, 7) == want
+    assert 0.0 < want[0] < 1.0
+    fd = zonotope_face_data(random_complex_zonotope(g, n=2, n_gens=4))
+    for fi in range(3):  # complements of dimension 2 in C^2
+        C, W = jvolume._face_cone(fd, fi)
+        want = _mc_mean_se(SeedStream(fi).derive("normal_angle"), 3000, lambda stream, size:
+                           np.all(stream.sphere(size, 2) @ W.T >= 0.0, axis=1).astype(np.float64))
+        assert normal_angle_mc(fd, fi, 3000, seed=fi) == want
+
+
 def test_zonotope_face_data_refuses_an_odd_ambient_dimension():
     with pytest.raises(ValueError, match="even ambient dimension"):
         zonotope_face_data(zonotope([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]))
@@ -1195,23 +1216,24 @@ def test_normal_angle_of_a_span_given_as_vectors_equals_the_subspace_form():
 def test_faces_of_zero_j_weight_are_skipped(monkeypatch):
     """Of the 24 2-faces of the unit cube in C^2, the 8 spanned by e1, Je1
     or by e3, Je3 are complex lines, of J-weight 0 up to the rounding of
-    their frames: the polytope sums sample no normal angle for a face
-    whose weight is 0.0, and J-volume and Kazarnovskii read 4, 16 faces of
-    weight 1 and angle 1/4."""
+    their frames (not all of it 0.0): the polytope sums decide a complex
+    line by the flat rank rule, sample no normal angle for any of the 8,
+    and J-volume and Kazarnovskii read 4, 16 faces of weight 1 and angle
+    1/4."""
     from zonoidal import jvolume
 
     fd = zonotope_face_data(zonotope(np.eye(4)))
     weights = [jvolume._minors_and_norms(_face_frame(fd, f)[0], standard_structure(2))[0][0]
                for f in fd.n_faces]
     zero = sum(w == 0.0 for w in weights)
-    assert len(weights) == 24 and 1 <= zero and sum(w < 1e-15 for w in weights) == 8
+    assert len(weights) == 24 and 1 <= zero < 8 and sum(w < 1e-15 for w in weights) == 8
     calls = []
     angle = jvolume._cone_angle_mc
     monkeypatch.setattr(jvolume, "_cone_angle_mc", lambda *a: calls.append(a) or angle(*a))
     for estimate in (j_volume_polytope_mc, kazarnovskii_polytope_mc):
         calls.clear()
         val, se = estimate(fd, 4000, seed=2)
-        assert len(calls) == 24 - zero
+        assert len(calls) == 16
         assert abs(val - 4.0) <= 4.0 * se
 
 

@@ -489,6 +489,73 @@ def test_mc_estimate_bits_do_not_depend_on_blas_threads():
     assert outs == ["(0.41013217142857145, 0.003355658517819037)\n"] * 2
 
 
+@pytest.mark.parametrize("n", [500, 20_000, 70_000, 200_000])
+def test_vector_mc_rows_equal_scalar_calls(n):
+    # T quantities of the same samples in one pass: |det|, |det|^2 and a
+    # row whose mean dwarfs its spread; each row's estimate and error are
+    # those of a scalar call on that row alone, bit for bit
+    d = DiscreteDistribution(rng(20).standard_normal((5, 3)), np.full(5, 0.2))
+    model = iid_column_model(d, 3)
+
+    def rows(stream, size):
+        a = randomdet._abs_det(model.sample(size, stream))
+        return np.stack([a, a * a, 1e8 + a])
+
+    stream = SeedStream(21).derive("vector")
+    means, ses = _mc_mean_se(stream, n, rows)
+    assert means.shape == ses.shape == (3,)
+    for t in range(3):
+        assert _mc_mean_se(stream, n, lambda s, size: rows(s, size)[t]) == (means[t], ses[t])
+
+
+def _probe_models(d1, d2, d, companions, grid):
+    """The probe's per-t models, built here from its definition."""
+    models = []
+    for t in grid:
+        mix = bernoulli_mixture(scale_distribution(d1, t), scale_distribution(d2, 1.0 - t))
+        blocks = [MatrixBlock(1, dist=mix)] * d
+        if companions is not None:
+            blocks.append(MatrixBlock(companions.shape[1], dist=DiscreteDistribution(
+                companions[None], [1.0])))
+        models.append(MatrixBlockModel(len(companions) if companions is not None else d,
+                                       tuple(blocks)))
+    return models
+
+
+@pytest.mark.parametrize("grid", [None, [0.0, 0.3, 0.8]])
+@pytest.mark.parametrize("with_companions", [False, True])
+@pytest.mark.parametrize("n", [70_000, 200])
+def test_mc_probe_is_expected_abs_det_mc_per_t(grid, with_companions, n, monkeypatch):
+    # n = 70000 spans two chunks and reads the |det| tables, as n = 200
+    # does for the 36 joint atoms of d = 2 beside a companion; without one,
+    # d = 3 columns of 10 atoms have 1000 > 200, so each t's chunk is drawn
+    g = rng(22)
+    k = 3 if with_companions else 5
+    d1, d2 = random_discrete(g, k, 3), random_discrete(g, k, 3)
+    d, comp = (2, g.standard_normal((3, 1))) if with_companions else (3, None)
+    ts = np.linspace(0.0, 1.0, 11).tolist() if grid is None else grid
+    want = []
+    for t, model in zip(ts, _probe_models(d1, d2, d, comp, ts)):
+        val, se = expected_abs_det_mc(model, n, seed=23)
+        want.append((t, val ** (1.0 / d), se / (d * val ** (1.0 - 1.0 / d))))
+    stacks, abs_det = [], randomdet._abs_det
+    monkeypatch.setattr(randomdet, "_abs_det", lambda a: stacks.append(len(a)) or abs_det(a))
+    assert bm_concavity_probe(d1, d2, d, companions=comp, t_grid=grid, n=n, seed=23) == want
+    support = math.prod(b.dist.n_atoms for b in _probe_models(d1, d2, d, comp, ts)[0].blocks)
+    if support <= min(n, CHUNK):  # one |det| call over every t's support
+        assert stacks == [len(ts) * support]
+    else:
+        assert len(stacks) == len(ts)
+
+
+@pytest.mark.parametrize("n", [0, 1, -5])
+def test_probe_refuses_fewer_than_two_samples(n):
+    g = rng(24)
+    d1, d2 = random_discrete(g, 2, 2), random_discrete(g, 2, 2)
+    with pytest.raises(ValueError, match="need at least two samples"):
+        bm_concavity_probe(d1, d2, 2, n=n)
+
+
 def _table_models():
     rng = np.random.default_rng(14)
     real = DiscreteDistribution(rng.normal(size=(4, 3)), np.full(4, 0.25))

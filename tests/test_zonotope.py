@@ -927,11 +927,41 @@ def _whole_net(dim, count, seed):
 @pytest.mark.parametrize("dim, count", [(2, CHUNK + 1001), (3, 2 * CHUNK + 3), (5, CHUNK + 7),
                                         (5, 11)])
 def test_net_blocks_repeat_the_whole_net(dim, count):
+    # closed-form blocks are unit rows; a Gaussian block is raw rows and
+    # their norms, and the rows over the norms are the unit rows
     blocks = list(_net_blocks(dim, count, seed=4))
-    assert [len(b) for b in blocks[:-1]] == [SLICE] * (len(blocks) - 1)
+    assert [len(U) for U, _ in blocks[:-1]] == [SLICE] * (len(blocks) - 1)
     want = _whole_net(dim, count, seed=4)
-    assert np.array_equal(np.concatenate(blocks), want)
+    if dim >= 4:
+        raw = SeedStream(4).derive("net", dim, count).gaussian_matrix(count, dim)
+        assert np.array_equal(np.concatenate([U for U, _ in blocks]), raw)
+        assert np.array_equal(np.concatenate([w for _, w in blocks]), np.linalg.norm(raw, axis=1))
+    else:
+        assert all(w is None for _, w in blocks)
+        assert np.array_equal(np.concatenate([U for U, _ in blocks]), want)
     assert np.array_equal(direction_net(dim, count, seed=4), want)
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6])
+def test_gaussian_cloud_lower_ends_read_raw_rows(dim):
+    # from dimension 4 the bounds divide each raw row's value by its norm
+    # instead of normalizing the row: within 1e-15 of the unit-row route,
+    # relative to the supports, as a difference of supports rounds at
+    # their scale; the segments of seg(e1), seg(e2) cancel nothing
+    g = rng(40 + dim)
+    K = zonotope(g.standard_normal((7, dim)))
+    L = zonotope(np.vstack([K.generators, g.standard_normal((2, dim))]))
+    net = covering_net(dim, 0.5, seed=3)
+    for A, B in ((K, L), (zonotope(np.eye(dim)[:1]), zonotope(np.eye(dim)[1:2]))):
+        lo, _ = hausdorff_estimate(A, B, delta=0.5, seed=3)
+        hA, hB = support_many(A, net), support_many(B, net)
+        want = float(np.max(np.abs(hA - hB)))
+        assert abs(lo - want) <= 1e-15 * float(np.max(np.maximum(hA, hB)))
+    assert abs(lo - want) <= 1e-15 * want
+    net = direction_net(dim, 5000, seed=3)
+    lo, _ = radius_bounds(K, net_count=5000, seed=3)
+    want = float(np.max(support_many(K, net)))
+    assert want > length(K) / tau(dim) and abs(lo - want) <= 1e-15 * want
 
 
 def test_hausdorff_net_is_never_held_whole():
@@ -970,8 +1000,8 @@ def test_net_in_dimension_one_alternates_signs():
     assert net.shape == (5, 1) and net[:, 0].tolist() == [1.0, -1.0, 1.0, -1.0, 1.0]
     count = SLICE + 3
     blocks = list(_net_blocks(1, count))
-    assert [len(b) for b in blocks] == [SLICE, 3]
-    assert np.array_equal(np.concatenate(blocks), direction_net(1, count))
+    assert [len(U) for U, _ in blocks] == [SLICE, 3] and all(w is None for _, w in blocks)
+    assert np.array_equal(np.concatenate([U for U, _ in blocks]), direction_net(1, count))
     assert np.array_equal(direction_net(1, count)[:, 0], np.where(np.arange(count) % 2, -1.0, 1.0))
     # the bounds take their maxima over the same two directions as before
     K, L = zonotope([[2.0], [-0.5]]), zonotope([[1.0]])
