@@ -4,22 +4,23 @@ Kazarnovskii pseudovolume.
 
 Complex vectors live in realified coordinates: z in C^n becomes the
 interleaved real vector (Re z_1, Im z_1, ..., Re z_n, Im z_n), and the
-standard complex structure J acts blockwise by (x, y) -> (-y, x).  A
+complex structure J is multiplication by i, blockwise (x, y) -> (-y, x);
+another orthogonal structure enters as the rows in its ``j_frame``.  A
 zonotope whose generators are realified elements of the k-th complex
 exterior power carries the tag ``cgrading=(n, k)``.  Complex wedges and
 the mixed J-volume are ``algebra``'s wedge chain, which reads that tag
 and wedges such bodies as complex rows over C^n.
 
 The J-volume of a zonotope P in C^n is the sum, over the n-subsets S of
-its generators, of |det_C S|: the complex determinant of S's rows in the
-structure's J-frame, the complex twin of volume = sum |det S|.  The
+its generators, of |det_C S|: the complex determinant of S's rows read
+as complex rows, the complex twin of volume = sum |det S|.  The
 Kazarnovskii pseudovolume sums |det_C S|^2 / ||wedge S||, which is
 ||wedge S|| sigma^J(span S).  Both read ``_minors_and_norms``; a dependent
-subset adds 0 by itself, so no span or tolerance is involved.  J must be
-orthogonal.  For general polytopes the same weights multiply the supplied
-n-faces' volumes and Monte Carlo normal angles, each normal cone given as
-(C, W) in its face's complement and sampled there (``_face_cone``); a
-face whose span holds a complex line, by the flat rank rule, has weight 0
+subset adds 0 by itself, so no span or tolerance is involved.  For
+general polytopes the same weights multiply the supplied n-faces'
+volumes and Monte Carlo normal angles, each normal cone given as (C, W)
+in its face's complement and sampled there (``_face_cone``); a face
+whose span holds a complex line, by the flat rank rule, has weight 0
 and samples no angle.
 """
 
@@ -27,8 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,10 +41,9 @@ from .zonotope import (Zonotope, _finite_floats, _in_flat, _integer, _orthonorma
                        canonicalize, length)
 
 __all__ = [
-    "ComplexStructure",
     "Subspace",
     "PolytopeFaceData",
-    "standard_structure",
+    "j_frame",
     "sigma_J",
     "subspace_from_vectors",
     "embed_real_zonotope",
@@ -67,60 +66,36 @@ J_SQUARE_TOL = 1e-12
 ORTHONORMAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ComplexStructure:
-    """An orthogonal map J with J^2 = -Identity on R^(2n), and its read-only
-    J-frame: orthonormal columns a_1, J a_1, ..., a_n, J a_n."""
-
-    complex_dim: int
-    J: np.ndarray
-    frame: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        J = np.asarray(self.J, dtype=np.float64)
-        n = self.complex_dim
-        if J.shape != (2 * n, 2 * n):
-            raise ValueError("J must be 2n x 2n")
-        if max(np.max(np.abs(J @ J + np.eye(2 * n))), np.max(np.abs(J + J.T))) > J_SQUARE_TOL:
-            raise ValueError("J must be antisymmetric with J^2 = -Identity (orthogonal)")
-        object.__setattr__(self, "J", J)
-        object.__setattr__(self, "frame", _j_frame(J))
-
-
-def _j_frame(J: np.ndarray) -> np.ndarray:
-    """Greedy J-frame: each a_k is the largest column of the projector
-    onto the complement of the columns so far, normalized.  For the
-    standard J every step is exact, and the frame is the identity."""
-    m = len(J)
+def j_frame(J) -> np.ndarray:
+    """The J-frame of an orthogonal complex structure J on R^(2n):
+    orthonormal columns a_1, J a_1, ..., a_n, J a_n, each a_k the largest
+    column of the projector onto the complement of the columns so far,
+    normalized.  The frame carries J to C^n's own i, so the functionals
+    under J are those of the rows ``P.generators @ j_frame(J)`` (a
+    subspace: ``E.basis @ j_frame(J)``).  For the blockwise (x, y) -> (-y,
+    x), multiplication by i, every step is exact and the frame is the
+    identity.  J must be 2n x 2n and antisymmetric with J^2 = -Identity,
+    within J_SQUARE_TOL."""
+    J = np.asarray(J, dtype=np.float64)
+    m = len(J) if J.ndim == 2 else 0
+    if m == 0 or m % 2 or J.shape != (m, m):
+        raise ValueError("J must be 2n x 2n with n >= 1")
+    if max(np.max(np.abs(J @ J + np.eye(m))), np.max(np.abs(J + J.T))) > J_SQUARE_TOL:
+        raise ValueError("J must be antisymmetric with J^2 = -Identity (orthogonal)")
     F = np.zeros((m, 0))
     for _ in range(m // 2):
         P = np.eye(m) - F @ F.T
         a = P[:, np.argmax(np.diagonal(P))]
         a = a / np.linalg.norm(a)
         F = np.column_stack([F, a, J @ a])
-    F.flags.writeable = False
     return F
 
 
-@lru_cache(maxsize=None)
-def standard_structure(n: int) -> ComplexStructure:
-    """Multiplication by i in realified coordinates: (x, y) -> (-y, x).
-    One object per n, built and checked once; its J is read-only."""
-    struct = ComplexStructure(n, realify_rows(1j * unrealify_rows(np.eye(2 * n))).T)
-    struct.J.flags.writeable = False
-    return struct
-
-
-def _structure(ambient_dim: int, J) -> ComplexStructure:
+def _complex_dim(ambient_dim: int) -> int:
+    """n for R^(2n) = C^n; an odd ambient dimension is a ValueError."""
     if ambient_dim % 2:
-        raise ValueError("complex structure needs even ambient dimension")
-    if J is None:
-        return standard_structure(ambient_dim // 2)
-    if isinstance(J, ComplexStructure):
-        if J.J.shape[0] != ambient_dim:
-            raise ValueError("complex structure dimension mismatch")
-        return J
-    return ComplexStructure(ambient_dim // 2, np.asarray(J))
+        raise ValueError("C^n needs an even ambient dimension 2n")
+    return ambient_dim // 2
 
 
 @dataclass(frozen=True)
@@ -191,31 +166,41 @@ def _face_indices(f) -> tuple:
     return tuple(map(_integer, f.tolist() if isinstance(f, np.ndarray) else f))
 
 
-def _complex_minors(G: np.ndarray, struct: ComplexStructure) -> np.ndarray:
-    """|det_C S| for the n-subsets S of G's rows, in lexicographic order,
-    in J-complex coordinates (the rows times the J-frame).  A row of G
-    that ``_row_norms`` refuses is a ValueError, also with no n-subsets."""
+def _complex_minors(G: np.ndarray, n: int) -> np.ndarray:
+    """|det_C S| for the n-subsets S of G's rows read as complex rows of
+    C^n, in lexicographic order.  A row of G that ``_row_norms`` refuses
+    is a ValueError, also with no n-subsets."""
     _row_norms(G)
-    return np.abs(exterior.subset_blades(unrealify_rows(G @ struct.frame),
-                                         struct.complex_dim)[:, 0])
+    return np.abs(exterior.subset_blades(unrealify_rows(G), n)[:, 0])
 
 
-def _minors_and_norms(G: np.ndarray, struct: ComplexStructure):
+def _minors_and_norms(G: np.ndarray, n: int):
     """``_complex_minors`` and ||wedge S|| for the same subsets S."""
-    return _complex_minors(G, struct), _row_norms(exterior.subset_blades(G, struct.complex_dim))
+    return _complex_minors(G, n), _row_norms(exterior.subset_blades(G, n))
 
 
-def sigma_J(E: Subspace, J=None) -> float:
+def _j_weight(B: np.ndarray) -> float:
+    """|det_C B| / ||wedge B|| for n independent rows B in C^n, the square
+    root of sigma^J(span B); exactly 0.0 when the span holds a complex
+    line, by the flat rank rule: [B; iB] has ``_significant`` rank below 2n."""
+    n = B.shape[1] // 2
+    s = np.linalg.svd(np.vstack([B, realify_rows(1j * unrealify_rows(B))]), compute_uv=False)
+    if np.count_nonzero(_significant(s)) < 2 * n:
+        return 0.0
+    dets, norms = _minors_and_norms(B, n)
+    return float(dets[0] / norms[0])
+
+
+def sigma_J(E: Subspace) -> float:
     """sigma^J(E) = (|det_C B| / ||wedge B||)^2 for any basis B of the
-    half-dimensional subspace E, which equals |det [b_1 .. b_n, Jb_1 ..
-    Jb_n]| for an orthonormal one; in [0, 1] for an orthogonal J, 1 on
-    Lagrangian planes and 0 when E contains a complex line.
+    half-dimensional subspace E, which equals |det [b_1 .. b_n, ib_1 ..
+    ib_n]| for an orthonormal one; in [0, 1], 1 on Lagrangian planes and
+    exactly 0 when E contains a complex line (``_j_weight``).
     """
-    struct = _structure(E.ambient_dim, J)
-    if E.dim != struct.complex_dim:
+    if E.dim != _complex_dim(E.ambient_dim):
         raise ValueError("sigma^J needs a half-dimensional subspace")
-    dets, norms = _minors_and_norms(E.basis, struct)
-    return float((dets[0] / norms[0]) ** 2)
+    r = _j_weight(E.basis)
+    return r * r
 
 
 def embed_real_zonotope(K: Zonotope) -> Zonotope:
@@ -263,24 +248,24 @@ def _float_canonical(P: Zonotope) -> Zonotope:
     return canonicalize(replace(P, generators=P.generators.astype(np.float64, copy=False)))
 
 
-def j_volume_zonotope(P: Zonotope, J=None) -> float:
+def j_volume_zonotope(P: Zonotope) -> float:
     """vol_n^J(P): sum of |det_C S| over the n-subsets S of the generators
     as given, which is the sum over generator spans E of
     vol_n(F_P(E)) sigma^J(E)^(1/2).
 
-    Agrees with length(P^(^_C n)) / n! for the standard structure.
+    Agrees with length(P^(^_C n)) / n!.
     """
     G = P.generators.astype(np.float64, copy=False)
-    return float(np.sum(_complex_minors(G, _structure(P.ambient_dim, J))))
+    return float(np.sum(_complex_minors(G, _complex_dim(P.ambient_dim))))
 
 
-def kazarnovskii_zonotope(P: Zonotope, J=None) -> float:
+def kazarnovskii_zonotope(P: Zonotope) -> float:
     """Kazarnovskii pseudovolume: the sum of |det_C S|^2 / ||wedge S||,
     that is of ||wedge S|| sigma^J(span S), a dependent S adding 0.  Each
     term is |det_C S| times sigma^J(span S)^(1/2) <= 1, so no step
     overflows or underflows where the value is a normal float."""
     G = P.generators.astype(np.float64, copy=False)
-    dets, norms = _minors_and_norms(G, _structure(P.ambient_dim, J))
+    dets, norms = _minors_and_norms(G, _complex_dim(P.ambient_dim))
     return float(np.sum(dets * np.divide(dets, norms, out=np.zeros_like(norms),
                                          where=norms > 0.0)))
 
@@ -422,10 +407,9 @@ def _polygon_area(chart: np.ndarray) -> float:
     return math.ldexp(0.5 * twice, 2 * e)
 
 
-def _polytope_mc_sum(P: PolytopeFaceData, samples, seed, J, power: int):
+def _polytope_mc_sum(P: PolytopeFaceData, samples, seed, power: int):
     """sum of vol_n(F) Theta_P(F) sigma^J(E_F)^(power/2) over the n-faces."""
-    struct = _structure(P.ambient_dim, J)
-    n = struct.complex_dim
+    n = _complex_dim(P.ambient_dim)
     total = 0.0
     var = 0.0
     for fi, idx in enumerate(P.n_faces):
@@ -434,34 +418,31 @@ def _polytope_mc_sum(P: PolytopeFaceData, samples, seed, J, power: int):
             raise ValueError(f"face {fi} spans more than {n} dimensions")
         if B.shape[0] < n:
             continue
-        # the flat rank rule: a complex line in the face's span, weight 0,
-        # leaves [B; B J^T] a rank below 2n
-        s = np.linalg.svd(np.vstack([B, B @ struct.J.T]), compute_uv=False)
-        if np.count_nonzero(_significant(s)) < 2 * n:
+        w = _j_weight(B)
+        if w == 0.0:  # a complex line in the face's span: no angle sampled
             continue
         vol = _face_volume(chart, n)
         if vol == 0.0:
             continue
-        dets, norms = _minors_and_norms(B, struct)
-        w = float(dets[0] / norms[0]) ** power
+        w **= power
         theta, se = _cone_angle_mc(*cone, samples, derive_seed(seed, "face", fi))
         total += vol * w * theta
         var += (vol * w * se) ** 2
     return total, math.sqrt(var)
 
 
-def j_volume_polytope_mc(P: PolytopeFaceData, samples: int, seed: int = 0,
-                         J=None) -> tuple[float, float]:
+def j_volume_polytope_mc(P: PolytopeFaceData, samples: int,
+                         seed: int = 0) -> tuple[float, float]:
     """Monte Carlo J-volume from supplied n-faces:
     sum of vol_n(F) Theta_P(F) sigma^J(E_F)^(1/2), with propagated error.
     """
-    return _polytope_mc_sum(P, samples, seed, J, 1)
+    return _polytope_mc_sum(P, samples, seed, 1)
 
 
-def kazarnovskii_polytope_mc(P: PolytopeFaceData, samples: int, seed: int = 0,
-                             J=None) -> tuple[float, float]:
+def kazarnovskii_polytope_mc(P: PolytopeFaceData, samples: int,
+                             seed: int = 0) -> tuple[float, float]:
     """Monte Carlo Kazarnovskii pseudovolume (sigma^J un-rooted)."""
-    return _polytope_mc_sum(P, samples, seed, J, 2)
+    return _polytope_mc_sum(P, samples, seed, 2)
 
 
 def zonotope_faces_for_span(P: Zonotope, E: Subspace) -> list[tuple]:
@@ -489,9 +470,7 @@ def zonotope_face_data(P: Zonotope) -> PolytopeFaceData:
     generators; vertex rows that round together merge into the first, and
     faces that then coincide are listed once.  No complex structure enters.
     """
-    if P.ambient_dim % 2:
-        raise ValueError("n-faces need an even ambient dimension 2n")
-    n = P.ambient_dim // 2
+    n = _complex_dim(P.ambient_dim)
     G = _float_canonical(P).generators
     _, masks, Vs = _spans(G[None], n)
     cells = _vertex_signs_many([G[~mask] @ V[n:].T for mask, V in zip(masks, Vs)]

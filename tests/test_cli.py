@@ -515,10 +515,14 @@ def test_console_script(tmp_path):
 
 def test_console_script_entry_point(tmp_path):
     # The part of test_console_script that needs no install: the declared
-    # entry point, called the way a pip-generated wrapper calls it.
+    # distribution name and version, and the entry point, called the way a
+    # pip-generated wrapper calls it.
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project["name"] == "zonoidal"
+    assert project["version"] == zonoidal.__version__
+    scripts = project["scripts"]
     assert scripts["zonoid"] == "zonoidal.cli:main"
     module, attr = scripts["zonoid"].split(":")
     f = cube_file(tmp_path)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from zonoidal import (
-    ComplexStructure,
     PolytopeFaceData,
     Subspace,
     af_gap,
@@ -27,6 +26,7 @@ from zonoidal import (
     face_data_from_dict,
     face_data_to_dict,
     hodge_star_zonoid,
+    j_frame,
     j_volume_polytope_mc,
     j_volume_zonotope,
     kazarnovskii_polytope_mc,
@@ -39,9 +39,9 @@ from zonoidal import (
     normal_angle_mc,
     realify_rows,
     sigma_J,
-    standard_structure,
     subspace_from_vectors,
     support,
+    unrealify_rows,
     volume,
     wedge_product,
     zonotope,
@@ -76,47 +76,30 @@ def realified_unitary(U):
     return R
 
 
+def standard_j(n):
+    """The blockwise (x, y) -> (-y, x) on R^(2n), entry by entry."""
+    J = np.zeros((2 * n, 2 * n))
+    for j in range(n):
+        J[2 * j, 2 * j + 1], J[2 * j + 1, 2 * j] = -1.0, 1.0
+    return J
+
+
 def test_standard_structure_is_multiplication_by_i():
     g = rng(40)
     for n in (1, 2, 3):
-        J = standard_structure(n).J
-        ref = np.zeros((2 * n, 2 * n))  # the blockwise (x, y) -> (-y, x)
-        for j in range(n):
-            ref[2 * j, 2 * j + 1], ref[2 * j + 1, 2 * j] = -1.0, 1.0
-        assert np.array_equal(J, ref)
+        J = standard_j(n)
         for _ in range(3):
             z = g.standard_normal(n) + 1j * g.standard_normal(n)
             assert np.array_equal(J @ realify_rows(z), realify_rows(1j * z))
 
 
-def test_standard_structure_is_cached_and_read_only():
-    for n in (1, 2, 3):
-        struct = standard_structure(n)
-        assert standard_structure(n) is struct
-        with pytest.raises(ValueError):
-            struct.J[0, 0] = 1.0
-    # the cached J gives the same bits as a fresh, writable copy of it
-    g = rng(41)
-    for n in (2, 3):
-        fresh = ComplexStructure(n, np.array(standard_structure(n).J))
-        assert fresh.J.flags.writeable
-        P = random_complex_zonotope(g, n=n, n_gens=2 * n + 1)
-        assert j_volume_zonotope(P) == j_volume_zonotope(P, fresh)
-        assert kazarnovskii_zonotope(P) == kazarnovskii_zonotope(P, fresh)
-        E = subspace_from_vectors(g.standard_normal((n, 2 * n)))
-        assert sigma_J(E) == sigma_J(E, fresh)
-
-
 def test_complex_structure_validation():
-    standard_structure(2)
-    with pytest.raises(ValueError):
-        ComplexStructure(2, np.eye(4))  # squares to +I, not -I
-
-
-def test_standard_structure_action():
-    J = standard_structure(1).J
-    assert np.allclose(J @ np.array([1.0, 0.0]), [0.0, 1.0])
-    assert np.allclose(J @ np.array([0.0, 1.0]), [-1.0, 0.0])
+    j_frame(standard_j(2))
+    with pytest.raises(ValueError, match="antisymmetric"):
+        j_frame(np.eye(4))  # squares to +I, not -I
+    for J in (np.eye(3), np.zeros((2, 4)), np.zeros(4), np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="2n x 2n"):
+            j_frame(J)
 
 
 def test_sigma_extremes():
@@ -341,15 +324,17 @@ def test_j_volume_of_a_disc_in_a_complex_line_is_zero():
 
 def test_j_volume_and_kazarnovskii_for_nonstandard_structures():
     # Reference: sum over independent n-subsets S of the canonical
-    # generators of ||wedge S|| weight(sigma^J(span S)).
-    # sigma^J is defined for orthogonal J only; a non-orthogonal one is refused.
+    # generators of ||wedge S|| weight(sigma^J(span S)), with sigma^J(E) =
+    # |det [Q, JQ]| for orthonormal columns Q spanning E.  The functionals
+    # under J are those of the rows in J's frame.  sigma^J is defined for
+    # orthogonal J only; a non-orthogonal one is refused.
     g = rng(15)
-    J0 = standard_structure(2).J
+    J0 = standard_j(2)
     R, _ = np.linalg.qr(g.standard_normal((4, 4)))
     R2, _ = np.linalg.qr(g.standard_normal((4, 4)))
     A = g.standard_normal((4, 4)) + 2.0 * np.eye(4)
     with pytest.raises(ValueError):
-        j_volume_zonotope(random_complex_zonotope(g), A @ J0 @ np.linalg.inv(A))
+        j_frame(A @ J0 @ np.linalg.inv(A))
     for J in (R @ J0 @ R.T, R2 @ J0 @ R2.T):
         assert not np.allclose(J, J0)
         for n_gens in (2, 3, 5):
@@ -360,12 +345,13 @@ def test_j_volume_and_kazarnovskii_for_nonstandard_structures():
                 vol = wedge_norm_brute(V)
                 if vol <= 1e-12 * float(np.max(np.linalg.norm(V, axis=1))) ** 2:
                     continue
-                sigma = sigma_J(subspace_from_vectors(V), J)
+                Q, _ = np.linalg.qr(V.T)
+                sigma = abs(float(np.linalg.det(np.hstack([Q, J @ Q]))))
                 root.append(vol * math.sqrt(sigma))
                 plain.append(vol * sigma)
-            assert math.isclose(j_volume_zonotope(P, J), math.fsum(root), rel_tol=1e-10)
-            assert math.isclose(kazarnovskii_zonotope(P, J), math.fsum(plain),
-                                rel_tol=1e-10)
+            PJ = zonotope(P.generators @ j_frame(J), cgrading=(2, 1))
+            assert math.isclose(j_volume_zonotope(PJ), math.fsum(root), rel_tol=1e-10)
+            assert math.isclose(kazarnovskii_zonotope(PJ), math.fsum(plain), rel_tol=1e-10)
 
 
 def exact_j_sums_c2(rows):
@@ -423,48 +409,49 @@ def test_exactly_dependent_subsets_add_zero_without_warnings():
 
 
 def test_rotated_structure_equals_rotated_body():
-    # J = R J0 R^T on P gives what J0 gives on P rotated by R^T (rows G R).
+    # J = R J0 R^T on P, the rows G j_frame(J), gives what J0 gives on P
+    # rotated by R^T (rows G R): the two frames differ by a unitary map.
     g = rng(16)
     for n in (2, 3):
-        J0 = standard_structure(n).J
+        J0 = standard_j(n)
         for _ in range(3):
             R, _ = np.linalg.qr(g.standard_normal((2 * n, 2 * n)))
             P = random_complex_zonotope(g, n=n, n_gens=2 * n + 1)
             rotated = zonotope(P.generators @ R, cgrading=(n, 1))
-            J = R @ J0 @ R.T
-            assert math.isclose(j_volume_zonotope(P, J), j_volume_zonotope(rotated),
+            framed = zonotope(P.generators @ j_frame(R @ J0 @ R.T), cgrading=(n, 1))
+            assert math.isclose(j_volume_zonotope(framed), j_volume_zonotope(rotated),
                                 rel_tol=1e-12)
-            assert math.isclose(kazarnovskii_zonotope(P, J), kazarnovskii_zonotope(rotated),
+            assert math.isclose(kazarnovskii_zonotope(framed), kazarnovskii_zonotope(rotated),
                                 rel_tol=1e-12)
 
 
 def test_j_frame_is_the_identity_for_the_standard_structure():
     for n in (1, 2, 3):
-        F = standard_structure(n).frame
-        assert np.array_equal(F, np.eye(2 * n))
-        with pytest.raises(ValueError):
-            F[0, 0] = 2.0
+        J0 = standard_j(n)
+        # J0 acts as multiplication by i on each basis vector
+        assert np.array_equal(J0, realify_rows(1j * unrealify_rows(np.eye(2 * n))).T)
+        assert np.array_equal(j_frame(J0), np.eye(2 * n))
     real_plane = subspace_from_vectors([[1, 0, 0, 0], [0, 0, 1, 0.0]])
     assert sigma_J(real_plane) == 1.0
     complex_line = subspace_from_vectors([[1, 0, 0, 0], [0, 1, 0, 0.0]])
     assert sigma_J(complex_line) == 0.0
     # any orthogonal J: orthonormal frame columns a_k, J a_k
     R, _ = np.linalg.qr(rng(17).standard_normal((6, 6)))
-    J = R @ standard_structure(3).J @ R.T
-    F = ComplexStructure(3, J).frame
+    J = R @ standard_j(3) @ R.T
+    F = j_frame(J)
     assert np.allclose(F.T @ F, np.eye(6), atol=1e-14)
-    assert np.allclose(F.T @ J @ F, standard_structure(3).J, atol=1e-14)
+    assert np.allclose(F.T @ J @ F, standard_j(3), atol=1e-14)
 
 
 def test_complex_structure_must_be_orthogonal():
     # A J0 A^-1 squares to -I but is not orthogonal, so sigma^J would leave [0, 1].
     g = rng(18)
-    J0 = standard_structure(2).J
+    J0 = standard_j(2)
     A = g.standard_normal((4, 4)) + 2.0 * np.eye(4)
     J = A @ J0 @ np.linalg.inv(A)
     assert np.allclose(J @ J, -np.eye(4), atol=1e-12)
     with pytest.raises(ValueError, match="antisymmetric"):
-        ComplexStructure(2, J)
+        j_frame(J)
 
 
 def test_j_volume_unitary_invariant():
@@ -492,7 +479,7 @@ def test_kazarnovskii_ball_normalization():
     # for a real line E in C^1: vol(B(E) + J B(E)) = omega_1^2 sigma(E)
     square = zonotope([[2.0, 0.0], [0.0, 2.0]], grading=(2, 1))
     E = subspace_from_vectors([[1.0, 0.0]])
-    assert math.isclose(volume(square), (2.0 ** 2) * sigma_J(E, standard_structure(1)))
+    assert math.isclose(volume(square), (2.0 ** 2) * sigma_J(E))
 
 
 def test_disc_zonotope_lengths():
@@ -1215,18 +1202,19 @@ def test_normal_angle_of_a_span_given_as_vectors_equals_the_subspace_form():
 
 def test_faces_of_zero_j_weight_are_skipped(monkeypatch):
     """Of the 24 2-faces of the unit cube in C^2, the 8 spanned by e1, Je1
-    or by e3, Je3 are complex lines, of J-weight 0 up to the rounding of
-    their frames (not all of it 0.0): the polytope sums decide a complex
-    line by the flat rank rule, sample no normal angle for any of the 8,
-    and J-volume and Kazarnovskii read 4, 16 faces of weight 1 and angle
-    1/4."""
+    or by e3, Je3 are complex lines.  The flat rank rule gives them J-weight
+    exactly 0, and sigma^J exactly 0, whatever the rounding of their frames;
+    the polytope sums sample no normal angle for any of the 8, and
+    J-volume and Kazarnovskii read 4, 16 faces of weight 1 and angle 1/4."""
     from zonoidal import jvolume
 
     fd = zonotope_face_data(zonotope(np.eye(4)))
-    weights = [jvolume._minors_and_norms(_face_frame(fd, f)[0], standard_structure(2))[0][0]
-               for f in fd.n_faces]
-    zero = sum(w == 0.0 for w in weights)
-    assert len(weights) == 24 and 1 <= zero < 8 and sum(w < 1e-15 for w in weights) == 8
+    frames = [_face_frame(fd, f)[0] for f in fd.n_faces]
+    weights = [jvolume._j_weight(B) for B in frames]
+    sigmas = [sigma_J(Subspace(4, B)) for B in frames]
+    assert len(weights) == 24 and sum(w == 0.0 for w in weights) == 8
+    assert [s == 0.0 for s in sigmas] == [w == 0.0 for w in weights]
+    assert all(math.isclose(w, 1.0, rel_tol=1e-15) for w in weights if w)
     calls = []
     angle = jvolume._cone_angle_mc
     monkeypatch.setattr(jvolume, "_cone_angle_mc", lambda *a: calls.append(a) or angle(*a))

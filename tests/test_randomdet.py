@@ -908,3 +908,55 @@ def test_bm_probe_takes_one_companion_as_a_vector_and_none_as_empty():
     assert (bm_concavity_probe(d1, d2, 2, companions=np.zeros((2, 0)), t_grid=grid)
             == bm_concavity_probe(d1, d2, 2, companions=[], t_grid=grid)
             == bm_concavity_probe(d1, d2, 2, t_grid=grid))
+
+
+_D2 = DiscreteDistribution(np.eye(2), np.array([0.5, 0.5]))  # vector atoms in R^2
+_D3 = DiscreteDistribution(np.eye(3), np.full(3, 1.0 / 3.0))
+_MATRIX_ATOMS = DiscreteDistribution(np.ones((2, 2, 2)), np.array([0.5, 0.5]))
+_GAUSS2 = SeededSampler("gaussian", 2)
+_SAMPLED = MatrixBlockModel(2, (MatrixBlock(2, sampler=_GAUSS2),))
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: bernoulli_mixture(_D2, _D3), "atom shapes must agree",
+                 id="mixture-of-unequal-atom-shapes"),
+    pytest.param(lambda: SeededSampler("discrete", 2), "needs a distribution",
+                 id="discrete-sampler-without-dist"),
+    pytest.param(lambda: MatrixBlock(1, dist=_D2, sampler=_GAUSS2), "exactly one of dist",
+                 id="block-with-dist-and-sampler"),
+    pytest.param(lambda: MatrixBlock(1), "exactly one of dist", id="block-with-neither"),
+    pytest.param(lambda: MatrixBlock(2, sampler=_GAUSS2).atom_matrices(2), "non-discrete",
+                 id="atoms-of-a-sampler-block"),
+    pytest.param(lambda: MatrixBlock(1, dist=_D2).atom_matrices(3), "atom shape does not match",
+                 id="atoms-of-the-wrong-shape"),
+    pytest.param(lambda: expected_abs_det_mc(
+        MatrixBlockModel(3, (MatrixBlock(3, sampler=_GAUSS2),)), 10),
+        "sampler dimension does not match", id="sampler-dimension-not-the-size"),
+    pytest.param(lambda: MatrixBlockModel(3, (MatrixBlock(1, dist=_D2),)), "widths must sum",
+                 id="widths-not-the-size"),
+    pytest.param(lambda: vitale_zonotope(scale_distribution(_D2, 1j)), "real distribution",
+                 id="vitale-of-complex-atoms"),
+    pytest.param(lambda: vitale_zonotope(_MATRIX_ATOMS), "vector atoms",
+                 id="vitale-of-matrix-atoms"),
+    pytest.param(lambda: empirical_zonotope(_GAUSS2, 0), "at least one sample",
+                 id="empirical-of-no-samples"),
+    pytest.param(lambda: multivariate_gamma(0, 1.0), "k >= 1", id="multivariate-gamma-k0"),
+    pytest.param(lambda: expected_simple_wedge_norm(3, 2), "1 <= k <= m",
+                 id="wedge-norm-k-above-m"),
+    pytest.param(lambda: complex_gaussian_abs_det(0), "n >= 1", id="complex-abs-det-n0"),
+    pytest.param(lambda: expected_abs_det_exact(_SAMPLED), "discrete blocks",
+                 id="exact-of-a-sampler-model"),
+    pytest.param(lambda: expected_sq_abs_det_complex(_SAMPLED), "discrete blocks",
+                 id="second-moment-of-a-sampler-model"),
+    pytest.param(lambda: brute_force_expected_abs_det(_SAMPLED), "discrete blocks",
+                 id="brute-force-of-a-sampler-model"),
+    pytest.param(lambda: bm_concavity_probe(_MATRIX_ATOMS, _D2, 1), "vector distributions",
+                 id="probe-of-matrix-atoms"),
+    pytest.param(lambda: bm_concavity_probe(_D2, _D3, 2), "dimension mismatch",
+                 id="probe-of-unequal-dimensions"),
+    pytest.param(lambda: bm_concavity_probe(_D2, _D2, 1, companions=np.ones(3)), "same space",
+                 id="probe-companions-in-another-space"),
+])
+def test_models_and_constants_refuse_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -1107,3 +1107,19 @@ def test_nets_and_sphere_draws_in_dimension_one():
     S = SeedStream(5).sphere(1000, 1)
     assert S.shape == (1000, 1) and set(S.ravel().tolist()) == {-1.0, 1.0}
     assert np.array_equal(S[:, 0], np.where(SeedStream(5).uniforms(1000) < 0.5, -1.0, 1.0))
+
+
+def test_zonotope_methods_are_the_module_functions():
+    g = rng(61)
+    K = zonotope(g.standard_normal((4, 3)))
+    L = zonotope(g.standard_normal((2, 3)))
+    u = g.standard_normal(3)
+    assert K.support(u) == support(K, u)
+    assert K.length() == length(K)
+    for got, want in ((K + L, minkowski_sum(K, L)), (2.5 * K, scale(K, 2.5))):
+        assert (got.ambient_dim, got.grading, got.cgrading) == (want.ambient_dim, want.grading,
+                                                                 want.cgrading)
+        assert np.array_equal(got.generators, want.generators)
+    assert repr(K) == "Zonotope(dim=3, n=4)"
+    assert repr(zonotope(np.eye(3), grading=(3, 1))) == "Zonotope(dim=3, n=3, grading=(3, 1))"
+    assert repr(zonotope(np.eye(4), cgrading=(2, 1))) == "Zonotope(dim=4, n=4, cgrading=(2, 1))"
