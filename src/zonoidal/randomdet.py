@@ -10,8 +10,9 @@ independent column blocks M = (M_1, ..., M_p) reduce to wedge lengths,
 with a complex analogue through the complex wedge, which is what the
 exact paths below compute.  Monte Carlo paths draw from SFC64 streams
 keyed by the SHA-256 path hash, so identical (seed, N) give identical
-estimates, and take each sample's |det| by the same identity: for
-m <= 4 the wedge of the blades of its two column halves.
+estimates, and take each |det|, of a sample or of a joint atom of a
+small finite law, by the same identity: for m <= 4 the wedge of the
+blades of its two column halves.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 from . import exterior
 from .algebra import _chain, _graded
 from .exterior import realify_rows, unrealify_rows
-from .sampling import CHUNK, SLICE, SeedStream, _Continued, _mc_mean_se
+from .sampling import PROB_TOL  # noqa: F401  (re-export)
+from .sampling import CHUNK, SLICE, SeedStream, _Continued, _mc_mean_se, _probabilities
 from .zonotope import Zonotope, _finite_floats, _integer, canonicalize, length, zonotope
 
 __all__ = [
@@ -55,9 +57,6 @@ __all__ = [
     "model_from_dict",
 ]
 
-PROB_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Finitely supported distribution: atom array (first axis) + probs."""
@@ -73,14 +72,8 @@ class DiscreteDistribution:
             atoms = atoms.reshape(len(probs), -1)
         if probs.ndim != 1 or probs.shape[0] != atoms.shape[0]:
             raise ValueError("one probability per atom required")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("probabilities must be finite")
-        if np.any(probs < 0):
-            raise ValueError("negative probability")
-        if abs(float(np.sum(probs)) - 1.0) > PROB_TOL:
-            raise ValueError("probabilities must sum to 1")
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _probabilities(probs))
 
     @property
     def n_atoms(self) -> int:
@@ -394,24 +387,30 @@ def _abs_det(M) -> np.ndarray:
 def expected_abs_det_mc(model: MatrixBlockModel, n: int, seed: int = 0
                         ) -> tuple[float, float]:
     """Monte Carlo E|det M| with Bessel-corrected standard error; real or
-    complex entries alike: ``_abs_det_draw`` of the one model."""
+    complex entries alike: the one row of ``_abs_det_draw`` of the model,
+    an atom table's row with its counts when the draw reads a table."""
     draw = _abs_det_draw((model,), n)
-    return _mc_mean_se(SeedStream(seed).derive("edet"), n, lambda s, size: draw(s, size)[0])
+
+    def row(stream, size):
+        vals = draw(stream, size)
+        return (vals[0][0], vals[1]) if isinstance(vals, tuple) else vals[0]
+    return _mc_mean_se(SeedStream(seed).derive("edet"), n, row)
 
 
 def _abs_det_draw(models, n: int):
-    """draw(stream, size) for ``_mc_mean_se``: the (T, size) |det| of the T
-    models' chunk of samples, each row the |det| of model.sample(size,
-    stream).  When every block is discrete and the joint atom support
-    has at most min(n, CHUNK) matrices, the models must share their field,
-    their blocks' widths and their laws' probabilities, which makes their
-    atom indices the same: each chunk draws the joint indices once, from the
-    first model's laws, and reads every model's |det| table there, the
-    tables one ``_abs_det`` call over the models' stacked supports: the
-    same determinants, so the same estimates bit for bit.  Otherwise each
-    model's chunk is drawn in the slices of ``MatrixBlockModel._slices``,
-    whose |det| fill its row: the draws and determinants of model.sample
-    over the whole chunk, with one slice of matrices alive."""
+    """draw(stream, size) for ``_mc_mean_se``: the |det| of the T models'
+    chunk of samples, T rows.  When every block is discrete and the joint
+    atom support has at most min(n, CHUNK) matrices, the models must share
+    their field, their blocks' widths and their laws' probabilities, which
+    makes their joint laws the same: the draw is the pair (tables, counts),
+    the (T, support) |det| tables, one ``_abs_det`` call over the models'
+    stacked supports, and the chunk's counts of each joint atom, one
+    ``SeedStream._counts`` draw from the first model's laws for all T: the
+    law of model.sample's atom indices, so the same estimator in
+    distribution.  Otherwise each model's chunk is drawn in the slices of
+    ``MatrixBlockModel._slices``, whose |det| fill its row of a (T, size)
+    array: the draws and determinants of model.sample over the whole
+    chunk, with one slice of matrices alive."""
     discrete = all(m.all_discrete() for m in models)
     shape = tuple(b.dist.n_atoms for m in models[:1] for b in m.blocks) if discrete else ()
     if shape and math.prod(shape) <= min(n, CHUNK):
@@ -422,21 +421,15 @@ def _abs_det_draw(models, n: int):
             m._stack(support, (b.atom_matrices(m.size)[i] for b, i in zip(m.blocks, joint)),
                      cols[t * support:])
         tables = _abs_det(np.swapaxes(cols, 1, 2)).reshape(len(models), support)
+        laws = [b.dist.probs for b in models[0].blocks]
+        return lambda stream, size: (tables, stream._counts(size, laws))
 
-        def draw(stream, size):
-            joint = np.zeros(size, dtype=np.intp)  # C-order index by Horner
-            for j, (b, k) in enumerate(zip(models[0].blocks, shape)):
-                if k > 1:
-                    joint *= k
-                    joint += stream.derive("block", j).choice(size, b.dist.probs)
-            return np.take(tables, joint, axis=1)  # C-contiguous rows
-    else:
-        def draw(stream, size):
-            vals = np.empty((len(models), size))
-            for row, m in zip(vals, models):
-                for part, M in m._slices(size, stream):
-                    row[part] = _abs_det(M)
-            return vals
+    def draw(stream, size):
+        vals = np.empty((len(models), size))
+        for row, m in zip(vals, models):
+            for part, M in m._slices(size, stream):
+                row[part] = _abs_det(M)
+        return vals
     return draw
 
 
@@ -470,7 +463,8 @@ def bm_concavity_probe(d1: DiscreteDistribution, d2: DiscreteDistribution,
     columns.  Discrete inputs use the exact wedge path (stderr 0); pass a
     sample count n to force Monte Carlo instead (at least two samples).
     Every t's mixture has the same atom probabilities, so the Monte Carlo
-    curve draws each chunk's atom indices once for the whole grid
+    curve draws each chunk's joint atom counts (or, above the table
+    route's support, its samples) once for the whole grid
     (``_abs_det_draw``); each point equals ``expected_abs_det_mc`` of its
     t's model at (n, seed) bit for bit.
     """

@@ -4,13 +4,13 @@ All Monte Carlo paths in the library draw from SFC64 streams keyed by
 the SHA-256 path hash, a hash of (seed, label path).  Work is cut
 into fixed-size chunks with per-chunk derived keys, so an estimate for
 a given (seed, N) is bit-identical no matter how the chunks are
-scheduled.  Uniforms, indices and Gaussians (numpy's ziggurat sampler)
-all come from the generator of one such key, so a rerun with the same
-numpy repeats every draw bit for bit.  A chunk, and a direction net, is
-drawn in row slices of at most SLICE rows, so that no array holds a
-whole chunk of matrices or a whole net; a generator continues its
-stream exactly from one draw to the next, so the slices repeat the
-rows of one whole draw.
+scheduled.  Uniforms, indices, multinomial counts and Gaussians (numpy's
+ziggurat sampler) all come from the generator of one such key, so a
+rerun with the same numpy repeats every draw bit for bit.  A chunk, and
+a direction net, is drawn in row slices of at most SLICE rows, so that
+no array holds a whole chunk of matrices or a whole net; a generator
+continues its stream exactly from one draw to the next, so the slices
+repeat the rows of one whole draw.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
 
 CHUNK = 1 << 16  # samples per derived chunk key
 SLICE = 1 << 14  # rows drawn at a time within a chunk or a net
+PROB_TOL = 1e-12  # how far from 1 a law's probabilities may sum
 
 
 def _derive_key(seed, labels: tuple) -> int:
@@ -78,15 +79,44 @@ class SeedStream:
         """n indices sampled from the finite distribution probs: index i
         where u, one of ``uniforms(n)``, lies in [cum[i-1], cum[i]) for the
         cumulative sums cum of probs (``_atom_index``).  They are uint8 for
-        up to 256 atoms, intp above.  A law of one atom draws no uniform."""
-        p = np.asarray(probs, dtype=np.float64)
-        if p.ndim != 1 or len(p) == 0:
-            raise ValueError("choice needs a non-empty vector of probabilities")
-        if not np.all(np.isfinite(p)) or np.any(p < 0):
-            raise ValueError("probabilities must be finite and non-negative")
+        up to 256 atoms, intp above.  A law of one atom draws no uniform.
+        Probabilities that are negative, not finite or do not sum to 1
+        within PROB_TOL are a ValueError."""
+        p = _probabilities(probs)
         if len(p) == 1:
             return np.zeros(int(n), dtype=np.uint8)
         return _atom_index(self.uniforms(n), np.cumsum(p))
+
+    def _counts(self, n: int, laws) -> np.ndarray:
+        """How often each joint atom occurs among n draws of independent
+        indices, one from each law in laws: one Multinomial(n, p) draw,
+        p the product of the laws that ``choice`` samples (cum[i] -
+        cum[i-1], cum clipped to 1 and cum[-1] read as 1, as
+        ``_atom_index`` reads it), over the joint atoms in ``np.indices``
+        C order.  It draws no uniform, and refuses what ``choice`` refuses."""
+        joint = np.ones(1)
+        for probs in laws:
+            law = np.cumsum(_probabilities(probs))
+            np.minimum(law, 1.0, out=law)
+            law[-1] = 1.0
+            law[1:] -= law[:-1]  # numpy buffers the overlap
+            joint = np.multiply.outer(joint, law).ravel()
+        return self._generator().multinomial(int(n), joint)
+
+
+def _probabilities(probs) -> np.ndarray:
+    """probs as a float64 vector, refused by a ValueError unless it is a
+    non-empty vector of finite non-negative numbers summing to 1 within
+    PROB_TOL."""
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 1 or len(p) == 0:
+        raise ValueError("probabilities must be a non-empty vector")
+    total = float(np.sum(p))  # not finite when an entry is not
+    if not (math.isfinite(total) and np.all(p >= 0)):
+        raise ValueError("probabilities must be finite and non-negative")
+    if abs(total - 1.0) > PROB_TOL:
+        raise ValueError("probabilities must sum to 1")
+    return p
 
 
 class _Continued(SeedStream):
@@ -157,6 +187,11 @@ def _mc_mean_se(stream: SeedStream, n: int, draw):
     row alone.  The draw's array is scratch: each chunk's deviations from
     its mean, and their squares, are formed in place in it.
 
+    A chunk drawn from a finite table comes as a pair (values, counts):
+    the table's values along the last axis and how often each was drawn,
+    counts summing to size.  Its mean is sum(c v) / size and its M2
+    sum(c (v - mean)^2), each one np.sum; the values are not written.
+
     Each chunk contributes (count, mean, M2), the sum of squared
     deviations from its own mean; chunks combine by the pairwise update
     of Chan, Golub and LeVeque (1983).  Unlike sum(x^2) - n mean^2 this
@@ -168,14 +203,22 @@ def _mc_mean_se(stream: SeedStream, n: int, draw):
         raise ValueError("need at least two samples")
     count, mean, m2 = 0, 0.0, 0.0
     for ci, size in enumerate(chunk_sizes(n)):
-        vals = np.ascontiguousarray(draw(stream.derive(ci), size), dtype=np.float64)
-        c_mean = np.mean(vals, axis=-1)
-        vals -= c_mean[..., None]
-        vals *= vals
+        vals = draw(stream.derive(ci), size)
+        if isinstance(vals, tuple):
+            vals, counts = vals
+            c_mean = np.sum(counts * vals, axis=-1) / size
+            dev = vals - c_mean[..., None]
+            c_m2 = np.sum(counts * (dev * dev), axis=-1)
+        else:
+            vals = np.ascontiguousarray(vals, dtype=np.float64)
+            c_mean = np.mean(vals, axis=-1)
+            vals -= c_mean[..., None]
+            vals *= vals
+            c_m2 = np.sum(vals, axis=-1)
         delta = c_mean - mean
         total = count + size
         mean += delta * size / total
-        m2 += np.sum(vals, axis=-1) + delta * delta * count * size / total
+        m2 += c_m2 + delta * delta * count * size / total
         count = total
     se = np.sqrt(m2 / (n - 1) / n)
     return (float(mean), float(se)) if np.ndim(mean) == 0 else (mean, se)

@@ -1237,3 +1237,48 @@ def test_face_data_merges_vertices_that_round_together():
     val, se = j_volume_polytope_mc(fd, 20000, seed=0)
     assert j_volume_zonotope(P) == 4.0
     assert abs(val - 4.0) <= 4.0 * se
+
+
+def test_subspace_and_face_data_refuse_rows_of_the_wrong_length():
+    with pytest.raises(ValueError, match="basis rows must have length ambient_dim"):
+        Subspace(4, np.eye(3))
+    with pytest.raises(ValueError, match="vertices must be rows of length ambient_dim"):
+        PolytopeFaceData(4, [[0.0, 0.0, 0.0]], [[0]])
+
+
+def test_mixed_j_volume_refuses_a_body_of_degree_two():
+    P = random_complex_zonotope(rng(4))
+    with pytest.raises(ValueError, match="degree-1 bodies in C"):
+        mixed_J_volume(P, complex_wedge_zonoids(P, P))
+
+
+def test_face_cone_refuses_a_short_sign_vector_and_a_body_of_another_kind():
+    P = random_complex_zonotope(rng(5))
+    E = subspace_from_vectors(P.generators[:2], 4)
+    signs = zonotope_faces_for_span(P, E)[0]
+    assert _face_cone(P, (E, signs))[1].shape == (len(signs), 2)
+    with pytest.raises(ValueError, match="sign vector must match"):
+        _face_cone(P, (E, signs[:-1]))
+    with pytest.raises(TypeError, match="P must be a Zonotope or PolytopeFaceData"):
+        _face_cone(P.generators, 0)
+
+
+def test_normal_angle_refuses_a_face_spanning_the_space():
+    fd = zonotope_face_data(random_complex_zonotope(rng(6), n_gens=4))
+    with pytest.raises(ValueError, match="the face spans the ambient space"):
+        normal_angle_mc(fd, list(range(len(fd.vertices))), 100, seed=0)
+
+
+def test_polytope_sum_skips_a_face_whose_area_underflows(monkeypatch):
+    # a triangle at scale 1e-200 in the totally real plane R^2 of C^2: rank
+    # 2 and J-weight 1, but its area, 5e-401, rounds to 0, so it adds
+    # nothing and samples no normal angle
+    from zonoidal import jvolume
+
+    tri = 1e-200 * np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    fd = PolytopeFaceData(4, tri, [[0, 1, 2]])
+    B = _face_frame(fd, fd.n_faces[0])[0]
+    assert B.shape[0] == 2 and math.isclose(jvolume._j_weight(B), 1.0)
+    assert _face_volume(_face_frame(fd, fd.n_faces[0])[1], 2) == 0.0
+    monkeypatch.setattr(jvolume, "_cone_angle_mc", lambda *a: pytest.fail("sampled"))
+    assert j_volume_polytope_mc(fd, 100, seed=0) == (0.0, 0.0)

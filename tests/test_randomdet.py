@@ -458,12 +458,13 @@ def test_model_dict_roundtrip():
 
 def test_mc_estimate_is_pinned_across_chunks():
     # 70000 draws span two chunks of the fixed schedule; the shared Monte
-    # Carlo routine must reproduce these digits bit for bit
+    # Carlo routine must reproduce these digits bit for bit (the table
+    # route: one multinomial draw of the joint atom counts per chunk)
     d = DiscreteDistribution(np.array([[1.0, 0.2, -0.3], [0.1, -1.0, 0.5], [0.4, 0.4, 2.0]]),
                              np.array([0.2, 0.3, 0.5]))
     model = iid_column_model(d, 3)
-    assert expected_abs_det_mc(model, 70_000, 9) == (0.41013217142857145, 0.003355658517819037)
-    assert expected_abs_det_mc(model, 500, 9) == (0.44774400000000003, 0.04111824481956987)
+    assert expected_abs_det_mc(model, 70_000, 9) == (0.41333034285714293, 0.003365912562704066)
+    assert expected_abs_det_mc(model, 500, 9) == (0.4710640000000001, 0.04191364239296426)
     with pytest.raises(ValueError):
         expected_abs_det_mc(model, 1, 9)
 
@@ -486,7 +487,7 @@ def test_mc_estimate_bits_do_not_depend_on_blas_threads():
                               env=env)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
-    assert outs == ["(0.41013217142857145, 0.003355658517819037)\n"] * 2
+    assert outs == ["(0.41333034285714293, 0.003365912562704066)\n"] * 2
 
 
 @pytest.mark.parametrize("n", [500, 20_000, 70_000, 200_000])
@@ -594,6 +595,15 @@ def _sampler_models():
     }
 
 
+def _support_table(model):
+    """The joint atoms' |det|, in np.ravel_multi_index order of the blocks'
+    atom indices, and the atom counts of the blocks."""
+    shape = tuple(b.dist.n_atoms for b in model.blocks)
+    joint = np.indices(shape).reshape(len(shape), -1)
+    return randomdet._abs_det(model._stack(joint.shape[1], (
+        b.atom_matrices(model.size)[i] for b, i in zip(model.blocks, joint)))), shape
+
+
 # the sampler models' counts end in a one-sample chunk, a one-slice chunk
 # and a chunk of two near-equal slices, or take one slice in all
 @pytest.mark.parametrize("name, n", [
@@ -601,11 +611,29 @@ def _sampler_models():
     *((name, n) for name in _sampler_models()
       for n in (CHUNK + 1, 2 * CHUNK + 3392, CHUNK + SLICE + 1, 5000))])
 def test_mc_table_route_is_the_direct_route_bit_for_bit(name, n, monkeypatch):
+    # the direct route (sampler blocks, supports above min(n, CHUNK)) is
+    # model.sample's |det| chunk by chunk; the table route is each chunk's
+    # statistics of the support's |det| table under the chunk stream's counts
     model = {**_table_models(), **_sampler_models()}[name]
     support = (math.prod(b.dist.n_atoms for b in model.blocks) if model.all_discrete()
                else math.inf)
     stream = SeedStream(5).derive("edet")
-    ref = _mc_mean_se(stream, n, lambda s, size: randomdet._abs_det(model.sample(size, s)))
+    if support <= min(n, CHUNK):
+        table, _ = _support_table(model)
+        laws = [b.dist.probs for b in model.blocks]
+        count, mean, m2 = 0, 0.0, 0.0
+        for ci, size in enumerate(chunk_sizes(n)):
+            counts = stream.derive(ci)._counts(size, laws)
+            assert counts.sum() == size and counts.shape == table.shape
+            c_mean = np.sum(counts * table) / size
+            c_m2 = np.sum(counts * ((table - c_mean) * (table - c_mean)))
+            delta = c_mean - mean
+            mean += delta * size / (count + size)
+            m2 += c_m2 + delta * delta * count * size / (count + size)
+            count += size
+        ref = (float(mean), float(np.sqrt(m2 / (n - 1) / n)))
+    else:
+        ref = _mc_mean_se(stream, n, lambda s, size: randomdet._abs_det(model.sample(size, s)))
     stacks, abs_det = [], randomdet._abs_det
     monkeypatch.setattr(randomdet, "_abs_det", lambda a: stacks.append(len(a)) or abs_det(a))
     assert expected_abs_det_mc(model, n, 5) == ref
@@ -613,6 +641,23 @@ def test_mc_table_route_is_the_direct_route_bit_for_bit(name, n, monkeypatch):
     # min(n, CHUNK) of them, else one per slice of each chunk of samples
     slices = [p.stop - p.start for size in chunk_sizes(n) for p in _row_blocks(size, SLICE)]
     assert stacks == ([support] if support <= min(n, CHUNK) else slices)
+
+
+@pytest.mark.parametrize("name", ["real iid", "complex iid", "mixed widths"])
+@pytest.mark.parametrize("n", [500, 70_000])
+def test_mc_table_route_errors_are_standard_normal_over_seeds(name, n):
+    # the counts route draws the same law as one atom index per sample: over
+    # 200 fixed seeds, (estimate - exact) / stderr has mean near 0 and sd
+    # near 1 (under numpy 2.4, the counts and the index draws both read
+    # |mean| <= 0.15 and sd 0.94-1.06)
+    model = _table_models()[name]
+    exact = expected_abs_det_exact(model)
+    z = []
+    for seed in range(200):
+        val, se = expected_abs_det_mc(model, n, seed)
+        z.append((val - exact) / se)
+    assert abs(np.mean(z)) <= 0.3
+    assert 0.85 <= np.std(z, ddof=1) <= 1.15
 
 
 @pytest.mark.parametrize("name", list(_sampler_models()))
@@ -773,13 +818,14 @@ def _searchsorted_reference(u, probs):
 
 def _laws(g, k):
     """Laws of k atoms: generic, with zero atoms (repeated bounds), and with
-    a zero last atom after sums 1 +- PROB_TOL."""
+    a zero last atom after sums 1 +- PROB_TOL / 2 (1 +- PROB_TOL itself
+    rounds past the tolerance)."""
     generic = g.random(k) + 0.1
     zeros = np.where(g.random(k) < 0.4, 0.0, g.random(k))
     zeros[k // 2] = 1.0
     laws = [generic / generic.sum(), zeros / zeros.sum()]
     if k >= 2:
-        for excess in (randomdet.PROB_TOL, -randomdet.PROB_TOL):
+        for excess in (randomdet.PROB_TOL / 2, -randomdet.PROB_TOL / 2):
             p = np.append(generic[:-1] / generic[:-1].sum(), 0.0)
             p[0] += excess
             laws.append(p)
@@ -833,6 +879,18 @@ def test_choice_rejects_probabilities_it_cannot_count():
         DiscreteDistribution(np.eye(2), [np.inf, 0.0])
 
 
+@pytest.mark.parametrize("probs", [[0.2, 0.2], [0.5, 0.6], [0.3, 0.3, 0.3]])
+def test_choice_refuses_laws_that_do_not_sum_to_one(probs):
+    # refused, not read with the missing (or excess) mass on the last atom
+    stream = SeedStream(1)
+    with pytest.raises(ValueError, match="sum to 1"):
+        stream.choice(200_000, probs)
+    with pytest.raises(ValueError, match="sum to 1"):
+        stream._counts(200_000, [[0.5, 0.5], probs])
+    with pytest.raises(ValueError, match="sum to 1"):
+        DiscreteDistribution(np.eye(len(probs)), probs)
+
+
 def test_one_atom_laws_draw_no_uniform(monkeypatch):
     calls, uniforms = [], SeedStream.uniforms
     monkeypatch.setattr(SeedStream, "uniforms",
@@ -843,42 +901,53 @@ def test_one_atom_laws_draw_no_uniform(monkeypatch):
     assert np.array_equal(SeededSampler("discrete", 2, dist=one).sample(5),
                           np.tile([1.0, 2.0], (5, 1)))
     assert calls == []
-    # a one-atom block beside a two-atom one: one uniform draw per chunk,
-    # for the two-atom block, on the table and the direct routes alike
+    # a one-atom block beside a two-atom one: the table route draws counts,
+    # no uniform; the direct route one uniform draw, for the two-atom block
     two = DiscreteDistribution(np.array([[0.0, 1.0], [0.0, 3.0]]), [0.5, 0.5])
     model = MatrixBlockModel(2, (MatrixBlock(1, dist=one), MatrixBlock(1, dist=two)))
     expected_abs_det_mc(model, 70_000, 4)
-    assert calls == chunk_sizes(70_000)
-    calls.clear()
+    assert calls == []
     model.sample(9, SeedStream(4))
     assert calls == [9]
 
 
 @pytest.mark.parametrize("n", [100, 70_000])
 def test_mc_joint_index_is_ravel_multi_index(n, monkeypatch):
-    # mixed widths and atom counts with one-atom blocks between the others
+    # the counts contract: chunk ci's counts are one multinomial draw on
+    # stream.derive(ci) from the product of the blocks' laws, in
+    # np.ravel_multi_index order of their atom indices, each block's law
+    # the one its atom index is drawn from (cum clipped to 1, cum[-1] read
+    # as 1); mixed widths, atom counts and laws (zero atoms, sums 1 +-
+    # PROB_TOL / 2), one-atom blocks between the others
     g = np.random.default_rng(8)
     specs = (((2, 3), (1, 1), (1, 4), (1, 1), (1, 2)) if n > 100
              else ((1, 1), (2, 3), (1, 2), (1, 1)))
     size = sum(w for w, _ in specs)
-    blocks = tuple(MatrixBlock(w, dist=DiscreteDistribution(
-        g.standard_normal((k, size, w)), _laws(g, k)[0])) for w, k in specs)
+    probs = [_laws(g, k)[j % 4 if k > 1 else 0] for j, (_, k) in enumerate(specs)]
+    blocks = tuple(MatrixBlock(w, dist=DiscreteDistribution(g.standard_normal((k, size, w)), p))
+                   for (w, k), p in zip(specs, probs))
     model = MatrixBlockModel(size, blocks)
-    shape = tuple(k for _, k in specs)
-    joint = np.indices(shape).reshape(len(shape), -1)
-    table = randomdet._abs_det(model._stack(joint.shape[1], (
-        b.atom_matrices(size)[i] for b, i in zip(blocks, joint))))
-    assert len(np.unique(table)) == table.size  # equal values mean equal indices
+    table, shape = _support_table(model)
+    assert len(np.unique(table)) == table.size  # equal values mean equal atoms
+
+    def law(p):
+        cum = np.minimum(np.cumsum(p), 1.0)
+        cum[-1] = 1.0
+        return np.diff(cum, prepend=0.0)
+
+    joint = np.empty(table.size)
+    for idx in np.ndindex(*shape):
+        joint[np.ravel_multi_index(idx, shape)] = math.prod(
+            law(p)[i] for p, i in zip(probs, idx))
     draws = []
     monkeypatch.setattr(randomdet, "_mc_mean_se", lambda stream, n, draw: draws.extend(
         (stream.derive(ci), draw(stream.derive(ci), size))
         for ci, size in enumerate(chunk_sizes(n))))
     expected_abs_det_mc(model, n, 6)
-    assert len(draws) == len(chunk_sizes(n))
-    for stream, got in draws:
-        idx = [stream.derive("block", j).choice(len(got), b.dist.probs)
-               for j, b in enumerate(blocks)]
-        assert np.array_equal(got, table[np.ravel_multi_index(idx, shape)])
+    assert [len(c) for _, (_, c) in draws] == [table.size] * len(chunk_sizes(n))
+    for (stream, (values, counts)), size in zip(draws, chunk_sizes(n)):
+        assert np.array_equal(values, table)
+        assert np.array_equal(counts, stream._generator().multinomial(size, joint))
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128, np.clongdouble])
