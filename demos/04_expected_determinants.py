@@ -89,6 +89,9 @@ print("identity check n=2: n!/(2 sqrt(pi))^n * J-ball volume =",
       math.factorial(2) / (2.0 * math.sqrt(math.pi)) ** 2 * zn.j_ball_volume(2))
 
 # Sampler-backed blocks plug gaussian draws into the same MC machinery.
+# When every block is gaussian the estimator draws |det| itself: it has
+# the law of chi_1 chi_2 ... chi_m, independent chi variates (Bartlett
+# 1933), so no matrix is built.
 g_model = zn.MatrixBlockModel(2, (
     zn.MatrixBlock(1, sampler=zn.SeededSampler("gaussian", 2, seed=1)),
     zn.MatrixBlock(1, sampler=zn.SeededSampler("gaussian", 2, seed=2)),

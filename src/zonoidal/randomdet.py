@@ -12,7 +12,8 @@ exact paths below compute.  Monte Carlo paths draw from SFC64 streams
 keyed by the SHA-256 path hash, so identical (seed, N) give identical
 estimates, and take each |det|, of a sample or of a joint atom of a
 small finite law, by the same identity: for m <= 4 the wedge of the
-blades of its two column halves.
+blades of its two column halves.  All-Gaussian models draw no matrix:
+their |det| is a product of m independent chi variates.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from . import exterior
 from .algebra import _chain, _graded
 from .exterior import realify_rows, unrealify_rows
 from .sampling import PROB_TOL  # noqa: F401  (re-export)
-from .sampling import CHUNK, SLICE, SeedStream, _Continued, _mc_mean_se, _probabilities
+from .sampling import (CHUNK, SLICE, SeedStream, _Continued, _joint_law, _mc_mean_se,
+                       _probabilities)
 from .zonotope import Zonotope, _finite_floats, _integer, canonicalize, length, zonotope
 
 __all__ = [
@@ -388,13 +390,34 @@ def expected_abs_det_mc(model: MatrixBlockModel, n: int, seed: int = 0
                         ) -> tuple[float, float]:
     """Monte Carlo E|det M| with Bessel-corrected standard error; real or
     complex entries alike: the one row of ``_abs_det_draw`` of the model,
-    an atom table's row with its counts when the draw reads a table."""
+    an atom table's row with its counts when the draw reads a table.  An
+    all-Gaussian model draws each |det| from its exact law, a product of
+    m independent chi variates, and builds no matrix."""
     draw = _abs_det_draw((model,), n)
 
     def row(stream, size):
         vals = draw(stream, size)
         return (vals[0][0], vals[1]) if isinstance(vals, tuple) else vals[0]
     return _mc_mean_se(SeedStream(seed).derive("edet"), n, row)
+
+
+def _chi_law(model: MatrixBlockModel):
+    """(shapes, scale) with |det M| distributed as the product over j of
+    sqrt(scale Gamma(shapes[j])), or None.  Every block "gaussian" makes
+    M a real standard Gaussian matrix, whatever the field, and |det| the
+    product of independent chi_j, chi_j^2 = 2 Gamma(j/2), j = 1 .. m
+    (Bartlett 1933); every block "complex_gaussian" in a complex model
+    makes |det|^2 the product of independent Gamma(j) (Goodman 1963).
+    Any other model, a sampler dimension that is not the size among them,
+    is None: the slice route draws it, or refuses it."""
+    kinds = {b.sampler.kind if b.sampler is not None and b.sampler.dimension == model.size
+             else None for b in model.blocks}
+    j = np.arange(1.0, model.size + 1.0)
+    if kinds == {"gaussian"}:
+        return j / 2.0, 2.0
+    if kinds == {"complex_gaussian"} and model.complex_field:
+        return j, 1.0
+    return None
 
 
 def _abs_det_draw(models, n: int):
@@ -405,12 +428,18 @@ def _abs_det_draw(models, n: int):
     makes their joint laws the same: the draw is the pair (tables, counts),
     the (T, support) |det| tables, one ``_abs_det`` call over the models'
     stacked supports, and the chunk's counts of each joint atom, one
-    ``SeedStream._counts`` draw from the first model's laws for all T: the
-    law of model.sample's atom indices, so the same estimator in
-    distribution.  Otherwise each model's chunk is drawn in the slices of
-    ``MatrixBlockModel._slices``, whose |det| fill its row of a (T, size)
-    array: the draws and determinants of model.sample over the whole
-    chunk, with one slice of matrices alive."""
+    multinomial draw from the first model's ``_joint_law``, built once,
+    for all T (``SeedStream._counts``): the law of model.sample's atom
+    indices, so the same estimator in distribution.  Otherwise each
+    model's row of a (T, size) array is filled by its own route.  An
+    all-Gaussian model (``_chi_law``) takes one standard_gamma draw of
+    shape (m, size) on the chunk's stream, whose columns' products of
+    square roots are its |det|, the law of model.sample's |det| with no
+    matrix built; the roots are taken before the product, so it
+    overflows no sooner than a determinant does.  Any other model is
+    drawn in the slices of ``MatrixBlockModel._slices``, whose |det|
+    fill its row: the draws and determinants of model.sample over the
+    whole chunk, with one slice of matrices alive."""
     discrete = all(m.all_discrete() for m in models)
     shape = tuple(b.dist.n_atoms for m in models[:1] for b in m.blocks) if discrete else ()
     if shape and math.prod(shape) <= min(n, CHUNK):
@@ -421,14 +450,21 @@ def _abs_det_draw(models, n: int):
             m._stack(support, (b.atom_matrices(m.size)[i] for b, i in zip(m.blocks, joint)),
                      cols[t * support:])
         tables = _abs_det(np.swapaxes(cols, 1, 2)).reshape(len(models), support)
-        laws = [b.dist.probs for b in models[0].blocks]
-        return lambda stream, size: (tables, stream._counts(size, laws))
+        law = _joint_law([b.dist.probs for b in models[0].blocks])
+        return lambda stream, size: (tables, stream._generator().multinomial(size, law))
+    chi = [_chi_law(m) for m in models]
 
     def draw(stream, size):
         vals = np.empty((len(models), size))
-        for row, m in zip(vals, models):
-            for part, M in m._slices(size, stream):
-                row[part] = _abs_det(M)
+        for row, m, law in zip(vals, models, chi):
+            if law is not None:
+                shapes, scale = law
+                x = stream._generator().standard_gamma(shapes[:, None], (len(shapes), size))
+                x *= scale
+                np.prod(np.sqrt(x, out=x), axis=0, out=row)
+            else:
+                for part, M in m._slices(size, stream):
+                    row[part] = _abs_det(M)
         return vals
     return draw
 

@@ -4,13 +4,13 @@ All Monte Carlo paths in the library draw from SFC64 streams keyed by
 the SHA-256 path hash, a hash of (seed, label path).  Work is cut
 into fixed-size chunks with per-chunk derived keys, so an estimate for
 a given (seed, N) is bit-identical no matter how the chunks are
-scheduled.  Uniforms, indices, multinomial counts and Gaussians (numpy's
-ziggurat sampler) all come from the generator of one such key, so a
-rerun with the same numpy repeats every draw bit for bit.  A chunk, and
-a direction net, is drawn in row slices of at most SLICE rows, so that
-no array holds a whole chunk of matrices or a whole net; a generator
-continues its stream exactly from one draw to the next, so the slices
-repeat the rows of one whole draw.
+scheduled.  Uniforms, indices, multinomial counts, gamma variates and
+Gaussians (numpy's ziggurat sampler) all come from the generator of one
+such key, so a rerun with the same numpy repeats every draw bit for
+bit.  A chunk, and a direction net, is drawn in row slices of at most
+SLICE rows, so that no array holds a whole chunk of matrices or a whole
+net; a generator continues its stream exactly from one draw to the
+next, so the slices repeat the rows of one whole draw.
 """
 
 from __future__ import annotations
@@ -89,19 +89,26 @@ class SeedStream:
 
     def _counts(self, n: int, laws) -> np.ndarray:
         """How often each joint atom occurs among n draws of independent
-        indices, one from each law in laws: one Multinomial(n, p) draw,
-        p the product of the laws that ``choice`` samples (cum[i] -
-        cum[i-1], cum clipped to 1 and cum[-1] read as 1, as
-        ``_atom_index`` reads it), over the joint atoms in ``np.indices``
-        C order.  It draws no uniform, and refuses what ``choice`` refuses."""
-        joint = np.ones(1)
-        for probs in laws:
-            law = np.cumsum(_probabilities(probs))
-            np.minimum(law, 1.0, out=law)
-            law[-1] = 1.0
-            law[1:] -= law[:-1]  # numpy buffers the overlap
-            joint = np.multiply.outer(joint, law).ravel()
-        return self._generator().multinomial(int(n), joint)
+        indices, one from each law in laws: one Multinomial(n, p) draw, p
+        the ``_joint_law`` of laws.  It draws no uniform, and refuses what
+        ``choice`` refuses.  A caller that draws many chunks from the same
+        laws builds p once and draws its multinomial, the same bits."""
+        return self._generator().multinomial(int(n), _joint_law(laws))
+
+
+def _joint_law(laws) -> np.ndarray:
+    """The product of the laws that ``choice`` samples (cum[i] - cum[i-1],
+    cum clipped to 1 and cum[-1] read as 1, as ``_atom_index`` reads it),
+    over the joint atoms in ``np.indices`` C order; refuses what
+    ``choice`` refuses."""
+    joint = np.ones(1)
+    for probs in laws:
+        law = np.cumsum(_probabilities(probs))
+        np.minimum(law, 1.0, out=law)
+        law[-1] = 1.0
+        law[1:] -= law[:-1]  # numpy buffers the overlap
+        joint = np.multiply.outer(joint, law).ravel()
+    return joint
 
 
 def _probabilities(probs) -> np.ndarray:
@@ -198,30 +205,48 @@ def _mc_mean_se(stream: SeedStream, n: int, draw):
     does not cancel when the mean dwarfs the spread.  M2 is np.sum's
     pairwise sum, as np.mean's is, not a BLAS dot, which splits long
     vectors across threads: the bits do not depend on the thread count.
+
+    Deviations are squared after scaling by s, a power of two near the
+    reciprocal of the first chunk's mean (``_scale_of``), and the error is
+    divided by s.  Scaling by a power of two is exact, so the bits are
+    those of unscaled squares wherever those neither overflow nor
+    underflow, and the error stays finite where they would: at a mean of
+    1e164 the squares pass the largest double.
     """
     if n < 2:
         raise ValueError("need at least two samples")
-    count, mean, m2 = 0, 0.0, 0.0
+    count, mean, m2, scale = 0, 0.0, 0.0, None
     for ci, size in enumerate(chunk_sizes(n)):
         vals = draw(stream.derive(ci), size)
         if isinstance(vals, tuple):
             vals, counts = vals
             c_mean = np.sum(counts * vals, axis=-1) / size
-            dev = vals - c_mean[..., None]
+            scale = _scale_of(c_mean) if scale is None else scale
+            dev = (vals - c_mean[..., None]) * scale[..., None]
             c_m2 = np.sum(counts * (dev * dev), axis=-1)
         else:
             vals = np.ascontiguousarray(vals, dtype=np.float64)
             c_mean = np.mean(vals, axis=-1)
+            scale = _scale_of(c_mean) if scale is None else scale
             vals -= c_mean[..., None]
+            vals *= scale[..., None]
             vals *= vals
             c_m2 = np.sum(vals, axis=-1)
         delta = c_mean - mean
         total = count + size
         mean += delta * size / total
+        delta *= scale
         m2 += c_m2 + delta * delta * count * size / total
         count = total
-    se = np.sqrt(m2 / (n - 1) / n)
+    se = np.sqrt(m2 / (n - 1) / n) / scale
     return (float(mean), float(se)) if np.ndim(mean) == 0 else (mean, se)
+
+
+def _scale_of(mean) -> np.ndarray:
+    """2^-e for the exponent e of each mean (|mean| 2^-e in [1/2, 1), e 0
+    for a mean of 0 or one not finite), e clipped to [-1000, 1000] so
+    that neither 2^-e nor 2^e overflows."""
+    return np.ldexp(1.0, -np.clip(np.frexp(mean)[1], -1000, 1000))
 
 
 def _row_scale(A: np.ndarray) -> np.ndarray:

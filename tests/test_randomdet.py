@@ -509,6 +509,21 @@ def test_vector_mc_rows_equal_scalar_calls(n):
         assert _mc_mean_se(stream, n, lambda s, size: rows(s, size)[t]) == (means[t], ses[t])
 
 
+@pytest.mark.parametrize("n", [500, 200_000])
+def test_mc_estimates_scale_by_powers_of_two_bit_for_bit(n):
+    # values times 2^k give the estimate and the error times 2^k, also where
+    # the squared deviations of the scaled values overflow (k = 600) or
+    # underflow (k = -600); drawn values and table values with their counts
+    ks = np.array([-600.0, -30.0, 0.0, 30.0, 600.0])[:, None]
+    table, law = np.array([0.5, 2.0, 3.0, 7.5]), np.array([0.1, 0.2, 0.3, 0.4])
+    for draw in (lambda s, size: s.uniforms(size) * 2.0 ** ks,
+                 lambda s, size: (table * 2.0 ** ks, s._generator().multinomial(size, law))):
+        means, ses = _mc_mean_se(SeedStream(22).derive("scale"), n, draw)
+        assert np.all(ses > 0)
+        assert np.array_equal(means, means[2] * 2.0 ** ks[:, 0])
+        assert np.array_equal(ses, ses[2] * 2.0 ** ks[:, 0])
+
+
 def _probe_models(d1, d2, d, companions, grid):
     """The probe's per-t models, built here from its definition."""
     models = []
@@ -576,20 +591,25 @@ def _table_models():
 
 
 def _sampler_models():
+    # sampler models that the chi route does not take (a Gaussian block
+    # beside a block of another law, or no Gaussian block): each is drawn
+    # in slices
     rng = np.random.default_rng(15)
 
-    def gaussian(size, width, kind="gaussian"):
-        return MatrixBlockModel(size, tuple(
-            MatrixBlock(width, sampler=SeededSampler(kind, size)) for _ in range(size // width)),
-            complex_field=kind == "complex_gaussian")
+    def blocks(size, *specs):
+        return tuple(MatrixBlock(width, sampler=SeededSampler(kind, size))
+                     for width, kind in specs)
 
     beside = MatrixBlock(2, dist=DiscreteDistribution(rng.normal(size=(3, 4, 2)),
                                                       np.array([0.5, 0.3, 0.2])))
     return {
-        "gaussian width 1": gaussian(4, 1),
-        "gaussian width 2": gaussian(6, 2),
-        "uniform sphere": gaussian(3, 1, "uniform_sphere"),
-        "complex gaussian": gaussian(4, 1, "complex_gaussian"),
+        "gaussian width 1": MatrixBlockModel(4, blocks(
+            4, (1, "gaussian"), (1, "gaussian"), (1, "gaussian"), (1, "uniform_sphere"))),
+        "gaussian width 2": MatrixBlockModel(6, blocks(  # m > 4: LAPACK's det
+            6, (2, "gaussian"), (2, "uniform_sphere"), (2, "uniform_sphere"))),
+        "uniform sphere": MatrixBlockModel(3, blocks(3, *[(1, "uniform_sphere")] * 3)),
+        "complex gaussian": MatrixBlockModel(4, blocks(  # the 4 x 4 complex kernel
+            4, (2, "gaussian"), (2, "complex_gaussian")), complex_field=True),
         "sampler beside discrete": MatrixBlockModel(4, (
             MatrixBlock(2, sampler=SeededSampler("gaussian", 4)), beside)),
     }
@@ -670,6 +690,90 @@ def test_a_chunk_drawn_in_slices_repeats_the_whole_chunk(name, monkeypatch):
     expected_abs_det_mc(model, n, 3)
     [(stream, got)] = draws
     assert np.array_equal(got, randomdet._abs_det(model.sample(n, stream)))
+
+
+def _gaussian_model(size, width, kind="gaussian", complex_field=None):
+    return MatrixBlockModel(size, tuple(
+        MatrixBlock(width, sampler=SeededSampler(kind, size)) for _ in range(size // width)),
+        complex_field=kind == "complex_gaussian" if complex_field is None else complex_field)
+
+
+# (model, exact E|det|): E|det|^2 = m! in both fields
+_CHI_MODELS = {
+    "real 1x1": (_gaussian_model(1, 1), gaussian_abs_det(1)),
+    "real 4x4": (_gaussian_model(4, 1), gaussian_abs_det(4)),
+    "real 6x6 width 2": (_gaussian_model(6, 2), gaussian_abs_det(6)),
+    "complex 3x3": (_gaussian_model(3, 1, "complex_gaussian"), complex_gaussian_abs_det(3)),
+}
+
+
+@pytest.mark.parametrize("name, n", [
+    *((name, n) for name in _CHI_MODELS for n in (2, CHUNK + 5)),
+    ("real blocks of a complex model", 1000)])
+def test_gaussian_mc_is_a_product_of_gamma_factors_bit_for_bit(name, n, monkeypatch):
+    # chunk ci's |det| are the products over j = 1 .. m of sqrt(2 Gamma(j/2))
+    # (real) or sqrt(Gamma(j)) (complex), drawn factor by factor from
+    # stream.derive(ci); no matrix is drawn and no determinant taken
+    model = (_CHI_MODELS[name][0] if name in _CHI_MODELS
+             else _gaussian_model(4, 2, complex_field=True))
+    m, real = model.size, model.blocks[0].sampler.kind == "gaussian"
+
+    def chunk(stream, size):
+        g, vals = stream._generator(), np.ones(size)
+        for j in range(1, m + 1):
+            vals *= np.sqrt(2.0 * g.standard_gamma(j / 2, size) if real
+                            else g.standard_gamma(j, size))
+        return vals
+
+    stream = SeedStream(9).derive("edet")
+    want = _mc_mean_se(stream, n, chunk)
+    draws, mc_mean_se = [], randomdet._mc_mean_se
+
+    def spy(stream, n, draw):
+        def logged(s, size):
+            got = draw(s, size)
+            draws.append((s, size, got.copy()))  # _mc_mean_se reuses got
+            return got
+        return mc_mean_se(stream, n, logged)
+    monkeypatch.setattr(randomdet, "_mc_mean_se", spy)
+
+    def refused(*args):
+        raise AssertionError("the Gaussian route draws no matrix")
+    monkeypatch.setattr(randomdet, "_abs_det", refused)
+    monkeypatch.setattr(MatrixBlockModel, "_slices", refused)
+    assert expected_abs_det_mc(model, n, 9) == want
+    assert [size for _, size, _ in draws] == chunk_sizes(n)
+    for ci, (s, size, got) in enumerate(draws):
+        assert s._labels == stream.derive(ci)._labels
+        assert np.array_equal(got, chunk(stream.derive(ci), size))
+
+
+@pytest.mark.parametrize("name", list(_CHI_MODELS))
+@pytest.mark.parametrize("n", [500, 70_000])
+def test_gaussian_mc_errors_are_standard_normal_over_seeds(name, n):
+    # over 200 fixed seeds (estimate - exact) / stderr has mean near 0 and sd
+    # near 1, and the stderr estimates the true sd / sqrt(n) (under numpy
+    # 2.4: |mean| <= 0.15, sd 0.92-1.05, mean stderr ratio 0.991-1.002)
+    model, exact = _CHI_MODELS[name]
+    true_se = math.sqrt(math.factorial(model.size) - exact ** 2) / math.sqrt(n)
+    z, ratio = [], []
+    for seed in range(200):
+        val, se = expected_abs_det_mc(model, n, seed)
+        z.append((val - exact) / se)
+        ratio.append(se / true_se)
+    assert abs(np.mean(z)) <= 0.3
+    assert 0.85 <= np.std(z, ddof=1) <= 1.15
+    assert abs(np.mean(ratio) - 1.0) <= (0.03 if n == 500 else 0.01)
+
+
+def test_gaussian_mc_of_a_large_matrix_stays_finite():
+    # E|det|^2 = 180! overflows a double, E|det| does not: each factor's
+    # square root is taken before the product
+    assert math.lgamma(181) > math.log(sys.float_info.max)
+    val, se = expected_abs_det_mc(_gaussian_model(180, 1), 2000, 4)
+    exact = gaussian_abs_det(180)
+    assert math.isfinite(val) and math.isfinite(se) and math.isfinite(exact)
+    assert abs(val - exact) <= 5 * se
 
 
 def test_gaussian_stream_is_pinned():
@@ -1001,6 +1105,9 @@ _SAMPLED = MatrixBlockModel(2, (MatrixBlock(2, sampler=_GAUSS2),))
     pytest.param(lambda: expected_abs_det_mc(
         MatrixBlockModel(3, (MatrixBlock(3, sampler=_GAUSS2),)), 10),
         "sampler dimension does not match", id="sampler-dimension-not-the-size"),
+    pytest.param(lambda: expected_abs_det_mc(MatrixBlockModel(2, (
+        MatrixBlock(2, sampler=SeededSampler("complex_gaussian", 2)),)), 10),
+        "need complex_field=True", id="complex-gaussian-block-of-a-real-model"),
     pytest.param(lambda: MatrixBlockModel(3, (MatrixBlock(1, dist=_D2),)), "widths must sum",
                  id="widths-not-the-size"),
     pytest.param(lambda: vitale_zonotope(scale_distribution(_D2, 1j)), "real distribution",
